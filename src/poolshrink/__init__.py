@@ -10,19 +10,12 @@ estimator.
 """
 
 from .estimators import (
+    ESTIMATORS,
     EstimatorConfig,
     bayes_oracle_normal,
     bayes_oracle_uniform,
-    class1_estimate,
-    class2_estimate,
-    eb_estimate,
     estimate,
-    heb_estimate,
-    hb_estimate,
-    js_estimate,
-    lincomb_estimate,
     phi_hb,
-    pt_estimate,
 )
 from .minimax import (
     MinimaxReport,
@@ -48,9 +41,6 @@ from .statistics import (
     pooled_deviance_gap,
     pooled_matrix,
     pooled_mean,
-    stat_B,
-    stat_F,
-    stat_G,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,8 @@ list; estimator constants may be omitted, in which case the bound-optimal
 values are derived from the model.
 
 Exit codes: 0 success (and, for ``check``, conditions hold); 1 conditions
-fail; 2 invalid config or arguments; 3 runtime failure.
+fail; 2 invalid config, data or arguments, reported before any output; 3
+runtime failure.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import EstimatorConfig, estimate
+from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, estimate
 from .minimax import (
     double_shrinkage_report,
     lincomb_shrinkage_report,
@@ -36,7 +37,7 @@ from .minimax import (
 )
 from .model import ModelSpec, Sample, validate_spec
 from .risksim import SimPlan, preset_estimators, simulate_risk, table1_preset
-from .statistics import compute_pooled_stats
+from .statistics import batch_pooled_stats
 
 __all__ = ["main"]
 
@@ -47,7 +48,8 @@ EXIT_RUNTIME_ERROR = 3
 
 
 class ConfigError(ValueError):
-    """Invalid configuration or data file."""
+    """Invalid configuration, data file or arguments; raised before any
+    output is written."""
 
 
 # ---------------------------------------------------------------------------
@@ -55,47 +57,53 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _as_matrix(entry, p: int, name: str) -> np.ndarray:
-    """Accept the scalar-matrix shorthand c -> c * I or a full p x p matrix."""
-    if isinstance(entry, (int, float)):
-        return float(entry) * np.eye(p)
-    mat = np.asarray(entry, dtype=float)
-    if mat.shape != (p, p):
-        raise ConfigError(f"{name}: expected a scalar or a {p}x{p} matrix, got shape {mat.shape}")
-    return mat
+def _number(section: dict, key: str, cast, where: str, default=None):
+    """``section[key]`` converted by ``cast``; a missing value without a
+    default, or one that does not convert, is a config error."""
+    value = section.get(key, default)
+    if value is None:
+        raise ConfigError(f"{where}: missing required field '{key}'")
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}.{key}: expected a number, got {value!r}") from None
 
 
-def _as_vector(entry, p: int, name: str) -> np.ndarray:
-    """Accept the shorthand c -> c * ones(p) or a full length-p vector."""
+def _as_shaped(entry, unit: np.ndarray, name: str) -> np.ndarray:
+    """Accept the shorthand c -> c * unit (I for matrices, ones for
+    vectors) or a full array of the unit's shape."""
     if isinstance(entry, (int, float)):
-        return float(entry) * np.ones(p)
-    vec = np.asarray(entry, dtype=float).reshape(-1)
-    if vec.shape != (p,):
-        raise ConfigError(f"{name}: expected a scalar or a length-{p} vector, got shape {vec.shape}")
-    return vec
+        return float(entry) * unit
+    try:
+        arr = np.asarray(entry, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: expected numbers, got {entry!r}") from None
+    if arr.shape != unit.shape:
+        raise ConfigError(f"{name}: expected a scalar or shape {unit.shape}, got {arr.shape}")
+    return arr
 
 
 def parse_model(section: dict, require_mu: bool = True) -> ModelSpec:
     """Build a ModelSpec from the ``model`` section of a config."""
     if not isinstance(section, dict):
         raise ConfigError("model: expected an object")
-    try:
-        p = int(section["p"])
-        k = int(section["k"])
-        n = int(section["n"])
-        v_entries = section["V"]
-    except KeyError as exc:
-        raise ConfigError(f"model: missing required field {exc}") from None
-    sigma2 = float(section.get("sigma2", 1.0))
+    p, k, n = (_number(section, key, int, "model") for key in ("p", "k", "n"))
+    sigma2 = _number(section, "sigma2", float, "model", default=1.0)
+    if p < 1:
+        raise ConfigError(f"model.p: dimension must be >= 1, got {p}")
+    v_entries = section.get("V")
     if not isinstance(v_entries, list) or len(v_entries) != k:
         raise ConfigError(f"model.V: expected a list of {k} entries")
-    V = [_as_matrix(entry, p, f"model.V[{i}]") for i, entry in enumerate(v_entries)]
+    V = [_as_shaped(entry, np.eye(p), f"model.V[{i}]") for i, entry in enumerate(v_entries)]
 
     q_entry = section.get("Q", "inv_v1")
     if q_entry == "inv_v1":
-        Q = np.linalg.inv(V[0])
+        try:
+            Q = np.linalg.inv(V[0])
+        except np.linalg.LinAlgError:
+            raise ConfigError('model.Q: "inv_v1" needs an invertible V[0]') from None
     else:
-        Q = _as_matrix(q_entry, p, "model.Q")
+        Q = _as_shaped(q_entry, np.eye(p), "model.Q")
 
     mu_entries = section.get("mu")
     if mu_entries is None:
@@ -105,7 +113,7 @@ def parse_model(section: dict, require_mu: bool = True) -> ModelSpec:
     else:
         if not isinstance(mu_entries, list) or len(mu_entries) != k:
             raise ConfigError(f"model.mu: expected a list of {k} entries")
-        mu = [_as_vector(entry, p, f"model.mu[{i}]") for i, entry in enumerate(mu_entries)]
+        mu = [_as_shaped(mu_i, np.ones(p), f"model.mu[{i}]") for i, mu_i in enumerate(mu_entries)]
 
     spec = ModelSpec(p=p, k=k, n=n, V=tuple(V), Q=Q, sigma2=sigma2, mu=tuple(mu))
     errors = validate_spec(spec)
@@ -114,49 +122,50 @@ def parse_model(section: dict, require_mu: bool = True) -> ModelSpec:
     return spec
 
 
-def parse_estimators(entries, spec: ModelSpec, default_alpha: float) -> tuple[EstimatorConfig, ...]:
-    """Build estimator configs; omitted constants become the bound-optimal
-    defaults derived from the model."""
+def parse_estimators(
+    entries, spec: ModelSpec, default_alpha: float
+) -> tuple[EstimatorConfig, ...]:
+    """Build and validate estimator configs; omitted constants become the
+    bound-optimal defaults derived from the model, and omitted entries the
+    five preset estimators."""
+    try:
+        defaults = {cfg.kind: cfg for cfg in preset_estimators(spec, alpha=default_alpha)}
+    except ValueError as exc:
+        raise ConfigError(f"model: {exc}") from None
     if entries is None:
-        return preset_estimators(spec, alpha=default_alpha)
+        entries = [{"kind": kind} for kind in defaults]
     if not isinstance(entries, list) or not entries:
         raise ConfigError("estimators: expected a nonempty list")
-    defaults = {cfg.kind: cfg for cfg in preset_estimators(spec, alpha=default_alpha)}
+    known = {"kind", "label"}.union(*(ESTIMATORS[kind].fields for kind in CONFIG_KINDS))
     configs = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ConfigError(f"estimators[{i}]: expected an object with a 'kind' field")
         kind = str(entry["kind"]).upper()
-        if kind not in defaults:
+        if kind not in CONFIG_KINDS:
             raise ConfigError(
                 f"estimators[{i}]: kind {kind!r} is not supported in config files "
-                "(PT, JS, EB, HB, HEB)"
+                f"({', '.join(CONFIG_KINDS)})"
             )
-        base = defaults[kind]
-        known = {"kind", "alpha", "a0", "b0", "a", "c", "L", "label"}
         unknown = set(entry) - known
         if unknown:
             raise ConfigError(f"estimators[{i}]: unknown fields {sorted(unknown)}")
-        cfg = EstimatorConfig(
-            kind=kind,
-            alpha=float(entry.get("alpha", base.alpha)) if kind == "PT" else None,
-            a0=float(entry.get("a0", base.a0)) if kind in ("EB", "HEB") else None,
-            b0=float(entry.get("b0", base.b0)) if kind == "HEB" else None,
-            a=float(entry.get("a", base.a)) if kind == "HB" else None,
-            c=float(entry.get("c", base.c if base.c is not None else 1.0)) if kind == "HB" else None,
-            L=float(entry.get("L", base.L if base.L is not None else 0.0)) if kind == "HB" else None,
-            label=entry.get("label"),
-        )
+        values = {
+            field: _number(entry, field, float, f"estimators[{i}]", getattr(defaults[kind], field))
+            for field in ESTIMATORS[kind].fields
+        }
+        cfg = EstimatorConfig(kind=kind, label=entry.get("label"), **values)
         problems = cfg.validate(spec)
         if problems:
-            raise ConfigError(f"estimators[{i}]: " + "; ".join(problems))
+            raise ConfigError(f"estimators[{i}] ({cfg.name}): " + "; ".join(problems))
         configs.append(cfg)
     return tuple(configs)
 
 
 def plan_to_config(plan: SimPlan, name: str = "config") -> dict:
     """Re-serialize a simulation plan as a config document (the inverse of
-    ``parse_model`` + ``parse_estimators`` up to scalar-matrix shorthand)."""
+    ``parse_model`` + ``parse_estimators`` up to scalar-matrix shorthand).
+    Raises for estimator kinds a config file cannot hold."""
     spec = plan.spec
     model = {
         "p": spec.p,
@@ -169,8 +178,10 @@ def plan_to_config(plan: SimPlan, name: str = "config") -> dict:
     }
     estimators = []
     for cfg in plan.estimators:
+        if cfg.kind not in CONFIG_KINDS:
+            raise ValueError(f"estimator kind {cfg.kind} cannot be written to a config file")
         entry: dict = {"kind": cfg.kind}
-        for field in ("alpha", "a0", "b0", "a", "c", "L", "label"):
+        for field in (*ESTIMATORS[cfg.kind].fields, "label"):
             value = getattr(cfg, field)
             if value is not None:
                 entry[field] = value
@@ -224,22 +235,10 @@ def _report_rows(label: str, report) -> list[dict]:
     return rows
 
 
-_CSV_FIELDS = [
-    "mean_config",
-    "estimator",
-    "risk",
-    "risk_se",
-    "prial",
-    "prial_se",
-    "replications",
-    "seed",
-]
-
-
 def _emit(rows: list[dict], fmt: str, out_path: str | None):
     if fmt == "csv":
         buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=_CSV_FIELDS, lineterminator="\n")
+        writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
         text = buffer.getvalue()
@@ -259,6 +258,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--reps: must be >= 1, got {args.reps}")
     if args.workers < 1:
         raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
+    if not 0.0 < args.alpha < 1.0:
+        raise ConfigError(f"--alpha: must be in (0, 1), got {args.alpha}")
 
     jobs: list[tuple[str, SimPlan]] = []
     if args.preset is not None:
@@ -273,14 +274,11 @@ def cmd_simulate(args) -> int:
         doc = _load_config(args.config)
         spec = parse_model(doc.get("model", {}), require_mu=True)
         configs = parse_estimators(doc.get("estimators"), spec, default_alpha=args.alpha)
-        reps = args.reps if args.reps is not None else int(doc.get("replications", 100_000))
-        seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+        reps = args.reps or _number(doc, "replications", int, "config", 100_000)
+        seed = args.seed if args.seed is not None else _number(doc, "seed", int, "config", 0)
         if reps < 1:
             raise ConfigError(f"replications: must be >= 1, got {reps}")
         plan = SimPlan(spec=spec, estimators=configs, replications=reps, seed=seed)
-        problems = plan.validate()
-        if problems:
-            raise ConfigError("; ".join(problems))
         jobs = [(str(doc.get("name", "config")), plan)]
 
     rows: list[dict] = []
@@ -331,9 +329,12 @@ def _read_data_file(path: str, p: int, k: int) -> tuple[np.ndarray, float]:
         s_val = float(s_row[0])
     except ValueError as exc:
         raise ConfigError(f"S: {exc}") from None
-    if not s_val > 0.0:
-        raise ConfigError(f"S must be positive, got {s_val}")
-    return np.asarray(rows, dtype=float), s_val
+    if not 0.0 < s_val < np.inf:
+        raise ConfigError(f"S must be positive and finite, got {s_val}")
+    x = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ConfigError("data rows must hold finite values")
+    return x, s_val
 
 
 def cmd_estimate(args) -> int:
@@ -349,15 +350,14 @@ def cmd_estimate(args) -> int:
     if missing:
         raise ConfigError(f"estimators not configured: {', '.join(missing)}")
 
-    stats = compute_pooled_stats(sample, spec.V, spec.Q)
-    out = sys.stdout
+    # Everything is computed before the first line is written, so a runtime
+    # failure leaves no partial output.
+    nu, f_stat, g_stat = batch_pooled_stats(spec, x[np.newaxis], np.array([s]))
+    values = [(name, estimate(sample, spec, by_kind[name])) for name in wanted]
     vec = lambda v: " ".join(format(x, ".10g") for x in v)
-    out.write(f"nu_hat: {vec(stats.nu_hat)}\n")
-    out.write(f"F: {format(stats.F, '.10g')}\n")
-    out.write(f"G: {format(stats.G, '.10g')}\n")
-    for name in wanted:
-        value = estimate(sample, spec, by_kind[name])
-        out.write(f"{name}: {vec(value)}\n")
+    lines = [f"nu_hat: {vec(nu[0])}", f"F: {f_stat[0]:.10g}", f"G: {g_stat[0]:.10g}"]
+    lines += [f"{name}: {vec(value)}" for name, value in values]
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -439,9 +439,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except Exception as exc:  # noqa: BLE001 - runtime failures map to a distinct code

@@ -12,18 +12,24 @@ nu_hat), both normalized by the chi-square statistic S:
 * hierarchical Bayes (HB): smooth shrink phi_hb(F, S)/F obtained by
   integrating the shrinkage weight against a second-stage prior;
 * hierarchical empirical Bayes (HEB): EB-style double shrinkage;
-* oracle Bayes rules with known variance components, and the generic
-  single/double/linear-combination shrinkage classes.
+* the generic single/double/linear-combination shrinkage classes
+  (CLASS1, CLASS2, LINCOMB) driven by user-supplied shrink functions;
+* oracle Bayes rules with known variance components.
+
+Each kind is defined once, in the ``ESTIMATORS`` registry, as a rule
+batched over B samples; the Monte Carlo engine calls it on whole chunks
+and ``estimate`` calls it with B = 1.
 
 Degenerate statistics follow a continuity convention: a clipped factor
 min(a0/F, 1) is taken to be 1 at F = 0 (full shrink, a measure-zero
-event), and the HB factor uses its analytic small-F limit.
+event), a shrink-function factor phi(F, S)/F is taken to be 0, and the HB
+factor uses its analytic small-F limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -34,35 +40,25 @@ from .numerics import (
     log_lower_inc_beta,
     reg_upper_gamma,
 )
-from .statistics import compute_pooled_stats
+from .statistics import batch_pooled_stats, compute_pooled_stats
 
 __all__ = [
-    "ESTIMATOR_KINDS",
+    "CONFIG_KINDS",
+    "ESTIMATORS",
     "EstimatorConfig",
+    "EstimatorKind",
     "ShrinkFunction",
     "bayes_oracle_normal",
     "bayes_oracle_uniform",
-    "class1_estimate",
-    "class2_estimate",
-    "default_eb_constant",
-    "default_heb_constants",
-    "eb_estimate",
     "estimate",
-    "heb_estimate",
-    "hb_estimate",
     "hb_small_f_factor",
-    "js_estimate",
-    "lincomb_estimate",
     "phi_hb",
-    "pt_estimate",
     "pt_threshold",
 ]
 
 # A shrink function maps (F, S) -> phi >= 0 (or (G, S) -> psi); handles must
 # accept ndarray arguments and broadcast.
 ShrinkFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-ESTIMATOR_KINDS = ("PT", "JS", "EB", "HB", "HEB", "LINCOMB", "CLASS1", "CLASS2")
 
 
 @dataclass(frozen=True)
@@ -103,55 +99,10 @@ class EstimatorConfig:
 
     def validate(self, spec: ModelSpec | None = None) -> list[str]:
         """Field-level validation; returns violation messages."""
-        errors: list[str] = []
-        if self.kind not in ESTIMATOR_KINDS:
+        kind = ESTIMATORS.get(self.kind)
+        if kind is None:
             return [f"kind: unknown estimator {self.kind!r}"]
-        if self.kind == "PT":
-            if self.alpha is None or not 0.0 < self.alpha < 1.0:
-                errors.append(f"alpha: must be in (0, 1), got {self.alpha}")
-        if self.kind in ("EB", "HEB"):
-            if self.a0 is None or not self.a0 > 0.0:
-                errors.append(f"a0: must be positive, got {self.a0}")
-        if self.kind == "HEB":
-            if self.b0 is None or not self.b0 > 0.0:
-                errors.append(f"b0: must be positive, got {self.b0}")
-        if self.kind == "HB":
-            if self.a is None:
-                errors.append("a: required for HB")
-            if self.c is None:
-                errors.append("c: required for HB")
-            if self.L is not None and self.L < 0.0:
-                errors.append(f"L: must be nonnegative, got {self.L}")
-            if spec is not None and self.a is not None and self.c is not None:
-                q = 0.5 * spec.p * (spec.k - 1)
-                if not self.a > -q:
-                    errors.append(f"a: must exceed -p(k-1)/2 = {-q}, got {self.a}")
-                if not self.a + self.c < 0.5 * spec.n:
-                    errors.append(
-                        f"a + c: must be below n/2 = {0.5 * spec.n}, got {self.a + self.c}"
-                    )
-        if self.kind == "LINCOMB":
-            if self.d is None:
-                errors.append("d: weight vector required for LINCOMB")
-            elif spec is not None and len(self.d) != spec.k:
-                errors.append(f"d: expected {spec.k} weights, got {len(self.d)}")
-            if self.phi is None:
-                errors.append("phi: shrink function required for LINCOMB")
-        if self.kind in ("CLASS1", "CLASS2") and self.phi is None:
-            errors.append(f"phi: shrink function required for {self.kind}")
-        if self.kind == "CLASS2" and self.psi is None:
-            errors.append("psi: shrink function required for CLASS2")
-        return errors
-
-
-def default_eb_constant(p: int, k: int, n: int) -> float:
-    """Marginal-likelihood EB constant (p(k-1) - 2) / (n + 2)."""
-    return (p * (k - 1) - 2.0) / (n + 2.0)
-
-
-def default_heb_constants(p: int, k: int, n: int) -> tuple[float, float]:
-    """Marginal-likelihood HEB constants ((p(k-1) - 2)/(n + 2), (p - 2)/(n + 2))."""
-    return (p * (k - 1) - 2.0) / (n + 2.0), (p - 2.0) / (n + 2.0)
+        return _field_errors(self, kind.fields) + kind.check(self, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +134,15 @@ def _phi_hb_zero_l(F: np.ndarray, qa: float, m: float) -> np.ndarray:
 
     The substitution z = x/(1+x) turns each integral into an incomplete
     beta function, evaluated in log space so the ratio survives tiny F.
+    Where z rounds to 1 (F above about 1e16) the ratio has reached its
+    limit B(qa+1, m-qa)/B(qa, m-qa+1) = qa/(m - qa).
     """
     a_num, b_num = qa + 1.0, m - qa
     a_den, b_den = qa, m - qa + 1.0
     z = F / (1.0 + F)
     out = np.zeros_like(z)
-    pos = z > 0.0
+    out[z == 1.0] = qa / (m - qa)
+    pos = (z > 0.0) & (z < 1.0)
     if np.any(pos):
         log_num = np.atleast_1d(log_lower_inc_beta(a_num, b_num, z[pos]))
         log_den = np.atleast_1d(log_lower_inc_beta(a_den, b_den, z[pos]))
@@ -265,89 +219,184 @@ def phi_hb(F, S, p: int, k: int, n: int, a: float, c: float, L: float = 0.0):
     return out.reshape(np.broadcast_shapes(farr.shape, sarr.shape))
 
 
-# ---------------------------------------------------------------------------
-# Point estimators
-# ---------------------------------------------------------------------------
-
-
 def pt_threshold(p: int, k: int, n: int, alpha: float) -> float:
     """Rejection threshold for F: (p(k-1)/n) * F_{p(k-1), n, alpha}."""
     d1 = p * (k - 1)
     return (d1 / n) * f_quantile(d1, n, alpha)
 
 
-def pt_estimate(sample: Sample, spec: ModelSpec, alpha: float = 0.05) -> np.ndarray:
-    """Preliminary-test estimator: X_1 when the equal-means hypothesis is
-    rejected at level alpha, the pooled mean nu_hat otherwise."""
-    st = compute_pooled_stats(sample, spec.V, spec.Q)
-    if st.F > pt_threshold(spec.p, spec.k, spec.n, alpha):
-        return sample.X[0].copy()
-    return st.nu_hat
+# ---------------------------------------------------------------------------
+# The estimator registry: one batched rule per kind
+# ---------------------------------------------------------------------------
+
+# The numeric fields; config files hold exactly the kinds using only these.
+_NUMERIC_FIELDS = ("alpha", "a0", "b0", "a", "c", "L")
+
+# Range of each bounded field.  Every field a kind uses is required except
+# L, which defaults to 0.
+_FIELD_RANGES = {
+    "alpha": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "a0": ("positive", lambda v: v > 0.0),
+    "b0": ("positive", lambda v: v > 0.0),
+    "L": ("nonnegative", lambda v: v >= 0.0),
+}
 
 
-def js_estimate(sample: Sample, spec: ModelSpec) -> np.ndarray:
-    """James-Stein estimator X_1 - ((p-2)/(n+2)) (S/||X_1||^2_{V_1^{-1}}) X_1.
-
-    Uses X_1 and S only.  Returns the shrink target 0 when X_1 = 0.
-    """
-    x1 = sample.X[0]
-    norm2 = float(x1 @ np.linalg.solve(spec.V[0], x1))
-    if norm2 == 0.0:
-        return np.zeros_like(x1)
-    coef = (spec.p - 2.0) / (spec.n + 2.0) * sample.S / norm2
-    return x1 - coef * x1
-
-
-def class1_estimate(sample: Sample, spec: ModelSpec, phi: ShrinkFunction) -> np.ndarray:
-    """Generic single-shrinkage rule X_1 - (phi(F, S)/F)(X_1 - nu_hat).
-
-    At F = 0 the deviation X_1 - nu_hat vanishes, so X_1 is returned.
-    """
-    st = compute_pooled_stats(sample, spec.V, spec.Q)
-    factor = float(phi(st.F, sample.S)) / st.F if st.F > 0.0 else 0.0
-    return sample.X[0] - factor * (sample.X[0] - st.nu_hat)
+def _field_errors(cfg: EstimatorConfig, fields: tuple[str, ...]) -> list[str]:
+    errors = []
+    for field in fields:
+        value = getattr(cfg, field)
+        if value is None:
+            if field != "L":
+                errors.append(f"{field}: required for {cfg.kind}")
+        elif field in _FIELD_RANGES and not _FIELD_RANGES[field][1](value):
+            errors.append(f"{field}: must be {_FIELD_RANGES[field][0]}, got {value}")
+    return errors
 
 
-def class2_estimate(
-    sample: Sample, spec: ModelSpec, phi: ShrinkFunction, psi: ShrinkFunction
-) -> np.ndarray:
-    """Generic double-shrinkage rule
-    X_1 - (phi(F, S)/F)(X_1 - nu_hat) - (psi(G, S)/G) nu_hat."""
-    st = compute_pooled_stats(sample, spec.V, spec.Q)
-    f_factor = float(phi(st.F, sample.S)) / st.F if st.F > 0.0 else 0.0
-    g_factor = float(psi(st.G, sample.S)) / st.G if st.G > 0.0 else 0.0
-    return sample.X[0] - f_factor * (sample.X[0] - st.nu_hat) - g_factor * st.nu_hat
+def _no_checks(cfg: EstimatorConfig, spec: ModelSpec | None) -> list[str]:
+    return []
 
 
-def eb_estimate(sample: Sample, spec: ModelSpec, a0: float) -> np.ndarray:
-    """Empirical Bayes estimator X_1 - min(a0/F, 1)(X_1 - nu_hat); at F = 0
-    the clipped factor is 1 and the pooled mean is returned."""
-    st = compute_pooled_stats(sample, spec.V, spec.Q)
-    factor = min(a0 / st.F, 1.0) if st.F > 0.0 else 1.0
-    return sample.X[0] - factor * (sample.X[0] - st.nu_hat)
+def _check_hb(cfg, spec):
+    """The HB domain a > -p(k-1)/2 and a + c < n/2, given the model."""
+    if spec is None or cfg.a is None or cfg.c is None:
+        return []
+    try:
+        _check_hb_domain(spec.p, spec.k, spec.n, cfg.a, cfg.c, 0.0)
+    except ValueError as exc:
+        return [str(exc)]
+    return []
 
 
-def hb_estimate(
-    sample: Sample, spec: ModelSpec, a: float, c: float = 1.0, L: float = 0.0
-) -> np.ndarray:
-    """Hierarchical Bayes estimator X_1 - (phi_hb(F, S)/F)(X_1 - nu_hat);
-    at F = 0 the analytic small-F factor (q+a)/(q+a+1) is used."""
-    st = compute_pooled_stats(sample, spec.V, spec.Q)
-    if st.F > 0.0:
-        factor = float(phi_hb(st.F, sample.S, spec.p, spec.k, spec.n, a, c, L)) / st.F
-    else:
-        _check_hb_domain(spec.p, spec.k, spec.n, a, c, L)
-        factor = hb_small_f_factor(spec.p, spec.k, a)
-    return sample.X[0] - factor * (sample.X[0] - st.nu_hat)
+def _check_weights(cfg, spec):
+    if cfg.d is not None and spec is not None and len(cfg.d) != spec.k:
+        return [f"d: expected {spec.k} weights, got {len(cfg.d)}"]
+    return []
 
 
-def heb_estimate(sample: Sample, spec: ModelSpec, a0: float, b0: float) -> np.ndarray:
-    """Hierarchical empirical Bayes double-shrinkage estimator
-    X_1 - min(a0/F, 1)(X_1 - nu_hat) - min(b0/G, 1) nu_hat."""
-    st = compute_pooled_stats(sample, spec.V, spec.Q)
-    f_factor = min(a0 / st.F, 1.0) if st.F > 0.0 else 1.0
-    g_factor = min(b0 / st.G, 1.0) if st.G > 0.0 else 1.0
-    return sample.X[0] - f_factor * (sample.X[0] - st.nu_hat) - g_factor * st.nu_hat
+@dataclass(frozen=True)
+class EstimatorKind:
+    """One estimator kind: the config fields it uses, its batched rule, and
+    the checks its fields need beyond ``_FIELD_RANGES`` (given the model).
+
+    The rule maps (config, spec, X (B, k, p), S (B,), nu_hat (B, p), F (B,),
+    G (B,)) to the B estimates, shape (B, p)."""
+
+    fields: tuple[str, ...]
+    rule: Callable[..., np.ndarray]
+    check: Callable[[EstimatorConfig, ModelSpec | None], list[str]] = _no_checks
+
+
+def _shrink(X: np.ndarray, nu: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """X_1 - factor (X_1 - nu_hat), row by row."""
+    x1 = X[:, 0, :]
+    return x1 - factor[:, None] * (x1 - nu)
+
+
+def _clipped(const: float, stat: np.ndarray) -> np.ndarray:
+    """min(const/stat, 1), taken to be 1 at stat = 0."""
+    factor = np.ones_like(stat)
+    pos = stat > 0.0
+    factor[pos] = np.minimum(const / stat[pos], 1.0)
+    return factor
+
+
+def _handle_factor(fn: ShrinkFunction, stat: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """fn(stat, S)/stat for a user shrink function, taken to be 0 at stat = 0."""
+    factor = np.zeros_like(stat)
+    pos = stat > 0.0
+    vals = np.broadcast_to(np.asarray(fn(stat[pos], S[pos]), dtype=float), stat[pos].shape)
+    factor[pos] = vals / stat[pos]
+    return factor
+
+
+def _pt_rule(cfg, spec, X, S, nu, F, G):
+    """X_1 when the equal-means hypothesis is rejected at level alpha,
+    nu_hat otherwise."""
+    thr = pt_threshold(spec.p, spec.k, spec.n, cfg.alpha)
+    return np.where((F > thr)[:, None], X[:, 0, :], nu)
+
+
+def _js_rule(cfg, spec, X, S, nu, F, G):
+    """X_1 - ((p-2)/(n+2)) (S/||X_1||^2_{V_1^{-1}}) X_1; 0 when X_1 = 0."""
+    x1 = X[:, 0, :]
+    norm2 = np.einsum("bi,ij,bj->b", x1, spec.v_inv[0], x1)
+    coef = np.zeros_like(norm2)
+    okay = norm2 > 0.0
+    coef[okay] = (spec.p - 2.0) / (spec.n + 2.0) * S[okay] / norm2[okay]
+    return x1 - coef[:, None] * x1
+
+
+def _eb_rule(cfg, spec, X, S, nu, F, G):
+    """X_1 - min(a0/F, 1)(X_1 - nu_hat)."""
+    return _shrink(X, nu, _clipped(cfg.a0, F))
+
+
+def _hb_rule(cfg, spec, X, S, nu, F, G):
+    """X_1 - (phi_hb(F, S)/F)(X_1 - nu_hat), with the small-F factor
+    (q+a)/(q+a+1) at F = 0."""
+    ell = cfg.L if cfg.L is not None else 0.0
+    factor = np.full_like(F, hb_small_f_factor(spec.p, spec.k, cfg.a))
+    pos = F > 0.0
+    factor[pos] = phi_hb(F[pos], S[pos], spec.p, spec.k, spec.n, cfg.a, cfg.c, ell) / F[pos]
+    return _shrink(X, nu, factor)
+
+
+def _heb_rule(cfg, spec, X, S, nu, F, G):
+    """X_1 - min(a0/F, 1)(X_1 - nu_hat) - min(b0/G, 1) nu_hat."""
+    return _shrink(X, nu, _clipped(cfg.a0, F)) - _clipped(cfg.b0, G)[:, None] * nu
+
+
+def _class1_rule(cfg, spec, X, S, nu, F, G):
+    """X_1 - (phi(F, S)/F)(X_1 - nu_hat)."""
+    return _shrink(X, nu, _handle_factor(cfg.phi, F, S))
+
+
+def _class2_rule(cfg, spec, X, S, nu, F, G):
+    """X_1 - (phi(F, S)/F)(X_1 - nu_hat) - (psi(G, S)/G) nu_hat."""
+    est = _shrink(X, nu, _handle_factor(cfg.phi, F, S))
+    return est - _handle_factor(cfg.psi, G, S)[:, None] * nu
+
+
+def _lincomb_rule(cfg, spec, X, S, nu, F, G):
+    """sum_i d_i [X_i - (phi(F, S)/F)(X_i - nu_hat)], an estimate of
+    sum_i d_i mu_i."""
+    factor = _handle_factor(cfg.phi, F, S)
+    shrunk = X - factor[:, None, None] * (X - nu[:, None, :])
+    return np.einsum("k,bki->bi", np.asarray(cfg.d, dtype=float), shrunk)
+
+
+ESTIMATORS: dict[str, EstimatorKind] = {
+    "PT": EstimatorKind(("alpha",), _pt_rule),
+    "JS": EstimatorKind((), _js_rule),
+    "EB": EstimatorKind(("a0",), _eb_rule),
+    "HB": EstimatorKind(("a", "c", "L"), _hb_rule, _check_hb),
+    "HEB": EstimatorKind(("a0", "b0"), _heb_rule),
+    "LINCOMB": EstimatorKind(("d", "phi"), _lincomb_rule, _check_weights),
+    "CLASS1": EstimatorKind(("phi",), _class1_rule),
+    "CLASS2": EstimatorKind(("phi", "psi"), _class2_rule),
+}
+CONFIG_KINDS = tuple(
+    kind for kind, entry in ESTIMATORS.items() if set(entry.fields) <= set(_NUMERIC_FIELDS)
+)
+
+
+def estimate(sample: Sample, spec: ModelSpec, config: EstimatorConfig) -> np.ndarray:
+    """Evaluate the estimator described by ``config`` on one sample: its
+    batched rule with B = 1."""
+    errors = config.validate(spec)
+    if errors:
+        raise ValueError("; ".join(errors))
+    X = sample.X[np.newaxis]
+    S = np.array([sample.S])
+    nu, F, G = batch_pooled_stats(spec, X, S)
+    return ESTIMATORS[config.kind].rule(config, spec, X, S, nu, F, G)[0]
+
+
+# ---------------------------------------------------------------------------
+# Oracle Bayes rules (known variance components)
+# ---------------------------------------------------------------------------
 
 
 def bayes_oracle_uniform(
@@ -374,44 +423,3 @@ def bayes_oracle_normal(
     w1 = sigma2 / (tau2 + sigma2)
     w2 = sigma2 / (gamma2 + tau2 + sigma2)
     return sample.X[0] - w1 * (sample.X[0] - st.nu_hat) - w2 * st.nu_hat
-
-
-def lincomb_estimate(
-    sample: Sample, spec: ModelSpec, d: Sequence[float], phi: ShrinkFunction
-) -> np.ndarray:
-    """Estimator of the linear combination sum_i d_i mu_i:
-    sum_i d_i [X_i - (phi(F, S)/F)(X_i - nu_hat)]."""
-    dv = np.asarray(d, dtype=float).reshape(-1)
-    if dv.size != spec.k:
-        raise ValueError(f"expected {spec.k} weights, got {dv.size}")
-    st = compute_pooled_stats(sample, spec.V, spec.Q)
-    factor = float(phi(st.F, sample.S)) / st.F if st.F > 0.0 else 0.0
-    shrunk = sample.X - factor * (sample.X - st.nu_hat)
-    return dv @ shrunk
-
-
-def estimate(sample: Sample, spec: ModelSpec, config: EstimatorConfig) -> np.ndarray:
-    """Evaluate the estimator described by ``config`` on one sample."""
-    errors = config.validate(spec)
-    if errors:
-        raise ValueError("; ".join(errors))
-    kind = config.kind
-    if kind == "PT":
-        return pt_estimate(sample, spec, config.alpha)
-    if kind == "JS":
-        return js_estimate(sample, spec)
-    if kind == "EB":
-        return eb_estimate(sample, spec, config.a0)
-    if kind == "HB":
-        return hb_estimate(
-            sample, spec, config.a, config.c, config.L if config.L is not None else 0.0
-        )
-    if kind == "HEB":
-        return heb_estimate(sample, spec, config.a0, config.b0)
-    if kind == "LINCOMB":
-        return lincomb_estimate(sample, spec, config.d, config.phi)
-    if kind == "CLASS1":
-        return class1_estimate(sample, spec, config.phi)
-    if kind == "CLASS2":
-        return class2_estimate(sample, spec, config.phi, config.psi)
-    raise ValueError(f"unknown estimator kind {kind!r}")

@@ -11,14 +11,14 @@ sum_i d_i^2 V_i - (sum_i d_i)^2 A for linear combinations.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .model import ModelSpec
 from .numerics import chmax_product, trace_product
-from .statistics import lincomb_deviation_matrix, pooled_matrix
+from .statistics import lincomb_deviation_matrix
 
 __all__ = [
     "MinimaxReport",
@@ -71,11 +71,8 @@ def _product_stats(m: np.ndarray, q: np.ndarray) -> tuple[float, float, float, b
     return tr, ch, ratio, ratio > 2.0
 
 
-def single_shrinkage_report(spec: ModelSpec) -> MinimaxReport:
-    """Condition and bounds for rules shrinking X_1 toward the pooled mean:
-    built from the matrix product (V_1 - A) Q."""
-    a = pooled_matrix(spec.V)
-    m = spec.V[0] - a
+def _shrinkage_report(m: np.ndarray, spec: ModelSpec) -> MinimaxReport:
+    """Condition and single/double bounds built from the product M Q."""
     tr, ch, ratio, holds = _product_stats(m, spec.Q)
     scale = 2.0 * (ratio - 2.0) / (spec.n + 2.0)
     return MinimaxReport(
@@ -88,20 +85,21 @@ def single_shrinkage_report(spec: ModelSpec) -> MinimaxReport:
     )
 
 
+def single_shrinkage_report(spec: ModelSpec) -> MinimaxReport:
+    """Condition and bounds for rules shrinking X_1 toward the pooled mean:
+    built from the matrix product (V_1 - A) Q."""
+    return _shrinkage_report(spec.V[0] - spec.A, spec)
+
+
 def double_shrinkage_report(spec: ModelSpec) -> MinimaxReport:
     """Condition and bounds for double-shrinkage rules, which additionally
     pull the pooled mean toward 0: requires the trace ratio of both
     (V_1 - A) Q and A Q to exceed 2."""
     base = single_shrinkage_report(spec)
-    a = pooled_matrix(spec.V)
-    tr_a, ch_a, ratio_a, holds_a = _product_stats(a, spec.Q)
-    return MinimaxReport(
-        trace=base.trace,
-        chmax=base.chmax,
-        ratio=base.ratio,
+    tr_a, ch_a, ratio_a, holds_a = _product_stats(spec.A, spec.Q)
+    return replace(
+        base,
         condition_holds=base.condition_holds and holds_a,
-        phi_upper_single=base.phi_upper_single,
-        phi_upper_double=base.phi_upper_double,
         psi_upper_double=(ratio_a - 2.0) / (spec.n + 2.0),
         trace_pooled=tr_a,
         chmax_pooled=ch_a,
@@ -117,17 +115,7 @@ def lincomb_shrinkage_report(spec: ModelSpec, d: Sequence[float]) -> MinimaxRepo
     When d is proportional to the pooling weights, M_d is numerically
     zero and the condition fails with chmax = 0.
     """
-    m = lincomb_deviation_matrix(spec.V, d)
-    tr, ch, ratio, holds = _product_stats(m, spec.Q)
-    scale = 2.0 * (ratio - 2.0) / (spec.n + 2.0)
-    return MinimaxReport(
-        trace=tr,
-        chmax=ch,
-        ratio=ratio,
-        condition_holds=holds,
-        phi_upper_single=scale,
-        phi_upper_double=0.5 * scale,
-    )
+    return _shrinkage_report(lincomb_deviation_matrix(spec.V, d, spec.A), spec)
 
 
 def optimal_eb_constant(spec: ModelSpec) -> float:

@@ -80,6 +80,18 @@ class ModelSpec:
         eye = np.eye(self.p)
         return np.stack([np.linalg.solve(v, eye) for v in self.V])
 
+    @cached_property
+    def precision(self) -> np.ndarray:
+        """The summed precision sum_i V_i^{-1} = A^{-1}, symmetrized."""
+        prec = self.v_inv.sum(axis=0)
+        return 0.5 * (prec + prec.T)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """The pooled scale matrix A = (sum_i V_i^{-1})^{-1}, symmetrized."""
+        a = np.linalg.solve(self.precision, np.eye(self.p))
+        return 0.5 * (a + a.T)
+
 
 @dataclass(frozen=True, eq=False)
 class Sample:
@@ -145,32 +157,22 @@ def validate_spec(spec: ModelSpec) -> list[str]:
     if len(spec.mu) != spec.k:
         errors.append(f"mu: expected {spec.k} vectors, got {len(spec.mu)}")
 
-    v_ok = []
-    for i, v in enumerate(spec.V):
-        if v.shape != (spec.p, spec.p):
-            errors.append(f"V[{i}]: expected shape ({spec.p}, {spec.p}), got {v.shape}")
+    for name, mat in [*((f"V[{i}]", v) for i, v in enumerate(spec.V)), ("Q", spec.Q)]:
+        if mat.shape != (spec.p, spec.p):
+            errors.append(f"{name}: expected shape ({spec.p}, {spec.p}), got {mat.shape}")
             continue
         try:
-            v_ok.append(validate_spd(v, f"V[{i}]"))
-        except ValueError as exc:
-            errors.append(str(exc))
-    if spec.Q.shape != (spec.p, spec.p):
-        errors.append(f"Q: expected shape ({spec.p}, {spec.p}), got {spec.Q.shape}")
-    else:
-        try:
-            validate_spd(spec.Q, "Q")
+            validate_spd(mat, name)
         except ValueError as exc:
             errors.append(str(exc))
     for i, m in enumerate(spec.mu):
         if m.shape != (spec.p,):
             errors.append(f"mu[{i}]: expected length {spec.p}, got shape {m.shape}")
 
-    if not errors and spec.k >= 2 and len(v_ok) == spec.k:
-        eye = np.eye(spec.p)
-        precision_sum = sum(np.linalg.solve(v, eye) for v in v_ok)
-        pooled = np.linalg.solve(precision_sum, eye)
+    # Without earlier errors there are k >= 2 SPD matrices V_i, so A exists.
+    if not errors:
         try:
-            validate_spd(spec.V[0] - 0.5 * (pooled + pooled.T), "V[0] - A")
+            validate_spd(spec.V[0] - spec.A, "V[0] - A")
         except ValueError:
             errors.append("V: V[0] - A is not positive definite")
     return errors

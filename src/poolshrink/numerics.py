@@ -7,7 +7,6 @@ Everything here is pure and reentrant; no state is shared between calls.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -17,17 +16,14 @@ import numpy as np
 __all__ = [
     "QuadratureError",
     "QuadratureResult",
-    "adaptive_quad",
     "adaptive_quad_multi",
     "chmax_product",
-    "f_cdf",
     "f_quantile",
     "log_lower_inc_beta",
     "reg_inc_beta",
     "reg_upper_gamma",
     "sym_sqrt",
     "trace_product",
-    "trace_ratio",
     "validate_spd",
 ]
 
@@ -111,15 +107,6 @@ def chmax_product(m: np.ndarray, q: np.ndarray) -> float:
     s = 0.5 * (s + s.T)
     lam = float(np.linalg.eigvalsh(s)[-1])
     return max(lam, 0.0)
-
-
-def trace_ratio(m: np.ndarray, q: np.ndarray) -> float:
-    """tr(MQ) / Ch_max(MQ); raises on a degenerate (zero) largest root."""
-    tr = trace_product(m, q)
-    ch = chmax_product(m, q)
-    if ch <= 1e-14 * max(1.0, abs(tr)):
-        raise ValueError("Ch_max(MQ) is zero: trace ratio is degenerate")
-    return tr / ch
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +295,6 @@ def reg_upper_gamma(s: float, x):
 # ---------------------------------------------------------------------------
 
 
-def f_cdf(q: float, d1: int, d2: int) -> float:
-    """CDF of the F distribution with (d1, d2) degrees of freedom."""
-    if q <= 0.0:
-        return 0.0
-    z = d1 * q / (d1 * q + d2)
-    return reg_inc_beta(0.5 * d1, 0.5 * d2, z)
-
-
 def _bisect_monotone(fn: Callable[[float], float], lo: float, hi: float) -> float:
     """Bisection for an increasing fn with fn(lo) < 0 < fn(hi); runs to
     floating-point fixpoint."""
@@ -457,8 +436,7 @@ def adaptive_quad_multi(
     kron, err = _gk15_panel(f_multi, lo, hi)
     ncomp = kron.shape[0]
     evals = 15
-    # Heap entries: (-worst_relative_error_key, counter, lo, hi, depth, kron, err)
-    counter = 0
+    # Panels: (lo, hi, depth, kronrod values, error estimates).
     panels = [(lo, hi, 0, kron, err)]
 
     def totals():
@@ -495,7 +473,6 @@ def adaptive_quad_multi(
         kl, el = _gk15_panel(f_multi, plo, mid)
         kr, er = _gk15_panel(f_multi, mid, phi_)
         evals += 30
-        counter += 1
         panels.append((plo, mid, depth + 1, kl, el))
         panels.append((mid, phi_, depth + 1, kr, er))
     raise QuadratureError(
@@ -503,55 +480,3 @@ def adaptive_quad_multi(
         QuadratureResult(float(totals()[0][0]), float(totals()[1][0]), evals),
     )
 
-
-def adaptive_quad(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-10,
-    max_levels: int = 60,
-) -> QuadratureResult:
-    """Integrate a scalar function on [lo, hi] by adaptive Gauss-Kronrod
-    subdivision until the estimated relative error is below ``rel_tol``.
-
-    Raises QuadratureError (carrying the best estimate) if the tolerance is
-    not reached within ``max_levels`` subdivision levels.
-    """
-    if not lo < hi:
-        raise ValueError(f"integration bounds must satisfy lo < hi, got [{lo}, {hi}]")
-
-    def f_multi(xs: np.ndarray) -> np.ndarray:
-        return np.array([[float(f(float(x))) for x in xs]])
-
-    # Heap keyed by negative error so the worst panel pops first.
-    kron, err = _gk15_panel(f_multi, lo, hi)
-    evals = 15
-    counter = 0
-    heap = [(-float(err[0]), counter, lo, hi, 0, float(kron[0]), float(err[0]))]
-    total = float(kron[0])
-    total_err = float(err[0])
-
-    while total_err > rel_tol * max(abs(total), _TINY):
-        neg_err, _, plo, phi_, depth, pval, perr = heapq.heappop(heap)
-        if depth >= max_levels:
-            heapq.heappush(heap, (neg_err, counter, plo, phi_, depth, pval, perr))
-            raise QuadratureError(
-                f"quadrature did not converge within {max_levels} subdivision levels",
-                QuadratureResult(total, total_err, evals),
-            )
-        mid = 0.5 * (plo + phi_)
-        kl, el = _gk15_panel(f_multi, plo, mid)
-        kr, er = _gk15_panel(f_multi, mid, phi_)
-        evals += 30
-        total += float(kl[0]) + float(kr[0]) - pval
-        total_err += float(el[0]) + float(er[0]) - perr
-        counter += 1
-        heapq.heappush(heap, (-float(el[0]), counter, plo, mid, depth + 1, float(kl[0]), float(el[0])))
-        counter += 1
-        heapq.heappush(heap, (-float(er[0]), counter, mid, phi_, depth + 1, float(kr[0]), float(er[0])))
-
-    # Recompute the totals with compensated summation in a fixed order.
-    entries = sorted(heap, key=lambda t: t[2])
-    value = math.fsum(e[5] for e in entries)
-    abs_err = math.fsum(e[6] for e in entries)
-    return QuadratureResult(value, abs_err, evals)

@@ -16,16 +16,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import (
-    EstimatorConfig,
-    estimate,
-    hb_small_f_factor,
-    phi_hb,
-    pt_threshold,
-)
+from .estimators import ESTIMATORS, EstimatorConfig, estimate
 from .minimax import optimal_eb_constant, optimal_heb_constants, solve_hb_a
 from .model import ModelSpec, sample_draw, scalar_spec, validate_spec
 from .numerics import trace_product
+from .statistics import batch_pooled_stats
 
 __all__ = [
     "EstimatorRisk",
@@ -51,14 +46,13 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SimPlan:
-    """A full simulation request: model, estimators, replication count,
-    seed, and whether all estimators see the same draws."""
+    """A full simulation request: model, estimators, replication count and
+    seed.  Every estimator sees the same draws (common random numbers)."""
 
     spec: ModelSpec
     estimators: tuple[EstimatorConfig, ...]
     replications: int
     seed: int
-    common_random_numbers: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
@@ -102,19 +96,13 @@ class RiskReport:
 # ---------------------------------------------------------------------------
 
 
-def replication_rng(seed: int, rep: int, substream: int | None = None) -> np.random.Generator:
-    """Independent generator for one replication, derived from (seed, rep).
-
-    ``substream`` separates per-estimator draws when common random numbers
-    are disabled.
-    """
-    key = (rep,) if substream is None else (rep, substream)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+def replication_rng(seed: int, rep: int) -> np.random.Generator:
+    """Independent generator for one replication, derived from (seed, rep)."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
-def _draw_chunk(
-    spec: ModelSpec, seed: int, start: int, stop: int, substream: int | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _draw_chunk(spec: ModelSpec, seed: int, start: int, stop: int):
     """Draws for replications [start, stop): X of shape (B, k, p), S of (B,)."""
     nrep = stop - start
     xs = np.empty((nrep, spec.k, spec.p))
@@ -123,7 +111,7 @@ def _draw_chunk(
     mu = spec.mu_stack
     half_n = 0.5 * spec.n
     for i in range(nrep):
-        rng = replication_rng(seed, start + i, substream)
+        rng = replication_rng(seed, start + i)
         z = rng.standard_normal((spec.k, spec.p))
         xs[i] = mu + np.einsum("kij,kj->ki", chol, z)
         ss[i] = spec.sigma2 * rng.gamma(half_n, 2.0)
@@ -135,101 +123,15 @@ def _draw_chunk(
 # ---------------------------------------------------------------------------
 
 
-def _batch_stats(spec: ModelSpec, xs: np.ndarray, ss: np.ndarray):
-    """Pooled mean and the F, G statistics for a whole chunk at once."""
-    winv = spec.v_inv
-    prec = winv.sum(axis=0)
-    prec = 0.5 * (prec + prec.T)
-    a = np.linalg.solve(prec, np.eye(spec.p))
-    a = 0.5 * (a + a.T)
-    weighted = np.einsum("kij,bkj->bi", winv, xs)
-    nu = weighted @ a
-    dev = xs - nu[:, None, :]
-    quad = np.einsum("bki,kij,bkj->b", dev, winv, dev)
-    f_stat = quad / ss
-    g_stat = np.einsum("bi,ij,bj->b", nu, prec, nu) / ss
-    return nu, f_stat, g_stat
-
-
-def _batch_estimate(
-    cfg: EstimatorConfig,
-    spec: ModelSpec,
-    xs: np.ndarray,
-    ss: np.ndarray,
-    nu: np.ndarray,
-    f_stat: np.ndarray,
-    g_stat: np.ndarray,
-) -> np.ndarray:
-    """Vectorized estimator evaluation; one row per replication.
-
-    Mirrors the per-sample functions in ``estimators``; agreement between
-    the two paths is covered by tests.
-    """
-    kind = cfg.kind
-    x1 = xs[:, 0, :]
-    if kind == "PT":
-        thr = pt_threshold(spec.p, spec.k, spec.n, cfg.alpha)
-        return np.where((f_stat > thr)[:, None], x1, nu)
-    if kind == "JS":
-        norm2 = np.einsum("bi,ij,bj->b", x1, spec.v_inv[0], x1)
-        coef = np.zeros_like(norm2)
-        okay = norm2 > 0.0
-        coef[okay] = (spec.p - 2.0) / (spec.n + 2.0) * ss[okay] / norm2[okay]
-        return x1 - coef[:, None] * x1
-    if kind == "EB":
-        factor = np.ones_like(f_stat)
-        pos = f_stat > 0.0
-        factor[pos] = np.minimum(cfg.a0 / f_stat[pos], 1.0)
-        return x1 - factor[:, None] * (x1 - nu)
-    if kind == "HB":
-        ell = cfg.L if cfg.L is not None else 0.0
-        factor = np.full_like(f_stat, hb_small_f_factor(spec.p, spec.k, cfg.a))
-        pos = f_stat > 0.0
-        phi_vals = phi_hb(f_stat[pos], ss[pos], spec.p, spec.k, spec.n, cfg.a, cfg.c, ell)
-        factor[pos] = phi_vals / f_stat[pos]
-        return x1 - factor[:, None] * (x1 - nu)
-    if kind == "HEB":
-        f_factor = np.ones_like(f_stat)
-        pos = f_stat > 0.0
-        f_factor[pos] = np.minimum(cfg.a0 / f_stat[pos], 1.0)
-        g_factor = np.ones_like(g_stat)
-        pos = g_stat > 0.0
-        g_factor[pos] = np.minimum(cfg.b0 / g_stat[pos], 1.0)
-        return x1 - f_factor[:, None] * (x1 - nu) - g_factor[:, None] * nu
-    if kind in ("CLASS1", "CLASS2", "LINCOMB"):
-        factor = np.zeros_like(f_stat)
-        pos = f_stat > 0.0
-        phi_vals = np.broadcast_to(
-            np.asarray(cfg.phi(f_stat[pos], ss[pos]), dtype=float), f_stat[pos].shape
-        )
-        factor[pos] = phi_vals / f_stat[pos]
-        if kind == "LINCOMB":
-            dv = np.asarray(cfg.d, dtype=float)
-            shrunk = xs - factor[:, None, None] * (xs - nu[:, None, :])
-            return np.einsum("k,bki->bi", dv, shrunk)
-        est = x1 - factor[:, None] * (x1 - nu)
-        if kind == "CLASS2":
-            g_factor = np.zeros_like(g_stat)
-            pos = g_stat > 0.0
-            psi_vals = np.broadcast_to(
-                np.asarray(cfg.psi(g_stat[pos], ss[pos]), dtype=float), g_stat[pos].shape
-            )
-            g_factor[pos] = psi_vals / g_stat[pos]
-            est = est - g_factor[:, None] * nu
-        return est
-    raise ValueError(f"unknown estimator kind {kind!r}")
-
-
 def _batch_loss(est: np.ndarray, spec: ModelSpec) -> np.ndarray:
     diff = est - spec.mu[0]
     return np.einsum("bi,ij,bj->b", diff, spec.Q, diff) / spec.sigma2
 
 
-def _locate_failure(plan: SimPlan, cfg: EstimatorConfig, start: int, stop: int, substream) -> int:
+def _locate_failure(plan: SimPlan, cfg: EstimatorConfig, start: int, stop: int) -> int:
     """Re-run a failed chunk one replication at a time to name the culprit."""
     for rep in range(start, stop):
-        rng = replication_rng(plan.seed, rep, substream)
-        sample = sample_draw(plan.spec, rng)
+        sample = sample_draw(plan.spec, replication_rng(plan.seed, rep))
         try:
             val = estimate(sample, plan.spec, cfg)
             if not np.all(np.isfinite(val)):
@@ -244,7 +146,7 @@ def _chunk_sums(plan: SimPlan, chunk: tuple[int, int]) -> np.ndarray:
 
     Layout: [count, sum_l1, sumsq_l1] + per estimator [sum_l, sumsq_l,
     sum_d, sumsq_d] where d is the per-replication loss difference
-    l1 - l_est (paired draws under common random numbers).
+    l1 - l_est on the same draws.
     """
     start, stop = chunk
     spec = plan.spec
@@ -252,34 +154,24 @@ def _chunk_sums(plan: SimPlan, chunk: tuple[int, int]) -> np.ndarray:
     out = np.zeros(3 + 4 * n_est)
     out[0] = stop - start
 
-    crn = plan.common_random_numbers
-    xs, ss = _draw_chunk(spec, plan.seed, start, stop, None if crn else 0)
+    xs, ss = _draw_chunk(spec, plan.seed, start, stop)
     base_loss = _batch_loss(xs[:, 0, :], spec)
     out[1] = base_loss.sum()
     out[2] = (base_loss**2).sum()
-    if crn:
-        nu, f_stat, g_stat = _batch_stats(spec, xs, ss)
+    nu, f_stat, g_stat = batch_pooled_stats(spec, xs, ss)
 
     for idx, cfg in enumerate(plan.estimators):
-        substream = None if crn else idx + 1
         try:
-            if crn:
-                est = _batch_estimate(cfg, spec, xs, ss, nu, f_stat, g_stat)
-                pair_base = base_loss
-            else:
-                xs_e, ss_e = _draw_chunk(spec, plan.seed, start, stop, substream)
-                nu_e, f_e, g_e = _batch_stats(spec, xs_e, ss_e)
-                est = _batch_estimate(cfg, spec, xs_e, ss_e, nu_e, f_e, g_e)
-                pair_base = base_loss
+            est = ESTIMATORS[cfg.kind].rule(cfg, spec, xs, ss, nu, f_stat, g_stat)
             est_loss = _batch_loss(est, spec)
             if not np.all(np.isfinite(est_loss)):
                 raise FloatingPointError("non-finite loss")
         except Exception as exc:
-            rep = _locate_failure(plan, cfg, start, stop, substream)
+            rep = _locate_failure(plan, cfg, start, stop)
             raise SimulationError(
                 f"estimator {cfg.name} failed at replication {rep} (seed {plan.seed}): {exc}"
             ) from exc
-        diff = pair_base - est_loss
+        diff = base_loss - est_loss
         base = 3 + 4 * idx
         out[base] = est_loss.sum()
         out[base + 1] = (est_loss**2).sum()
@@ -299,10 +191,10 @@ def _mean_se(total: float, total_sq: float, count: float) -> tuple[float, float]
 def simulate_risk(plan: SimPlan, workers: int = 1) -> RiskReport:
     """Estimate the risk of every estimator in the plan by Monte Carlo.
 
-    Evaluates all estimators on the same draws when common random numbers
-    are enabled (the default), and reports PRIAL relative to the unshrunk
-    X_1 with a standard error computed from the paired per-replication
-    loss differences.  The report is bit-identical for any ``workers``.
+    Evaluates all estimators on the same draws and reports PRIAL relative to
+    the unshrunk X_1 with a standard error computed from the paired
+    per-replication loss differences.  The report is bit-identical for any
+    ``workers``.
     """
     errors = plan.validate()
     if errors:
@@ -454,6 +346,23 @@ class IdentityCheck:
 _ID_CHUNK = 50_000
 
 
+def _identity_check(sides: Callable, replications: int) -> IdentityCheck:
+    """Accumulate both sides of an identity over blocks of at most
+    ``_ID_CHUNK`` draws; ``sides(block)`` draws one block and returns its
+    per-draw left- and right-hand sides."""
+    sums = np.zeros(5)  # count, sum_lhs, sum_rhs, sum_d, sumsq_d
+    remaining = replications
+    while remaining > 0:
+        block = min(_ID_CHUNK, remaining)
+        lhs, rhs = sides(block)
+        diff = lhs - rhs
+        sums += [block, lhs.sum(), rhs.sum(), diff.sum(), (diff**2).sum()]
+        remaining -= block
+    count = sums[0]
+    _, d_se = _mean_se(sums[3], sums[4], count)
+    return IdentityCheck(lhs=sums[1] / count, rhs=sums[2] / count, std_error=d_se)
+
+
 def stein_identity_check(
     h: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray], np.ndarray],
@@ -473,22 +382,14 @@ def stein_identity_check(
     sigma = np.asarray(sigma, dtype=float)
     chol = np.linalg.cholesky(0.5 * (sigma + sigma.T))
     rng = np.random.default_rng(seed)
-    sums = np.zeros(5)  # count, sum_lhs, sum_rhs, sum_d, sumsq_d
-    remaining = replications
-    while remaining > 0:
-        block = min(_ID_CHUNK, remaining)
-        z = rng.standard_normal((block, mu.size))
-        y = mu + z @ chol.T
+
+    def sides(block):
+        y = mu + rng.standard_normal((block, mu.size)) @ chol.T
         hy = np.asarray(h(y), dtype=float)
         jac = np.asarray(jacobian(y), dtype=float)
-        lhs = np.einsum("bi,bi->b", y - mu, hy)
-        rhs = np.einsum("ij,bij->b", sigma, jac)
-        diff = lhs - rhs
-        sums += [block, lhs.sum(), rhs.sum(), diff.sum(), (diff**2).sum()]
-        remaining -= block
-    count = sums[0]
-    _, d_se = _mean_se(sums[3], sums[4], count)
-    return IdentityCheck(lhs=sums[1] / count, rhs=sums[2] / count, std_error=d_se)
+        return np.einsum("bi,bi->b", y - mu, hy), np.einsum("ij,bij->b", sigma, jac)
+
+    return _identity_check(sides, replications)
 
 
 def chisq_identity_check(
@@ -504,17 +405,10 @@ def chisq_identity_check(
         E[S g(S)] = sigma^2 E[n g(S) + 2 S g'(S)].
     """
     rng = np.random.default_rng(seed)
-    sums = np.zeros(5)
-    remaining = replications
-    while remaining > 0:
-        block = min(_ID_CHUNK, remaining)
+
+    def sides(block):
         s = sigma2 * rng.gamma(0.5 * n, 2.0, size=block)
         gs = np.asarray(g(s), dtype=float)
-        lhs = s * gs
-        rhs = sigma2 * (n * gs + 2.0 * s * np.asarray(g_prime(s), dtype=float))
-        diff = lhs - rhs
-        sums += [block, lhs.sum(), rhs.sum(), diff.sum(), (diff**2).sum()]
-        remaining -= block
-    count = sums[0]
-    _, d_se = _mean_se(sums[3], sums[4], count)
-    return IdentityCheck(lhs=sums[1] / count, rhs=sums[2] / count, std_error=d_se)
+        return s * gs, sigma2 * (n * gs + 2.0 * s * np.asarray(g_prime(s), dtype=float))
+
+    return _identity_check(sides, replications)

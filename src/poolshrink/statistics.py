@@ -21,20 +21,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Sample
+from .model import ModelSpec, Sample
 from .numerics import chmax_product
 
 __all__ = [
     "PooledStats",
+    "batch_pooled_stats",
     "compute_pooled_stats",
     "lincomb_deviation_matrix",
     "linear_bound_check",
     "pooled_deviance_gap",
     "pooled_matrix",
     "pooled_mean",
-    "stat_B",
-    "stat_F",
-    "stat_G",
 ]
 
 
@@ -98,42 +96,30 @@ def _deviations(V: Sequence[np.ndarray], X: Sequence[np.ndarray]):
     return vs, xs, nu, dev, solved
 
 
-def stat_F(sample: Sample, V: Sequence[np.ndarray]) -> float:
-    """F = sum_i (X_i - nu_hat)' V_i^{-1} (X_i - nu_hat) / S."""
-    if not sample.S > 0.0:
-        raise ValueError(f"S must be positive, got {sample.S}")
-    _, _, _, dev, solved = _deviations(V, sample.X)
-    return float(np.sum(dev * solved)) / sample.S
+def batch_pooled_stats(spec: ModelSpec, X: np.ndarray, S: np.ndarray):
+    """Pooled mean and the F, G statistics for B samples at once.
 
-
-def stat_G(sample: Sample, V: Sequence[np.ndarray]) -> float:
-    """G = nu_hat' A^{-1} nu_hat / S.
-
-    A^{-1} is the summed precision, so no second inversion is needed.
+    ``X`` has shape (B, k, p) and ``S`` shape (B,); returns nu_hat (B, p),
+    F (B,) and G (B,).  The inverses, the summed precision and A come from
+    the model's cache, so nothing is solved per sample.
     """
-    if not sample.S > 0.0:
-        raise ValueError(f"S must be positive, got {sample.S}")
-    vs = _stack_spd(V)
-    nu = pooled_mean(vs, sample.X)
-    return float(nu @ _precision_sum(vs) @ nu) / sample.S
-
-
-def stat_B(sample: Sample, V: Sequence[np.ndarray], Q: np.ndarray) -> float:
-    """B = (X_1 - nu_hat)' Q (X_1 - nu_hat) / sum_j (X_j - nu_hat)' V_j^{-1} (X_j - nu_hat).
-
-    Undefined when every X_i equals nu_hat (zero denominator).
-    """
-    Q = np.asarray(Q, dtype=float)
-    _, _, _, dev, solved = _deviations(V, sample.X)
-    denom = float(np.sum(dev * solved))
-    if denom <= 0.0:
-        raise ValueError("all observations coincide with the pooled mean: B is undefined")
-    num = float(dev[0] @ Q @ dev[0])
-    return num / denom
+    if np.any(S <= 0.0):
+        raise ValueError(f"S must be positive, got {np.min(S)}")
+    winv = spec.v_inv
+    weighted = np.einsum("kij,bkj->bi", winv, X)
+    nu = weighted @ spec.A
+    dev = X - nu[:, None, :]
+    quad = np.einsum("bki,kij,bkj->b", dev, winv, dev)
+    f_stat = quad / S
+    g_stat = np.einsum("bi,ij,bj->b", nu, spec.precision, nu) / S
+    return nu, f_stat, g_stat
 
 
 def compute_pooled_stats(sample: Sample, V: Sequence[np.ndarray], Q: np.ndarray) -> PooledStats:
-    """All pooled quantities for one sample in a single pass."""
+    """All pooled quantities for one sample in a single pass, by SPD solves.
+
+    The solve-based reference for ``batch_pooled_stats``; it also returns A
+    and B, which no estimator needs."""
     if not sample.S > 0.0:
         raise ValueError(f"S must be positive, got {sample.S}")
     vs, xs, nu, dev, solved = _deviations(V, sample.X)
@@ -158,21 +144,22 @@ def pooled_deviance_gap(X: Sequence[np.ndarray], V: Sequence[np.ndarray]) -> flo
     if vs.shape[0] < 2:
         raise ValueError("at least two populations are required")
     lhs = float(np.sum(dev * solved))
-    a = np.linalg.solve(_precision_sum(vs), np.eye(vs.shape[1]))
-    m = vs[0] - 0.5 * (a + a.T)
+    m = vs[0] - pooled_matrix(vs)
     rhs = float(dev[0] @ np.linalg.solve(m, dev[0]))
     return lhs - rhs
 
 
-def lincomb_deviation_matrix(V: Sequence[np.ndarray], d: Sequence[float]) -> np.ndarray:
+def lincomb_deviation_matrix(
+    V: Sequence[np.ndarray], d: Sequence[float], A: np.ndarray | None = None
+) -> np.ndarray:
     """M_d = sum_i d_i^2 V_i - (sum_i d_i)^2 A, the scale matrix of the
     weighted deviation sum_i d_i (X_i - nu_hat); always positive
-    semidefinite."""
+    semidefinite.  A is solved from V unless given."""
     vs = _stack_spd(V)
     dv = np.asarray(d, dtype=float).reshape(-1)
     if dv.size != vs.shape[0]:
         raise ValueError(f"expected {vs.shape[0]} weights, got {dv.size}")
-    a = np.linalg.solve(_precision_sum(vs), np.eye(vs.shape[1]))
+    a = np.linalg.solve(_precision_sum(vs), np.eye(vs.shape[1])) if A is None else A
     m = np.einsum("i,ijk->jk", dv**2, vs) - float(dv.sum()) ** 2 * a
     return 0.5 * (m + m.T)
 

@@ -264,3 +264,62 @@ class TestCheck:
 
     def test_missing_config_file(self, capsys):
         assert main(["check", "--config", "/nonexistent/cfg.json"]) == 2
+
+
+class TestExitCodes:
+    """Config errors exit 2 before any output; runtime failures exit 3."""
+
+    @staticmethod
+    def _config(tmp_path, model, **extra):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict({"model": model}, **extra)))
+        return str(path)
+
+    @staticmethod
+    def _data(tmp_path, s):
+        path = tmp_path / "data.csv"
+        rows = [[0.1 * (i + j) for j in range(5)] for i in range(5)]
+        path.write_text("\n".join(",".join(map(str, row)) for row in rows) + f"\n{s!r}\n")
+        return str(path)
+
+    def test_non_numeric_dimension(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, dict(BENCH_MODEL, p="five"))
+        assert main(["simulate", "--config", cfg]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "model.p" in out.err
+
+    def test_singular_v1_with_inverse_q(self, tmp_path, capsys):
+        model = dict(BENCH_MODEL, V=[[[0.0] * 5] * 5, 0.2, 0.3, 0.4, 0.5])
+        assert main(["check", "--config", self._config(tmp_path, model)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "inv_v1" in out.err
+
+    def test_trace_ratio_failure_in_estimator_defaults(self, tmp_path, capsys):
+        model = {"p": 2, "k": 3, "n": 10, "V": [1.0, 1.0, 1.0], "Q": 1.0, "mu": [0, 0, 0]}
+        assert main(["simulate", "--config", self._config(tmp_path, model)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "trace-ratio" in out.err
+
+    def test_preset_plans_are_validated(self, capsys):
+        assert main(["simulate", "--preset", "table1", "--reps", "10", "--alpha", "1.5"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "alpha" in out.err
+
+    def test_tiny_s_gives_finite_estimates(self, tmp_path, bench_config, capsys):
+        # F is of order 1e30 here, where phi_hb sits at its large-F limit.
+        assert main(["estimate", self._data(tmp_path, 1e-30), "--config", bench_config]) == 0
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.strip().splitlines())
+        assert set(lines) == {"nu_hat", "F", "G", "PT", "JS", "EB", "HB", "HEB"}
+        for text in lines.values():
+            assert np.all(np.isfinite([float(v) for v in text.split()]))
+
+    def test_runtime_failure_exits_three_without_output(
+        self, tmp_path, bench_config, capsys, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise ValueError("numerical failure")
+
+        monkeypatch.setattr("poolshrink.estimators.phi_hb", broken)
+        assert main(["estimate", self._data(tmp_path, 2.0), "--config", bench_config]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "numerical failure" in out.err

@@ -1,5 +1,6 @@
 """Point estimators: reductions, degenerate-statistic conventions, and the
-hierarchical Bayes shrink function against brute-force oracles."""
+hierarchical Bayes shrink function against brute-force oracles.  Each kind
+is evaluated through ``estimate``, the B = 1 call of its batched rule."""
 
 import mpmath
 import numpy as np
@@ -9,19 +10,9 @@ from poolshrink.estimators import (
     EstimatorConfig,
     bayes_oracle_normal,
     bayes_oracle_uniform,
-    class1_estimate,
-    class2_estimate,
-    default_eb_constant,
-    default_heb_constants,
-    eb_estimate,
     estimate,
-    heb_estimate,
-    hb_estimate,
     hb_small_f_factor,
-    js_estimate,
-    lincomb_estimate,
     phi_hb,
-    pt_estimate,
     pt_threshold,
 )
 from poolshrink.model import Sample, sample_draw, scalar_spec
@@ -36,6 +27,39 @@ def benchmark_spec(mu=(0, 0, 0, 0, 0)):
 
 def random_sample(spec, seed):
     return sample_draw(spec, np.random.default_rng(seed))
+
+
+# One helper per kind, each going through estimate().
+def pt_estimate(sample, spec, alpha):
+    return estimate(sample, spec, EstimatorConfig(kind="PT", alpha=alpha))
+
+
+def js_estimate(sample, spec):
+    return estimate(sample, spec, EstimatorConfig(kind="JS"))
+
+
+def eb_estimate(sample, spec, a0):
+    return estimate(sample, spec, EstimatorConfig(kind="EB", a0=a0))
+
+
+def hb_estimate(sample, spec, a, c, L):
+    return estimate(sample, spec, EstimatorConfig(kind="HB", a=a, c=c, L=L))
+
+
+def heb_estimate(sample, spec, a0, b0):
+    return estimate(sample, spec, EstimatorConfig(kind="HEB", a0=a0, b0=b0))
+
+
+def class1_estimate(sample, spec, phi):
+    return estimate(sample, spec, EstimatorConfig(kind="CLASS1", phi=phi))
+
+
+def class2_estimate(sample, spec, phi, psi):
+    return estimate(sample, spec, EstimatorConfig(kind="CLASS2", phi=phi, psi=psi))
+
+
+def lincomb_estimate(sample, spec, d, phi):
+    return estimate(sample, spec, EstimatorConfig(kind="LINCOMB", d=d, phi=phi))
 
 
 def trapezoid_phi_hb(F, qa, m, panels=10_000_000):
@@ -105,6 +129,15 @@ class TestPhiHb:
         f = np.geomspace(1e-4, 1e3, 200)
         vals = phi_hb(f, 1.0, 5, 5, 20, BENCH_A, 1.0, 0.0)
         assert np.all(np.diff(vals) >= -1e-12)
+
+    def test_huge_f_is_finite_and_bounded(self):
+        # z = F/(1+F) rounds to 1 from F ~ 1e16 on, where the ratio is at its
+        # limit; values agree with the bound to rounding.
+        bound = (20 + 2 * BENCH_A) / (20 - 2 * (BENCH_A + 1))
+        vals = phi_hb(np.array([1e15, 1e16, 1e300]), 1.0, 5, 5, 20, BENCH_A, 1.0, 0.0)
+        assert np.all(np.isfinite(vals))
+        assert np.all(vals <= bound * (1.0 + 1e-12))
+        assert vals[-1] == pytest.approx(bound, rel=1e-12)
 
     def test_domain_violations(self):
         with pytest.raises(ValueError, match="p\\(k-1\\)/2"):
@@ -199,13 +232,6 @@ class TestClassEstimates:
 
 
 class TestEbEstimate:
-    def test_default_constants(self):
-        assert default_eb_constant(5, 5, 20) == pytest.approx(18.0 / 22.0)
-        assert default_heb_constants(5, 5, 20) == (
-            pytest.approx(18.0 / 22.0),
-            pytest.approx(3.0 / 22.0),
-        )
-
     def test_full_shrink_when_f_small(self):
         spec = benchmark_spec()
         sample = random_sample(spec, 7)
@@ -396,20 +422,21 @@ class TestTranslationEquivariance:
 
 class TestEstimatorConfig:
     def test_dispatch_matches_direct_calls(self):
+        # estimate() against each kind's formula written out with solves.
         spec = benchmark_spec()
         sample = random_sample(spec, 20)
+        st = compute_pooled_stats(sample, spec.V, spec.Q)
+        x1, nu, F, G, S = sample.X[0], st.nu_hat, st.F, st.G, sample.S
+        norm2 = float(x1 @ np.linalg.solve(spec.V[0], x1))
+        hb = phi_hb(F, S, 5, 5, 20, BENCH_A, 1.0, 0.0) / F
+        heb = x1 - min(3 / 44 / F, 1.0) * (x1 - nu) - min(3 / 44 / G, 1.0) * nu
+        pt = x1 if F > pt_threshold(5, 5, 20, 0.05) else nu
         cases = [
-            (EstimatorConfig(kind="PT", alpha=0.05), pt_estimate(sample, spec, 0.05)),
-            (EstimatorConfig(kind="JS"), js_estimate(sample, spec)),
-            (EstimatorConfig(kind="EB", a0=3 / 22), eb_estimate(sample, spec, 3 / 22)),
-            (
-                EstimatorConfig(kind="HB", a=BENCH_A, c=1.0, L=0.0),
-                hb_estimate(sample, spec, BENCH_A, 1.0, 0.0),
-            ),
-            (
-                EstimatorConfig(kind="HEB", a0=3 / 44, b0=3 / 44),
-                heb_estimate(sample, spec, 3 / 44, 3 / 44),
-            ),
+            (EstimatorConfig(kind="PT", alpha=0.05), pt),
+            (EstimatorConfig(kind="JS"), x1 - (3.0 / 22.0) * S / norm2 * x1),
+            (EstimatorConfig(kind="EB", a0=3 / 22), x1 - min(3 / 22 / F, 1.0) * (x1 - nu)),
+            (EstimatorConfig(kind="HB", a=BENCH_A, c=1.0, L=0.0), x1 - hb * (x1 - nu)),
+            (EstimatorConfig(kind="HEB", a0=3 / 44, b0=3 / 44), heb),
         ]
         for cfg, expected in cases:
             np.testing.assert_allclose(estimate(sample, spec, cfg), expected, rtol=1e-12)

@@ -1,0 +1,148 @@
+"""Property tests on random dense models: every estimator kind against its
+formula written with solve-based numpy, the batched statistics against the
+solve-based reference, and the bound and monotonicity of phi_hb.  The
+derandomized profile in conftest fixes the examples."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from poolshrink.estimators import ESTIMATORS, EstimatorConfig, estimate, phi_hb, pt_threshold
+from poolshrink.model import ModelSpec, Sample
+from poolshrink.statistics import batch_pooled_stats, compute_pooled_stats
+
+B = 2  # samples per example, evaluated as one batch
+ALPHA = 0.05
+
+
+def dense_spd(rng, p, scale):
+    w = rng.standard_normal((p, p))
+    return scale * (np.eye(p) + w @ w.T / p)
+
+
+@st.composite
+def dense_problems(draw):
+    """A dense model and B samples (X, S) drawn from a seeded generator."""
+    p = draw(st.integers(2, 6))
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(3, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = [dense_spd(rng, p, rng.uniform(0.2, 2.0)) for _ in range(k)]
+    Q = dense_spd(rng, p, rng.uniform(0.2, 2.0))
+    mu = rng.normal(0.0, 1.0, (k, p))
+    spec = ModelSpec(p=p, k=k, n=n, V=tuple(V), Q=Q, sigma2=1.0, mu=tuple(mu))
+    X = mu + rng.normal(0.0, 1.0, (B, k, p))
+    S = rng.chisquare(n, B)
+    return spec, X, S
+
+
+def configs(spec):
+    q = 0.5 * spec.p * (spec.k - 1)
+    d = np.linspace(1.0, 0.2, spec.k)
+    return [
+        EstimatorConfig(kind="PT", alpha=ALPHA),
+        EstimatorConfig(kind="JS"),
+        EstimatorConfig(kind="EB", a0=0.3),
+        EstimatorConfig(kind="HB", a=-0.5 * q, c=1.0, L=0.0),
+        EstimatorConfig(kind="HEB", a0=0.2, b0=0.1),
+        EstimatorConfig(kind="CLASS1", phi=lambda f, s: np.minimum(0.4, f)),
+        EstimatorConfig(
+            kind="CLASS2",
+            phi=lambda f, s: 0.3 * f / (1.0 + f),
+            psi=lambda g, s: np.minimum(0.2, g),
+        ),
+        EstimatorConfig(kind="LINCOMB", d=tuple(d), phi=lambda f, s: np.minimum(0.25, f)),
+    ]
+
+
+def solved_stats(spec, x, s):
+    """nu_hat, F and G written with solves only."""
+    eye = np.eye(spec.p)
+    prec = sum(np.linalg.solve(v, eye) for v in spec.V)
+    nu = np.linalg.solve(prec, sum(np.linalg.solve(v, xi) for v, xi in zip(spec.V, x)))
+    dev = x - nu
+    quad = sum(float(di @ np.linalg.solve(v, di)) for v, di in zip(spec.V, dev))
+    return nu, quad / s, float(nu @ prec @ nu) / s
+
+
+def formula(cfg, spec, x, s, pt_thr):
+    """The estimator of ``cfg`` on one sample, straight from its definition;
+    ``pt_thr`` is the PT rejection threshold for F."""
+    nu, F, G = solved_stats(spec, x, s)
+    x1 = x[0]
+    if cfg.kind == "PT":
+        return x1 if F > pt_thr else nu
+    if cfg.kind == "JS":
+        norm2 = float(x1 @ np.linalg.solve(spec.V[0], x1))
+        return x1 - (spec.p - 2.0) / (spec.n + 2.0) * s / norm2 * x1
+    if cfg.kind == "EB":
+        return x1 - min(cfg.a0 / F, 1.0) * (x1 - nu)
+    if cfg.kind == "HB":
+        phi = phi_hb(F, s, spec.p, spec.k, spec.n, cfg.a, cfg.c, cfg.L)
+        return x1 - phi / F * (x1 - nu)
+    if cfg.kind == "HEB":
+        return x1 - min(cfg.a0 / F, 1.0) * (x1 - nu) - min(cfg.b0 / G, 1.0) * nu
+    if cfg.kind == "CLASS1":
+        return x1 - float(cfg.phi(F, s)) / F * (x1 - nu)
+    if cfg.kind == "CLASS2":
+        return x1 - float(cfg.phi(F, s)) / F * (x1 - nu) - float(cfg.psi(G, s)) / G * nu
+    return np.asarray(cfg.d) @ (x - float(cfg.phi(F, s)) / F * (x - nu))
+
+
+def assert_close(got, want, rtol, scale):
+    """Agreement to rtol relative to ``scale``, the size of the inputs, since
+    outputs may cancel to near zero."""
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * scale)
+
+
+@settings(max_examples=30)
+@given(dense_problems())
+def test_estimate_matches_formula(problem):
+    # estimate() is the B = 1 call of the batched rule: it must match the
+    # written-out formula and the rule's row for the same sample.
+    spec, X, S = problem
+    nu, F, G = batch_pooled_stats(spec, X, S)
+    pt_thr = pt_threshold(spec.p, spec.k, spec.n, ALPHA)
+    assume(np.all(np.abs(F - pt_thr) > 1e-8 * pt_thr))
+    for cfg in configs(spec):
+        rows = ESTIMATORS[cfg.kind].rule(cfg, spec, X, S, nu, F, G)
+        for b in range(B):
+            scale = np.max(np.abs(X[b]))
+            single = estimate(Sample(X=X[b], S=S[b]), spec, cfg)
+            assert_close(single, formula(cfg, spec, X[b], S[b], pt_thr), 1e-10, scale)
+            assert_close(rows[b], single, 1e-12, scale)
+
+
+@settings(max_examples=40)
+@given(dense_problems())
+def test_batched_stats_match_solved_reference(problem):
+    spec, X, S = problem
+    nu, F, G = batch_pooled_stats(spec, X, S)
+    for b in range(B):
+        ref = compute_pooled_stats(Sample(X=X[b], S=S[b]), spec.V, spec.Q)
+        assert_close(nu[b], ref.nu_hat, 1e-10, np.max(np.abs(X[b])))
+        assert_close(F[b], ref.F, 1e-10, ref.F)
+        assert_close(G[b], ref.G, 1e-10, ref.G)
+
+
+F_GRID = np.geomspace(1e-300, 1e300, 601)
+
+
+@settings(max_examples=30)
+@given(
+    p=st.integers(1, 8),
+    k=st.integers(2, 6),
+    n=st.integers(1, 40),
+    c_frac=st.floats(0.0, 0.5),
+    a_frac=st.floats(0.01, 0.99),
+)
+def test_phi_hb_bounded_and_nondecreasing(p, k, n, c_frac, a_frac):
+    # a ranges over its domain (-p(k-1)/2, n/2 - c).
+    q = 0.5 * p * (k - 1)
+    c = c_frac * 0.5 * n
+    a = -q + a_frac * (0.5 * n - c + q)
+    bound = (p * (k - 1) + 2.0 * a) / (n - 2.0 * (a + c))
+    vals = phi_hb(F_GRID, 1.0, p, k, n, a, c, 0.0)
+    assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+    assert np.all(vals <= bound * (1.0 + 1e-12))
+    assert np.all(np.diff(vals) >= -1e-12 * bound)

@@ -12,9 +12,6 @@ from poolshrink.statistics import (
     pooled_deviance_gap,
     pooled_matrix,
     pooled_mean,
-    stat_B,
-    stat_F,
-    stat_G,
 )
 
 
@@ -27,6 +24,19 @@ def random_instance(rng, p, k):
     V = [random_spd(rng, p) for _ in range(k)]
     X = rng.standard_normal((k, p)) * 2.0
     return V, X
+
+
+# The three statistics are read from compute_pooled_stats.
+def stat_F(sample, V):
+    return compute_pooled_stats(sample, V, np.eye(len(V[0]))).F
+
+
+def stat_G(sample, V):
+    return compute_pooled_stats(sample, V, np.eye(len(V[0]))).G
+
+
+def stat_B(sample, V, Q):
+    return compute_pooled_stats(sample, V, Q).B
 
 
 class TestPooledMatrix:
@@ -171,9 +181,9 @@ class TestStatB:
         )
 
     def test_degenerate(self):
+        # Every X_i equals nu_hat: the denominator vanishes and B is NaN.
         sample = Sample(X=np.ones((3, 2)), S=1.0)
-        with pytest.raises(ValueError, match="undefined"):
-            stat_B(sample, [np.eye(2)] * 3, np.eye(2))
+        assert np.isnan(stat_B(sample, [np.eye(2)] * 3, np.eye(2)))
 
 
 class TestPooledStats:
@@ -185,9 +195,12 @@ class TestPooledStats:
         st = compute_pooled_stats(sample, V, q)
         np.testing.assert_allclose(st.A, pooled_matrix(V), rtol=1e-12)
         np.testing.assert_allclose(st.nu_hat, pooled_mean(V, X), rtol=1e-12)
-        assert st.F == pytest.approx(stat_F(sample, V), rel=1e-12)
-        assert st.G == pytest.approx(stat_G(sample, V), rel=1e-12)
-        assert st.B == pytest.approx(stat_B(sample, V, q), rel=1e-12)
+        dev = X - st.nu_hat
+        quad = sum(float(d @ np.linalg.solve(v, d)) for v, d in zip(V, dev))
+        assert st.F == pytest.approx(quad / 1.7, rel=1e-12)
+        g = float(st.nu_hat @ np.linalg.solve(st.A, st.nu_hat)) / 1.7
+        assert st.G == pytest.approx(g, rel=1e-12)
+        assert st.B == pytest.approx(float(dev[0] @ q @ dev[0]) / quad, rel=1e-12)
 
     def test_translation_moves_pooled_mean_only(self):
         rng = np.random.default_rng(11)
