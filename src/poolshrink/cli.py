@@ -36,7 +36,7 @@ from .minimax import (
     single_shrinkage_report,
 )
 from .model import ModelSpec, Sample, validate_spec
-from .risksim import SimPlan, preset_estimators, simulate_risk, table1_preset
+from .risksim import SimPlan, preset_constants, simulate_risk, table1_preset
 from .statistics import batch_pooled_stats
 
 __all__ = ["main"]
@@ -126,14 +126,10 @@ def parse_estimators(
     entries, spec: ModelSpec, default_alpha: float
 ) -> tuple[EstimatorConfig, ...]:
     """Build and validate estimator configs; omitted constants become the
-    bound-optimal defaults derived from the model, and omitted entries the
-    five preset estimators."""
-    try:
-        defaults = {cfg.kind: cfg for cfg in preset_estimators(spec, alpha=default_alpha)}
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from None
+    preset's (bound-optimal ones derived from the model only for the entries
+    that omit them), and omitted entries the five preset estimators."""
     if entries is None:
-        entries = [{"kind": kind} for kind in defaults]
+        entries = [{"kind": kind} for kind in CONFIG_KINDS]
     if not isinstance(entries, list) or not entries:
         raise ConfigError("estimators: expected a nonempty list")
     known = {"kind", "label"}.union(*(ESTIMATORS[kind].fields for kind in CONFIG_KINDS))
@@ -150,14 +146,20 @@ def parse_estimators(
         unknown = set(entry) - known
         if unknown:
             raise ConfigError(f"estimators[{i}]: unknown fields {sorted(unknown)}")
-        values = {
-            field: _number(entry, field, float, f"estimators[{i}]", getattr(defaults[kind], field))
+        where = f"estimators[{i}] ({entry.get('label') or kind})"
+        given = {
+            field: _number(entry, field, float, f"estimators[{i}]")
             for field in ESTIMATORS[kind].fields
+            if entry.get(field) is not None
         }
+        try:
+            values = preset_constants(kind, spec, default_alpha, given)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
         cfg = EstimatorConfig(kind=kind, label=entry.get("label"), **values)
         problems = cfg.validate(spec)
         if problems:
-            raise ConfigError(f"estimators[{i}] ({cfg.name}): " + "; ".join(problems))
+            raise ConfigError(f"{where}: " + "; ".join(problems))
         configs.append(cfg)
     return tuple(configs)
 
@@ -350,13 +352,23 @@ def cmd_estimate(args) -> int:
     if missing:
         raise ConfigError(f"estimators not configured: {', '.join(missing)}")
 
-    # Everything is computed before the first line is written, so a runtime
-    # failure leaves no partial output.
+    # Every value is computed and checked before the first line is written,
+    # so a runtime failure leaves no partial output.
     nu, f_stat, g_stat = batch_pooled_stats(spec, x[np.newaxis], np.array([s]))
-    values = [(name, estimate(sample, spec, by_kind[name])) for name in wanted]
-    vec = lambda v: " ".join(format(x, ".10g") for x in v)
-    lines = [f"nu_hat: {vec(nu[0])}", f"F: {f_stat[0]:.10g}", f"G: {g_stat[0]:.10g}"]
-    lines += [f"{name}: {vec(value)}" for name, value in values]
+    values = [("nu_hat", nu[0]), ("F", f_stat), ("G", g_stat)]
+    for name, value in values:
+        if not np.all(np.isfinite(value)):
+            raise RuntimeError(f"{name} is not finite: {value}")
+    for name in wanted:
+        cfg = by_kind[name]
+        try:
+            value = estimate(sample, spec, cfg)
+        except Exception as exc:
+            raise RuntimeError(f"estimator {cfg.name} failed: {exc}") from exc
+        if not np.all(np.isfinite(value)):
+            raise RuntimeError(f"estimator {cfg.name} is not finite: {value}")
+        values.append((name, value))
+    lines = [f"{name}: {' '.join(format(v, '.10g') for v in value)}" for name, value in values]
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 

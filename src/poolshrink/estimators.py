@@ -29,6 +29,7 @@ factor uses its analytic small-F limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -219,8 +220,12 @@ def phi_hb(F, S, p: int, k: int, n: int, a: float, c: float, L: float = 0.0):
     return out.reshape(np.broadcast_shapes(farr.shape, sarr.shape))
 
 
+@lru_cache(maxsize=256)
 def pt_threshold(p: int, k: int, n: int, alpha: float) -> float:
-    """Rejection threshold for F: (p(k-1)/n) * F_{p(k-1), n, alpha}."""
+    """Rejection threshold for F: (p(k-1)/n) * F_{p(k-1), n, alpha}.
+
+    Memoized on its four scalars, so every chunk of a plan and every plan of
+    a preset share one F-quantile."""
     d1 = p * (k - 1)
     return (d1 / n) * f_quantile(d1, n, alpha)
 

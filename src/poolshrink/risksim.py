@@ -1,10 +1,12 @@
 """Monte Carlo risk and PRIAL engine, benchmark presets, and samplers for
 the Stein / chi-square integration-by-parts identities.
 
-Determinism contract: replication r draws from an RNG stream derived
-deterministically from (seed, r), chunks have a fixed size independent of
-the worker count, and partial sums are reduced in chunk order.  A plan
-therefore produces bit-identical reports for any degree of parallelism.
+Determinism contract: replications are drawn in fixed chunks of
+``_CHUNK_SIZE``, chunk c from one RNG stream keyed by (seed, c) and always
+drawn in full, so replication r's draw depends only on (seed, r): not on
+the worker count, nor on the plan's replication count.  Chunk partial sums
+are reduced in chunk order, so a plan produces bit-identical reports for
+any degree of parallelism.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import ESTIMATORS, EstimatorConfig, estimate
+from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, estimate
 from .minimax import optimal_eb_constant, optimal_heb_constants, solve_hb_a
-from .model import ModelSpec, sample_draw, scalar_spec, validate_spec
+from .model import ModelSpec, Sample, scalar_spec, validate_spec
 from .numerics import trace_product
 from .statistics import batch_pooled_stats
 
@@ -30,6 +32,9 @@ __all__ = [
     "SimulationError",
     "TABLE1_MEANS",
     "chisq_identity_check",
+    "preset_constants",
+    "preset_estimators",
+    "replication_sample",
     "simulate_risk",
     "stein_identity_check",
     "table1_preset",
@@ -92,30 +97,37 @@ class RiskReport:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic replication streams
+# Deterministic chunk streams
 # ---------------------------------------------------------------------------
 
 
-def replication_rng(seed: int, rep: int) -> np.random.Generator:
-    """Independent generator for one replication, derived from (seed, rep)."""
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
+def replication_rng(seed: int, chunk: int) -> np.random.Generator:
+    """Independent generator for one chunk of ``_CHUNK_SIZE`` replications,
+    derived from (seed, chunk)."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(chunk,))
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _draw_chunk(spec: ModelSpec, seed: int, start: int, stop: int):
-    """Draws for replications [start, stop): X of shape (B, k, p), S of (B,)."""
-    nrep = stop - start
-    xs = np.empty((nrep, spec.k, spec.p))
-    ss = np.empty(nrep)
-    chol = spec.chol_scaled
-    mu = spec.mu_stack
-    half_n = 0.5 * spec.n
-    for i in range(nrep):
-        rng = replication_rng(seed, start + i)
-        z = rng.standard_normal((spec.k, spec.p))
-        xs[i] = mu + np.einsum("kij,kj->ki", chol, z)
-        ss[i] = spec.sigma2 * rng.gamma(half_n, 2.0)
-    return xs, ss
+def _draw_chunk(spec: ModelSpec, seed: int, chunk: int, rows: int = _CHUNK_SIZE):
+    """Draws for the first ``rows`` replications of chunk ``chunk``: X of
+    shape (rows, k, p) and S of shape (rows,).
+
+    The whole chunk is drawn and transformed whatever ``rows`` is, so a
+    replication's draw does not depend on how many rows are kept."""
+    rng = replication_rng(seed, chunk)
+    z = rng.standard_normal((_CHUNK_SIZE, spec.k, spec.p))
+    xs = spec.mu_stack + np.einsum("kij,bkj->bki", spec.chol_scaled, z, optimize=True)
+    ss = spec.sigma2 * rng.gamma(0.5 * spec.n, 2.0, size=_CHUNK_SIZE)
+    return xs[:rows], ss[:rows]
+
+
+def replication_sample(plan: SimPlan, rep: int) -> Sample:
+    """The draw the engine evaluates for replication ``rep`` of the plan."""
+    if not 0 <= rep < plan.replications:
+        raise IndexError(f"replication {rep} outside [0, {plan.replications})")
+    chunk, row = divmod(rep, _CHUNK_SIZE)
+    xs, ss = _draw_chunk(plan.spec, plan.seed, chunk)
+    return Sample(X=xs[row], S=ss[row])
 
 
 # ---------------------------------------------------------------------------
@@ -128,33 +140,36 @@ def _batch_loss(est: np.ndarray, spec: ModelSpec) -> np.ndarray:
     return np.einsum("bi,ij,bj->b", diff, spec.Q, diff) / spec.sigma2
 
 
-def _locate_failure(plan: SimPlan, cfg: EstimatorConfig, start: int, stop: int) -> int:
-    """Re-run a failed chunk one replication at a time to name the culprit."""
-    for rep in range(start, stop):
-        sample = sample_draw(plan.spec, replication_rng(plan.seed, rep))
+def _locate_failure(
+    cfg: EstimatorConfig, spec: ModelSpec, xs: np.ndarray, ss: np.ndarray, start: int
+) -> int:
+    """Re-evaluate the rows of a failed chunk one at a time to name the
+    culprit replication."""
+    for row in range(len(ss)):
         try:
-            val = estimate(sample, plan.spec, cfg)
+            val = estimate(Sample(X=xs[row], S=ss[row]), spec, cfg)
             if not np.all(np.isfinite(val)):
-                return rep
+                return start + row
         except Exception:
-            return rep
+            return start + row
     return start
 
 
-def _chunk_sums(plan: SimPlan, chunk: tuple[int, int]) -> np.ndarray:
-    """Loss accumulators for replications [start, stop).
+def _chunk_sums(plan: SimPlan, chunk: int) -> np.ndarray:
+    """Loss accumulators for the plan's replications in chunk ``chunk``.
 
     Layout: [count, sum_l1, sumsq_l1] + per estimator [sum_l, sumsq_l,
     sum_d, sumsq_d] where d is the per-replication loss difference
     l1 - l_est on the same draws.
     """
-    start, stop = chunk
+    start = chunk * _CHUNK_SIZE
+    rows = min(_CHUNK_SIZE, plan.replications - start)
     spec = plan.spec
     n_est = len(plan.estimators)
     out = np.zeros(3 + 4 * n_est)
-    out[0] = stop - start
+    out[0] = rows
 
-    xs, ss = _draw_chunk(spec, plan.seed, start, stop)
+    xs, ss = _draw_chunk(spec, plan.seed, chunk, rows)
     base_loss = _batch_loss(xs[:, 0, :], spec)
     out[1] = base_loss.sum()
     out[2] = (base_loss**2).sum()
@@ -167,7 +182,7 @@ def _chunk_sums(plan: SimPlan, chunk: tuple[int, int]) -> np.ndarray:
             if not np.all(np.isfinite(est_loss)):
                 raise FloatingPointError("non-finite loss")
         except Exception as exc:
-            rep = _locate_failure(plan, cfg, start, stop)
+            rep = _locate_failure(cfg, spec, xs, ss, start)
             raise SimulationError(
                 f"estimator {cfg.name} failed at replication {rep} (seed {plan.seed}): {exc}"
             ) from exc
@@ -199,10 +214,7 @@ def simulate_risk(plan: SimPlan, workers: int = 1) -> RiskReport:
     errors = plan.validate()
     if errors:
         raise ValueError("invalid simulation plan: " + "; ".join(errors))
-    chunks = [
-        (start, min(start + _CHUNK_SIZE, plan.replications))
-        for start in range(0, plan.replications, _CHUNK_SIZE)
-    ]
+    chunks = range((plan.replications + _CHUNK_SIZE - 1) // _CHUNK_SIZE)
     worker = partial(_chunk_sums, plan)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -268,18 +280,36 @@ def _mean_label(means: Sequence[float]) -> str:
     return "(" + ",".join(format(m, "g") for m in means) + ")"
 
 
+# The bound-optimal constants of the benchmark experiment's kinds, which
+# are the config-file kinds PT, JS, EB, HB and HEB.
+_BOUND_OPTIMAL = {
+    "EB": lambda spec: {"a0": optimal_eb_constant(spec)},
+    "HB": lambda spec: {"a": solve_hb_a(spec, c=1.0)},
+    "HEB": lambda spec: dict(zip(("a0", "b0"), optimal_heb_constants(spec))),
+}
+
+
+def preset_constants(
+    kind: str, spec: ModelSpec, alpha: float = 0.05, given: dict | None = None
+) -> dict[str, float]:
+    """The constants of a preset-kind estimator: those in ``given`` and, for
+    the fields it omits, the preset's: ``alpha`` for PT, c = 1 and L = 0 for
+    HB, and the bound-optimal a0, b0 and a derived from the model.
+
+    The bound-optimal constants are derived only when one is omitted, so a
+    model without them still runs the kinds that do not need them."""
+    values = {"alpha": alpha, "c": 1.0, "L": 0.0, **(given or {})}
+    fields = ESTIMATORS[kind].fields
+    if any(field not in values for field in fields):
+        values = {**_BOUND_OPTIMAL[kind](spec), **values}
+    return {field: values[field] for field in fields}
+
+
 def preset_estimators(spec: ModelSpec, alpha: float = 0.05) -> tuple[EstimatorConfig, ...]:
     """The five benchmark estimators with bound-optimal constants derived
     from the model: PT(alpha), JS, EB, HB (c=1, L=0), HEB."""
-    a0_eb = optimal_eb_constant(spec)
-    a0_heb, b0_heb = optimal_heb_constants(spec)
-    a_hb = solve_hb_a(spec, c=1.0)
-    return (
-        EstimatorConfig(kind="PT", alpha=alpha),
-        EstimatorConfig(kind="JS"),
-        EstimatorConfig(kind="EB", a0=a0_eb),
-        EstimatorConfig(kind="HB", a=a_hb, c=1.0, L=0.0),
-        EstimatorConfig(kind="HEB", a0=a0_heb, b0=b0_heb),
+    return tuple(
+        EstimatorConfig(kind=kind, **preset_constants(kind, spec, alpha)) for kind in CONFIG_KINDS
     )
 
 

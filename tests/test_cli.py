@@ -300,6 +300,23 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == "" and "trace-ratio" in out.err
 
+    def test_kinds_without_bound_optimal_constants_run(self, tmp_path, capsys):
+        # No EB constant exists on this model, and PT and JS need none.
+        model = {"p": 2, "k": 3, "n": 10, "V": [1, 1, 1], "Q": 1}
+        cfg = self._config(tmp_path, model, estimators=[{"kind": "PT"}, {"kind": "JS"}])
+        data = tmp_path / "data.csv"
+        data.write_text("0.1,0.2\n0.3,-0.4\n1.5,0.6\n2.0\n")
+        assert main(["estimate", str(data), "--config", cfg, "--estimators", "pt,js"]) == 0
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.strip().splitlines())
+        assert set(lines) == {"nu_hat", "F", "G", "PT", "JS"}
+
+    def test_missing_bound_optimal_constant_names_the_entry(self, tmp_path, capsys):
+        model = {"p": 2, "k": 3, "n": 10, "V": [1, 1, 1], "Q": 1, "mu": [0, 0, 0]}
+        cfg = self._config(tmp_path, model, estimators=[{"kind": "PT"}, {"kind": "EB"}])
+        assert main(["simulate", "--config", cfg]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "estimators[1] (EB)" in out.err and "trace-ratio" in out.err
+
     def test_preset_plans_are_validated(self, capsys):
         assert main(["simulate", "--preset", "table1", "--reps", "10", "--alpha", "1.5"]) == 2
         out = capsys.readouterr()
@@ -312,6 +329,17 @@ class TestExitCodes:
         assert set(lines) == {"nu_hat", "F", "G", "PT", "JS", "EB", "HB", "HEB"}
         for text in lines.values():
             assert np.all(np.isfinite([float(v) for v in text.split()]))
+
+    @pytest.mark.parametrize("s", [1e-30, 1e-16])
+    def test_hb_quadrature_failure_names_hb(self, tmp_path, capsys, s):
+        # HB with L > 0 at F ~ 1e30 (non-finite estimate) and F ~ 1e16
+        # (quadrature does not converge): a runtime failure naming the entry
+        # by its label on both paths.
+        hb = {"kind": "HB", "c": 1, "L": 0.5, "label": "myHB"}
+        cfg = self._config(tmp_path, BENCH_MODEL, estimators=[hb])
+        assert main(["estimate", self._data(tmp_path, s), "--config", cfg, "--estimators", "HB"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "estimator myHB " in out.err
 
     def test_runtime_failure_exits_three_without_output(
         self, tmp_path, bench_config, capsys, monkeypatch

@@ -1,12 +1,13 @@
 """Numerical kernel tests: every routine is checked against an independent
 brute-force oracle (dense eigensolvers, high-resolution Simpson/trapezoid
-quadrature, mpmath) rather than against itself."""
+quadrature, mpmath, scipy) rather than against itself."""
 
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 
 from poolshrink.minimax import (
     lincomb_shrinkage_report,
@@ -280,6 +281,17 @@ class TestFQuantile:
             q = f_quantile(d1, d2, alpha)
             cdf = reg_inc_beta(0.5 * d1, 0.5 * d2, d1 * q / (d1 * q + d2))
             assert cdf == pytest.approx(1.0 - alpha, abs=1e-8)
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-3, 0.05, 0.5, 0.95, 0.999])
+    def test_against_scipy(self, alpha):
+        # scipy's isf(alpha) inverts the CDF at 1 - alpha rounded to a double,
+        # i.e. at the upper tail 1 - (1 - alpha); compare at that tail so its
+        # rounding (5e-9 relative at alpha = 1e-8) is not charged to f_quantile.
+        tail = 1.0 - (1.0 - alpha)
+        for d1 in (1, 2, 5, 20, 75, 200):
+            for d2 in (1, 2, 5, 20, 75, 200):
+                expected = stats.f.isf(alpha, d1, d2)
+                assert f_quantile(d1, d2, tail) == pytest.approx(expected, rel=1e-9), (d1, d2)
 
     def test_domain(self):
         with pytest.raises(ValueError):

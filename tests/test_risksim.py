@@ -6,15 +6,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from poolshrink.estimators import EstimatorConfig, estimate
-from poolshrink.model import sample_draw, scalar_spec
+from poolshrink import estimators, numerics, risksim
+from poolshrink.estimators import EstimatorConfig, estimate, pt_threshold
+from poolshrink.model import scalar_spec
 from poolshrink.risksim import (
     SimPlan,
     SimulationError,
     TABLE1_MEANS,
     chisq_identity_check,
     preset_estimators,
-    replication_rng,
+    replication_sample,
     simulate_risk,
     stein_identity_check,
     table1_preset,
@@ -60,16 +61,29 @@ class TestSimulateRisk:
         parallel = simulate_risk(plan, workers=3)
         assert serial == parallel
 
+    @pytest.mark.parametrize("reps", [1, 2047, 2049])
+    def test_worker_count_does_not_change_bits_off_chunk_boundary(self, reps):
+        # Compared by repr, which is exact for floats and equates the NaN
+        # standard errors of a single replication.
+        plan = small_plan(reps=reps)
+        assert repr(simulate_risk(plan, workers=1)) == repr(simulate_risk(plan, workers=2))
+
+    def test_replication_draw_does_not_depend_on_replication_count(self):
+        short, full = small_plan(reps=2049), small_plan(reps=4096)
+        for rep in (0, 2047, 2048):
+            a, b = replication_sample(short, rep), replication_sample(full, rep)
+            assert np.array_equal(a.X, b.X) and a.S == b.S
+
     def test_matches_per_sample_estimators(self):
         # The engine's chunked evaluation must agree with estimate(), the
-        # B = 1 call of the same rules, on the same replication streams.
+        # B = 1 call of the same rules, on the draws replication_sample names.
         plan = small_plan(reps=64)
         report = simulate_risk(plan)
         spec = plan.spec
         losses = {cfg.name: [] for cfg in plan.estimators}
         base = []
         for rep in range(plan.replications):
-            sample = sample_draw(spec, replication_rng(plan.seed, rep))
+            sample = replication_sample(plan, rep)
             diff = sample.X[0] - spec.mu[0]
             base.append(float(diff @ spec.Q @ diff) / spec.sigma2)
             for cfg in plan.estimators:
@@ -113,6 +127,31 @@ class TestSimulateRisk:
         bad = small_plan(estimators=[EstimatorConfig(kind="EB")])
         with pytest.raises(ValueError, match="a0"):
             simulate_risk(bad)
+
+
+class TestHotPathCounts:
+    """The engine opens one stream per chunk and computes the PT quantile
+    once per (p, k, n, alpha)."""
+
+    def test_one_stream_per_chunk(self, monkeypatch):
+        opened = []
+        original = risksim.replication_rng
+        monkeypatch.setattr(
+            risksim, "replication_rng", lambda seed, chunk: opened.append(chunk) or original(seed, chunk)
+        )
+        simulate_risk(small_plan(reps=2 * 2048 + 1))
+        assert opened == [0, 1, 2]
+
+    def test_preset_computes_one_f_quantile(self, monkeypatch):
+        calls = []
+        original = numerics.f_quantile
+        monkeypatch.setattr(
+            estimators, "f_quantile", lambda *args: calls.append(args) or original(*args)
+        )
+        pt_threshold.cache_clear()
+        for _, plan in table1_preset(replications=10, seed=0):
+            simulate_risk(plan)
+        assert calls == [(20, 20, 0.05)]
 
 
 class TestTable1Preset:
