@@ -28,6 +28,7 @@ factor uses its analytic small-F limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -36,8 +37,9 @@ import numpy as np
 
 from .model import ModelSpec, Sample
 from .numerics import (
-    adaptive_quad_multi,
+    QuadratureError,
     f_quantile,
+    gauss_jacobi,
     log_lower_inc_beta,
     reg_upper_gamma,
 )
@@ -151,21 +153,117 @@ def _phi_hb_zero_l(F: np.ndarray, qa: float, m: float) -> np.ndarray:
     return out
 
 
-def _phi_hb_quad(F: float, S: float, qa: float, m: float, L: float, rel_tol: float) -> float:
-    """phi_hb for L > 0: the inner scale integral becomes an upper
-    incomplete gamma factor and the outer integrals are computed by
-    adaptive quadrature on shared panels."""
-    half_ls = 0.5 * L * S
+# Orders (Gauss-Jacobi nodes on the z panel, Gauss-Legendre nodes per log-x
+# panel) of the two rules whose difference is the error estimate for L > 0.
+_HB_ORDERS = ((48, 16), (64, 24))
+_HB_RTOL = 1e-12
+_HB_MAX_PANELS = 512
 
-    def integrands(x: np.ndarray) -> np.ndarray:
-        tail = reg_upper_gamma(m + 1.0, half_ls * (x + 1.0))
-        log_base = -(m + 1.0) * np.log1p(x)
-        num = np.exp(qa * np.log(x) + log_base) * tail
-        den = np.exp((qa - 1.0) * np.log(x) + log_base) * tail
-        return np.stack([num, den])
 
-    values, _, _ = adaptive_quad_multi(integrands, 0.0, float(F), rel_tol=rel_tol)
-    return float(values[0] / values[1])
+def _hb_lpos_rule(zmax, span, width, qa, m, orders):
+    """The L > 0 rule of ``orders`` as flat node arrays over all rows:
+    (row, x, log numerator weight, log denominator weight).  The log-x
+    panels cover [zmax/(1-zmax), that times e^span].  The weights include
+    every factor of the integrand except Q(m+1, kappa (1+x)); the
+    denominator is scaled by zmax^-qa and the numerator by zmax^-(qa+1),
+    so that neither underflows where F is tiny."""
+    nz, nt = orders
+    s, w = gauss_jacobi(nz, qa - 1.0)
+    z = zmax[:, None] * s
+    log_den_z = np.log(w) + (m - qa) * np.log1p(-z)
+
+    panels = np.minimum(np.ceil(span / width), _HB_MAX_PANELS).astype(int)
+    rows = np.repeat(np.arange(zmax.size), panels)
+    index = np.arange(rows.size) - (np.cumsum(panels) - panels)[rows]
+    h = (span / np.maximum(panels, 1))[rows]
+    u, wu = gauss_jacobi(nt, 0.0)
+    # Offsets in log x from the panel start, so that x keeps full relative
+    # precision where log x is large.
+    offset = h[:, None] * (index[:, None] + u)
+    x_t = (zmax / (1.0 - zmax))[rows, None] * np.exp(offset)
+    # The z panel carries the factor zmax^qa of z = zmax s; the log-x panels
+    # are divided by it instead: x^qa / zmax^qa = exp(qa (offset - log(1-zmax))).
+    log_den_t = (
+        np.log(h[:, None] * wu) + qa * (offset - np.log1p(-zmax)[rows, None])
+        - (m + 1.0) * np.log1p(x_t)
+    )
+    row = np.concatenate([np.repeat(np.arange(zmax.size), nz), np.repeat(rows, nt)])
+    x = np.concatenate([(z / (1.0 - z)).ravel(), x_t.ravel()])
+    log_den = np.concatenate([log_den_z.ravel(), log_den_t.ravel()])
+    return row, x, log_den + np.log(x / zmax[row]), log_den
+
+
+def _phi_hb_lpos(F: np.ndarray, S: np.ndarray, qa: float, m: float, L: float) -> np.ndarray:
+    """phi_hb for L > 0, batched over the rows of F and S.
+
+    With kappa = LS/2 the inner precision integral leaves the factor
+    Q(m+1, kappa (1+x)), so
+
+        phi = int_0^F x^qa (1+x)^-(m+1) Q dx / int_0^F x^(qa-1) (1+x)^-(m+1) Q dx.
+
+    Both integrals share their nodes.  In z = x/(1+x) the first panel
+    [0, zmax] is one Gauss-Jacobi rule whose weight carries z^(qa-1)
+    exactly; zmax = min(Z, 1/2, z_a) with Z = F/(1+F), where z_a keeps the
+    decay of Q (1+x)^-(m-qa), about exp(-(kappa + m - qa) x), across the
+    panel to about exp(-(qa+20)).  The rest of [0, F] is integrated in
+    log x on Gauss-Legendre panels: there the power laws at both ends
+    become exponentials, the near-singular (1-z)^(m-qa-1) at z -> 1 among
+    them, and the cutoff of Q at x ~ (m+1)/kappa is smooth.  log x stops
+    at F or where the integrand has fallen by about e^-45 (through Q or
+    through (1+x)^-(m-qa)).  Q is taken in log space relative to
+    Q(m+1, kappa), so it may underflow.  Two rule orders give each value
+    an error estimate; rows that miss ``_HB_RTOL`` raise QuadratureError.
+    The estimate does not see the truncation of log x, whose bounds are
+    analytic.
+    """
+    beta = m - qa
+    kappa = 0.5 * L * S
+    with np.errstate(divide="ignore", over="ignore"):
+        # The z panel ends where kappa x + (m-qa) x, the log-decay of
+        # Q (1-z)^(m-qa) across it, reaches qa + 20.
+        x_a = (qa + 20.0) / (kappa + beta)
+        zmax = np.minimum(np.minimum(F / (1.0 + F), 0.5), x_a / (1.0 + x_a))
+        # Where Q(m+1, kappa (1+x)) has fallen e^-45 below its value at the
+        # peak: kappa (1+x) = max(kappa, m+1) + 50 + 10 sqrt(m+1) + 2 qa,
+        # solved for x without forming kappa (1+x), which may round to kappa.
+        x_cut = (
+            np.maximum(m + 1.0 - kappa, 0.0) + 50.0 + 10.0 * math.sqrt(m + 1.0) + 2.0 * qa
+        ) / kappa
+        # Beyond the peak of the numerator, (1+x)^-(m-qa) has fallen e^-45.
+        log_x_decay = math.log((qa + 1.0) / beta) + 45.0 / beta + (m + 1.0) / (qa + 1.0)
+        # The log-x panels run from x_start = zmax/(1-zmax) to the first of
+        # F, x_cut and exp(log_x_decay).
+        x_start = zmax / (1.0 - zmax)
+        span = np.minimum(np.log(np.minimum(F, x_cut) / x_start), log_x_decay - np.log(x_start))
+        span = np.maximum(span, 0.0)
+    # Log-x panels short enough for the steepest exponential rate of the
+    # integrand in log x (qa + 20 where they start, m - qa + 1 at large x):
+    # at most e^20 across one panel.
+    width = min(2.0, 20.0 / max(qa + 20.0, beta + 1.0))
+
+    rules = [_hb_lpos_rule(zmax, span, width, qa, m, o) for o in _HB_ORDERS]
+    # log Q(m+1, kappa (1+x)) - log Q(m+1, kappa) at the nodes of both rules,
+    # in one call.
+    base = kappa[np.concatenate([rule[0] for rule in rules])]
+    x = np.concatenate([rule[1] for rule in rules])
+    log_q = reg_upper_gamma(m + 1.0, base * x, log=True, base=base)
+    split = np.cumsum([rule[1].size for rule in rules])[:-1]
+    values = []
+    for (row, _, log_num, log_den), lq in zip(rules, np.split(log_q, split)):
+        num = np.bincount(row, np.exp(log_num + lq), minlength=F.size)
+        den = np.bincount(row, np.exp(log_den + lq), minlength=F.size)
+        values.append(zmax * num / den)
+    low, high = values
+    with np.errstate(invalid="ignore"):
+        bad = ~(np.abs(high - low) <= _HB_RTOL * np.abs(high))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise QuadratureError(
+            f"phi_hb quadrature missed its {_HB_RTOL:g} relative tolerance at "
+            f"F={float(F[i])!r}, S={float(S[i])!r} (two rule orders give "
+            f"{float(low[i])!r} and {float(high[i])!r})"
+        )
+    return high
 
 
 def phi_hb(F, S, p: int, k: int, n: int, a: float, c: float, L: float = 0.0):
@@ -181,7 +279,10 @@ def phi_hb(F, S, p: int, k: int, n: int, a: float, c: float, L: float = 0.0):
 
     with q = p(k-1)/2 and m = (n + p(k-1))/2 - c.  Nonnegative, bounded by
     (p(k-1) + 2a)/(n - 2(a+c)), nondecreasing in F and nonincreasing in S;
-    for L = 0 it does not depend on S at all.
+    for L = 0 it does not depend on S at all.  For L > 0 the inner integral
+    is an upper incomplete gamma factor and the outer ones are computed by a
+    fixed-order rule batched over all values (see ``_phi_hb_lpos``); a value
+    whose error estimate misses 1e-12 relative raises QuadratureError.
 
     Broadcasts over array-valued F (and S).  Requires a > -p(k-1)/2 and
     a + c < n/2.
@@ -198,9 +299,13 @@ def phi_hb(F, S, p: int, k: int, n: int, a: float, c: float, L: float = 0.0):
     fv, sv = np.broadcast_arrays(np.atleast_1d(farr), np.atleast_1d(sarr))
     fv = fv.astype(float)
 
-    # Below this point the integrands are numerically pure power laws and
-    # the ratio equals its analytic small-F limit to machine precision.
+    # Below this point the integrands are numerically pure power laws (for
+    # L > 0, while Q(m+1, LS(1+x)/2) is also constant across [0, F]) and the
+    # ratio equals its analytic small-F limit to machine precision.
     tiny = fv < 1e-150
+    if L > 0.0:
+        with np.errstate(over="ignore"):
+            tiny &= 0.5 * L * sv * fv < 1e-150
     out = np.where(tiny, fv * (qa / (qa + 1.0)), 0.0)
 
     live = ~tiny
@@ -210,11 +315,7 @@ def phi_hb(F, S, p: int, k: int, n: int, a: float, c: float, L: float = 0.0):
         else:
             if np.any(sv[live] <= 0.0):
                 raise ValueError("S must be positive when L > 0")
-            vals = [
-                _phi_hb_quad(f, s, qa, m, L, rel_tol=1e-12)
-                for f, s in zip(fv[live], sv[live])
-            ]
-            out[live] = vals
+            out[live] = _phi_hb_lpos(fv[live], sv[live], qa, m, L)
     if scalar:
         return float(out[0])
     return out.reshape(np.broadcast_shapes(farr.shape, sarr.shape))

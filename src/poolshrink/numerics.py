@@ -1,6 +1,6 @@
 """Numerical kernel: SPD matrix utilities, extreme roots of SPD products,
 regularized incomplete beta/gamma functions, F-distribution quantiles, and
-adaptive Gauss-Kronrod quadrature.
+Gauss-Jacobi quadrature rules.
 
 Everything here is pure and reentrant; no state is shared between calls.
 """
@@ -8,17 +8,16 @@ Everything here is pure and reentrant; no state is shared between calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "QuadratureError",
-    "QuadratureResult",
-    "adaptive_quad_multi",
     "chmax_product",
     "f_quantile",
+    "gauss_jacobi",
     "log_lower_inc_beta",
     "reg_inc_beta",
     "reg_upper_gamma",
@@ -225,66 +224,104 @@ def log_lower_inc_beta(a: float, b: float, x):
 # ---------------------------------------------------------------------------
 
 
-def reg_upper_gamma(s: float, x):
-    """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s).
+def _log_upper_gamma(s: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log Q(s, x), log Q(s, x) - (s log x - x - lgamma(s))) for finite x > 0.
 
     Series expansion of the lower function for x < s + 1, continued
-    fraction for the upper function otherwise (Lentz algorithm).
+    fraction for the upper function otherwise (Lentz algorithm).  The
+    second array, log Q less its closed-form prefactor, is the continued
+    fraction's log; it is NaN on the series branch, where Q is not small.
     """
-    if not s > 0.0:
-        raise ValueError(f"shape parameter must be positive, got s={s}")
-    xarr = np.asarray(x, dtype=float)
-    if np.any(xarr < 0.0):
-        raise ValueError("x must be nonnegative")
-    scalar = xarr.ndim == 0
-    xv = np.atleast_1d(xarr).astype(float)
-    out = np.empty_like(xv)
+    log_q = -x + s * np.log(x) - math.lgamma(s)
+    rest = np.full_like(x, np.nan)
 
-    lg = math.lgamma(s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_pref = -xv + s * np.log(xv) - lg
-    pref = np.where(xv > 0.0, np.exp(log_pref), 0.0)
-
-    lower = xv < s + 1.0
+    lower = x < s + 1.0
     if np.any(lower):
-        xl = xv[lower]
+        xl = x[lower]
         term = np.full_like(xl, 1.0 / s)
         total = term.copy()
         ap = s
-        for _ in range(_CF_MAXIT):
+        for i in range(_CF_MAXIT):
             ap += 1.0
             term = term * xl / ap
             total += term
-            if np.all(np.abs(term) < np.abs(total) * _CF_EPS):
+            # Testing every fourth step saves reductions; extra terms are harmless.
+            if i % 4 == 3 and np.all(term < total * _CF_EPS):
                 break
         else:
             raise ValueError("incomplete gamma series did not converge")
-        out[lower] = 1.0 - pref[lower] * total
+        # P(s, x) <= 1 up to rounding.
+        log_q[lower] = np.log1p(-np.minimum(np.exp(log_q[lower]) * total, 1.0))
 
     upper = ~lower
     if np.any(upper):
-        xu = xv[upper]
+        xu = x[upper]
         b = xu + 1.0 - s
         c = np.full_like(xu, 1.0 / _TINY)
         d = 1.0 / b
         h = d.copy()
+        # For x >= s + 1 the Lentz denominators stay near b = x + 1 - s + 2i
+        # >= 2 (above 0.55 b for s up to 300 and x up to 1e6), so they need
+        # no guard against zero.
         for i in range(1, _CF_MAXIT + 1):
             an = -i * (i - s)
             b = b + 2.0
-            d = an * d + b
-            d = np.where(np.abs(d) < _TINY, _TINY, d)
+            d = 1.0 / (an * d + b)
             c = b + an / c
-            c = np.where(np.abs(c) < _TINY, _TINY, c)
-            d = 1.0 / d
             delta = d * c
             h = h * delta
-            if np.all(np.abs(delta - 1.0) < _CF_EPS):
+            if i % 4 == 0 and np.all(np.abs(delta - 1.0) < _CF_EPS):
                 break
         else:
             raise ValueError("incomplete gamma continued fraction did not converge")
-        out[upper] = pref[upper] * h
+        rest[upper] = np.log(h)
+        log_q[upper] += rest[upper]
+    return log_q, rest
 
-    out = np.clip(out, 0.0, 1.0)
+
+def reg_upper_gamma(s: float, x, log: bool = False, base=0.0):
+    """Regularized upper incomplete gamma ratio Q(s, base + x) / Q(s, base),
+    or its natural log when ``log`` is true.
+
+    With the default ``base = 0`` this is Q(s, x) = Gamma(s, x) / Gamma(s)
+    itself.  A positive ``base`` (broadcast against ``x``) keeps the ratio
+    accurate when x is small against base, where log Q(s, base + x) and
+    log Q(s, base) can be large and nearly equal.  The log stays finite
+    where Q underflows, and Q(s, inf) = 0.
+    """
+    if not s > 0.0:
+        raise ValueError(f"shape parameter must be positive, got s={s}")
+    xarr, barr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(base, dtype=float))
+    if np.any(xarr < 0.0) or np.any(barr < 0.0) or not np.all(np.isfinite(barr)):
+        raise ValueError("x must be nonnegative and base nonnegative and finite")
+    scalar = xarr.ndim == 0
+    xv = np.atleast_1d(xarr).astype(float).ravel()
+    bv = np.atleast_1d(barr).astype(float).ravel()
+    out = np.where(np.isinf(xv), -np.inf, np.where(np.isnan(xv), np.nan, 0.0))
+    live = (xv > 0.0) & np.isfinite(xv)
+    if np.any(live):
+        xl, bl = xv[live], bv[live]
+        # Bases repeat (one per row of a batch of integrals): evaluate each
+        # positive one once, in the same pass as the sums.
+        uniq, inv = np.unique(bl, return_inverse=True)
+        zero = uniq == 0.0
+        log_q, rest = _log_upper_gamma(s, np.concatenate([bl + xl, uniq[~zero]]))
+        n = xl.size
+        base_log_q = np.zeros_like(uniq)
+        base_rest = np.full_like(uniq, np.nan)
+        base_log_q[~zero], base_rest[~zero] = log_q[n:], rest[n:]
+        vals = log_q[:n] - base_log_q[inv]
+        # Where base is on the continued-fraction branch (so is base + x),
+        # both logs are of order -base: take the difference of the
+        # prefactors through x, so that no large terms cancel.
+        far = ~np.isnan(base_rest[inv])
+        vals[far] = (
+            rest[:n][far] - base_rest[inv][far] + s * np.log1p(xl[far] / bl[far]) - xl[far]
+        )
+        out[live] = np.minimum(vals, 0.0)
+
+    if not log:
+        out = np.exp(out)
     if scalar:
         return float(out[0])
     return out.reshape(xarr.shape)
@@ -331,152 +368,69 @@ def f_quantile(d1: int, d2: int, alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Gauss-Kronrod quadrature
+# Gauss-Jacobi quadrature
 # ---------------------------------------------------------------------------
-
-# 15-point Kronrod nodes on [-1, 1] (positive half; symmetric) and weights,
-# with the embedded 7-point Gauss weights.
-_XGK = np.array(
-    [
-        0.9914553711208126,
-        0.9491079123427585,
-        0.8648644233597691,
-        0.7415311855993944,
-        0.5860872354676911,
-        0.4058451513773972,
-        0.2077849550078985,
-        0.0,
-    ]
-)
-_WGK = np.array(
-    [
-        0.0229353220105292,
-        0.0630920926299785,
-        0.1047900103222502,
-        0.1406532597155259,
-        0.1690047266392679,
-        0.1903505780647854,
-        0.2044329400752989,
-        0.2094821410847278,
-    ]
-)
-_WG = np.array(
-    [
-        0.1294849661688697,
-        0.2797053914892767,
-        0.3818300505051189,
-        0.4179591836734694,
-    ]
-)
-
-# Full node/weight arrays over all 15 abscissae, ordered low to high.
-_NODES = np.concatenate([-_XGK[:7], _XGK[7:][::-1], _XGK[6::-1]])
-_W_KRON = np.concatenate([_WGK[:7], _WGK[7:][::-1], _WGK[6::-1]])
-_w_gauss_half = np.zeros(8)
-_w_gauss_half[1:7:2] = _WG[:3]
-_w_gauss_half[7] = _WG[3]
-_W_GAUSS = np.concatenate([_w_gauss_half[:7], _w_gauss_half[7:][::-1], _w_gauss_half[6::-1]])
-del _w_gauss_half
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Value of a definite integral with its error estimate."""
-
-    value: float
-    abs_error_estimate: float
-    evaluations: int
 
 
 class QuadratureError(RuntimeError):
-    """Raised when adaptive subdivision fails to reach the tolerance.
+    """Raised when a quadrature misses its accuracy target."""
 
-    Carries the best estimate obtained so far in ``best_result``.
+
+@lru_cache(maxsize=64)
+def gauss_jacobi(order: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule on [0, 1] for the weight s^a, a > -1 (Gauss-Legendre
+    at a = 0).
+
+    Returns (nodes, weights), nodes ascending, with
+    sum(weights * f(nodes)) ~ int_0^1 s^a f(s) ds, exact for polynomials f
+    of degree < 2 order.  The nodes are the eigenvalues of the Jacobi matrix
+    of the three-term recurrence (Golub and Welsch, Math. Comp. 23, 1969),
+    polished by Newton steps on the recurrence.  The weights are the
+    Christoffel numbers 1 / sum_k p_k(node)^2 of the orthonormal
+    polynomials, which keep their relative accuracy where the eigenvector
+    components of Golub-Welsch lose it (small weights under a singular
+    s^a), scaled to the exact total mass 1/(a+1).  Memoized per (order, a);
+    the arrays are read-only.
     """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if not a > -1.0:
+        raise ValueError(f"the exponent must exceed -1, got a={a}")
+    # Recurrence of the orthonormal polynomials on [-1, 1] for the weight
+    # (1+x)^a, x = 2s - 1: off[k] p_{k+1} = (x - diag[k]) p_k - off[k-1] p_{k-1}.
+    k = np.arange(1.0, order + 1.0)
+    diag = np.empty(order)
+    diag[0] = a / (a + 2.0)
+    diag[1:] = a * a / ((2.0 * k[:-1] + a) * (2.0 * k[:-1] + a + 2.0))
+    off2 = np.empty(order)
+    # The k = 1 term with its (1 + a) factor cancelled, so a -> -1 is fine.
+    off2[0] = 4.0 * (1.0 + a) / ((2.0 + a) ** 2 * (3.0 + a))
+    kk = k[1:]
+    off2[1:] = 4.0 * (kk * (kk + a)) ** 2 / ((2.0 * kk + a) ** 2 * (2.0 * kk + a + 1.0) * (2.0 * kk + a - 1.0))
+    off = np.sqrt(off2)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
 
-    def __init__(self, message: str, best_result: QuadratureResult):
-        super().__init__(message)
-        self.best_result = best_result
+    def recurrence(x):
+        """p_order(x) and its derivative, and sum_{k < order} p_k(x)^2, with
+        p_0 = 1 (the scale cancels once the weights are normalized)."""
+        p_prev, p = np.zeros_like(x), np.ones_like(x)
+        d_prev, d = np.zeros_like(x), np.zeros_like(x)
+        squares = np.ones_like(x)
+        for j in range(order):
+            back = off[j - 1] if j else 0.0
+            p_next = ((x - diag[j]) * p - back * p_prev) / off[j]
+            d_next = (p + (x - diag[j]) * d - back * d_prev) / off[j]
+            if j < order - 1:
+                squares += p_next * p_next
+            p_prev, p, d_prev, d = p, p_next, d, d_next
+        return p, d, squares
 
-
-def _gk15_panel(f_multi, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """One Gauss-Kronrod 7-15 panel for a vector-valued integrand.
-
-    ``f_multi`` maps an array of abscissae to an array of shape
-    (n_components, n_points).  Returns (kronrod values, error estimates)
-    per component.
-    """
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    xs = mid + half * _NODES
-    fx = np.asarray(f_multi(xs), dtype=float)
-    if fx.ndim == 1:
-        fx = fx[np.newaxis, :]
-    kron = half * (fx @ _W_KRON)
-    gauss = half * (fx @ _W_GAUSS)
-    return kron, np.abs(kron - gauss)
-
-
-def adaptive_quad_multi(
-    f_multi,
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-10,
-    max_levels: int = 60,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Adaptive Gauss-Kronrod quadrature of several integrands at once.
-
-    All components share the same panel subdivision: the panel with the
-    worst error (relative to its component's running total) is split until
-    every component meets ``rel_tol``.  Returns (values, error estimates,
-    total evaluations).
-    """
-    if not lo < hi:
-        raise ValueError(f"integration bounds must satisfy lo < hi, got [{lo}, {hi}]")
-    kron, err = _gk15_panel(f_multi, lo, hi)
-    ncomp = kron.shape[0]
-    evals = 15
-    # Panels: (lo, hi, depth, kronrod values, error estimates).
-    panels = [(lo, hi, 0, kron, err)]
-
-    def totals():
-        vals = np.zeros(ncomp)
-        errs = np.zeros(ncomp)
-        for _, _, _, k, e in panels:
-            vals += k
-            errs += e
-        return vals, errs
-
-    for _ in range(100_000):
-        vals, errs = totals()
-        scale = np.maximum(np.abs(vals), _TINY)
-        if np.all(errs <= rel_tol * scale):
-            order = sorted(range(len(panels)), key=lambda i: panels[i][0])
-            vals = np.array(
-                [math.fsum(panels[i][3][c] for i in order) for c in range(ncomp)]
-            )
-            errs = np.array(
-                [math.fsum(panels[i][4][c] for i in order) for c in range(ncomp)]
-            )
-            return vals, errs, evals
-        # Split the panel contributing the largest scaled error.
-        worst_idx = max(
-            range(len(panels)), key=lambda i: float(np.max(panels[i][4] / scale))
-        )
-        plo, phi_, depth, _, _ = panels.pop(worst_idx)
-        if depth >= max_levels:
-            raise QuadratureError(
-                f"quadrature did not converge within {max_levels} subdivision levels",
-                QuadratureResult(float(vals[0]), float(errs[0]), evals),
-            )
-        mid = 0.5 * (plo + phi_)
-        kl, el = _gk15_panel(f_multi, plo, mid)
-        kr, er = _gk15_panel(f_multi, mid, phi_)
-        evals += 30
-        panels.append((plo, mid, depth + 1, kl, el))
-        panels.append((mid, phi_, depth + 1, kr, er))
-    raise QuadratureError(
-        "quadrature exceeded the panel budget",
-        QuadratureResult(float(totals()[0][0]), float(totals()[1][0]), evals),
-    )
-
+    for _ in range(2):
+        p, d, _ = recurrence(x)
+        x = x - p / d
+    weights = 1.0 / recurrence(x)[2]
+    weights *= 1.0 / ((a + 1.0) * math.fsum(weights))
+    nodes = 0.5 * (1.0 + x)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from poolshrink.cli import main
+from poolshrink.numerics import QuadratureError
 
 BENCH_MODEL = {
     "p": 5,
@@ -331,15 +332,28 @@ class TestExitCodes:
             assert np.all(np.isfinite([float(v) for v in text.split()]))
 
     @pytest.mark.parametrize("s", [1e-30, 1e-16])
-    def test_hb_quadrature_failure_names_hb(self, tmp_path, capsys, s):
-        # HB with L > 0 at F ~ 1e30 (non-finite estimate) and F ~ 1e16
-        # (quadrature does not converge): a runtime failure naming the entry
-        # by its label on both paths.
+    def test_tiny_s_hb_with_positive_l_is_finite(self, tmp_path, capsys, s):
+        # HB with L > 0 at F ~ 1e30 and F ~ 1e16, where Q(m+1, LS/(2(1-z)))
+        # cuts off far below the rounding of z = F/(1+F).
+        hb = {"kind": "HB", "c": 1, "L": 0.5, "label": "myHB"}
+        cfg = self._config(tmp_path, BENCH_MODEL, estimators=[hb])
+        assert main(["estimate", self._data(tmp_path, s), "--config", cfg, "--estimators", "HB"]) == 0
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.strip().splitlines())
+        assert np.all(np.isfinite([float(v) for v in lines["HB"].split()]))
+
+    @pytest.mark.parametrize("s", [1e-30, 1e-16])
+    def test_hb_quadrature_failure_names_hb(self, tmp_path, capsys, monkeypatch, s):
+        # A quadrature that misses its tolerance is a runtime failure naming
+        # the entry by its label.
+        def missed(*args, **kwargs):
+            raise QuadratureError("phi_hb quadrature missed its 1e-12 relative tolerance")
+
+        monkeypatch.setattr("poolshrink.estimators._phi_hb_lpos", missed)
         hb = {"kind": "HB", "c": 1, "L": 0.5, "label": "myHB"}
         cfg = self._config(tmp_path, BENCH_MODEL, estimators=[hb])
         assert main(["estimate", self._data(tmp_path, s), "--config", cfg, "--estimators", "HB"]) == 3
         out = capsys.readouterr()
-        assert out.out == "" and "estimator myHB " in out.err
+        assert out.out == "" and "estimator myHB failed: phi_hb quadrature" in out.err
 
     def test_runtime_failure_exits_three_without_output(
         self, tmp_path, bench_config, capsys, monkeypatch

@@ -15,7 +15,9 @@ from poolshrink.estimators import (
     phi_hb,
     pt_threshold,
 )
+from poolshrink import estimators
 from poolshrink.model import Sample, sample_draw, scalar_spec
+from poolshrink.numerics import QuadratureError
 from poolshrink.statistics import compute_pooled_stats
 
 BENCH_A = -7.72  # HB constant for the benchmark model (c=1, L=0)
@@ -146,6 +148,117 @@ class TestPhiHb:
             phi_hb(1.0, 1.0, 5, 5, 20, 9.5, 1.0, 0.0)
         with pytest.raises(ValueError, match="nonnegative"):
             phi_hb(1.0, 1.0, 5, 5, 20, BENCH_A, 1.0, -1.0)
+
+
+def mpmath_phi_hb(F, S, p, k, n, a, c, L, dps=20):
+    """phi_hb for L > 0 at each of the increasing values F, by mpmath: the two
+    outer integrals in x, with Q(m+1, LS(1+x)/2) from mpmath.gammainc.
+    [0, x_a] is integrated in u = (x/x_a)^qa, which removes the algebraic
+    endpoint, and [x_a, F] in log x on panels of width 1/4, shared by all F.
+    log x stops where Q has fallen below e^-60 or (1+x)^-(m-qa) has fallen
+    e^-60 past the peak."""
+    with mpmath.workdps(dps):
+        q = mpmath.mpf(p * (k - 1)) / 2
+        qa = q + a
+        m = (n + mpmath.mpf(p * (k - 1))) / 2 - c
+        beta = m - qa
+        kappa = mpmath.mpf(L) * S / 2
+        Q = lambda x: mpmath.gammainc(m + 1, kappa * (1 + x), mpmath.inf, regularized=True)
+        y_cut = max(kappa, m + 1) + 60 + 12 * mpmath.sqrt(m + 1) + 2 * qa
+        t_cut = min(
+            mpmath.log(y_cut / kappa),
+            mpmath.log((qa + 1) / beta) + 60 / beta + (m + 1) / (qa + 1),
+        )
+        t_a = mpmath.log(qa / (m + 1 + kappa)) - 2
+
+        def outer(e):
+            """The integral of x^(qa-1+e) (1+x)^-(m+1) Q over [0, f] for each f."""
+
+            def left(x_a):
+                def in_u(u):
+                    x = x_a * u ** (1 / qa)
+                    return x**e * (1 + x) ** -(m + 1) * Q(x)
+
+                return x_a**qa / qa * mpmath.quad(in_u, mpmath.linspace(0, 1, 9))
+
+            def in_log_x(t):
+                return mpmath.exp((qa + e) * t - (m + 1) * mpmath.log1p(mpmath.exp(t))) * Q(mpmath.exp(t))
+
+            total, t, out = left(mpmath.exp(t_a)), t_a, []
+            for f in F:
+                t_end = min(mpmath.log(f), t_cut)
+                if t_end <= t_a:
+                    out.append(left(mpmath.exp(t_end)))
+                    continue
+                while t + 0.25 <= t_end:
+                    total += mpmath.quad(in_log_x, [t, t + 0.25])
+                    t += 0.25
+                out.append(total + (mpmath.quad(in_log_x, [t, t_end]) if t_end > t else 0))
+            return out
+
+        return [float(num / den) for num, den in zip(outer(1), outer(0))]
+
+
+# The benchmark model, and a model with m - qa = 0.1, where (1-z)^(m-qa-1)
+# is nearly singular at z = 1.
+LPOS_MODELS = {"benchmark": (5, 5, 20, BENCH_A, 1.0), "m_minus_qa_0.1": (1, 2, 20, 9.4, 0.5)}
+
+
+class TestPhiHbPositiveL:
+    def test_large_f_regression(self):
+        # The adaptive quadrature this replaced returned 4.274 here, above
+        # the bound 3/22.
+        val = phi_hb(1000.0, 600.0, 5, 5, 20, BENCH_A, 1.0, 0.5)
+        [oracle] = mpmath_phi_hb([1000.0], 600.0, 5, 5, 20, BENCH_A, 1.0, 0.5)
+        assert val == pytest.approx(oracle, rel=1e-10)
+        assert val == pytest.approx(0.0150878299, rel=1e-9)
+
+    @pytest.mark.parametrize("model", sorted(LPOS_MODELS))
+    @pytest.mark.parametrize("L", [0.01, 0.5, 5.0])
+    def test_matches_mpmath_grid(self, model, L):
+        args = LPOS_MODELS[model]
+        F = np.array([1e-4, 1e-1, 10.0, 1e3, 1e6])
+        for S in (2.0, 200.0):
+            got = phi_hb(F, S, *args, L)
+            want = mpmath_phi_hb(F, S, *args, L)
+            np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    @pytest.mark.parametrize("model", sorted(LPOS_MODELS))
+    def test_tiny_s_recovers_zero_l(self, model):
+        # Q(m+1, LS(1+x)/2) = 1 to rounding on [0, F] once LS F is tiny, so
+        # phi_hb is the L = 0 ratio of incomplete beta functions, taken here
+        # from mpmath.
+        p, k, n, a, c = LPOS_MODELS[model]
+        qa = mpmath.mpf(p * (k - 1)) / 2 + a
+        m = (n + mpmath.mpf(p * (k - 1))) / 2 - c
+        F = np.array([1e-3, 1.0, 1e3, 1e6])
+        with mpmath.workdps(30):
+            want = [
+                float(mpmath.betainc(qa + 1, m - qa, 0, z) / mpmath.betainc(qa, m - qa + 1, 0, z))
+                for z in (mpmath.mpf(f) / (1 + mpmath.mpf(f)) for f in F)
+            ]
+        np.testing.assert_allclose(phi_hb(F, 1e-16, p, k, n, a, c, 0.5), want, rtol=1e-12)
+
+    def test_huge_f_and_tiny_s_are_finite_and_bounded(self):
+        # F ~ 1/S where z = F/(1+F) rounds to 1 and Q cuts off far below it.
+        bound = (20 + 2 * BENCH_A) / (20 - 2 * (BENCH_A + 1))
+        for S in (1e-30, 1e-16, 1e-8):
+            vals = phi_hb(np.array([1e8, 1e16, 1e30, 1e300]), S, 5, 5, 20, BENCH_A, 1.0, 0.5)
+            assert np.all(np.isfinite(vals)) and np.all(vals <= bound * (1.0 + 1e-12))
+            assert np.all(np.diff(vals) >= -1e-12 * bound)
+
+    def test_batch_rows_are_independent(self):
+        rng = np.random.default_rng(11)
+        F = rng.chisquare(20, 16) / rng.chisquare(20, 16) * np.geomspace(1e-3, 1e3, 16)
+        S = 4.0 * rng.chisquare(20, 16)
+        batch = phi_hb(F, S, 5, 5, 20, BENCH_A, 1.0, 0.5)
+        single = [phi_hb(f, s, 5, 5, 20, BENCH_A, 1.0, 0.5) for f, s in zip(F, S)]
+        np.testing.assert_allclose(batch, single, rtol=1e-14)
+
+    def test_missed_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_HB_RTOL", 1e-300)
+        with pytest.raises(QuadratureError, match="F=.*S="):
+            phi_hb(np.array([0.5, 2.0]), 20.0, 5, 5, 20, BENCH_A, 1.0, 0.5)
 
 
 class TestPtEstimate:

@@ -16,10 +16,9 @@ from poolshrink.minimax import (
 )
 from poolshrink.model import ModelSpec, scalar_spec
 from poolshrink.numerics import (
-    QuadratureError,
-    adaptive_quad_multi,
     chmax_product,
     f_quantile,
+    gauss_jacobi,
     log_lower_inc_beta,
     reg_inc_beta,
     reg_upper_gamma,
@@ -32,12 +31,6 @@ from poolshrink.numerics import (
 def random_spd(rng, dim, scale=1.0):
     m = rng.standard_normal((dim, dim))
     return scale * (m @ m.T + dim * np.eye(dim))
-
-
-def quad(f, lo, hi, **kwargs):
-    """adaptive_quad_multi on a one-component integrand: (value, error, evals)."""
-    vals, errs, evals = adaptive_quad_multi(lambda x: np.asarray(f(x))[None, :], lo, hi, **kwargs)
-    return float(vals[0]), float(errs[0]), evals
 
 
 def spec_with(V, Q):
@@ -238,6 +231,39 @@ class TestRegUpperGamma:
             reg_upper_gamma(0.0, 1.0)
         with pytest.raises(ValueError):
             reg_upper_gamma(2.0, -0.5)
+        with pytest.raises(ValueError):
+            reg_upper_gamma(2.0, 0.5, base=-1.0)
+
+    def test_infinite_argument(self):
+        # Q(s, inf) = 0, and one infinite element leaves the rest of a batch
+        # as it is.
+        assert reg_upper_gamma(20.0, math.inf) == 0.0
+        assert reg_upper_gamma(20.0, math.inf, log=True) == -math.inf
+        xs = np.array([0.5, 21.0, math.inf, 60.0])
+        got = reg_upper_gamma(20.0, xs)
+        assert got[2] == 0.0
+        np.testing.assert_array_equal(got[[0, 1, 3]], reg_upper_gamma(20.0, xs[[0, 1, 3]]))
+
+    def test_log_where_q_underflows(self):
+        mpmath.mp.dps = 30
+        for s, x in [(20.0, 2000.0), (1.5, 900.0), (41.0, 1e5)]:
+            expected = float(mpmath.log(mpmath.gammainc(s, x, mpmath.inf, regularized=True)))
+            assert reg_upper_gamma(s, x, log=True) == pytest.approx(expected, rel=1e-14)
+
+    def test_ratio_to_a_base_against_mpmath(self):
+        # log Q(s, base + x) - log Q(s, base) to 1e-14 absolute, also where x
+        # is tiny against a huge base and both logs are of order -base.
+        mpmath.mp.dps = 50
+        cases = [(20.0, 2.5e6, 2.5e-10), (20.0, 2.5e6, 3.0), (20.0, 100.0, 1e-3), (20.0, 5.0, 2.0),
+                 (11.0, 1e-12, 50.0), (1.45, 0.3, 0.1)]
+        for s, base, x in cases:
+            exact = mpmath.log(
+                mpmath.gammainc(s, base + mpmath.mpf(x), mpmath.inf, regularized=True)
+                / mpmath.gammainc(s, base, mpmath.inf, regularized=True)
+            )
+            got = reg_upper_gamma(s, x, log=True, base=base)
+            assert abs(got - float(exact)) <= 1e-14 * max(1.0, abs(float(exact)))
+        assert reg_upper_gamma(20.0, 0.0, base=7.0) == 1.0
 
 
 class TestFQuantile:
@@ -300,44 +326,47 @@ class TestFQuantile:
             f_quantile(5, 5, 1.2)
 
 
-class TestAdaptiveQuad:
-    def test_linear(self):
-        value, err, _ = quad(lambda x: x, 0.0, 1.0)
-        assert value == pytest.approx(0.5, rel=1e-14)
-        assert err <= 1e-10 * 0.5 + 1e-15
+class TestGaussJacobi:
+    @pytest.mark.parametrize("a", [0.0, 1.28, -0.5, -0.99, 39.0])
+    def test_polynomial_exactness(self, a):
+        # int_0^1 s^a s^j ds = 1/(a+j+1) for every j < 2 order.
+        nodes, weights = gauss_jacobi(12, a)
+        for j in (0, 1, 7, 23):
+            assert float(np.sum(weights * nodes**j)) == pytest.approx(1.0 / (a + j + 1.0), rel=1e-13)
 
-    def test_power_law_tail_vs_trapezoid_oracle(self):
-        f = lambda x: x**2.28 * (1.0 + x) ** -20.0
-        value, _, _ = quad(f, 0.0, 10.0, rel_tol=1e-12)
-        # brute-force oracle, chunked to bound memory
-        total = 0.0
-        panels = 10_000_000
-        edges = np.linspace(0.0, 10.0, 11)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            x = np.linspace(lo, hi, panels // 10 + 1)
-            total += np.trapezoid(f(x), x)
-        assert value == pytest.approx(total, rel=1e-9)
+    def test_singular_weight_keeps_small_weights_accurate(self):
+        # Under s^-0.99 nearly all the mass sits on the first node; the
+        # moment against s e^(-20 s), carried by the other nodes, still
+        # comes out to rounding.
+        mpmath.mp.dps = 30
+        nodes, weights = gauss_jacobi(64, -0.99)
+        exact = mpmath.quad(lambda s: s**0.01 * mpmath.exp(-20 * s), [0, 0.05, 1])
+        got = float(np.sum(weights * nodes * np.exp(-20.0 * nodes)))
+        assert got == pytest.approx(float(exact), rel=1e-13)
 
-    def test_hb_integrand_positive_finite(self):
-        f = lambda x: x**1.28 * (1.0 + x) ** -20.0
-        value, _, _ = quad(f, 0.0, 2.1242, rel_tol=1e-10)
-        assert np.isfinite(value) and value > 0
+    def test_power_weight_against_mpmath(self):
+        # The z^(qa-1) weight of the HB z panel times its smooth factor
+        # (1-z)^(m-qa) on [0, 1/2], at the benchmark model's qa and m.
+        mpmath.mp.dps = 30
+        nodes, weights = gauss_jacobi(48, 1.28)
+        value = 0.5**2.28 * float(np.sum(weights * (1.0 - 0.5 * nodes) ** 16.72))
+        exact = mpmath.quad(lambda z: z**1.28 * (1 - z) ** 16.72, [0, 0.5])
+        assert value == pytest.approx(float(exact), rel=1e-14)
 
-    def test_nonconvergence_carries_best_estimate(self):
-        rng_f = lambda x: np.sin(1.0 / (x + 1e-9))
-        with pytest.raises(QuadratureError) as err:
-            quad(rng_f, 0.0, 1.0, rel_tol=1e-14, max_levels=3)
-        assert np.isfinite(err.value.best_result.value)
+    def test_legendre_case_matches_numpy(self):
+        nodes, weights = gauss_jacobi(16, 0.0)
+        x, w = np.polynomial.legendre.leggauss(16)
+        np.testing.assert_allclose(nodes, 0.5 * (1.0 + x), atol=1e-15)
+        np.testing.assert_allclose(weights, 0.5 * w, rtol=1e-13)
 
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            quad(lambda x: x, 1.0, 0.0)
+    def test_memoized_and_read_only(self):
+        nodes, weights = gauss_jacobi(20, 2.5)
+        assert gauss_jacobi(20, 2.5)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert np.all(np.diff(nodes) > 0.0) and np.all(weights > 0.0)
 
-    def test_multi_shares_panels(self):
-        def pair(x):
-            return np.stack([np.exp(x), np.exp(-x)])
-
-        vals, errs, evals = adaptive_quad_multi(pair, 0.0, 1.0, rel_tol=1e-12)
-        assert vals[0] == pytest.approx(math.e - 1.0, rel=1e-12)
-        assert vals[1] == pytest.approx(1.0 - 1.0 / math.e, rel=1e-12)
-        assert evals % 15 == 0
+    def test_bad_parameters(self):
+        with pytest.raises(ValueError, match="order"):
+            gauss_jacobi(0, 0.0)
+        with pytest.raises(ValueError, match="exceed -1"):
+            gauss_jacobi(8, -1.0)

@@ -146,3 +146,34 @@ def test_phi_hb_bounded_and_nondecreasing(p, k, n, c_frac, a_frac):
     assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
     assert np.all(vals <= bound * (1.0 + 1e-12))
     assert np.all(np.diff(vals) >= -1e-12 * bound)
+
+
+S_GRID = np.geomspace(1e-300, 1e300, 61)
+F_COARSE = F_GRID[::5]
+
+
+@settings(max_examples=20)
+@given(
+    p=st.integers(1, 8),
+    k=st.integers(2, 6),
+    n=st.integers(1, 40),
+    c_frac=st.floats(0.0, 0.5),
+    a_frac=st.floats(0.01, 0.99),
+    L=st.floats(0.01, 5.0),
+)
+def test_phi_hb_positive_l_bounded_and_monotone(p, k, n, c_frac, a_frac, L):
+    # The L = 0 property's domain, with S from 1e-300 to 1e300: finite,
+    # within [0, bound], nondecreasing in F and nonincreasing in S.
+    q = 0.5 * p * (k - 1)
+    c = c_frac * 0.5 * n
+    a = -q + a_frac * (0.5 * n - c + q)
+    bound = (p * (k - 1) + 2.0 * a) / (n - 2.0 * (a + c))
+    for S in (S_GRID[0], 1e-8, 1.0, 1e8, S_GRID[-1]):
+        vals = phi_hb(F_COARSE, S, p, k, n, a, c, L)
+        assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+        assert np.all(vals <= bound * (1.0 + 1e-12))
+        assert np.all(np.diff(vals) >= -1e-12 * bound)
+    for F in (1e-3, 1.0, 1e3, 1e12):
+        vals = phi_hb(F, S_GRID, p, k, n, a, c, L)
+        assert np.all(np.isfinite(vals))
+        assert np.all(np.diff(vals) <= 1e-12 * bound)
