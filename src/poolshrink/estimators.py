@@ -36,13 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .model import ModelSpec, Sample
-from .numerics import (
-    QuadratureError,
-    f_quantile,
-    gauss_jacobi,
-    log_lower_inc_beta,
-    reg_upper_gamma,
-)
+from .numerics import QuadratureError, _beta_cont_frac, f_quantile, gauss_jacobi, reg_upper_gamma
 from .statistics import batch_pooled_stats, compute_pooled_stats
 
 __all__ = [
@@ -135,22 +129,34 @@ def _phi_hb_zero_l(F: np.ndarray, qa: float, m: float) -> np.ndarray:
 
         int_0^F x^qa (1+x)^-(m+1) dx / int_0^F x^(qa-1) (1+x)^-(m+1) dx.
 
-    The substitution z = x/(1+x) turns each integral into an incomplete
-    beta function, evaluated in log space so the ratio survives tiny F.
-    Where z rounds to 1 (F above about 1e16) the ratio has reached its
-    limit B(qa+1, m-qa)/B(qa, m-qa+1) = qa/(m - qa).
+    In z = x/(1+x) this is num/den with num = B_z(qa+1, b), den =
+    B_z(qa, b+1) and b = m - qa.  Integrating the derivative of
+    T = z^qa (1-z)^b over [0, z] gives den = (b num + T)/qa, so
+
+        phi = qa / (b + T/num),
+
+    a sum of positive terms, and only num needs a continued fraction.  Where
+    it converges fast (z <= (qa+2)/(m+3)), B_z(qa+1, b) = z^(qa+1) (1-z)^b
+    cf/(qa+1) and T/num = (qa+1)/(z cf), which survives tiny F.  Above it,
+    num = B(qa+1, b) (1 - I_w(b, qa+1)) with w = 1 - z = 1/(1+F) taken from
+    F, so 1 - z is never rounded and F may be arbitrarily large.
     """
-    a_num, b_num = qa + 1.0, m - qa
-    a_den, b_den = qa, m - qa + 1.0
+    b = m - qa
     z = F / (1.0 + F)
-    out = np.zeros_like(z)
-    out[z == 1.0] = qa / (m - qa)
-    pos = (z > 0.0) & (z < 1.0)
-    if np.any(pos):
-        log_num = np.atleast_1d(log_lower_inc_beta(a_num, b_num, z[pos]))
-        log_den = np.atleast_1d(log_lower_inc_beta(a_den, b_den, z[pos]))
-        out[pos] = np.exp(log_num - log_den)
-    return out
+    w = 1.0 / (1.0 + F)
+    direct = z <= (qa + 2.0) / (m + 3.0)
+    cf = _beta_cont_frac(
+        np.where(direct, qa + 1.0, b), np.where(direct, b, qa + 1.0), np.where(direct, z, w)
+    )
+    ratio = np.empty_like(F)
+    ratio[direct] = (qa + 1.0) / (z[direct] * cf[direct])
+    far = ~direct
+    if np.any(far):
+        # t = T / B(qa+1, b); then I_w(b, qa+1) = t z cf / b.
+        ln_beta = math.lgamma(qa + 1.0) + math.lgamma(b) - math.lgamma(m + 1.0)
+        t = np.exp(qa * np.log1p(-w[far]) - b * np.log1p(F[far]) - ln_beta)
+        ratio[far] = t / (1.0 - t * z[far] * cf[far] / b)
+    return qa / (b + ratio)
 
 
 # Orders (Gauss-Jacobi nodes on the z panel, Gauss-Legendre nodes per log-x
@@ -427,7 +433,7 @@ def _pt_rule(cfg, spec, X, S, nu, F, G):
 def _js_rule(cfg, spec, X, S, nu, F, G):
     """X_1 - ((p-2)/(n+2)) (S/||X_1||^2_{V_1^{-1}}) X_1; 0 when X_1 = 0."""
     x1 = X[:, 0, :]
-    norm2 = np.einsum("bi,ij,bj->b", x1, spec.v_inv[0], x1)
+    norm2 = np.einsum("bi,bi->b", x1 @ spec.v_inv[0], x1)
     coef = np.zeros_like(norm2)
     okay = norm2 > 0.0
     coef[okay] = (spec.p - 2.0) / (spec.n + 2.0) * S[okay] / norm2[okay]

@@ -18,7 +18,6 @@ __all__ = [
     "chmax_product",
     "f_quantile",
     "gauss_jacobi",
-    "log_lower_inc_beta",
     "reg_inc_beta",
     "reg_upper_gamma",
     "sym_sqrt",
@@ -115,7 +114,12 @@ def chmax_product(m: np.ndarray, q: np.ndarray) -> float:
 
 def _beta_cont_frac(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Continued fraction for the incomplete beta (modified Lentz), applied
-    elementwise.  Valid for x < (a + 1) / (a + b + 2)."""
+    elementwise to 1-d arrays of one shape.  Valid for x < (a + 1) / (a + b + 2).
+
+    Each element leaves the loop at the first step where it has converged,
+    so its value does not depend on the other elements of the batch."""
+    out = np.empty_like(x)
+    live = np.arange(x.size)
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -141,8 +145,15 @@ def _beta_cont_frac(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         d = 1.0 / d
         delta = d * c
         h = h * delta
-        if np.all(np.abs(delta - 1.0) < _CF_EPS):
-            return h
+        done = np.abs(delta - 1.0) < _CF_EPS
+        if np.any(done):
+            out[live[done]] = h[done]
+            if np.all(done):
+                return out
+            keep = ~done
+            live, a, b, x, qab, qap, qam, c, d, h = (
+                arr[keep] for arr in (live, a, b, x, qab, qap, qam, c, d, h)
+            )
     raise ValueError("incomplete beta continued fraction did not converge")
 
 
@@ -181,39 +192,6 @@ def reg_inc_beta(a: float, b: float, x):
     res = front * cf
     out = np.where(swap, 1.0 - res, res)
     out = np.clip(out, 0.0, 1.0)
-    if scalar:
-        return float(out[0])
-    return out.reshape(xarr.shape)
-
-
-def log_lower_inc_beta(a: float, b: float, x):
-    """Natural log of the unregularized lower incomplete beta
-    B_x(a, b) = integral_0^x t^(a-1) (1-t)^(b-1) dt.
-
-    Stable for x arbitrarily close to 0, where the integral itself
-    underflows: the continued-fraction factor is O(1) there and the
-    power-law prefactor is kept in log space.
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    xarr = np.asarray(x, dtype=float)
-    if np.any((xarr < 0.0) | (xarr >= 1.0)):
-        raise ValueError("x must lie in [0, 1)")
-    scalar = xarr.ndim == 0
-    xv = np.atleast_1d(xarr).astype(float)
-    out = np.full_like(xv, -np.inf)
-
-    thresh = (a + 1.0) / (a + b + 2.0)
-    direct = (xv > 0.0) & (xv <= thresh)
-    if np.any(direct):
-        xd = xv[direct]
-        cf = _beta_cont_frac(np.full_like(xd, a), np.full_like(xd, b), xd)
-        out[direct] = a * np.log(xd) + b * np.log1p(-xd) - math.log(a) + np.log(cf)
-    rest = xv > thresh
-    if np.any(rest):
-        ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-        reg = np.atleast_1d(reg_inc_beta(a, b, xv[rest]))
-        out[rest] = ln_beta + np.log(reg)
     if scalar:
         return float(out[0])
     return out.reshape(xarr.shape)

@@ -6,14 +6,17 @@ Determinism contract: replications are drawn in fixed chunks of
 drawn in full, so replication r's draw depends only on (seed, r): not on
 the worker count, nor on the plan's replication count.  Chunk partial sums
 are reduced in chunk order, so a plan produces bit-identical reports for
-any degree of parallelism.
+any degree of parallelism.  Pool workers are fork-started and inherit the
+plan, so shrink functions need not be picklable; only chunk indices and
+chunk sums cross the process boundary.
 """
 
 from __future__ import annotations
 
+import logging
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,6 +45,8 @@ __all__ = [
 
 # Fixed chunk size: results must not depend on how chunks map to workers.
 _CHUNK_SIZE = 2048
+
+_log = logging.getLogger(__name__)
 
 
 class SimulationError(RuntimeError):
@@ -137,7 +142,7 @@ def replication_sample(plan: SimPlan, rep: int) -> Sample:
 
 def _batch_loss(est: np.ndarray, spec: ModelSpec) -> np.ndarray:
     diff = est - spec.mu[0]
-    return np.einsum("bi,ij,bj->b", diff, spec.Q, diff) / spec.sigma2
+    return np.einsum("bi,bi->b", diff @ spec.Q, diff) / spec.sigma2
 
 
 def _locate_failure(
@@ -195,6 +200,20 @@ def _chunk_sums(plan: SimPlan, chunk: int) -> np.ndarray:
     return out
 
 
+# The plan of a pool worker process, set once by ``_adopt_plan`` when the
+# worker starts.
+_WORKER_PLAN: SimPlan | None = None
+
+
+def _adopt_plan(plan: SimPlan) -> None:
+    global _WORKER_PLAN
+    _WORKER_PLAN = plan
+
+
+def _worker_chunk_sums(chunk: int) -> np.ndarray:
+    return _chunk_sums(_WORKER_PLAN, chunk)
+
+
 def _mean_se(total: float, total_sq: float, count: float) -> tuple[float, float]:
     mean = total / count
     if count < 2:
@@ -209,18 +228,30 @@ def simulate_risk(plan: SimPlan, workers: int = 1) -> RiskReport:
     Evaluates all estimators on the same draws and reports PRIAL relative to
     the unshrunk X_1 with a standard error computed from the paired
     per-replication loss differences.  The report is bit-identical for any
-    ``workers``.
+    ``workers``.  Workers are fork-started processes, which inherit the plan
+    (so shrink functions may be lambdas); where fork is unavailable the
+    chunks run serially and a warning is logged.
     """
     errors = plan.validate()
     if errors:
         raise ValueError("invalid simulation plan: " + "; ".join(errors))
     chunks = range((plan.replications + _CHUNK_SIZE - 1) // _CHUNK_SIZE)
-    worker = partial(_chunk_sums, plan)
+    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        _log.warning(
+            "fork start method unavailable: running serially instead of on %d workers", workers
+        )
+        workers = 1
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(worker, chunks))
+        # With fork the initializer's argument is inherited, never pickled.
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt_plan,
+            initargs=(plan,),
+        ) as pool:
+            partials = list(pool.map(_worker_chunk_sums, chunks))
     else:
-        partials = [worker(chunk) for chunk in chunks]
+        partials = [_chunk_sums(plan, chunk) for chunk in chunks]
 
     sums = np.zeros_like(partials[0])
     for part in partials:  # fixed chunk order keeps the reduction deterministic

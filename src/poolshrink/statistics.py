@@ -105,13 +105,15 @@ def batch_pooled_stats(spec: ModelSpec, X: np.ndarray, S: np.ndarray):
     """
     if np.any(S <= 0.0):
         raise ValueError(f"S must be positive, got {np.min(S)}")
+    rows, k, p = X.shape
     winv = spec.v_inv
-    weighted = np.einsum("kij,bkj->bi", winv, X)
+    # sum_i V_i^{-1} X_i as one matrix product: rows i p .. (i+1) p - 1 of
+    # the stacked weights hold V_i^{-1} transposed.
+    weighted = X.reshape(rows, k * p) @ winv.transpose(0, 2, 1).reshape(k * p, p)
     nu = weighted @ spec.A
-    dev = X - nu[:, None, :]
-    quad = np.einsum("bki,kij,bkj->b", dev, winv, dev)
-    f_stat = quad / S
-    g_stat = np.einsum("bi,ij,bj->b", nu, spec.precision, nu) / S
+    dev = X.transpose(1, 0, 2) - nu  # (k, B, p)
+    f_stat = np.einsum("kbi,kbi->b", dev @ winv, dev) / S
+    g_stat = np.einsum("bi,bi->b", nu @ spec.precision, nu) / S
     return nu, f_stat, g_stat
 
 

@@ -77,6 +77,11 @@ def trapezoid_phi_hb(F, qa, m, panels=10_000_000):
     return num / den
 
 
+# The benchmark model, and a model with m - qa = 0.1, where (1-z)^(m-qa-1)
+# is nearly singular at z = 1.
+HB_MODELS = {"benchmark": (5, 5, 20, BENCH_A, 1.0), "m_minus_qa_0.1": (1, 2, 20, 9.4, 0.5)}
+
+
 class TestPhiHb:
     def test_large_f_limit(self):
         # sup phi_hb = (p(k-1) + 2a)/(n - 2(a+c)); equals 3/22 at the
@@ -149,6 +154,33 @@ class TestPhiHb:
         with pytest.raises(ValueError, match="nonnegative"):
             phi_hb(1.0, 1.0, 5, 5, 20, BENCH_A, 1.0, -1.0)
 
+    def test_small_m_minus_qa_regression(self):
+        # m - qa = 0.1: the ratio of two log incomplete betas this replaced
+        # was off by 2.5e-12 relative here (65.9463449335346).
+        val = phi_hb(1e6, 1.0, 1, 2, 20, 9.4, 0.5, 0.0)
+        assert val == pytest.approx(65.94634493369946, rel=1e-13)
+
+    @pytest.mark.parametrize("model", ["benchmark", "m_minus_qa_0.1"])
+    def test_zero_l_matches_mpmath_grid(self, model):
+        p, k, n, a, c = HB_MODELS[model]
+        F = np.geomspace(1e-12, 1e15, 28)
+        with mpmath.workdps(40):
+            qa = mpmath.mpf(p * (k - 1)) / 2 + a
+            m = (n + mpmath.mpf(p * (k - 1))) / 2 - c
+            want = [
+                float(mpmath.betainc(qa + 1, m - qa, 0, z) / mpmath.betainc(qa, m - qa + 1, 0, z))
+                for z in (mpmath.mpf(f) / (1 + mpmath.mpf(f)) for f in F)
+            ]
+        np.testing.assert_allclose(phi_hb(F, 1.0, p, k, n, a, c, 0.0), want, rtol=1e-12)
+
+    def test_zero_l_batch_is_bit_identical_to_single_calls(self):
+        rng = np.random.default_rng(13)
+        F = rng.chisquare(20, 64) / rng.chisquare(20, 64)
+        F = np.concatenate([F, [1e-100, 1e-3, 1e8, 1e20]])
+        for args in HB_MODELS.values():
+            batch = phi_hb(F, 1.0, *args, 0.0)
+            assert np.array_equal(batch, [phi_hb(f, 1.0, *args, 0.0) for f in F])
+
 
 def mpmath_phi_hb(F, S, p, k, n, a, c, L, dps=20):
     """phi_hb for L > 0 at each of the increasing values F, by mpmath: the two
@@ -199,11 +231,6 @@ def mpmath_phi_hb(F, S, p, k, n, a, c, L, dps=20):
         return [float(num / den) for num, den in zip(outer(1), outer(0))]
 
 
-# The benchmark model, and a model with m - qa = 0.1, where (1-z)^(m-qa-1)
-# is nearly singular at z = 1.
-LPOS_MODELS = {"benchmark": (5, 5, 20, BENCH_A, 1.0), "m_minus_qa_0.1": (1, 2, 20, 9.4, 0.5)}
-
-
 class TestPhiHbPositiveL:
     def test_large_f_regression(self):
         # The adaptive quadrature this replaced returned 4.274 here, above
@@ -213,31 +240,24 @@ class TestPhiHbPositiveL:
         assert val == pytest.approx(oracle, rel=1e-10)
         assert val == pytest.approx(0.0150878299, rel=1e-9)
 
-    @pytest.mark.parametrize("model", sorted(LPOS_MODELS))
+    @pytest.mark.parametrize("model", sorted(HB_MODELS))
     @pytest.mark.parametrize("L", [0.01, 0.5, 5.0])
     def test_matches_mpmath_grid(self, model, L):
-        args = LPOS_MODELS[model]
+        args = HB_MODELS[model]
         F = np.array([1e-4, 1e-1, 10.0, 1e3, 1e6])
         for S in (2.0, 200.0):
             got = phi_hb(F, S, *args, L)
             want = mpmath_phi_hb(F, S, *args, L)
             np.testing.assert_allclose(got, want, rtol=1e-10)
 
-    @pytest.mark.parametrize("model", sorted(LPOS_MODELS))
+    @pytest.mark.parametrize("model", sorted(HB_MODELS))
     def test_tiny_s_recovers_zero_l(self, model):
         # Q(m+1, LS(1+x)/2) = 1 to rounding on [0, F] once LS F is tiny, so
-        # phi_hb is the L = 0 ratio of incomplete beta functions, taken here
-        # from mpmath.
-        p, k, n, a, c = LPOS_MODELS[model]
-        qa = mpmath.mpf(p * (k - 1)) / 2 + a
-        m = (n + mpmath.mpf(p * (k - 1))) / 2 - c
+        # phi_hb is the L = 0 ratio of incomplete beta functions.
+        args = HB_MODELS[model]
         F = np.array([1e-3, 1.0, 1e3, 1e6])
-        with mpmath.workdps(30):
-            want = [
-                float(mpmath.betainc(qa + 1, m - qa, 0, z) / mpmath.betainc(qa, m - qa + 1, 0, z))
-                for z in (mpmath.mpf(f) / (1 + mpmath.mpf(f)) for f in F)
-            ]
-        np.testing.assert_allclose(phi_hb(F, 1e-16, p, k, n, a, c, 0.5), want, rtol=1e-12)
+        want = phi_hb(F, 1.0, *args, 0.0)
+        np.testing.assert_allclose(phi_hb(F, 1e-16, *args, 0.5), want, rtol=1e-12)
 
     def test_huge_f_and_tiny_s_are_finite_and_bounded(self):
         # F ~ 1/S where z = F/(1+F) rounds to 1 and Q cuts off far below it.

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from poolshrink import numerics
 from poolshrink.minimax import (
     lincomb_shrinkage_report,
     single_shrinkage_report,
@@ -19,7 +20,6 @@ from poolshrink.numerics import (
     chmax_product,
     f_quantile,
     gauss_jacobi,
-    log_lower_inc_beta,
     reg_inc_beta,
     reg_upper_gamma,
     sym_sqrt,
@@ -184,24 +184,38 @@ class TestRegIncBeta:
         with pytest.raises(ValueError):
             reg_inc_beta(1.0, 2.0, 1.5)
 
-
-class TestLogLowerIncBeta:
-    def test_matches_direct_product_at_moderate_x(self):
+    def test_unregularized_against_mpmath_at_moderate_x(self):
+        # B(a, b) I_x(a, b) is the lower incomplete beta B_x(a, b).
         rng = np.random.default_rng(5)
         for _ in range(30):
             a = float(rng.uniform(0.5, 15.0))
             b = float(rng.uniform(0.5, 15.0))
             x = float(rng.uniform(0.05, 0.95))
-            ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-            expected = ln_beta + math.log(reg_inc_beta(a, b, x))
-            assert log_lower_inc_beta(a, b, x) == pytest.approx(expected, rel=1e-12)
+            expected = float(mpmath.betainc(a, b, 0, x))
+            beta = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+            assert beta * reg_inc_beta(a, b, x) == pytest.approx(expected, rel=1e-12)
 
-    def test_survives_underflow_region(self):
-        # x^a alone underflows; the log value must match the analytic
-        # leading term a*log(x) - log(a) + O(x).
-        a, b, x = 3.0, 7.0, 1e-150
-        val = log_lower_inc_beta(a, b, x)
-        assert val == pytest.approx(a * math.log(x) - math.log(a), rel=1e-10)
+    def test_small_x_leading_term(self):
+        # I_x(a, b) = x^a / (a B(a, b)) (1 + O(x)) where x^a is near underflow.
+        a, b, x = 3.0, 7.0, 1e-100
+        ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        expected = math.exp(a * math.log(x) - math.log(a) - ln_beta)
+        assert reg_inc_beta(a, b, x) == pytest.approx(expected, rel=1e-12)
+
+    def test_batch_is_bit_identical_to_single_calls(self):
+        # Each element leaves the continued fraction at its own step, so a
+        # value does not depend on the batch it is evaluated in.
+        rng = np.random.default_rng(12)
+        x = np.concatenate([rng.uniform(0.0, 1.0, 40), [1e-300, 1e-8, 0.5, 1.0 - 1e-12]])
+        for a, b in [(0.3, 12.0), (3.0, 7.0), (20.0, 0.7)]:
+            batch = reg_inc_beta(a, b, x)
+            assert np.array_equal(batch, [reg_inc_beta(a, b, xi) for xi in x])
+            assert np.array_equal(batch[::-1], reg_inc_beta(a, b, x[::-1]))
+
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_CF_MAXIT", 2)
+        with pytest.raises(ValueError, match="did not converge"):
+            reg_inc_beta(3.0, 7.0, np.array([0.01, 0.2]))
 
 
 class TestRegUpperGamma:

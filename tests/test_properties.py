@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from poolshrink.estimators import ESTIMATORS, EstimatorConfig, estimate, phi_hb, pt_threshold
 from poolshrink.model import ModelSpec, Sample
+from poolshrink.risksim import _batch_loss
 from poolshrink.statistics import batch_pooled_stats, compute_pooled_stats
 
 B = 2  # samples per example, evaluated as one batch
@@ -123,6 +124,41 @@ def test_batched_stats_match_solved_reference(problem):
         assert_close(nu[b], ref.nu_hat, 1e-10, np.max(np.abs(X[b])))
         assert_close(F[b], ref.F, 1e-10, ref.F)
         assert_close(G[b], ref.G, 1e-10, ref.G)
+
+
+@st.composite
+def large_dense_batches(draw):
+    """A dense model with p <= 20, k <= 6 and a batch of 7 samples."""
+    p = draw(st.integers(1, 20))
+    k = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = [dense_spd(rng, p, rng.uniform(0.2, 2.0)) for _ in range(k)]
+    Q = dense_spd(rng, p, rng.uniform(0.2, 2.0))
+    mu = rng.normal(0.0, 1.0, (k, p))
+    spec = ModelSpec(p=p, k=k, n=10, V=tuple(V), Q=Q, sigma2=rng.uniform(0.5, 3.0), mu=tuple(mu))
+    X = mu + rng.normal(0.0, 1.0, (7, k, p))
+    return spec, X, rng.chisquare(10, 7)
+
+
+@settings(max_examples=40)
+@given(large_dense_batches())
+def test_contractions_match_einsum_forms(problem):
+    # The matrix-product forms of the statistics and the loss against the
+    # three-operand einsum expressions they replaced.
+    spec, X, S = problem
+    winv = spec.v_inv
+    nu_ref = np.einsum("kij,bkj->bi", winv, X) @ spec.A
+    dev = X - nu_ref[:, None, :]
+    F_ref = np.einsum("bki,kij,bkj->b", dev, winv, dev) / S
+    G_ref = np.einsum("bi,ij,bj->b", nu_ref, spec.precision, nu_ref) / S
+    nu, F, G = batch_pooled_stats(spec, X, S)
+    assert_close(nu, nu_ref, 1e-13, np.max(np.abs(X)))
+    np.testing.assert_allclose(F, F_ref, rtol=1e-13)
+    np.testing.assert_allclose(G, G_ref, rtol=1e-13)
+    for est in (X[:, 0, :], nu):
+        diff = est - spec.mu[0]
+        loss_ref = np.einsum("bi,ij,bj->b", diff, spec.Q, diff) / spec.sigma2
+        np.testing.assert_allclose(_batch_loss(est, spec), loss_ref, rtol=1e-13)
 
 
 F_GRID = np.geomspace(1e-300, 1e300, 601)

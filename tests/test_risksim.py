@@ -2,6 +2,7 @@
 preset, and the integration-by-parts identity validators."""
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -67,6 +68,26 @@ class TestSimulateRisk:
         # standard errors of a single replication.
         plan = small_plan(reps=reps)
         assert repr(simulate_risk(plan, workers=1)) == repr(simulate_risk(plan, workers=2))
+
+    def test_lambda_shrink_function_runs_on_workers(self):
+        # Workers inherit the plan from a fork, so a shrink function need
+        # not be picklable.
+        lam = EstimatorConfig(kind="CLASS1", phi=lambda f, s: np.minimum(0.4, f))
+        plan = small_plan(reps=4096, estimators=[lam])
+        assert repr(simulate_risk(plan, workers=1)) == repr(simulate_risk(plan, workers=2))
+
+    def test_without_fork_workers_run_serially(self, monkeypatch, caplog):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started without the fork start method")
+
+        monkeypatch.setattr(risksim.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(risksim, "ProcessPoolExecutor", no_pool)
+        lam = EstimatorConfig(kind="CLASS1", phi=lambda f, s: np.minimum(0.4, f))
+        plan = small_plan(reps=2049, estimators=[lam])
+        with caplog.at_level(logging.WARNING, logger="poolshrink.risksim"):
+            report = simulate_risk(plan, workers=2)
+        assert "fork start method unavailable" in caplog.text
+        assert repr(report) == repr(simulate_risk(plan, workers=1))
 
     def test_replication_draw_does_not_depend_on_replication_count(self):
         short, full = small_plan(reps=2049), small_plan(reps=4096)
