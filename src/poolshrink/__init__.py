@@ -25,7 +25,7 @@ from .minimax import (
     single_shrinkage_report,
     solve_hb_a,
 )
-from .model import ModelSpec, Sample, loss, sample_draw, scalar_spec, validate_spec
+from .model import ModelSpec, Sample, scalar_spec, validate_spec
 from .risksim import (
     RiskReport,
     SimPlan,
@@ -34,13 +34,6 @@ from .risksim import (
     stein_identity_check,
     table1_preset,
 )
-from .statistics import (
-    PooledStats,
-    compute_pooled_stats,
-    linear_bound_check,
-    pooled_deviance_gap,
-    pooled_matrix,
-    pooled_mean,
-)
+from .statistics import linear_bound_check, pooled_deviance_gap
 
 __version__ = "0.1.0"

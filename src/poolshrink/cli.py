@@ -58,28 +58,41 @@ class ConfigError(ValueError):
 
 
 def _number(section: dict, key: str, cast, where: str, default=None):
-    """``section[key]`` converted by ``cast``; a missing value without a
-    default, or one that does not convert, is a config error."""
+    """``section[key]`` converted by ``cast`` (int or float); a missing value
+    without a default, a boolean, one that does not convert, a non-finite
+    one, and a non-integral one for an int field are config errors."""
     value = section.get(key, default)
     if value is None:
         raise ConfigError(f"{where}: missing required field '{key}'")
+    if isinstance(value, bool):
+        raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
+    if cast is int and isinstance(value, int):
+        return value  # exact: a float round trip would alter seeds above 2^53
     try:
-        return cast(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}.{key}: expected a number, got {value!r}") from None
+    if not np.isfinite(number):
+        raise ConfigError(f"{where}.{key}: must be finite, got {value!r}")
+    if cast is int and not number.is_integer():
+        raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
+    return cast(number)
 
 
 def _as_shaped(entry, unit: np.ndarray, name: str) -> np.ndarray:
     """Accept the shorthand c -> c * unit (I for matrices, ones for
-    vectors) or a full array of the unit's shape."""
+    vectors) or a full array of the unit's shape, of finite numbers."""
     if isinstance(entry, (int, float)):
-        return float(entry) * unit
-    try:
-        arr = np.asarray(entry, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name}: expected numbers, got {entry!r}") from None
-    if arr.shape != unit.shape:
-        raise ConfigError(f"{name}: expected a scalar or shape {unit.shape}, got {arr.shape}")
+        arr = float(entry) * unit
+    else:
+        try:
+            arr = np.asarray(entry, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{name}: expected numbers, got {entry!r}") from None
+        if arr.shape != unit.shape:
+            raise ConfigError(f"{name}: expected a scalar or shape {unit.shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name}: expected finite numbers, got {entry!r}")
     return arr
 
 
@@ -258,6 +271,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate: exactly one of --preset or --config is required")
     if args.reps is not None and args.reps < 1:
         raise ConfigError(f"--reps: must be >= 1, got {args.reps}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
     if args.workers < 1:
         raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
     if not 0.0 < args.alpha < 1.0:
@@ -280,6 +295,8 @@ def cmd_simulate(args) -> int:
         seed = args.seed if args.seed is not None else _number(doc, "seed", int, "config", 0)
         if reps < 1:
             raise ConfigError(f"replications: must be >= 1, got {reps}")
+        if seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {seed}")
         plan = SimPlan(spec=spec, estimators=configs, replications=reps, seed=seed)
         jobs = [(str(doc.get("name", "config")), plan)]
 

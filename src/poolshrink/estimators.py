@@ -37,7 +37,7 @@ import numpy as np
 
 from .model import ModelSpec, Sample
 from .numerics import QuadratureError, _beta_cont_frac, f_quantile, gauss_jacobi, reg_upper_gamma
-from .statistics import batch_pooled_stats, compute_pooled_stats
+from .statistics import batch_pooled_stats
 
 __all__ = [
     "CONFIG_KINDS",
@@ -511,6 +511,11 @@ def estimate(sample: Sample, spec: ModelSpec, config: EstimatorConfig) -> np.nda
 # ---------------------------------------------------------------------------
 
 
+def _nu_hat(sample: Sample, spec: ModelSpec) -> np.ndarray:
+    nu, _, _ = batch_pooled_stats(spec, sample.X[np.newaxis], np.array([sample.S]))
+    return nu[0]
+
+
 def bayes_oracle_uniform(
     sample: Sample, spec: ModelSpec, tau2: float, sigma2: float
 ) -> np.ndarray:
@@ -518,9 +523,8 @@ def bayes_oracle_uniform(
     X_1 - (sigma2/(tau2 + sigma2))(X_1 - nu_hat)."""
     if not (tau2 > 0.0 and sigma2 > 0.0):
         raise ValueError("tau2 and sigma2 must be positive")
-    st = compute_pooled_stats(sample, spec.V, spec.Q)
     w = sigma2 / (tau2 + sigma2)
-    return sample.X[0] - w * (sample.X[0] - st.nu_hat)
+    return sample.X[0] - w * (sample.X[0] - _nu_hat(sample, spec))
 
 
 def bayes_oracle_normal(
@@ -531,7 +535,7 @@ def bayes_oracle_normal(
     sigma2/(gamma2 + tau2 + sigma2)."""
     if not (tau2 > 0.0 and gamma2 > 0.0 and sigma2 > 0.0):
         raise ValueError("tau2, gamma2 and sigma2 must be positive")
-    st = compute_pooled_stats(sample, spec.V, spec.Q)
+    nu = _nu_hat(sample, spec)
     w1 = sigma2 / (tau2 + sigma2)
     w2 = sigma2 / (gamma2 + tau2 + sigma2)
-    return sample.X[0] - w1 * (sample.X[0] - st.nu_hat) - w2 * st.nu_hat
+    return sample.X[0] - w1 * (sample.X[0] - nu) - w2 * nu

@@ -16,7 +16,7 @@ import numpy as np
 
 from .numerics import symmetrize, validate_spd
 
-__all__ = ["ModelSpec", "Sample", "loss", "sample_draw", "scalar_spec", "validate_spec"]
+__all__ = ["ModelSpec", "Sample", "scalar_spec", "validate_spec"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +77,7 @@ class ModelSpec:
     def v_inv(self) -> np.ndarray:
         """Inverses of the scale matrices, stacked (k, p, p); used by the
         pooled statistics."""
-        eye = np.eye(self.p)
-        return np.stack([np.linalg.solve(v, eye) for v in self.V])
+        return np.linalg.inv(np.stack(self.V))
 
     @cached_property
     def precision(self) -> np.ndarray:
@@ -177,30 +176,3 @@ def validate_spec(spec: ModelSpec) -> list[str]:
             errors.append("V: V[0] - A is not positive definite")
     return errors
 
-
-def sample_draw(spec: ModelSpec, rng: np.random.Generator) -> Sample:
-    """Draw one sample: X_i = mu_i + L_i z_i with L_i the cached Cholesky
-    factor of sigma^2 V_i, and S = sigma^2 * Gamma(n/2, scale=2).
-
-    The gamma draw is exactly a sigma^2-scaled chi-square with n degrees
-    of freedom but costs O(1) regardless of n.
-    """
-    z = rng.standard_normal((spec.k, spec.p))
-    x = spec.mu_stack + np.einsum("kij,kj->ki", spec.chol_scaled, z)
-    s = spec.sigma2 * rng.gamma(0.5 * spec.n, 2.0)
-    return Sample(X=x, S=float(s))
-
-
-def loss(delta: np.ndarray, mu1: np.ndarray, sigma2: float, Q: np.ndarray) -> float:
-    """Scaled quadratic loss (delta - mu1)' Q (delta - mu1) / sigma2."""
-    delta = np.asarray(delta, dtype=float).reshape(-1)
-    mu1 = np.asarray(mu1, dtype=float).reshape(-1)
-    Q = np.asarray(Q, dtype=float)
-    if delta.shape != mu1.shape or Q.shape != (delta.size, delta.size):
-        raise ValueError(
-            f"dimension mismatch: delta {delta.shape}, mu1 {mu1.shape}, Q {Q.shape}"
-        )
-    if not sigma2 > 0.0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    diff = delta - mu1
-    return float(diff @ Q @ diff) / sigma2

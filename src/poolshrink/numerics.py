@@ -49,8 +49,8 @@ def symmetrize(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return the symmetric part of ``m`` after checking ``m`` is symmetric
     to within a 1e-12 relative tolerance."""
     m = _as_square(m, name)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m - m.T))) > SYM_RTOL * scale:
+    scale = max(1.0, float(abs(m).max()))
+    if float(abs(m - m.T).max()) > SYM_RTOL * scale:
         raise ValueError(f"{name} is not symmetric (relative tolerance {SYM_RTOL})")
     return 0.5 * (m + m.T)
 

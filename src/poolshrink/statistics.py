@@ -2,10 +2,10 @@
 
 The pooled scale matrix A = (sum_i V_i^{-1})^{-1} and the precision-weighted
 pooled mean nu_hat = A sum_i V_i^{-1} X_i are the common-mean estimates under
-the hypothesis of equal means.  F, G and B are the scale-free quadratic forms
+the hypothesis of equal means.  F and G are the scale-free quadratic forms
 driving every shrinkage rule: F measures dispersion of the X_i around nu_hat,
-G the size of nu_hat itself, and B the loss-weighted share of the first
-population's deviation.
+G the size of nu_hat itself.  B, the loss-weighted share of the first
+population's deviation, is ``linear_bound_check`` at d = e_1.
 
 Two quadratic-form inequalities are exposed as checkable quantities:
 ``pooled_deviance_gap`` (the dispersion sum dominates the first population's
@@ -16,84 +16,47 @@ characteristic root).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .model import ModelSpec, Sample
+from .model import ModelSpec
 from .numerics import chmax_product
 
 __all__ = [
-    "PooledStats",
     "batch_pooled_stats",
-    "compute_pooled_stats",
     "lincomb_deviation_matrix",
     "linear_bound_check",
     "pooled_deviance_gap",
-    "pooled_matrix",
-    "pooled_mean",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class PooledStats:
-    """Pooled scale matrix, pooled mean and the three test statistics for
-    one sample."""
-
-    A: np.ndarray
-    nu_hat: np.ndarray
-    F: float
-    G: float
-    B: float
-
-
 def _stack_spd(V: Sequence[np.ndarray]) -> np.ndarray:
-    vs = np.stack([np.asarray(v, dtype=float) for v in V])
+    vs = np.asarray(V, dtype=float)
     if vs.ndim != 3 or vs.shape[1] != vs.shape[2]:
         raise ValueError(f"V must be a list of square matrices, got shape {vs.shape}")
     return vs
 
 
-def _precision_sum(vs: np.ndarray) -> np.ndarray:
-    """sum_i V_i^{-1} via SPD solves (never explicit inverses)."""
-    eye = np.eye(vs.shape[1])
-    total = np.zeros_like(eye)
-    for v in vs:
-        total += np.linalg.solve(v, eye)
-    return 0.5 * (total + total.T)
-
-
-def pooled_matrix(V: Sequence[np.ndarray]) -> np.ndarray:
-    """A = (sum_i V_i^{-1})^{-1}, symmetrized."""
+def _pooled_deviations(V: Sequence[np.ndarray], X: Sequence[np.ndarray]):
+    """The stacked V, A, the deviations X_i - nu_hat and the dispersion sum
+    sum_i (X_i - nu_hat)' V_i^{-1} (X_i - nu_hat) for one sample, from one
+    batched inverse of the V_i."""
     vs = _stack_spd(V)
-    prec = _precision_sum(vs)
-    a = np.linalg.solve(prec, np.eye(vs.shape[1]))
-    return 0.5 * (a + a.T)
-
-
-def pooled_mean(V: Sequence[np.ndarray], X: Sequence[np.ndarray]) -> np.ndarray:
-    """nu_hat = A sum_i V_i^{-1} X_i, the precision-weighted mean."""
-    vs = _stack_spd(V)
-    xs = np.stack([np.asarray(x, dtype=float).reshape(-1) for x in X])
+    xs = np.asarray(X, dtype=float)
+    xs = xs.reshape(len(xs), -1)
     if xs.shape != (vs.shape[0], vs.shape[1]):
         raise ValueError(
             f"X must hold {vs.shape[0]} vectors of length {vs.shape[1]}, got {xs.shape}"
         )
-    weighted = np.zeros(vs.shape[1])
-    for v, x in zip(vs, xs):
-        weighted += np.linalg.solve(v, x)
-    return np.linalg.solve(_precision_sum(vs), weighted)
-
-
-def _deviations(V: Sequence[np.ndarray], X: Sequence[np.ndarray]):
-    vs = _stack_spd(V)
-    xs = np.stack([np.asarray(x, dtype=float).reshape(-1) for x in X])
-    nu = pooled_mean(vs, xs)
+    v_inv = np.linalg.inv(vs)
+    prec = v_inv.sum(axis=0)
+    a = np.linalg.inv(0.5 * (prec + prec.T))
+    a = 0.5 * (a + a.T)
+    nu = a @ np.einsum("kij,kj->i", v_inv, xs)
     dev = xs - nu
-    # Quadratic forms (x_i - nu)' V_i^{-1} (x_j - nu) arrive via solves.
-    solved = np.stack([np.linalg.solve(v, d) for v, d in zip(vs, dev)])
-    return vs, xs, nu, dev, solved
+    dispersion = float(np.einsum("ki,kij,kj->", dev, v_inv, dev))
+    return vs, a, dev, dispersion
 
 
 def batch_pooled_stats(spec: ModelSpec, X: np.ndarray, S: np.ndarray):
@@ -117,23 +80,6 @@ def batch_pooled_stats(spec: ModelSpec, X: np.ndarray, S: np.ndarray):
     return nu, f_stat, g_stat
 
 
-def compute_pooled_stats(sample: Sample, V: Sequence[np.ndarray], Q: np.ndarray) -> PooledStats:
-    """All pooled quantities for one sample in a single pass, by SPD solves.
-
-    The solve-based reference for ``batch_pooled_stats``; it also returns A
-    and B, which no estimator needs."""
-    if not sample.S > 0.0:
-        raise ValueError(f"S must be positive, got {sample.S}")
-    vs, xs, nu, dev, solved = _deviations(V, sample.X)
-    prec = _precision_sum(vs)
-    a = np.linalg.solve(prec, np.eye(vs.shape[1]))
-    denom = float(np.sum(dev * solved))
-    f = denom / sample.S
-    g = float(nu @ prec @ nu) / sample.S
-    b = float(dev[0] @ np.asarray(Q, dtype=float) @ dev[0]) / denom if denom > 0.0 else float("nan")
-    return PooledStats(A=0.5 * (a + a.T), nu_hat=nu, F=f, G=g, B=b)
-
-
 def pooled_deviance_gap(X: Sequence[np.ndarray], V: Sequence[np.ndarray]) -> float:
     """LHS - RHS of the dispersion inequality
 
@@ -142,27 +88,24 @@ def pooled_deviance_gap(X: Sequence[np.ndarray], V: Sequence[np.ndarray]) -> flo
 
     Nonnegative for every input; identically zero when k = 2.
     """
-    vs, xs, nu, dev, solved = _deviations(V, X)
+    vs, a, dev, dispersion = _pooled_deviations(V, X)
     if vs.shape[0] < 2:
         raise ValueError("at least two populations are required")
-    lhs = float(np.sum(dev * solved))
-    m = vs[0] - pooled_matrix(vs)
-    rhs = float(dev[0] @ np.linalg.solve(m, dev[0]))
-    return lhs - rhs
+    rhs = float(dev[0] @ np.linalg.solve(vs[0] - a, dev[0]))
+    return dispersion - rhs
 
 
 def lincomb_deviation_matrix(
-    V: Sequence[np.ndarray], d: Sequence[float], A: np.ndarray | None = None
+    V: Sequence[np.ndarray], d: Sequence[float], A: np.ndarray
 ) -> np.ndarray:
     """M_d = sum_i d_i^2 V_i - (sum_i d_i)^2 A, the scale matrix of the
     weighted deviation sum_i d_i (X_i - nu_hat); always positive
-    semidefinite.  A is solved from V unless given."""
+    semidefinite."""
     vs = _stack_spd(V)
     dv = np.asarray(d, dtype=float).reshape(-1)
     if dv.size != vs.shape[0]:
         raise ValueError(f"expected {vs.shape[0]} weights, got {dv.size}")
-    a = np.linalg.solve(_precision_sum(vs), np.eye(vs.shape[1])) if A is None else A
-    m = np.einsum("i,ijk->jk", dv**2, vs) - float(dv.sum()) ** 2 * a
+    m = np.einsum("i,ijk->jk", dv**2, vs) - float(dv.sum()) ** 2 * A
     return 0.5 * (m + m.T)
 
 
@@ -179,16 +122,17 @@ def linear_bound_check(
         B_value = (sum_i d_i y_i)' Q (sum_i d_i y_i) / sum_j y_j' V_j^{-1} y_j,
         bound   = Ch_max(M_d Q),
 
-    where y_i = x_i - nu_hat.  B_value <= bound always holds.
+    where y_i = x_i - nu_hat.  B_value <= bound always holds; at d = e_1,
+    B_value is the statistic B.
     """
-    vs, xs, nu, dev, solved = _deviations(V, X)
+    vs, a, dev, dispersion = _pooled_deviations(V, X)
     dv = np.asarray(d, dtype=float).reshape(-1)
     if dv.size != vs.shape[0]:
         raise ValueError(f"expected {vs.shape[0]} weights, got {dv.size}")
-    denom = float(np.sum(dev * solved))
-    if denom <= 0.0:
+    if dispersion <= 0.0:
         raise ValueError("all observations coincide with the pooled mean: B is undefined")
+    q = np.asarray(Q, dtype=float)
     combo = dv @ dev
-    b_value = float(combo @ np.asarray(Q, dtype=float) @ combo) / denom
-    bound = chmax_product(lincomb_deviation_matrix(vs, dv), np.asarray(Q, dtype=float))
+    b_value = float(combo @ q @ combo) / dispersion
+    bound = chmax_product(lincomb_deviation_matrix(vs, dv, a), q)
     return b_value, bound

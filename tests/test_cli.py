@@ -289,6 +289,40 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == "" and "model.p" in out.err
 
+    @pytest.mark.parametrize(
+        "model_fields, extra, field",
+        [
+            ({"n": 10.5}, {}, "model.n"),
+            ({}, {"replications": 1.5}, "config.replications"),
+            ({"sigma2": "Infinity"}, {}, "model.sigma2"),
+            ({}, {"estimators": [{"kind": "EB", "a0": "Infinity"}]}, "estimators[0].a0"),
+            ({}, {"seed": -1}, "seed"),
+            ({"mu": [float("inf"), 0, 0, 0, 0]}, {}, "model.mu[0]"),
+            ({"Q": float("nan")}, {}, "model.Q"),
+            ({}, {"replications": True}, "config.replications"),
+        ],
+        ids=[
+            "n_10.5", "replications_1.5", "sigma2_infinity", "a0_infinity", "seed_-1",
+            "mu_infinity", "q_nan", "replications_true",
+        ],
+    )
+    def test_bad_config_number_names_the_field(
+        self, tmp_path, capsys, model_fields, extra, field
+    ):
+        # Non-integral int fields used to be truncated, non-finite numbers and
+        # booleans to pass parsing, and a negative seed to fail at the first
+        # draw.
+        extra = dict({"replications": 50}, **extra)
+        cfg = self._config(tmp_path, dict(BENCH_MODEL, **model_fields), **extra)
+        assert main(["simulate", "--config", cfg]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"error: {field}:" in out.err
+
+    def test_negative_seed_option_rejected(self, capsys):
+        assert main(["simulate", "--preset", "table1", "--reps", "10", "--seed", "-1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--seed" in out.err
+
     def test_singular_v1_with_inverse_q(self, tmp_path, capsys):
         model = dict(BENCH_MODEL, V=[[[0.0] * 5] * 5, 0.2, 0.3, 0.4, 0.5])
         assert main(["check", "--config", self._config(tmp_path, model)]) == 2

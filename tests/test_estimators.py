@@ -2,6 +2,8 @@
 hierarchical Bayes shrink function against brute-force oracles.  Each kind
 is evaluated through ``estimate``, the B = 1 call of its batched rule."""
 
+from types import SimpleNamespace
+
 import mpmath
 import numpy as np
 import pytest
@@ -16,9 +18,10 @@ from poolshrink.estimators import (
     pt_threshold,
 )
 from poolshrink import estimators
-from poolshrink.model import Sample, sample_draw, scalar_spec
+from poolshrink.model import Sample, scalar_spec
 from poolshrink.numerics import QuadratureError
-from poolshrink.statistics import compute_pooled_stats
+from poolshrink.risksim import _draw_chunk
+from poolshrink.statistics import batch_pooled_stats
 
 BENCH_A = -7.72  # HB constant for the benchmark model (c=1, L=0)
 
@@ -28,7 +31,15 @@ def benchmark_spec(mu=(0, 0, 0, 0, 0)):
 
 
 def random_sample(spec, seed):
-    return sample_draw(spec, np.random.default_rng(seed))
+    """The engine's first replication at ``seed``."""
+    xs, ss = _draw_chunk(spec, seed, 0, 1)
+    return Sample(X=xs[0], S=ss[0])
+
+
+def pooled_stats(sample, spec):
+    """nu_hat, F and G of one sample: batch_pooled_stats on a batch of one."""
+    nu, F, G = batch_pooled_stats(spec, sample.X[np.newaxis], np.array([sample.S]))
+    return SimpleNamespace(nu_hat=nu[0], F=F[0], G=G[0])
 
 
 # One helper per kind, each going through estimate().
@@ -338,14 +349,14 @@ class TestClassEstimates:
     def test_identity_phi_returns_pooled(self):
         spec = benchmark_spec()
         sample = random_sample(spec, 4)
-        st = compute_pooled_stats(sample, spec.V, spec.Q)
+        st = pooled_stats(sample, spec)
         out = class1_estimate(sample, spec, lambda f, s: f)
         np.testing.assert_allclose(out, st.nu_hat, rtol=1e-10)
 
     def test_clipped_phi_midpoint(self):
         spec = benchmark_spec()
         sample = random_sample(spec, 5)
-        st = compute_pooled_stats(sample, spec.V, spec.Q)
+        st = pooled_stats(sample, spec)
         a0 = st.F / 2.0
         out = class1_estimate(sample, spec, lambda f, s: np.minimum(a0, f))
         expected = sample.X[0] - 0.5 * (sample.X[0] - st.nu_hat)
@@ -368,14 +379,14 @@ class TestEbEstimate:
     def test_full_shrink_when_f_small(self):
         spec = benchmark_spec()
         sample = random_sample(spec, 7)
-        st = compute_pooled_stats(sample, spec.V, spec.Q)
+        st = pooled_stats(sample, spec)
         out = eb_estimate(sample, spec, a0=st.F * 2.0)
         np.testing.assert_allclose(out, st.nu_hat, rtol=1e-12)
 
     def test_partial_shrink_formula(self):
         spec = benchmark_spec()
         sample = random_sample(spec, 8)
-        st = compute_pooled_stats(sample, spec.V, spec.Q)
+        st = pooled_stats(sample, spec)
         a0 = st.F / 4.0
         out = eb_estimate(sample, spec, a0)
         expected = sample.X[0] - 0.25 * (sample.X[0] - st.nu_hat)
@@ -387,7 +398,7 @@ class TestHbEstimate:
         spec = benchmark_spec(mu=(1, 0, -1, 2, 0))
         for seed in range(20):
             sample = random_sample(spec, seed)
-            st = compute_pooled_stats(sample, spec.V, spec.Q)
+            st = pooled_stats(sample, spec)
             out = hb_estimate(sample, spec, BENCH_A, 1.0, 0.0)
             factor = np.divide(
                 sample.X[0] - out,
@@ -434,7 +445,7 @@ class TestHebEstimate:
     def test_double_shrink_formula(self):
         spec = benchmark_spec()
         sample = random_sample(spec, 11)
-        st = compute_pooled_stats(sample, spec.V, spec.Q)
+        st = pooled_stats(sample, spec)
         a0, b0 = 3.0 / 44.0, 3.0 / 44.0
         out = heb_estimate(sample, spec, a0, b0)
         expected = (
@@ -455,14 +466,14 @@ class TestBayesOracles:
     def test_point_prior_limit(self):
         spec = benchmark_spec()
         sample = random_sample(spec, 13)
-        st = compute_pooled_stats(sample, spec.V, spec.Q)
+        st = pooled_stats(sample, spec)
         out = bayes_oracle_uniform(sample, spec, tau2=1e-12, sigma2=1.0)
         np.testing.assert_allclose(out, st.nu_hat, atol=1e-9)
 
     def test_equal_variances_midpoint(self):
         spec = benchmark_spec()
         sample = random_sample(spec, 14)
-        st = compute_pooled_stats(sample, spec.V, spec.Q)
+        st = pooled_stats(sample, spec)
         out = bayes_oracle_uniform(sample, spec, tau2=1.0, sigma2=1.0)
         np.testing.assert_allclose(out, 0.5 * (sample.X[0] + st.nu_hat), rtol=1e-12)
 
@@ -476,7 +487,7 @@ class TestBayesOracles:
     def test_unit_variances_arithmetic(self):
         spec = benchmark_spec()
         sample = random_sample(spec, 16)
-        st = compute_pooled_stats(sample, spec.V, spec.Q)
+        st = pooled_stats(sample, spec)
         out = bayes_oracle_normal(sample, spec, tau2=1.0, gamma2=1.0, sigma2=1.0)
         expected = sample.X[0] - 0.5 * (sample.X[0] - st.nu_hat) - st.nu_hat / 3.0
         np.testing.assert_allclose(out, expected, rtol=1e-12)
@@ -504,7 +515,7 @@ class TestLincombEstimate:
     def test_equal_weights_linearity(self):
         spec = benchmark_spec()
         sample = random_sample(spec, 19)
-        st = compute_pooled_stats(sample, spec.V, spec.Q)
+        st = pooled_stats(sample, spec)
         phi = lambda f, s: np.minimum(0.2, f)
         d = np.full(5, 1.0 / 5.0)
         out = lincomb_estimate(sample, spec, d, phi)
@@ -558,7 +569,7 @@ class TestEstimatorConfig:
         # estimate() against each kind's formula written out with solves.
         spec = benchmark_spec()
         sample = random_sample(spec, 20)
-        st = compute_pooled_stats(sample, spec.V, spec.Q)
+        st = pooled_stats(sample, spec)
         x1, nu, F, G, S = sample.X[0], st.nu_hat, st.F, st.G, sample.S
         norm2 = float(x1 @ np.linalg.solve(spec.V[0], x1))
         hb = phi_hb(F, S, 5, 5, 20, BENCH_A, 1.0, 0.0) / F

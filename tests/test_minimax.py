@@ -59,12 +59,10 @@ class TestDoubleShrinkageReport:
     def test_q_inverse_pooled_ratio_is_dimension(self):
         rng = np.random.default_rng(0)
         V = [random_spd(rng, 4) for _ in range(3)]
-        from poolshrink.statistics import pooled_matrix
-
-        a = pooled_matrix(V)
+        mu = tuple(np.zeros(4) for _ in range(3))
+        a = ModelSpec(p=4, k=3, n=12, V=tuple(V), Q=np.eye(4), sigma2=1.0, mu=mu).A
         spec = ModelSpec(
-            p=4, k=3, n=12, V=tuple(V), Q=np.linalg.inv(a), sigma2=1.0,
-            mu=tuple(np.zeros(4) for _ in range(3)),
+            p=4, k=3, n=12, V=tuple(V), Q=np.linalg.inv(a), sigma2=1.0, mu=mu,
         )
         rep = double_shrinkage_report(spec)
         assert rep.ratio_pooled == pytest.approx(4.0, rel=1e-9)

@@ -1,9 +1,11 @@
-"""Model construction, validation, sampling moments and the quadratic loss."""
+"""Model construction, validation, and the moments and loss of the
+engine's draws."""
 
 import numpy as np
 import pytest
 
-from poolshrink.model import ModelSpec, loss, sample_draw, scalar_spec, validate_spec
+from poolshrink.model import ModelSpec, scalar_spec, validate_spec
+from poolshrink.risksim import _CHUNK_SIZE, _batch_loss, _draw_chunk
 
 
 def benchmark_spec(mu=(0, 0, 0, 0, 0), sigma2=2.0):
@@ -53,28 +55,35 @@ class TestValidateSpec:
         assert any(msg.startswith("mu:") for msg in errors)
 
 
+def engine_draws(spec, seed, reps):
+    """The first ``reps`` replications the engine draws at ``seed``, read
+    chunk by chunk."""
+    chunks, tail = divmod(reps, _CHUNK_SIZE)
+    parts = [_draw_chunk(spec, seed, c) for c in range(chunks)]
+    if tail:
+        parts.append(_draw_chunk(spec, seed, chunks, tail))
+    return np.concatenate([x for x, _ in parts]), np.concatenate([s for _, s in parts])
+
+
 class TestSampleDraw:
     def test_degenerate_scale_collapses_to_means(self):
         spec = benchmark_spec(mu=(1, 2, 3, 4, 5), sigma2=1e-20)
-        sample = sample_draw(spec, np.random.default_rng(0))
-        np.testing.assert_allclose(sample.X, spec.mu_stack, atol=1e-8)
-        assert 0.0 < sample.S < 1e-8
+        xs, ss = _draw_chunk(spec, 0, 0, 1)
+        np.testing.assert_allclose(xs[0], spec.mu_stack, atol=1e-8)
+        assert 0.0 < ss[0] < 1e-8
 
     def test_same_seed_reproduces_bit_for_bit(self):
         spec = benchmark_spec()
-        s1 = sample_draw(spec, np.random.default_rng(42))
-        s2 = sample_draw(spec, np.random.default_rng(42))
-        assert np.array_equal(s1.X, s2.X)
-        assert s1.S == s2.S
+        x1, s1 = _draw_chunk(spec, 42, 0)
+        x2, s2 = _draw_chunk(spec, 42, 0)
+        assert np.array_equal(x1, x2)
+        assert np.array_equal(s1, s2)
 
     def test_empirical_mean_of_x1(self):
         spec = benchmark_spec(mu=(0.7, -0.3, 0.1, 0.0, 1.5))
         reps = 100_000
-        rng = np.random.default_rng(11)
-        total = np.zeros(spec.p)
-        for _ in range(reps):
-            total += sample_draw(spec, rng).X[0]
-        mean = total / reps
+        xs, _ = engine_draws(spec, 11, reps)
+        mean = xs[:, 0, :].mean(axis=0)
         # Var(X1[j]) = sigma2 * V1[j,j] = 2 * 0.1
         bound = 4.0 * np.sqrt(spec.sigma2 * 0.1 / reps)
         np.testing.assert_allclose(mean, spec.mu[0], atol=bound)
@@ -82,35 +91,26 @@ class TestSampleDraw:
     def test_empirical_scale_moment(self):
         spec = benchmark_spec()
         reps = 100_000
-        rng = np.random.default_rng(12)
-        total = 0.0
-        for _ in range(reps):
-            total += sample_draw(spec, rng).S
-        ratio = total / reps / spec.sigma2
+        _, ss = engine_draws(spec, 12, reps)
+        ratio = ss.sum() / reps / spec.sigma2
         assert ratio == pytest.approx(spec.n, abs=4.0 * np.sqrt(2.0 * spec.n / reps))
 
 
 class TestLoss:
+    # _batch_loss is the engine's scaled loss (d - mu_1)' Q (d - mu_1) / sigma2.
     def test_zero_at_target(self):
-        q = np.eye(4)
-        assert loss(np.ones(4), np.ones(4), 2.0, q) == 0.0
+        spec = scalar_spec(4, 2, 10, [1.0, 1.0], 2.0, [1.0, 1.0], q_scalar=1.0)
+        assert _batch_loss(np.ones((1, 4)), spec)[0] == 0.0
 
     def test_direct_arithmetic(self):
-        delta = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-        mu1 = np.zeros(5)
-        assert loss(delta, mu1, 2.0, 10.0 * np.eye(5)) == pytest.approx(5.0)
+        spec = scalar_spec(5, 2, 10, [1.0, 1.0], 2.0, [0.0, 0.0], q_scalar=10.0)
+        delta = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])
+        assert _batch_loss(delta, spec)[0] == pytest.approx(5.0)
 
     def test_unshrunk_risk_matches_trace(self):
         # E[loss(X1)] = tr(V1 Q) = 5 at the benchmark configuration.
         spec = benchmark_spec(mu=(1, 1, 1, 1, 1))
         reps = 100_000
-        rng = np.random.default_rng(13)
-        total = 0.0
-        for _ in range(reps):
-            sample = sample_draw(spec, rng)
-            total += loss(sample.X[0], spec.mu[0], spec.sigma2, spec.Q)
+        xs, _ = engine_draws(spec, 13, reps)
+        total = _batch_loss(xs[:, 0, :], spec).sum()
         assert total / reps == pytest.approx(5.0, abs=4.0 * np.sqrt(2.0 * 5.0 / reps))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            loss(np.ones(3), np.ones(4), 1.0, np.eye(4))
