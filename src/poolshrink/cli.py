@@ -10,8 +10,8 @@ Three subcommands:
 
 Config files are JSON documents with a ``model`` section (scalar-matrix
 shorthand supported: a number c stands for c * I) and an ``estimators``
-list; estimator constants may be omitted, in which case the bound-optimal
-values are derived from the model.
+list; each entry holds only its own kind's constants, and those it omits
+are derived as ``estimators.preset_config`` derives them.
 
 Exit codes: 0 success (and, for ``check``, conditions hold); 1 conditions
 fail; 2 invalid config, data or arguments, reported before any output; 3
@@ -29,14 +29,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, estimate
+from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, estimate, preset_config
 from .minimax import (
     double_shrinkage_report,
     lincomb_shrinkage_report,
     single_shrinkage_report,
 )
 from .model import ModelSpec, Sample, validate_spec
-from .risksim import SimPlan, preset_constants, simulate_risk, table1_preset
+from .risksim import SimPlan, simulate_risk, table1_preset
 from .statistics import batch_pooled_stats
 
 __all__ = ["main"]
@@ -81,12 +81,16 @@ def _number(section: dict, key: str, cast, where: str, default=None):
 
 def _as_shaped(entry, unit: np.ndarray, name: str) -> np.ndarray:
     """Accept the shorthand c -> c * unit (I for matrices, ones for
-    vectors) or a full array of the unit's shape, of finite numbers."""
+    vectors) or a full array of the unit's shape, of finite numbers.  A JSON
+    boolean is not a number here, though numpy reads true as 1."""
+    values = np.asarray(entry, dtype=object)
+    if bool in set(map(type, values.flat)):
+        raise ConfigError(f"{name}: expected numbers, got {entry!r}")
     if isinstance(entry, (int, float)):
         arr = float(entry) * unit
     else:
         try:
-            arr = np.asarray(entry, dtype=float)
+            arr = values.astype(float)
         except (TypeError, ValueError):
             raise ConfigError(f"{name}: expected numbers, got {entry!r}") from None
         if arr.shape != unit.shape:
@@ -139,13 +143,12 @@ def parse_estimators(
     entries, spec: ModelSpec, default_alpha: float
 ) -> tuple[EstimatorConfig, ...]:
     """Build and validate estimator configs; omitted constants become the
-    preset's (bound-optimal ones derived from the model only for the entries
-    that omit them), and omitted entries the five preset estimators."""
+    preset's (see ``preset_config``), and omitted entries the five preset
+    estimators.  An entry may hold only its own kind's fields."""
     if entries is None:
         entries = [{"kind": kind} for kind in CONFIG_KINDS]
     if not isinstance(entries, list) or not entries:
         raise ConfigError("estimators: expected a nonempty list")
-    known = {"kind", "label"}.union(*(ESTIMATORS[kind].fields for kind in CONFIG_KINDS))
     configs = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "kind" not in entry:
@@ -156,58 +159,25 @@ def parse_estimators(
                 f"estimators[{i}]: kind {kind!r} is not supported in config files "
                 f"({', '.join(CONFIG_KINDS)})"
             )
-        unknown = set(entry) - known
-        if unknown:
-            raise ConfigError(f"estimators[{i}]: unknown fields {sorted(unknown)}")
         where = f"estimators[{i}] ({entry.get('label') or kind})"
+        fields = ESTIMATORS[kind].fields
+        unknown = set(entry) - {"kind", "label", *fields}
+        if unknown:
+            raise ConfigError(f"{where}: fields {sorted(unknown)} do not apply to {kind}")
         given = {
             field: _number(entry, field, float, f"estimators[{i}]")
-            for field in ESTIMATORS[kind].fields
+            for field in fields
             if entry.get(field) is not None
         }
         try:
-            values = preset_constants(kind, spec, default_alpha, given)
+            cfg = preset_config(kind, spec, default_alpha, given, entry.get("label"))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        cfg = EstimatorConfig(kind=kind, label=entry.get("label"), **values)
         problems = cfg.validate(spec)
         if problems:
             raise ConfigError(f"{where}: " + "; ".join(problems))
         configs.append(cfg)
     return tuple(configs)
-
-
-def plan_to_config(plan: SimPlan, name: str = "config") -> dict:
-    """Re-serialize a simulation plan as a config document (the inverse of
-    ``parse_model`` + ``parse_estimators`` up to scalar-matrix shorthand).
-    Raises for estimator kinds a config file cannot hold."""
-    spec = plan.spec
-    model = {
-        "p": spec.p,
-        "k": spec.k,
-        "n": spec.n,
-        "sigma2": spec.sigma2,
-        "V": [v.tolist() for v in spec.V],
-        "Q": spec.Q.tolist(),
-        "mu": [m.tolist() for m in spec.mu],
-    }
-    estimators = []
-    for cfg in plan.estimators:
-        if cfg.kind not in CONFIG_KINDS:
-            raise ValueError(f"estimator kind {cfg.kind} cannot be written to a config file")
-        entry: dict = {"kind": cfg.kind}
-        for field in (*ESTIMATORS[cfg.kind].fields, "label"):
-            value = getattr(cfg, field)
-            if value is not None:
-                entry[field] = value
-        estimators.append(entry)
-    return {
-        "name": name,
-        "model": model,
-        "estimators": estimators,
-        "replications": plan.replications,
-        "seed": plan.seed,
-    }
 
 
 def _load_config(path: str) -> dict:

@@ -29,12 +29,13 @@ factor uses its analytic small-F limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
+from .minimax import optimal_eb_constant, optimal_heb_constants, solve_hb_a
 from .model import ModelSpec, Sample
 from .numerics import QuadratureError, _beta_cont_frac, f_quantile, gauss_jacobi, reg_upper_gamma
 from .statistics import batch_pooled_stats
@@ -50,6 +51,7 @@ __all__ = [
     "estimate",
     "hb_small_f_factor",
     "phi_hb",
+    "preset_config",
     "pt_threshold",
 ]
 
@@ -66,7 +68,7 @@ class EstimatorConfig:
       PT      -> alpha in (0, 1)
       JS      -> none
       EB      -> a0 > 0
-      HB      -> a, c (and L >= 0); a > -p(k-1)/2 and a + c < n/2
+      HB      -> a, c and L >= 0 (default 0); a > -p(k-1)/2 and a + c < n/2
       HEB     -> a0 > 0, b0 > 0
       LINCOMB -> d (k weights) and phi
       CLASS1  -> phi
@@ -79,7 +81,7 @@ class EstimatorConfig:
     b0: float | None = None
     a: float | None = None
     c: float | None = None
-    L: float | None = None
+    L: float = 0.0
     d: tuple[float, ...] | None = None
     phi: ShrinkFunction | None = None
     psi: ShrinkFunction | None = None
@@ -344,8 +346,7 @@ def pt_threshold(p: int, k: int, n: int, alpha: float) -> float:
 # The numeric fields; config files hold exactly the kinds using only these.
 _NUMERIC_FIELDS = ("alpha", "a0", "b0", "a", "c", "L")
 
-# Range of each bounded field.  Every field a kind uses is required except
-# L, which defaults to 0.
+# Range of each bounded field.  Every field a kind uses is required.
 _FIELD_RANGES = {
     "alpha": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
     "a0": ("positive", lambda v: v > 0.0),
@@ -359,8 +360,7 @@ def _field_errors(cfg: EstimatorConfig, fields: tuple[str, ...]) -> list[str]:
     for field in fields:
         value = getattr(cfg, field)
         if value is None:
-            if field != "L":
-                errors.append(f"{field}: required for {cfg.kind}")
+            errors.append(f"{field}: required for {cfg.kind}")
         elif field in _FIELD_RANGES and not _FIELD_RANGES[field][1](value):
             errors.append(f"{field}: must be {_FIELD_RANGES[field][0]}, got {value}")
     return errors
@@ -389,15 +389,19 @@ def _check_weights(cfg, spec):
 
 @dataclass(frozen=True)
 class EstimatorKind:
-    """One estimator kind: the config fields it uses, its batched rule, and
-    the checks its fields need beyond ``_FIELD_RANGES`` (given the model).
+    """One estimator kind: the config fields it uses, its batched rule, the
+    checks its fields need beyond ``_FIELD_RANGES`` (given the model), and
+    its bound-optimal constants, if it has any.
 
     The rule maps (config, spec, X (B, k, p), S (B,), nu_hat (B, p), F (B,),
-    G (B,)) to the B estimates, shape (B, p)."""
+    G (B,)) to the B estimates, shape (B, p).  ``optimal`` maps (config,
+    spec) to the bound-optimal values of the config's constants, which may
+    depend on the constants the config already holds."""
 
     fields: tuple[str, ...]
     rule: Callable[..., np.ndarray]
     check: Callable[[EstimatorConfig, ModelSpec | None], list[str]] = _no_checks
+    optimal: Callable[[EstimatorConfig, ModelSpec], dict] | None = None
 
 
 def _shrink(X: np.ndarray, nu: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -448,10 +452,9 @@ def _eb_rule(cfg, spec, X, S, nu, F, G):
 def _hb_rule(cfg, spec, X, S, nu, F, G):
     """X_1 - (phi_hb(F, S)/F)(X_1 - nu_hat), with the small-F factor
     (q+a)/(q+a+1) at F = 0."""
-    ell = cfg.L if cfg.L is not None else 0.0
     factor = np.full_like(F, hb_small_f_factor(spec.p, spec.k, cfg.a))
     pos = F > 0.0
-    factor[pos] = phi_hb(F[pos], S[pos], spec.p, spec.k, spec.n, cfg.a, cfg.c, ell) / F[pos]
+    factor[pos] = phi_hb(F[pos], S[pos], spec.p, spec.k, spec.n, cfg.a, cfg.c, cfg.L) / F[pos]
     return _shrink(X, nu, factor)
 
 
@@ -482,9 +485,19 @@ def _lincomb_rule(cfg, spec, X, S, nu, F, G):
 ESTIMATORS: dict[str, EstimatorKind] = {
     "PT": EstimatorKind(("alpha",), _pt_rule),
     "JS": EstimatorKind((), _js_rule),
-    "EB": EstimatorKind(("a0",), _eb_rule),
-    "HB": EstimatorKind(("a", "c", "L"), _hb_rule, _check_hb),
-    "HEB": EstimatorKind(("a0", "b0"), _heb_rule),
+    "EB": EstimatorKind(
+        ("a0",), _eb_rule, optimal=lambda cfg, spec: {"a0": optimal_eb_constant(spec)}
+    ),
+    # a puts the supremum (p(k-1) + 2a)/(n - 2(a + c)) of phi_hb at the
+    # double-shrinkage bound, so it is solved at the config's own c.
+    "HB": EstimatorKind(
+        ("a", "c", "L"), _hb_rule, _check_hb,
+        optimal=lambda cfg, spec: {"a": solve_hb_a(spec, c=cfg.c)},
+    ),
+    "HEB": EstimatorKind(
+        ("a0", "b0"), _heb_rule,
+        optimal=lambda cfg, spec: dict(zip(("a0", "b0"), optimal_heb_constants(spec))),
+    ),
     "LINCOMB": EstimatorKind(("d", "phi"), _lincomb_rule, _check_weights),
     "CLASS1": EstimatorKind(("phi",), _class1_rule),
     "CLASS2": EstimatorKind(("phi", "psi"), _class2_rule),
@@ -492,6 +505,29 @@ ESTIMATORS: dict[str, EstimatorKind] = {
 CONFIG_KINDS = tuple(
     kind for kind, entry in ESTIMATORS.items() if set(entry.fields) <= set(_NUMERIC_FIELDS)
 )
+
+
+def preset_config(
+    kind: str,
+    spec: ModelSpec,
+    alpha: float = 0.05,
+    given: dict | None = None,
+    label: str | None = None,
+) -> EstimatorConfig:
+    """The config of a ``kind`` estimator with the constants in ``given``
+    and, for the fields it omits, the preset's: ``alpha`` for PT, c = 1 for
+    HB, the field defaults, and the bound-optimal a0, b0 and a derived from
+    the model (HB's a at the config's c).
+
+    The bound-optimal constants are derived only when one is omitted, so a
+    model without them still runs the kinds that do not need them."""
+    entry = ESTIMATORS[kind]
+    values = {"alpha": alpha, "c": 1.0, **(given or {})}
+    values = {field: values[field] for field in entry.fields if field in values}
+    cfg = EstimatorConfig(kind=kind, label=label, **values)
+    if entry.optimal is not None and any(getattr(cfg, field) is None for field in entry.fields):
+        cfg = replace(cfg, **{**entry.optimal(cfg, spec), **values})
+    return cfg
 
 
 def estimate(sample: Sample, spec: ModelSpec, config: EstimatorConfig) -> np.ndarray:

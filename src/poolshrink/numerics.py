@@ -20,7 +20,6 @@ __all__ = [
     "gauss_jacobi",
     "reg_inc_beta",
     "reg_upper_gamma",
-    "sym_sqrt",
     "trace_product",
     "validate_spd",
 ]
@@ -46,9 +45,11 @@ def _as_square(m: np.ndarray, name: str) -> np.ndarray:
 
 
 def symmetrize(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Return the symmetric part of ``m`` after checking ``m`` is symmetric
-    to within a 1e-12 relative tolerance."""
+    """Return the symmetric part of ``m`` after checking ``m`` is finite and
+    symmetric to within a 1e-12 relative tolerance."""
     m = _as_square(m, name)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has non-finite entries")
     scale = max(1.0, float(abs(m).max()))
     if float(abs(m - m.T).max()) > SYM_RTOL * scale:
         raise ValueError(f"{name} is not symmetric (relative tolerance {SYM_RTOL})")
@@ -70,15 +71,6 @@ def validate_spd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return ms
 
 
-def sym_sqrt(q: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Symmetric square root of an SPD matrix via its eigendecomposition."""
-    qs = symmetrize(q, name)
-    w, u = np.linalg.eigh(qs)
-    if w[0] <= 0.0:
-        raise ValueError(f"{name} is not positive definite")
-    return (u * np.sqrt(w)) @ u.T
-
-
 def trace_product(m: np.ndarray, q: np.ndarray) -> float:
     """tr(MQ) for symmetric M, Q without forming the product."""
     m = np.asarray(m, dtype=float)
@@ -92,16 +84,19 @@ def chmax_product(m: np.ndarray, q: np.ndarray) -> float:
     """Largest characteristic root of the product MQ.
 
     M must be symmetric positive semidefinite and Q symmetric positive
-    definite.  MQ itself is not symmetric, but it is similar to
-    Q^{1/2} M Q^{1/2}, whose spectrum is real and nonnegative, so the
-    largest eigenvalue is computed from that symmetric matrix.
+    definite.  MQ itself is not symmetric, but with the Cholesky factor
+    Q = LL' it is similar to L'ML, whose spectrum is real and nonnegative,
+    so the largest eigenvalue is computed from that symmetric matrix.
     """
     m = symmetrize(m, "M")
     q = _as_square(q, "Q")
     if m.shape != q.shape:
         raise ValueError(f"dimension mismatch: M {m.shape} vs Q {q.shape}")
-    rq = sym_sqrt(q, "Q")
-    s = rq @ m @ rq
+    try:
+        low = np.linalg.cholesky(symmetrize(q, "Q"))
+    except np.linalg.LinAlgError:
+        raise ValueError("Q is not positive definite") from None
+    s = low.T @ m @ low
     s = 0.5 * (s + s.T)
     lam = float(np.linalg.eigvalsh(s)[-1])
     return max(lam, 0.0)

@@ -21,8 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, estimate
-from .minimax import optimal_eb_constant, optimal_heb_constants, solve_hb_a
+from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, estimate, preset_config
 from .model import ModelSpec, Sample, scalar_spec, validate_spec
 from .numerics import trace_product
 from .statistics import batch_pooled_stats
@@ -35,7 +34,6 @@ __all__ = [
     "SimulationError",
     "TABLE1_MEANS",
     "chisq_identity_check",
-    "preset_constants",
     "preset_estimators",
     "replication_sample",
     "simulate_risk",
@@ -311,37 +309,10 @@ def _mean_label(means: Sequence[float]) -> str:
     return "(" + ",".join(format(m, "g") for m in means) + ")"
 
 
-# The bound-optimal constants of the benchmark experiment's kinds, which
-# are the config-file kinds PT, JS, EB, HB and HEB.
-_BOUND_OPTIMAL = {
-    "EB": lambda spec: {"a0": optimal_eb_constant(spec)},
-    "HB": lambda spec: {"a": solve_hb_a(spec, c=1.0)},
-    "HEB": lambda spec: dict(zip(("a0", "b0"), optimal_heb_constants(spec))),
-}
-
-
-def preset_constants(
-    kind: str, spec: ModelSpec, alpha: float = 0.05, given: dict | None = None
-) -> dict[str, float]:
-    """The constants of a preset-kind estimator: those in ``given`` and, for
-    the fields it omits, the preset's: ``alpha`` for PT, c = 1 and L = 0 for
-    HB, and the bound-optimal a0, b0 and a derived from the model.
-
-    The bound-optimal constants are derived only when one is omitted, so a
-    model without them still runs the kinds that do not need them."""
-    values = {"alpha": alpha, "c": 1.0, "L": 0.0, **(given or {})}
-    fields = ESTIMATORS[kind].fields
-    if any(field not in values for field in fields):
-        values = {**_BOUND_OPTIMAL[kind](spec), **values}
-    return {field: values[field] for field in fields}
-
-
 def preset_estimators(spec: ModelSpec, alpha: float = 0.05) -> tuple[EstimatorConfig, ...]:
     """The five benchmark estimators with bound-optimal constants derived
     from the model: PT(alpha), JS, EB, HB (c=1, L=0), HEB."""
-    return tuple(
-        EstimatorConfig(kind=kind, **preset_constants(kind, spec, alpha)) for kind in CONFIG_KINDS
-    )
+    return tuple(preset_config(kind, spec, alpha) for kind in CONFIG_KINDS)
 
 
 def table1_preset(

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from poolshrink.cli import main
+from poolshrink.cli import main, parse_estimators, parse_model
+from poolshrink.minimax import solve_hb_a
 from poolshrink.numerics import QuadratureError
 
 BENCH_MODEL = {
@@ -187,46 +188,39 @@ class TestEstimate:
         assert main(["estimate", data, "--config", bench_config]) == 2
 
 
-class TestConfigRoundTrip:
-    def test_plan_survives_reserialization(self, tmp_path):
-        from poolshrink.cli import parse_estimators, parse_model, plan_to_config
-        from poolshrink.risksim import SimPlan
+class TestHbConstant:
+    """An omitted HB a is solved at the entry's own c."""
 
+    @staticmethod
+    def _spec():
+        return parse_model(dict(BENCH_MODEL, sigma2=4.0, mu=[0.4, 4, 4, 4, 4]))
+
+    @pytest.mark.parametrize("c, a", [(1.0, -7.72), (2.0, -7.84), (15.0, -9.4)])
+    def test_solved_at_entry_c(self, c, a):
+        spec = self._spec()
+        (cfg,) = parse_estimators([{"kind": "HB", "c": c}], spec, default_alpha=0.05)
+        assert cfg.c == c and cfg.L == 0.0
+        assert cfg.a == solve_hb_a(spec, c=c)
+        assert cfg.a == pytest.approx(a, abs=1e-12)
+
+    def test_given_a_is_kept(self):
+        (cfg,) = parse_estimators([{"kind": "HB", "a": -9.0, "c": 15}], self._spec(), 0.05)
+        assert cfg.a == -9.0
+
+    def test_large_c_risk_stays_below_the_minimax_risk(self, tmp_path, capsys):
+        # With a solved at c = 1 this entry ran at 23 standard errors above
+        # tr(V_1 Q) = 5, a PRIAL of -12%.
         doc = {
-            "model": BENCH_MODEL,
-            "estimators": [
-                {"kind": "PT", "alpha": 0.1},
-                {"kind": "EB", "a0": 0.2},
-                {"kind": "HB"},
-            ],
-            "replications": 123,
-            "seed": 77,
+            "model": dict(BENCH_MODEL, sigma2=4.0, mu=[0.4, 4, 4, 4, 4]),
+            "estimators": [{"kind": "HB", "c": 15}],
+            "replications": 20_000,
+            "seed": 7,
         }
-        spec = parse_model(doc["model"])
-        configs = parse_estimators(doc["estimators"], spec, default_alpha=0.05)
-        plan = SimPlan(spec=spec, estimators=configs, replications=123, seed=77)
-
-        redoc = plan_to_config(plan)
-        spec2 = parse_model(redoc["model"])
-        configs2 = parse_estimators(redoc["estimators"], spec2, default_alpha=0.05)
-        plan2 = SimPlan(
-            spec=spec2,
-            estimators=configs2,
-            replications=redoc["replications"],
-            seed=redoc["seed"],
-        )
-
-        assert plan2.replications == plan.replications
-        assert plan2.seed == plan.seed
-        for v1, v2 in zip(plan.spec.V, plan2.spec.V):
-            np.testing.assert_array_equal(v1, v2)
-        np.testing.assert_array_equal(plan.spec.Q, plan2.spec.Q)
-        for m1, m2 in zip(plan.spec.mu, plan2.spec.mu):
-            np.testing.assert_array_equal(m1, m2)
-        assert [c.kind for c in plan2.estimators] == [c.kind for c in plan.estimators]
-        assert plan2.estimators[0].alpha == plan.estimators[0].alpha
-        assert plan2.estimators[1].a0 == plan.estimators[1].a0
-        assert plan2.estimators[2].a == plan.estimators[2].a
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(path), "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert float(row["risk"]) <= 5.0 + 3.0 * float(row["risk_se"])
 
 
 class TestCheck:
@@ -300,10 +294,13 @@ class TestExitCodes:
             ({"mu": [float("inf"), 0, 0, 0, 0]}, {}, "model.mu[0]"),
             ({"Q": float("nan")}, {}, "model.Q"),
             ({}, {"replications": True}, "config.replications"),
+            ({"V": [True, 0.2, 0.3, 0.4, 0.5]}, {}, "model.V[0]"),
+            ({"Q": [[True, 0, 0, 0, 0]] + np.eye(5)[1:].tolist()}, {}, "model.Q"),
+            ({"mu": [0, 0, False, 0, 0]}, {}, "model.mu[2]"),
         ],
         ids=[
             "n_10.5", "replications_1.5", "sigma2_infinity", "a0_infinity", "seed_-1",
-            "mu_infinity", "q_nan", "replications_true",
+            "mu_infinity", "q_nan", "replications_true", "v_true", "q_true", "mu_false",
         ],
     )
     def test_bad_config_number_names_the_field(
@@ -317,6 +314,24 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg]) == 2
         out = capsys.readouterr()
         assert out.out == "" and f"error: {field}:" in out.err
+
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ({"kind": "EB", "b0": 0.3}, "b0"),
+            ({"kind": "EB", "alpha": 2.0}, "alpha"),
+            ({"kind": "PT", "L": 5}, "L"),
+            ({"kind": "JS", "alpha": 0.5}, "alpha"),
+        ],
+        ids=["eb_b0", "eb_alpha", "pt_l", "js_alpha"],
+    )
+    def test_other_kinds_field_names_entry_and_field(self, tmp_path, capsys, entry, field):
+        # A field of another kind used to be accepted and ignored.
+        cfg = self._config(tmp_path, BENCH_MODEL, estimators=[{"kind": "PT"}, entry])
+        assert main(["simulate", "--config", cfg, "--reps", "50"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"error: estimators[1] ({entry['kind']}): fields ['{field}']" in out.err
 
     def test_negative_seed_option_rejected(self, capsys):
         assert main(["simulate", "--preset", "table1", "--reps", "10", "--seed", "-1"]) == 2

@@ -54,6 +54,17 @@ class TestValidateSpec:
         assert any(msg.startswith("V:") for msg in errors)
         assert any(msg.startswith("mu:") for msg in errors)
 
+    @pytest.mark.parametrize("name", ["Q", "V[0]"])
+    def test_nan_matrix_reported_by_name(self, name):
+        # NaN passed the symmetry test and Cholesky without raising.
+        spec = scalar_spec(3, 2, 10, [1.0, 2.0], 1.0, [0.0, 0.0])
+        nan = np.full((3, 3), np.nan)
+        if name == "Q":
+            bad = ModelSpec(p=3, k=2, n=10, V=spec.V, Q=nan, sigma2=1.0, mu=spec.mu)
+        else:
+            bad = ModelSpec(p=3, k=2, n=10, V=(nan, spec.V[1]), Q=spec.Q, sigma2=1.0, mu=spec.mu)
+        assert f"{name} has non-finite entries" in validate_spec(bad)
+
 
 def engine_draws(spec, seed, reps):
     """The first ``reps`` replications the engine draws at ``seed``, read

@@ -22,7 +22,6 @@ from poolshrink.numerics import (
     gauss_jacobi,
     reg_inc_beta,
     reg_upper_gamma,
-    sym_sqrt,
     symmetrize,
     validate_spd,
 )
@@ -63,12 +62,6 @@ class TestSpdHelpers:
         out = validate_spd(m)
         np.testing.assert_allclose(out, out.T)
 
-    def test_sym_sqrt_squares_back(self):
-        rng = np.random.default_rng(0)
-        q = random_spd(rng, 4)
-        r = sym_sqrt(q)
-        np.testing.assert_allclose(r @ r, q, rtol=1e-12, atol=1e-12)
-
 
 class TestChmaxProduct:
     def test_benchmark_scalar_case(self):
@@ -96,8 +89,14 @@ class TestChmaxProduct:
             chmax_product(np.eye(3), np.eye(4))
 
     def test_q_not_positive_definite(self):
-        with pytest.raises(ValueError, match="not positive definite"):
+        with pytest.raises(ValueError, match="Q is not positive definite"):
             chmax_product(np.eye(3), np.diag([1.0, 1.0, 0.0]))
+        with pytest.raises(ValueError, match="Q is not positive definite"):
+            chmax_product(np.eye(3), np.diag([1.0, -1.0, 2.0]))
+
+    def test_non_finite_q_named(self):
+        with pytest.raises(ValueError, match="Q has non-finite entries"):
+            chmax_product(np.eye(3), np.full((3, 3), np.nan))
 
 
 class TestTraceRatio:

@@ -4,10 +4,13 @@ solve-based reference, and the bound and monotonicity of phi_hb.  The
 derandomized profile in conftest fixes the examples."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from poolshrink.cli import parse_estimators
 from poolshrink.estimators import ESTIMATORS, EstimatorConfig, estimate, phi_hb, pt_threshold
+from poolshrink.minimax import double_shrinkage_report, single_shrinkage_report
 from poolshrink.model import ModelSpec, Sample
 from poolshrink.risksim import _batch_loss
 from poolshrink.statistics import batch_pooled_stats
@@ -213,3 +216,39 @@ def test_phi_hb_positive_l_bounded_and_monotone(p, k, n, c_frac, a_frac, L):
         vals = phi_hb(F, S_GRID, p, k, n, a, c, L)
         assert np.all(np.isfinite(vals))
         assert np.all(np.diff(vals) <= 1e-12 * bound)
+
+
+@st.composite
+def minimax_models(draw):
+    """A dense model whose trace-ratio conditions hold, and a c drawn across
+    HB's admissible range c < (n + p(k-1))/2 of the bound-optimal a."""
+    p = draw(st.integers(3, 10))
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.floats(0.0, 1.0))
+    V = [rng.uniform(0.2, 2.0) * (np.eye(p) + spread * dense_spd(rng, p, 1.0)) for _ in range(k)]
+    Q = np.eye(p) + spread * dense_spd(rng, p, 1.0)
+    spec = ModelSpec(p=p, k=k, n=n, V=tuple(V), Q=Q, sigma2=1.0, mu=tuple(np.zeros((k, p))))
+    assume(double_shrinkage_report(spec).condition_holds)
+    c = draw(st.floats(-1.0, 0.99)) * 0.5 * (n + p * (k - 1))
+    return spec, c
+
+
+@settings(max_examples=40)
+@given(minimax_models())
+def test_config_defaults_meet_their_bounds(model):
+    # The constants a config entry omits: EB and HEB at the midpoints of
+    # their ranges, and HB's a putting sup phi_hb at the double-shrinkage
+    # bound for the entry's own c.
+    spec, c = model
+    entries = [{"kind": "EB"}, {"kind": "HEB"}, {"kind": "HB", "c": c}]
+    eb, heb, hb = parse_estimators(entries, spec, default_alpha=ALPHA)
+    single = single_shrinkage_report(spec)
+    double = double_shrinkage_report(spec)
+    assert eb.a0 == single.phi_upper_single / 2
+    assert (heb.a0, heb.b0) == (double.phi_upper_double / 2, double.psi_upper_double / 2)
+    q2 = spec.p * (spec.k - 1)
+    sup = (q2 + 2.0 * hb.a) / (spec.n - 2.0 * (hb.a + hb.c))
+    assert hb.c == c
+    assert sup == pytest.approx(double.phi_upper_double, rel=1e-12)
