@@ -30,6 +30,7 @@ from .risksim import (
     RiskReport,
     SimPlan,
     chisq_identity_check,
+    simulate_many,
     simulate_risk,
     stein_identity_check,
     table1_preset,

@@ -36,7 +36,9 @@ from .minimax import (
     single_shrinkage_report,
 )
 from .model import ModelSpec, Sample, validate_spec
-from .risksim import SimPlan, simulate_risk, table1_preset
+# ``simulate_risk`` stays importable from here: benchmark/run.py's report tap
+# patches ``cli.simulate_risk``.
+from .risksim import SimPlan, simulate_many, simulate_risk, table1_preset  # noqa: F401
 from .statistics import batch_pooled_stats
 
 __all__ = ["main"]
@@ -220,6 +222,20 @@ def _report_rows(label: str, report) -> list[dict]:
     return rows
 
 
+def _check_finite(label: str, report) -> None:
+    """Raise on a non-finite reported value.  A standard error is undefined,
+    and reported as nan, at a single replication only."""
+    for est in report.estimators:
+        values = {"risk": est.risk, "prial": est.prial}
+        if report.replications > 1:
+            values.update(risk_se=est.std_error, prial_se=est.prial_std_error)
+        bad = [f"{name} = {value}" for name, value in values.items() if not np.isfinite(value)]
+        if bad:
+            raise RuntimeError(
+                f"{label}: estimator {est.name} reported non-finite {', '.join(bad)}"
+            )
+
+
 def _emit(rows: list[dict], fmt: str, out_path: str | None):
     if fmt == "csv":
         buffer = io.StringIO()
@@ -270,9 +286,12 @@ def cmd_simulate(args) -> int:
         plan = SimPlan(spec=spec, estimators=configs, replications=reps, seed=seed)
         jobs = [(str(doc.get("name", "config")), plan)]
 
+    reports = simulate_many([plan for _, plan in jobs], workers=args.workers)
+    # Every value is checked before the first row is written, so a
+    # non-finite result leaves no partial output.
     rows: list[dict] = []
-    for label, plan in jobs:
-        report = simulate_risk(plan, workers=args.workers)
+    for (label, _), report in zip(jobs, reports):
+        _check_finite(label, report)
         rows.extend(_report_rows(label, report))
     _emit(rows, args.format, args.out)
     return EXIT_OK
@@ -326,6 +345,34 @@ def _read_data_file(path: str, p: int, k: int) -> tuple[np.ndarray, float]:
     return x, s_val
 
 
+def _select_estimators(
+    configs: Sequence[EstimatorConfig], wanted: Sequence[str]
+) -> list[EstimatorConfig | None]:
+    """The entry each upper-case name in ``wanted`` selects, or None: the
+    entry of that name (its label, else its kind, in any case), else the one
+    entry of that kind.  Two entries of one name are a config error, and so
+    is selecting by kind among several entries of that kind."""
+    by_name: dict[str, int] = {}
+    by_kind: dict[str, list[int]] = {}
+    for i, cfg in enumerate(configs):
+        first = by_name.setdefault(cfg.name.upper(), i)
+        if first != i:
+            raise ConfigError(
+                f"estimators[{first}] and estimators[{i}] share the name {cfg.name!r}"
+            )
+        by_kind.setdefault(cfg.kind, []).append(i)
+    selected = []
+    for name in wanted:
+        if name in by_name:
+            selected.append(configs[by_name[name]])
+        elif len(by_kind.get(name, ())) > 1:
+            entries = ", ".join(f"estimators[{i}]" for i in by_kind[name])
+            raise ConfigError(f"--estimators {name}: {entries} are all {name}; select one by label")
+        else:
+            selected.append(configs[by_kind[name][0]] if name in by_kind else None)
+    return selected
+
+
 def cmd_estimate(args) -> int:
     doc = _load_config(args.config)
     spec = parse_model(doc.get("model", {}), require_mu=False)
@@ -334,8 +381,8 @@ def cmd_estimate(args) -> int:
 
     wanted = [name.strip().upper() for name in args.estimators.split(",") if name.strip()]
     configs = parse_estimators(doc.get("estimators"), spec, default_alpha=args.alpha)
-    by_kind = {cfg.kind: cfg for cfg in configs}
-    missing = [name for name in wanted if name not in by_kind]
+    selected = _select_estimators(configs, wanted)
+    missing = [name for name, cfg in zip(wanted, selected) if cfg is None]
     if missing:
         raise ConfigError(f"estimators not configured: {', '.join(missing)}")
 
@@ -346,8 +393,7 @@ def cmd_estimate(args) -> int:
     for name, value in values:
         if not np.all(np.isfinite(value)):
             raise RuntimeError(f"{name} is not finite: {value}")
-    for name in wanted:
-        cfg = by_kind[name]
+    for name, cfg in zip(wanted, selected):
         try:
             value = estimate(sample, spec, cfg)
         except Exception as exc:
@@ -420,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument(
         "--estimators",
         default="PT,JS,EB,HB,HEB",
-        help="comma-separated subset of PT,JS,EB,HB,HEB",
+        help="comma-separated estimator names: an entry's label, else its kind",
     )
     est.add_argument("--alpha", type=float, default=0.05, help="PT significance level")
     est.set_defaults(func=cmd_estimate)

@@ -4,11 +4,15 @@ the Stein / chi-square integration-by-parts identities.
 Determinism contract: replications are drawn in fixed chunks of
 ``_CHUNK_SIZE``, chunk c from one RNG stream keyed by (seed, c) and always
 drawn in full, so replication r's draw depends only on (seed, r): not on
-the worker count, nor on the plan's replication count.  Chunk partial sums
-are reduced in chunk order, so a plan produces bit-identical reports for
-any degree of parallelism.  Pool workers are fork-started and inherit the
-plan, so shrink functions need not be picklable; only chunk indices and
-chunk sums cross the process boundary.
+the worker count, nor on the plan's replication count, nor on which other
+plans run beside it.  ``simulate_many`` groups plans that share the seed and
+the noise model (p, k, n, sigma^2 and the Cholesky factors of sigma^2 V_i)
+and draws each chunk once per group; each plan adds its own means to the
+shared draw.  Chunk partial sums are reduced per plan in chunk order, so a
+plan produces bit-identical reports for any degree of parallelism.  A run
+opens at most one pool; its workers are fork-started and inherit the plans,
+so shrink functions need not be picklable; only plan indices, chunk indices
+and chunk sums cross the process boundary.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "chisq_identity_check",
     "preset_estimators",
     "replication_sample",
+    "simulate_many",
     "simulate_risk",
     "stein_identity_check",
     "table1_preset",
@@ -111,17 +116,32 @@ def replication_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
+def _noise_key(plan: SimPlan) -> tuple:
+    """What a chunk's draw depends on besides the chunk index: plans with
+    equal keys share every chunk's draw."""
+    spec = plan.spec
+    return (spec.p, spec.k, spec.n, spec.sigma2, plan.seed, spec.chol_scaled.tobytes())
+
+
+def _draw_noise(spec: ModelSpec, seed: int, chunk: int):
+    """The whole of chunk ``chunk`` without the means: X - mu of shape
+    (_CHUNK_SIZE, k, p) and S of shape (_CHUNK_SIZE,).  The only draw path;
+    it reads nothing of ``spec`` that ``_noise_key`` leaves out."""
+    rng = replication_rng(seed, chunk)
+    z = rng.standard_normal((_CHUNK_SIZE, spec.k, spec.p))
+    noise = np.einsum("kij,bkj->bki", spec.chol_scaled, z, optimize=True)
+    ss = spec.sigma2 * rng.gamma(0.5 * spec.n, 2.0, size=_CHUNK_SIZE)
+    return noise, ss
+
+
 def _draw_chunk(spec: ModelSpec, seed: int, chunk: int, rows: int = _CHUNK_SIZE):
     """Draws for the first ``rows`` replications of chunk ``chunk``: X of
     shape (rows, k, p) and S of shape (rows,).
 
     The whole chunk is drawn and transformed whatever ``rows`` is, so a
     replication's draw does not depend on how many rows are kept."""
-    rng = replication_rng(seed, chunk)
-    z = rng.standard_normal((_CHUNK_SIZE, spec.k, spec.p))
-    xs = spec.mu_stack + np.einsum("kij,bkj->bki", spec.chol_scaled, z, optimize=True)
-    ss = spec.sigma2 * rng.gamma(0.5 * spec.n, 2.0, size=_CHUNK_SIZE)
-    return xs[:rows], ss[:rows]
+    noise, ss = _draw_noise(spec, seed, chunk)
+    return spec.mu_stack + noise[:rows], ss[:rows]
 
 
 def replication_sample(plan: SimPlan, rep: int) -> Sample:
@@ -158,21 +178,19 @@ def _locate_failure(
     return start
 
 
-def _chunk_sums(plan: SimPlan, chunk: int) -> np.ndarray:
-    """Loss accumulators for the plan's replications in chunk ``chunk``.
+def _chunk_sums(plan: SimPlan, start: int, xs: np.ndarray, ss: np.ndarray) -> np.ndarray:
+    """Loss accumulators for the plan's draws ``xs``, ``ss`` of replications
+    ``start``, ``start + 1``, ...
 
     Layout: [count, sum_l1, sumsq_l1] + per estimator [sum_l, sumsq_l,
     sum_d, sumsq_d] where d is the per-replication loss difference
     l1 - l_est on the same draws.
     """
-    start = chunk * _CHUNK_SIZE
-    rows = min(_CHUNK_SIZE, plan.replications - start)
     spec = plan.spec
     n_est = len(plan.estimators)
     out = np.zeros(3 + 4 * n_est)
-    out[0] = rows
+    out[0] = len(ss)
 
-    xs, ss = _draw_chunk(spec, plan.seed, chunk, rows)
     base_loss = _batch_loss(xs[:, 0, :], spec)
     out[1] = base_loss.sum()
     out[2] = (base_loss**2).sum()
@@ -198,18 +216,36 @@ def _chunk_sums(plan: SimPlan, chunk: int) -> np.ndarray:
     return out
 
 
-# The plan of a pool worker process, set once by ``_adopt_plan`` when the
+# The plans of a pool worker process, set once by ``_adopt_plans`` when the
 # worker starts.
-_WORKER_PLAN: SimPlan | None = None
+_WORKER_PLANS: tuple[SimPlan, ...] = ()
 
 
-def _adopt_plan(plan: SimPlan) -> None:
-    global _WORKER_PLAN
-    _WORKER_PLAN = plan
+def _adopt_plans(plans: tuple[SimPlan, ...]) -> None:
+    global _WORKER_PLANS
+    _WORKER_PLANS = plans
 
 
-def _worker_chunk_sums(chunk: int) -> np.ndarray:
-    return _chunk_sums(_WORKER_PLAN, chunk)
+def _group_chunk_sums(plans: Sequence[SimPlan], task: tuple[tuple[int, ...], int]) -> list:
+    """Chunk sums of the plans ``task = (indices, chunk)`` names, which
+    share one noise model and all reach the chunk, on one draw of it."""
+    members, chunk = task
+    first = plans[members[0]]
+    noise, s_all = _draw_noise(first.spec, first.seed, chunk)
+    start = chunk * _CHUNK_SIZE
+    sums = []
+    for i in members:
+        plan = plans[i]
+        rows = min(_CHUNK_SIZE, plan.replications - start)
+        # The last plan adds its means in place, as no plan reads the noise after it.
+        out = noise[:rows] if i == members[-1] else None
+        xs = np.add(noise[:rows], plan.spec.mu_stack, out=out)
+        sums.append(_chunk_sums(plan, start, xs, s_all[:rows]))
+    return sums
+
+
+def _worker_group_chunk_sums(task: tuple[tuple[int, ...], int]) -> list:
+    return _group_chunk_sums(_WORKER_PLANS, task)
 
 
 def _mean_se(total: float, total_sq: float, count: float) -> tuple[float, float]:
@@ -220,37 +256,8 @@ def _mean_se(total: float, total_sq: float, count: float) -> tuple[float, float]
     return mean, float(np.sqrt(var / count))
 
 
-def simulate_risk(plan: SimPlan, workers: int = 1) -> RiskReport:
-    """Estimate the risk of every estimator in the plan by Monte Carlo.
-
-    Evaluates all estimators on the same draws and reports PRIAL relative to
-    the unshrunk X_1 with a standard error computed from the paired
-    per-replication loss differences.  The report is bit-identical for any
-    ``workers``.  Workers are fork-started processes, which inherit the plan
-    (so shrink functions may be lambdas); where fork is unavailable the
-    chunks run serially and a warning is logged.
-    """
-    errors = plan.validate()
-    if errors:
-        raise ValueError("invalid simulation plan: " + "; ".join(errors))
-    chunks = range((plan.replications + _CHUNK_SIZE - 1) // _CHUNK_SIZE)
-    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        _log.warning(
-            "fork start method unavailable: running serially instead of on %d workers", workers
-        )
-        workers = 1
-    if workers > 1:
-        # With fork the initializer's argument is inherited, never pickled.
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_adopt_plan,
-            initargs=(plan,),
-        ) as pool:
-            partials = list(pool.map(_worker_chunk_sums, chunks))
-    else:
-        partials = [_chunk_sums(plan, chunk) for chunk in chunks]
-
+def _report(plan: SimPlan, partials: list[np.ndarray]) -> RiskReport:
+    """The plan's report from its chunk sums, listed in chunk order."""
     sums = np.zeros_like(partials[0])
     for part in partials:  # fixed chunk order keeps the reduction deterministic
         sums += part
@@ -281,6 +288,67 @@ def simulate_risk(plan: SimPlan, workers: int = 1) -> RiskReport:
         seed=plan.seed,
         estimators=tuple(reports),
     )
+
+
+def simulate_many(plans: Sequence[SimPlan], workers: int = 1) -> list[RiskReport]:
+    """Estimate the risk of every estimator in every plan by Monte Carlo;
+    one report per plan, in plan order.
+
+    Evaluates a plan's estimators on the same draws and reports PRIAL
+    relative to the unshrunk X_1 with a standard error computed from the
+    paired per-replication loss differences.  Plans that share the seed and
+    the noise model (see ``_noise_key``) share each chunk's draw, and each
+    report is bit-identical to the plan's report run alone, for any
+    ``workers``.  Workers are fork-started processes of one pool per call,
+    which inherit the plans (so shrink functions may be lambdas); where fork
+    is unavailable the chunks run serially and a warning is logged.
+    """
+    plans = tuple(plans)
+    for idx, plan in enumerate(plans):
+        errors = plan.validate()
+        if errors:
+            raise ValueError(f"invalid simulation plan {idx}: " + "; ".join(errors))
+    if not plans:
+        return []
+    groups: dict[tuple, list[int]] = {}
+    for idx, plan in enumerate(plans):
+        groups.setdefault(_noise_key(plan), []).append(idx)
+    n_chunks = [-(-plan.replications // _CHUNK_SIZE) for plan in plans]
+    # Chunk-major, so each plan's chunk sums arrive in chunk order.
+    tasks = []
+    for chunk in range(max(n_chunks)):
+        for members in groups.values():
+            reached = tuple(i for i in members if chunk < n_chunks[i])
+            if reached:
+                tasks.append((reached, chunk))
+
+    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        _log.warning(
+            "fork start method unavailable: running serially instead of on %d workers", workers
+        )
+        workers = 1
+    if workers > 1:
+        # With fork the initializer's argument is inherited, never pickled.
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt_plans,
+            initargs=(plans,),
+        ) as pool:
+            results = list(pool.map(_worker_group_chunk_sums, tasks))
+    else:
+        results = [_group_chunk_sums(plans, task) for task in tasks]
+
+    partials: list[list[np.ndarray]] = [[] for _ in plans]
+    for (members, _), sums in zip(tasks, results):
+        for idx, part in zip(members, sums):
+            partials[idx].append(part)
+    return [_report(plan, parts) for plan, parts in zip(plans, partials)]
+
+
+def simulate_risk(plan: SimPlan, workers: int = 1) -> RiskReport:
+    """The report of one plan: ``simulate_many([plan], workers)[0]``."""
+    return simulate_many([plan], workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +399,13 @@ def table1_preset(
 
     All plans share the same seed, so translation-equivariant estimators
     produce identical PRIAL values across mean configurations that differ
-    by a common shift.
+    by a common shift.  They share the noise model too, so ``simulate_many``
+    draws each chunk once for all of them.  The estimators' constants depend
+    on V, Q, n, p, k and alpha but not on the means, so they are derived
+    once and shared.
     """
-    plans = []
-    for means in TABLE1_MEANS:
-        spec = scalar_spec(
+    specs = [
+        scalar_spec(
             p=5,
             k=5,
             n=20,
@@ -343,14 +413,13 @@ def table1_preset(
             sigma2=4.0,
             mu_scalars=means,
         )
-        plan = SimPlan(
-            spec=spec,
-            estimators=preset_estimators(spec, alpha=alpha),
-            replications=replications,
-            seed=seed,
-        )
-        plans.append((_mean_label(means), plan))
-    return plans
+        for means in TABLE1_MEANS
+    ]
+    estimators = preset_estimators(specs[0], alpha=alpha)
+    return [
+        (_mean_label(means), SimPlan(spec, estimators, replications, seed))
+        for means, spec in zip(TABLE1_MEANS, specs)
+    ]
 
 
 # ---------------------------------------------------------------------------

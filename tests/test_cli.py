@@ -187,6 +187,41 @@ class TestEstimate:
         data = self._write_data(tmp_path, [[0.0] * 5] * 5, s=-1.0)
         assert main(["estimate", data, "--config", bench_config]) == 2
 
+    def _run_estimators(self, tmp_path, capsys, entries, wanted):
+        cfg = tmp_path / "entries.json"
+        cfg.write_text(json.dumps({"model": BENCH_MODEL, "estimators": entries}))
+        rows = [[0.3 * i - 0.1 * j for j in range(5)] for i in range(5)]
+        data = self._write_data(tmp_path, rows, s=2.0)
+        code = main(["estimate", data, "--config", str(cfg), "--estimators", wanted])
+        out = capsys.readouterr()
+        return code, dict(line.split(": ", 1) for line in out.out.strip().splitlines()), out.err
+
+    def test_entries_of_one_kind_are_selected_by_name(self, tmp_path, capsys):
+        # Keyed by kind, the c = 15 entry replaced the c = 1 entry under
+        # "HB", and "HB15" was not configured.
+        hb1, hb15 = {"kind": "HB", "c": 1}, {"kind": "HB", "c": 15}
+        _, alone1, _ = self._run_estimators(tmp_path, capsys, [hb1], "HB")
+        _, alone15, _ = self._run_estimators(tmp_path, capsys, [hb15], "HB")
+        assert alone1["HB"] != alone15["HB"]
+        both = [hb1, dict(hb15, label="HB15")]
+        code, lines, _ = self._run_estimators(tmp_path, capsys, both, "HB,HB15")
+        assert code == 0
+        assert lines["HB"] == alone1["HB"] and lines["HB15"] == alone15["HB"]
+
+    def test_entries_sharing_a_name_are_a_config_error(self, tmp_path, capsys):
+        entries = [{"kind": "HB", "c": 1}, {"kind": "JS"}, {"kind": "HB", "c": 2}]
+        code, lines, err = self._run_estimators(tmp_path, capsys, entries, "JS")
+        assert code == 2 and lines == {}
+        assert "estimators[0] and estimators[2]" in err and "'HB'" in err
+
+    def test_kind_shared_by_labelled_entries_is_ambiguous(self, tmp_path, capsys):
+        entries = [{"kind": "HB", "c": 1, "label": "A"}, {"kind": "HB", "c": 2, "label": "B"}]
+        code, lines, err = self._run_estimators(tmp_path, capsys, entries, "HB")
+        assert code == 2 and lines == {}
+        assert "estimators[0], estimators[1]" in err
+        code, lines, _ = self._run_estimators(tmp_path, capsys, entries, "a,B")
+        assert code == 0 and set(lines) == {"nu_hat", "F", "G", "A", "B"}
+
 
 class TestHbConstant:
     """An omitted HB a is solved at the entry's own c."""
@@ -403,6 +438,43 @@ class TestExitCodes:
         assert main(["estimate", self._data(tmp_path, s), "--config", cfg, "--estimators", "HB"]) == 3
         out = capsys.readouterr()
         assert out.out == "" and "estimator myHB failed: phi_hb quadrature" in out.err
+
+    @pytest.mark.parametrize(
+        "model_fields, estimators, message",
+        [
+            # risk_se and prial_se overflowed to nan and the run exited 0.
+            (
+                {"V": [1e300, 2e300, 3e300]},
+                None,
+                "huge: estimator PT reported non-finite risk_se = nan, prial_se = nan",
+            ),
+            # X_1 rounds to mu_1: risk 0, PRIAL 0/0, and the run exited 0.
+            (
+                {"V": [1, 1, 1], "mu": [1e200, 0, 0]},
+                [{"kind": kind} for kind in ("PT", "JS", "EB", "HEB")],
+                "huge: estimator PT reported non-finite prial = nan, prial_se = nan",
+            ),
+        ],
+        ids=["v_1e300", "mu_1e200"],
+    )
+    def test_non_finite_report_exits_three_without_output(
+        self, tmp_path, capsys, model_fields, estimators, message
+    ):
+        model = dict({"p": 3, "k": 3, "n": 10, "Q": 1, "mu": [0, 0, 0]}, **model_fields)
+        extra = {"name": "huge", "replications": 100, "seed": 0}
+        if estimators is not None:
+            extra["estimators"] = estimators
+        cfg = self._config(tmp_path, model, **extra)
+        with np.errstate(all="ignore"):
+            assert main(["simulate", "--config", cfg]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and message in out.err
+
+    def test_single_replication_reports_nan_standard_errors(self, capsys):
+        # A standard error is undefined at one replication; that nan is no failure.
+        assert main(["simulate", "--preset", "table1", "--reps", "1"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 55 and all(",nan," in row for row in rows)
 
     def test_runtime_failure_exits_three_without_output(
         self, tmp_path, bench_config, capsys, monkeypatch

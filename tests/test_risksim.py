@@ -3,11 +3,13 @@ preset, and the integration-by-parts identity validators."""
 
 import dataclasses
 import logging
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from poolshrink import estimators, numerics, risksim
+from poolshrink.cli import main
 from poolshrink.estimators import EstimatorConfig, estimate, pt_threshold
 from poolshrink.model import scalar_spec
 from poolshrink.risksim import (
@@ -17,6 +19,7 @@ from poolshrink.risksim import (
     chisq_identity_check,
     preset_estimators,
     replication_sample,
+    simulate_many,
     simulate_risk,
     stein_identity_check,
     table1_preset,
@@ -173,6 +176,94 @@ class TestHotPathCounts:
         for _, plan in table1_preset(replications=10, seed=0):
             simulate_risk(plan)
         assert calls == [(20, 20, 0.05)]
+
+
+class TestSimulateMany:
+    """Plans that share a seed and a noise model share each chunk's draw,
+    and each report is the plan's report run alone."""
+
+    @staticmethod
+    def _plan(spec, reps):
+        return SimPlan(spec, preset_estimators(spec), reps, 3)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_separate_runs(self, workers):
+        zero = (0, 0, 0, 0, 0)
+        # sigma^2 V_i equal to small_plan's bit for bit, but S scales by 1, not 2.
+        other_sigma2 = scalar_spec(5, 5, 20, [0.2 * i for i in range(1, 6)], 1.0, zero)
+        assert other_sigma2.chol_scaled.tobytes() == small_plan().spec.chol_scaled.tobytes()
+        other_n = scalar_spec(5, 5, 30, [0.1 * i for i in range(1, 6)], 2.0, zero)
+        other_v = scalar_spec(5, 5, 20, [0.1 * i for i in range(5, 0, -1)], 2.0, zero)
+        other_shape = scalar_spec(3, 4, 12, [0.5, 1.0, 1.5, 2.0], 1.5, (1, 0, -1, 2))
+        plans = [
+            small_plan(reps=2049, mu=(1, 2, 0, -1, 3)),
+            small_plan(reps=2049, seed=4),
+            self._plan(other_shape, 3000),
+            self._plan(other_v, 2049),
+            small_plan(reps=1),
+            self._plan(other_sigma2, 2049),
+            small_plan(reps=4096, mu=(2, 2, 2, 2, 2)),
+            self._plan(other_n, 2049),
+            small_plan(reps=2047, mu=(0.4, 4, 4, 4, 4)),
+        ]
+        expected = [repr(simulate_risk(plan)) for plan in plans]
+        assert [repr(report) for report in simulate_many(plans, workers)] == expected
+
+    def test_failure_in_a_later_plan_names_its_replication_and_seed(self):
+        def exploding(f, s):
+            f = np.asarray(f, dtype=float)
+            if np.any(f > 2.0):
+                raise FloatingPointError("boom")
+            return np.zeros_like(f)
+
+        bad = small_plan(
+            reps=500, estimators=[EstimatorConfig(kind="CLASS1", phi=exploding, label="BAD")]
+        )
+        with pytest.raises(SimulationError) as alone:
+            simulate_risk(bad)
+        assert "estimator BAD failed at replication" in str(alone.value)
+        with pytest.raises(SimulationError) as shared:
+            simulate_many([small_plan(reps=500), bad])
+        assert str(shared.value) == str(alone.value)
+
+    def test_preset_opens_one_stream_per_chunk(self, monkeypatch):
+        opened = []
+        original = risksim.replication_rng
+        monkeypatch.setattr(
+            risksim, "replication_rng", lambda seed, chunk: opened.append(chunk) or original(seed, chunk)
+        )
+        simulate_many([plan for _, plan in table1_preset(replications=2 * 2048 + 1)])
+        assert opened == [0, 1, 2]
+
+    def test_preset_run_opens_one_pool(self, monkeypatch, capsys):
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(risksim, "ProcessPoolExecutor", CountingPool)
+        assert main(["simulate", "--preset", "table1", "--reps", "4097", "--workers", "2"]) == 0
+        assert pools == [2]
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 11 * 5
+
+    def test_preset_derives_constants_once(self, monkeypatch):
+        calls = []
+        original = estimators.solve_hb_a
+        monkeypatch.setattr(
+            estimators, "solve_hb_a", lambda *args, **kw: calls.append(args) or original(*args, **kw)
+        )
+        jobs = table1_preset(replications=10)
+        assert len(calls) == 1
+        assert len({id(plan.estimators) for _, plan in jobs}) == 1
+
+    def test_no_plans_no_reports(self):
+        assert simulate_many([]) == []
+
+    def test_invalid_later_plan_named(self):
+        with pytest.raises(ValueError, match=r"invalid simulation plan 1: replications"):
+            simulate_many([small_plan(reps=10), small_plan(reps=0)])
 
 
 class TestTable1Preset:
