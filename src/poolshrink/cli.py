@@ -283,8 +283,11 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"replications: must be >= 1, got {reps}")
         if seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {seed}")
+        name = "config" if doc.get("name") is None else doc["name"]
+        if not (isinstance(name, str) and name):
+            raise ConfigError(f"name: expected a non-empty string, got {name!r}")
         plan = SimPlan(spec=spec, estimators=configs, replications=reps, seed=seed)
-        jobs = [(str(doc.get("name", "config")), plan)]
+        jobs = [(name, plan)]
 
     reports = simulate_many([plan for _, plan in jobs], workers=args.workers)
     # Every value is checked before the first row is written, so a
@@ -380,7 +383,14 @@ def cmd_estimate(args) -> int:
     sample = Sample(X=x, S=s)
 
     wanted = [name.strip().upper() for name in args.estimators.split(",") if name.strip()]
-    configs = parse_estimators(doc.get("estimators"), spec, default_alpha=args.alpha)
+    entries = doc.get("estimators")
+    if entries is None:
+        # Without a section only the preset kinds asked for are built, so no
+        # constant is derived for an entry that is not printed.
+        entries = [{"kind": kind} for kind in CONFIG_KINDS if kind in wanted]
+        configs = parse_estimators(entries, spec, default_alpha=args.alpha) if entries else ()
+    else:
+        configs = parse_estimators(entries, spec, default_alpha=args.alpha)
     selected = _select_estimators(configs, wanted)
     missing = [name for name, cfg in zip(wanted, selected) if cfg is None]
     if missing:
@@ -411,16 +421,18 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _json_report(report) -> dict:
+    """A report's fields, with undefined (non-finite) values as null."""
+    return {key: val if np.isfinite(val) else None for key, val in report.as_dict().items()}
+
+
 def cmd_check(args) -> int:
     doc = _load_config(args.config)
     spec = parse_model(doc.get("model", {}), require_mu=False)
-    single = single_shrinkage_report(spec)
-    double = double_shrinkage_report(spec)
-    payload = {
-        "single_shrinkage": single.as_dict(),
-        "double_shrinkage": double.as_dict(),
+    reports = {
+        "single_shrinkage": single_shrinkage_report(spec),
+        "double_shrinkage": double_shrinkage_report(spec),
     }
-    all_hold = single.condition_holds and double.condition_holds
     if args.weights:
         try:
             d = [float(tok) for tok in args.weights.split(",")]
@@ -428,11 +440,13 @@ def cmd_check(args) -> int:
             raise ConfigError(f"--weights: {exc}") from None
         if len(d) != spec.k:
             raise ConfigError(f"--weights: expected {spec.k} values, got {len(d)}")
-        lin = lincomb_shrinkage_report(spec, d)
-        payload["lincomb_shrinkage"] = lin.as_dict()
-        all_hold = all_hold and lin.condition_holds
+        if not np.all(np.isfinite(d)):
+            raise ConfigError(f"--weights: expected finite values, got {args.weights}")
+        reports["lincomb_shrinkage"] = lincomb_shrinkage_report(spec, d)
+    all_hold = all(report.condition_holds for report in reports.values())
+    payload = {key: _json_report(report) for key, report in reports.items()}
     payload["conditions_hold"] = all_hold
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return EXIT_OK if all_hold else EXIT_CONDITION_FAILED
 
 
@@ -465,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--config", required=True, help="path to a JSON config with the model")
     est.add_argument(
         "--estimators",
-        default="PT,JS,EB,HB,HEB",
+        default=",".join(CONFIG_KINDS),
         help="comma-separated estimator names: an entry's label, else its kind",
     )
     est.add_argument("--alpha", type=float, default=0.05, help="PT significance level")

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .minimax import optimal_eb_constant, optimal_heb_constants, solve_hb_a
+from .minimax import check_hb_domain, optimal_eb_constant, optimal_heb_constants, solve_hb_a
 from .model import ModelSpec, Sample
 from .numerics import QuadratureError, _beta_cont_frac, f_quantile, gauss_jacobi, reg_upper_gamma
 from .statistics import batch_pooled_stats
@@ -97,26 +97,20 @@ class EstimatorConfig:
         return self.label if self.label is not None else self.kind
 
     def validate(self, spec: ModelSpec | None = None) -> list[str]:
-        """Field-level validation; returns violation messages."""
+        """Field-level validation; returns violation messages.  A label, if
+        given, must be a non-empty string."""
+        errors = []
+        if self.label is not None and not (isinstance(self.label, str) and self.label):
+            errors.append(f"label: must be a non-empty string, got {self.label!r}")
         kind = ESTIMATORS.get(self.kind)
         if kind is None:
-            return [f"kind: unknown estimator {self.kind!r}"]
-        return _field_errors(self, kind.fields) + kind.check(self, spec)
+            return errors + [f"kind: unknown estimator {self.kind!r}"]
+        return errors + _field_errors(self, kind.fields) + kind.check(self, spec)
 
 
 # ---------------------------------------------------------------------------
 # Hierarchical Bayes shrink function
 # ---------------------------------------------------------------------------
-
-
-def _check_hb_domain(p: int, k: int, n: int, a: float, c: float, L: float):
-    q = 0.5 * p * (k - 1)
-    if not a > -q:
-        raise ValueError(f"a must exceed -p(k-1)/2 = {-q}, got {a}")
-    if not a + c < 0.5 * n:
-        raise ValueError(f"a + c must be below n/2 = {0.5 * n}, got {a + c}")
-    if L < 0.0:
-        raise ValueError(f"L must be nonnegative, got {L}")
 
 
 def hb_small_f_factor(p: int, k: int, a: float) -> float:
@@ -292,13 +286,12 @@ def phi_hb(F, S, p: int, k: int, n: int, a: float, c: float, L: float = 0.0):
     fixed-order rule batched over all values (see ``_phi_hb_lpos``); a value
     whose error estimate misses 1e-12 relative raises QuadratureError.
 
-    Broadcasts over array-valued F (and S).  Requires a > -p(k-1)/2 and
-    a + c < n/2.
+    Broadcasts over array-valued F (and S).  Raises unless (a, c, L) lies
+    in the domain of ``minimax.check_hb_domain``.
     """
-    _check_hb_domain(p, k, n, a, c, L)
-    q = 0.5 * p * (k - 1)
+    check_hb_domain(p, k, n, a, c, L)
+    qa = 0.5 * p * (k - 1) + a
     m = 0.5 * (n + p * (k - 1)) - c
-    qa = q + a
     farr = np.asarray(F, dtype=float)
     sarr = np.asarray(S, dtype=float)
     if np.any(farr < 0.0):
@@ -314,16 +307,15 @@ def phi_hb(F, S, p: int, k: int, n: int, a: float, c: float, L: float = 0.0):
     if L > 0.0:
         with np.errstate(over="ignore"):
             tiny &= 0.5 * L * sv * fv < 1e-150
-    out = np.where(tiny, fv * (qa / (qa + 1.0)), 0.0)
+    out = np.where(tiny, fv * hb_small_f_factor(p, k, a), 0.0)
 
     live = ~tiny
-    if np.any(live):
-        if L == 0.0:
-            out[live] = _phi_hb_zero_l(fv[live], qa, m)
-        else:
-            if np.any(sv[live] <= 0.0):
-                raise ValueError("S must be positive when L > 0")
-            out[live] = _phi_hb_lpos(fv[live], sv[live], qa, m, L)
+    if L == 0.0:
+        out[live] = _phi_hb_zero_l(fv[live], qa, m)
+    else:
+        if np.any(sv[live] <= 0.0):
+            raise ValueError("S must be positive when L > 0")
+        out[live] = _phi_hb_lpos(fv[live], sv[live], qa, m, L)
     if scalar:
         return float(out[0])
     return out.reshape(np.broadcast_shapes(farr.shape, sarr.shape))
@@ -371,11 +363,11 @@ def _no_checks(cfg: EstimatorConfig, spec: ModelSpec | None) -> list[str]:
 
 
 def _check_hb(cfg, spec):
-    """The HB domain a > -p(k-1)/2 and a + c < n/2, given the model."""
+    """The HB domain of ``check_hb_domain``, given the model."""
     if spec is None or cfg.a is None or cfg.c is None:
         return []
     try:
-        _check_hb_domain(spec.p, spec.k, spec.n, cfg.a, cfg.c, 0.0)
+        check_hb_domain(spec.p, spec.k, spec.n, cfg.a, cfg.c)
     except ValueError as exc:
         return [str(exc)]
     return []

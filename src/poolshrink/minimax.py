@@ -22,6 +22,7 @@ from .statistics import lincomb_deviation_matrix
 
 __all__ = [
     "MinimaxReport",
+    "check_hb_domain",
     "check_shrink_function",
     "double_shrinkage_report",
     "lincomb_shrinkage_report",
@@ -62,24 +63,21 @@ class MinimaxReport:
         return {key: val for key, val in asdict(self).items() if val is not None}
 
 
-def _product_stats(m: np.ndarray, q: np.ndarray) -> tuple[float, float, float, bool]:
-    tr = trace_product(m, q)
-    ch = chmax_product(m, q)
-    if ch <= _CHMAX_TOL * max(1.0, abs(tr)):
-        return tr, 0.0, float("nan"), False
-    ratio = tr / ch
-    return tr, ch, ratio, ratio > 2.0
-
-
 def _shrinkage_report(m: np.ndarray, spec: ModelSpec) -> MinimaxReport:
-    """Condition and single/double bounds built from the product M Q."""
-    tr, ch, ratio, holds = _product_stats(m, spec.Q)
+    """Condition and single/double bounds built from the product M Q; the
+    ratio is undefined (NaN) where Ch_max(M Q) is numerically zero."""
+    tr = trace_product(m, spec.Q)
+    ch = chmax_product(m, spec.Q)
+    if ch <= _CHMAX_TOL * max(1.0, abs(tr)):
+        ch, ratio = 0.0, float("nan")
+    else:
+        ratio = tr / ch
     scale = 2.0 * (ratio - 2.0) / (spec.n + 2.0)
     return MinimaxReport(
         trace=tr,
         chmax=ch,
         ratio=ratio,
-        condition_holds=holds,
+        condition_holds=ratio > 2.0,
         phi_upper_single=scale,
         phi_upper_double=0.5 * scale,
     )
@@ -94,16 +92,17 @@ def single_shrinkage_report(spec: ModelSpec) -> MinimaxReport:
 def double_shrinkage_report(spec: ModelSpec) -> MinimaxReport:
     """Condition and bounds for double-shrinkage rules, which additionally
     pull the pooled mean toward 0: requires the trace ratio of both
-    (V_1 - A) Q and A Q to exceed 2."""
+    (V_1 - A) Q and A Q to exceed 2.  ``psi_upper_double`` is the
+    ``phi_upper_double`` of A Q."""
     base = single_shrinkage_report(spec)
-    tr_a, ch_a, ratio_a, holds_a = _product_stats(spec.A, spec.Q)
+    pooled = _shrinkage_report(spec.A, spec)
     return replace(
         base,
-        condition_holds=base.condition_holds and holds_a,
-        psi_upper_double=(ratio_a - 2.0) / (spec.n + 2.0),
-        trace_pooled=tr_a,
-        chmax_pooled=ch_a,
-        ratio_pooled=ratio_a,
+        condition_holds=base.condition_holds and pooled.condition_holds,
+        psi_upper_double=pooled.phi_upper_double,
+        trace_pooled=pooled.trace,
+        chmax_pooled=pooled.chmax,
+        ratio_pooled=pooled.ratio,
     )
 
 
@@ -119,24 +118,34 @@ def lincomb_shrinkage_report(spec: ModelSpec, d: Sequence[float]) -> MinimaxRepo
 
 
 def optimal_eb_constant(spec: ModelSpec) -> float:
-    """EB constant minimizing the risk upper bound: (ratio - 2)/(n + 2),
-    half of the admissible range for a single-shrinkage rule."""
+    """EB constant minimizing the risk upper bound: ``phi_upper_double`` =
+    (ratio - 2)/(n + 2), half of the admissible range of a single shrink."""
     report = single_shrinkage_report(spec)
     if not report.condition_holds:
         raise ValueError("trace-ratio condition fails: no positive EB constant exists")
-    return (report.ratio - 2.0) / (spec.n + 2.0)
+    return report.phi_upper_double
 
 
 def optimal_heb_constants(spec: ModelSpec) -> tuple[float, float]:
     """HEB constants minimizing the risk upper bound: the midpoints of the
-    double-shrinkage ranges, ((ratio-2)/(2(n+2)), (ratio_pooled-2)/(2(n+2)))."""
+    double-shrinkage ranges, half of ``phi_upper_double`` and of
+    ``psi_upper_double``."""
     report = double_shrinkage_report(spec)
     if not report.condition_holds:
         raise ValueError("trace-ratio conditions fail: no positive HEB constants exist")
-    return (
-        0.5 * (report.ratio - 2.0) / (spec.n + 2.0),
-        0.5 * (report.ratio_pooled - 2.0) / (spec.n + 2.0),
-    )
+    return 0.5 * report.phi_upper_double, 0.5 * report.psi_upper_double
+
+
+def check_hb_domain(p: int, k: int, n: int, a: float, c: float, L: float = 0.0) -> None:
+    """Raise unless (a, c, L) lies in the HB parameter domain of the model:
+    a > -p(k-1)/2, a + c < n/2 and L >= 0."""
+    q = 0.5 * p * (k - 1)
+    if not a > -q:
+        raise ValueError(f"a must exceed -p(k-1)/2 = {-q}, got {a}")
+    if not a + c < 0.5 * n:
+        raise ValueError(f"a + c must be below n/2 = {0.5 * n}, got {a + c}")
+    if L < 0.0:
+        raise ValueError(f"L must be nonnegative, got {L}")
 
 
 def solve_hb_a_from_ratio(ratio: float, p: int, k: int, n: int, c: float = 1.0) -> float:
@@ -147,36 +156,23 @@ def solve_hb_a_from_ratio(ratio: float, p: int, k: int, n: int, c: float = 1.0) 
     which is linear in a:
         a = [R(n - 2c) - p(k-1)(n + 2)] / [2(n + 2) + 2R],  R = ratio - 2.
 
-    Raises if R <= 0 or the solution leaves the HB parameter domain
-    (a > -p(k-1)/2 and a + c < n/2).
+    Raises if R <= 0 or the solution leaves the HB parameter domain (see
+    ``check_hb_domain``).
     """
     r = ratio - 2.0
     if not r > 0.0:
         raise ValueError("trace-ratio condition fails: HB constant is undefined")
     pk = p * (k - 1.0)
     a = (r * (n - 2.0 * c) - pk * (n + 2.0)) / (2.0 * (n + 2.0) + 2.0 * r)
-    if not a > -0.5 * pk:
-        raise ValueError(
-            f"solution a = {a} violates the lower bound a > -p(k-1)/2 = {-0.5 * pk}"
-        )
-    if not a + c < 0.5 * n:
-        raise ValueError(
-            f"solution a = {a} violates the upper bound a + c < n/2 = {0.5 * n}"
-        )
+    check_hb_domain(p, k, n, a, c)
     return a
 
 
 def solve_hb_a(spec: ModelSpec, c: float = 1.0) -> float:
     """Solve for the HB prior constant a that makes the supremum of the HB
     shrink function sit exactly at the double-shrinkage bound; see
-    ``solve_hb_a_from_ratio`` for the equation.
-
-    Raises if the trace-ratio condition fails for the model.
-    """
-    report = single_shrinkage_report(spec)
-    if not report.condition_holds:
-        raise ValueError("trace-ratio condition fails: HB constant is undefined")
-    return solve_hb_a_from_ratio(report.ratio, spec.p, spec.k, spec.n, c)
+    ``solve_hb_a_from_ratio`` for the equation and its failures."""
+    return solve_hb_a_from_ratio(single_shrinkage_report(spec).ratio, spec.p, spec.k, spec.n, c)
 
 
 def check_shrink_function(

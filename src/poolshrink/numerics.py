@@ -103,27 +103,39 @@ def chmax_product(m: np.ndarray, q: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Regularized incomplete beta function
+# Regularized incomplete beta and gamma functions
 # ---------------------------------------------------------------------------
+
+
+def _converge(step: Callable, state: tuple, message: str) -> np.ndarray:
+    """Iterate ``state, value, done = step(i, *state)`` for i = 1, 2, ...
+    over 1-d arrays of one length, and return the values.
+
+    Each element leaves at the first step where ``done`` holds, with its
+    ``value`` at that step, so it does not depend on the other elements of
+    the batch.  Raises ``ValueError(message)`` after ``_CF_MAXIT`` steps."""
+    out = np.empty(state[0].size)
+    live = np.arange(out.size)
+    if not live.size:
+        return out
+    for i in range(1, _CF_MAXIT + 1):
+        state, value, done = step(i, *state)
+        hit = done.nonzero()[0]
+        if hit.size:
+            out[live[hit]] = value[hit]
+            if hit.size == live.size:
+                return out
+            keep = ~done
+            live = live[keep]
+            state = tuple(arr[keep] for arr in state)
+    raise ValueError(message)
 
 
 def _beta_cont_frac(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Continued fraction for the incomplete beta (modified Lentz), applied
-    elementwise to 1-d arrays of one shape.  Valid for x < (a + 1) / (a + b + 2).
+    elementwise to 1-d arrays of one shape.  Valid for x < (a + 1) / (a + b + 2)."""
 
-    Each element leaves the loop at the first step where it has converged,
-    so its value does not depend on the other elements of the batch."""
-    out = np.empty_like(x)
-    live = np.arange(x.size)
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < _TINY, _TINY, d)
-    d = 1.0 / d
-    h = d.copy()
-    for m in range(1, _CF_MAXIT + 1):
+    def step(m, a, b, x, qab, qap, qam, c, d, h):
         m2 = 2.0 * m
         num = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + num * d
@@ -140,16 +152,14 @@ def _beta_cont_frac(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         d = 1.0 / d
         delta = d * c
         h = h * delta
-        done = np.abs(delta - 1.0) < _CF_EPS
-        if np.any(done):
-            out[live[done]] = h[done]
-            if np.all(done):
-                return out
-            keep = ~done
-            live, a, b, x, qab, qap, qam, c, d, h = (
-                arr[keep] for arr in (live, a, b, x, qab, qap, qam, c, d, h)
-            )
-    raise ValueError("incomplete beta continued fraction did not converge")
+        return (a, b, x, qab, qap, qam, c, d, h), h, np.abs(delta - 1.0) < _CF_EPS
+
+    qab = a + b
+    qap = a + 1.0
+    d = 1.0 - qab * x / qap
+    d = 1.0 / np.where(np.abs(d) < _TINY, _TINY, d)
+    state = (a, b, x, qab, qap, a - 1.0, np.ones_like(x), d, d)
+    return _converge(step, state, "incomplete beta continued fraction did not converge")
 
 
 def reg_inc_beta(a: float, b: float, x):
@@ -192,11 +202,6 @@ def reg_inc_beta(a: float, b: float, x):
     return out.reshape(xarr.shape)
 
 
-# ---------------------------------------------------------------------------
-# Regularized upper incomplete gamma function
-# ---------------------------------------------------------------------------
-
-
 def _log_upper_gamma(s: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log Q(s, x), log Q(s, x) - (s log x - x - lgamma(s))) for finite x > 0.
 
@@ -208,47 +213,39 @@ def _log_upper_gamma(s: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     log_q = -x + s * np.log(x) - math.lgamma(s)
     rest = np.full_like(x, np.nan)
 
+    # Both loops report convergence on every fourth step only, which saves
+    # compacting the batch; each element still leaves at a step of its own.
+    def series_step(i, xl, term, total):
+        term = term * xl / (s + i)
+        total = total + term
+        return (xl, term, total), total, (i % 4 == 0) & (term < total * _CF_EPS)
+
     lower = x < s + 1.0
-    if np.any(lower):
-        xl = x[lower]
-        term = np.full_like(xl, 1.0 / s)
-        total = term.copy()
-        ap = s
-        for i in range(_CF_MAXIT):
-            ap += 1.0
-            term = term * xl / ap
-            total += term
-            # Testing every fourth step saves reductions; extra terms are harmless.
-            if i % 4 == 3 and np.all(term < total * _CF_EPS):
-                break
-        else:
-            raise ValueError("incomplete gamma series did not converge")
-        # P(s, x) <= 1 up to rounding.
-        log_q[lower] = np.log1p(-np.minimum(np.exp(log_q[lower]) * total, 1.0))
+    xl = x[lower]
+    first = np.full_like(xl, 1.0 / s)
+    total = _converge(series_step, (xl, first, first), "incomplete gamma series did not converge")
+    # P(s, x) <= 1 up to rounding.
+    log_q[lower] = np.log1p(-np.minimum(np.exp(log_q[lower]) * total, 1.0))
+
+    # For x >= s + 1 the Lentz denominators stay near b = x + 1 - s + 2i
+    # >= 2 (above 0.55 b for s up to 300 and x up to 1e6), so they need no
+    # guard against zero.
+    def fraction_step(i, b, c, d, h):
+        an = -i * (i - s)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = d * c
+        h = h * delta
+        return (b, c, d, h), h, (i % 4 == 0) & (np.abs(delta - 1.0) < _CF_EPS)
 
     upper = ~lower
-    if np.any(upper):
-        xu = x[upper]
-        b = xu + 1.0 - s
-        c = np.full_like(xu, 1.0 / _TINY)
-        d = 1.0 / b
-        h = d.copy()
-        # For x >= s + 1 the Lentz denominators stay near b = x + 1 - s + 2i
-        # >= 2 (above 0.55 b for s up to 300 and x up to 1e6), so they need
-        # no guard against zero.
-        for i in range(1, _CF_MAXIT + 1):
-            an = -i * (i - s)
-            b = b + 2.0
-            d = 1.0 / (an * d + b)
-            c = b + an / c
-            delta = d * c
-            h = h * delta
-            if i % 4 == 0 and np.all(np.abs(delta - 1.0) < _CF_EPS):
-                break
-        else:
-            raise ValueError("incomplete gamma continued fraction did not converge")
-        rest[upper] = np.log(h)
-        log_q[upper] += rest[upper]
+    b = x[upper] + 1.0 - s
+    d = 1.0 / b
+    state = (b, np.full_like(b, 1.0 / _TINY), d, d)
+    h = _converge(fraction_step, state, "incomplete gamma continued fraction did not converge")
+    rest[upper] = np.log(h)
+    log_q[upper] += rest[upper]
     return log_q, rest
 
 
@@ -272,26 +269,23 @@ def reg_upper_gamma(s: float, x, log: bool = False, base=0.0):
     bv = np.atleast_1d(barr).astype(float).ravel()
     out = np.where(np.isinf(xv), -np.inf, np.where(np.isnan(xv), np.nan, 0.0))
     live = (xv > 0.0) & np.isfinite(xv)
-    if np.any(live):
-        xl, bl = xv[live], bv[live]
-        # Bases repeat (one per row of a batch of integrals): evaluate each
-        # positive one once, in the same pass as the sums.
-        uniq, inv = np.unique(bl, return_inverse=True)
-        zero = uniq == 0.0
-        log_q, rest = _log_upper_gamma(s, np.concatenate([bl + xl, uniq[~zero]]))
-        n = xl.size
-        base_log_q = np.zeros_like(uniq)
-        base_rest = np.full_like(uniq, np.nan)
-        base_log_q[~zero], base_rest[~zero] = log_q[n:], rest[n:]
-        vals = log_q[:n] - base_log_q[inv]
-        # Where base is on the continued-fraction branch (so is base + x),
-        # both logs are of order -base: take the difference of the
-        # prefactors through x, so that no large terms cancel.
-        far = ~np.isnan(base_rest[inv])
-        vals[far] = (
-            rest[:n][far] - base_rest[inv][far] + s * np.log1p(xl[far] / bl[far]) - xl[far]
-        )
-        out[live] = np.minimum(vals, 0.0)
+    xl, bl = xv[live], bv[live]
+    # Bases repeat (one per row of a batch of integrals): evaluate each
+    # positive one once, in the same pass as the sums.
+    uniq, inv = np.unique(bl, return_inverse=True)
+    zero = uniq == 0.0
+    log_q, rest = _log_upper_gamma(s, np.concatenate([bl + xl, uniq[~zero]]))
+    n = xl.size
+    base_log_q = np.zeros_like(uniq)
+    base_rest = np.full_like(uniq, np.nan)
+    base_log_q[~zero], base_rest[~zero] = log_q[n:], rest[n:]
+    vals = log_q[:n] - base_log_q[inv]
+    # Where base is on the continued-fraction branch (so is base + x),
+    # both logs are of order -base: take the difference of the
+    # prefactors through x, so that no large terms cancel.
+    far = ~np.isnan(base_rest[inv])
+    vals[far] = rest[:n][far] - base_rest[inv][far] + s * np.log1p(xl[far] / bl[far]) - xl[far]
+    out[live] = np.minimum(vals, 0.0)
 
     if not log:
         out = np.exp(out)

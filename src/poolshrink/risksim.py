@@ -322,6 +322,8 @@ def simulate_many(plans: Sequence[SimPlan], workers: int = 1) -> list[RiskReport
             if reached:
                 tasks.append((reached, chunk))
 
+    # A fork pool starts all its workers at once: no more than there are tasks.
+    workers = min(workers, len(tasks))
     if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
         _log.warning(
             "fork start method unavailable: running serially instead of on %d workers", workers

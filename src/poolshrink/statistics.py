@@ -105,7 +105,10 @@ def lincomb_deviation_matrix(
     dv = np.asarray(d, dtype=float).reshape(-1)
     if dv.size != vs.shape[0]:
         raise ValueError(f"expected {vs.shape[0]} weights, got {dv.size}")
-    m = np.einsum("i,ijk->jk", dv**2, vs) - float(dv.sum()) ** 2 * A
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.einsum("i,ijk->jk", dv**2, vs) - dv.sum() ** 2 * A
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"M_d is not finite for the weights {dv.tolist()}")
     return 0.5 * (m + m.T)
 
 
@@ -126,13 +129,10 @@ def linear_bound_check(
     B_value is the statistic B.
     """
     vs, a, dev, dispersion = _pooled_deviations(V, X)
-    dv = np.asarray(d, dtype=float).reshape(-1)
-    if dv.size != vs.shape[0]:
-        raise ValueError(f"expected {vs.shape[0]} weights, got {dv.size}")
+    m = lincomb_deviation_matrix(vs, d, a)
     if dispersion <= 0.0:
         raise ValueError("all observations coincide with the pooled mean: B is undefined")
     q = np.asarray(Q, dtype=float)
-    combo = dv @ dev
+    combo = np.asarray(d, dtype=float).reshape(-1) @ dev
     b_value = float(combo @ q @ combo) / dispersion
-    bound = chmax_product(lincomb_deviation_matrix(vs, dv, a), q)
-    return b_value, bound
+    return b_value, chmax_product(m, q)

@@ -1,13 +1,19 @@
 """Command-line interface: config parsing, report emission, determinism
 across worker counts, and exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poolshrink.cli import main, parse_estimators, parse_model
-from poolshrink.minimax import solve_hb_a
+from poolshrink.minimax import lincomb_shrinkage_report, solve_hb_a
 from poolshrink.numerics import QuadratureError
 
 BENCH_MODEL = {
@@ -19,6 +25,15 @@ BENCH_MODEL = {
     "Q": "inv_v1",
     "mu": [0, 0, 0, 0, 0],
 }
+
+
+def strict_json(text: str):
+    """``json.loads`` that rejects the NaN and Infinity tokens."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture()
@@ -214,6 +229,24 @@ class TestEstimate:
         assert code == 2 and lines == {}
         assert "estimators[0] and estimators[2]" in err and "'HB'" in err
 
+    def test_without_a_section_only_selected_kinds_are_built(self, tmp_path, capsys):
+        # No EB constant exists on this model.  All five preset entries used
+        # to be built, so "pt,js" exited 2 naming EB.
+        model = {"p": 2, "k": 3, "n": 10, "V": [1, 1, 1], "Q": 1}
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"model": model}))
+        data = tmp_path / "data.csv"
+        data.write_text("0.1,0.2\n0.3,-0.4\n1.5,0.6\n2.0\n")
+        argv = ["estimate", str(data), "--config", str(cfg), "--estimators"]
+        assert main(argv + ["pt,js"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
+        assert main(argv + ["pt,eb"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "estimators[1] (EB): trace-ratio" in out.err
+        assert main(argv + ["pt,cs"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "estimators not configured: CS" in out.err
+
     def test_kind_shared_by_labelled_entries_is_ambiguous(self, tmp_path, capsys):
         entries = [{"kind": "HB", "c": 1, "label": "A"}, {"kind": "HB", "c": 2, "label": "B"}]
         code, lines, err = self._run_estimators(tmp_path, capsys, entries, "HB")
@@ -291,6 +324,32 @@ class TestCheck:
 
     def test_bad_weights_rejected(self, bench_config, capsys):
         assert main(["check", "--config", bench_config, "--weights", "1,0"]) == 2
+
+    @pytest.mark.parametrize("weights", ["nan,1,1,1,1", "inf,1,1,1,1"])
+    def test_non_finite_weights_are_a_config_error(self, bench_config, capsys, weights):
+        # These exited 3 with "M has non-finite entries".
+        assert main(["check", "--config", bench_config, "--weights", weights]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "error: --weights: expected finite values" in out.err
+
+    def test_overflowing_weights_are_named(self, bench_config, capsys):
+        # The squared weight sum overflowed a Python float, which exited 3
+        # with "(34, 'Numerical result out of range')".
+        assert main(["check", "--config", bench_config, "--weights", "1e200,1,1,1,1"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "M_d is not finite for the weights [1e+200, 1.0" in out.err
+        assert "34" not in out.err and "out of range" not in out.err
+
+    def test_undefined_values_are_null(self, bench_config, capsys):
+        # Zero weights leave M_d = 0, so the ratio and the bounds are
+        # undefined; they were printed as NaN, which is not JSON.
+        assert main(["check", "--config", bench_config, "--weights", "0,0,0,0,0"]) == 1
+        lin = strict_json(capsys.readouterr().out)["lincomb_shrinkage"]
+        assert lin["condition_holds"] is False
+        assert lin["ratio"] is lin["phi_upper_single"] is lin["phi_upper_double"] is None
+        # The library report keeps its NaN.
+        report = lincomb_shrinkage_report(parse_model(BENCH_MODEL), [0.0] * 5)
+        assert np.isnan(report.ratio) and np.isnan(report.phi_upper_double)
 
     def test_missing_config_file(self, capsys):
         assert main(["check", "--config", "/nonexistent/cfg.json"]) == 2
@@ -470,6 +529,37 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == "" and message in out.err
 
+    @pytest.mark.parametrize(
+        "label", [5, "", ["a"], []], ids=["int", "empty", "list", "empty_list"]
+    )
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_label_must_be_a_non_empty_string(self, tmp_path, capsys, command, label):
+        # Label 5 made estimate exit 3 ("'int' object has no attribute
+        # 'upper'"); simulate printed 5, an empty name or ['a'] with exit 0.
+        cfg = self._config(
+            tmp_path, BENCH_MODEL, replications=10, estimators=[{"kind": "EB", "label": label}]
+        )
+        argv = {"simulate": ["simulate"], "estimate": ["estimate", self._data(tmp_path, 2.0)]}
+        assert main(argv[command] + ["--config", cfg]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"label: must be a non-empty string, got {label!r}" in out.err
+
+    @pytest.mark.parametrize("name", [[1, 2], "", {"a": 1}, 7], ids=["list", "empty", "object", "int"])
+    def test_config_name_must_be_a_non_empty_string(self, tmp_path, capsys, name):
+        # Each was stringified into mean_config, with exit 0.
+        cfg = self._config(tmp_path, BENCH_MODEL, name=name, replications=10)
+        assert main(["simulate", "--config", cfg]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"error: name: expected a non-empty string, got {name!r}" in out.err
+
+    def test_null_config_name_is_the_default(self, tmp_path, capsys):
+        # A null name was printed as "None".
+        cfg = self._config(tmp_path, BENCH_MODEL, name=None, replications=10)
+        assert main(["simulate", "--config", cfg]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert rows and all(row.startswith("config,") for row in rows)
+
     def test_single_replication_reports_nan_standard_errors(self, capsys):
         # A standard error is undefined at one replication; that nan is no failure.
         assert main(["simulate", "--preset", "table1", "--reps", "1"]) == 0
@@ -486,3 +576,82 @@ class TestExitCodes:
         assert main(["estimate", self._data(tmp_path, 2.0), "--config", bench_config]) == 3
         out = capsys.readouterr()
         assert out.out == "" and "numerical failure" in out.err
+
+
+# Floats for the fuzz properties: the non-finite values, zero, magnitudes
+# from 1e-300 to 1e300 of either sign, and any other float.
+FUZZ_FLOATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0]),
+    st.builds(lambda e, sign: sign * 10.0**e, st.floats(-300.0, 300.0), st.sampled_from([1, -1])),
+    st.floats(),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FUZZ_FLOATS | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+MISSING = object()
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of an in-process ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with np.errstate(all="ignore"):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_named_outcome(code, out, err):
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+
+
+class TestFuzz:
+    """Every input either succeeds or fails with its exit code and a
+    message, never a traceback; a config error leaves stdout empty, and
+    ``check`` writes strict JSON."""
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(-1, 1).flatmap(
+            lambda extra: st.lists(FUZZ_FLOATS, min_size=5 + extra, max_size=5 + extra)
+        )
+    )
+    @example([0.0] * 5)
+    def test_check_weights(self, weights):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps({"model": BENCH_MODEL}))
+            argv = ["check", "--config", str(cfg), "--weights=" + ",".join(map(repr, weights))]
+            code, out, err = run_cli(argv)
+        assert_named_outcome(code, out, err)
+        if code in (0, 1):
+            strict_json(out)
+
+    @settings(max_examples=60)
+    @given(JSON_VALUES | st.just(MISSING), JSON_VALUES | st.just(MISSING), st.booleans())
+    def test_label_and_name(self, label, name, simulate):
+        entry = {"kind": "EB"}
+        if label is not MISSING:
+            entry["label"] = label
+        doc = {"model": BENCH_MODEL, "estimators": [entry], "replications": 3}
+        if name is not MISSING:
+            doc["name"] = name
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            data = Path(tmp) / "data.csv"
+            data.write_text("0.1,0.2,0.3,0.4,0.5\n" * 5 + "2.0\n")
+            if simulate:
+                argv = ["simulate", "--config", str(cfg)]
+            else:
+                argv = ["estimate", str(data), "--config", str(cfg), "--estimators", "EB"]
+            code, out, err = run_cli(argv)
+        assert_named_outcome(code, out, err)
+        if code == 0:
+            # Only a non-empty string names an estimator or a run.
+            assert label in (MISSING, None) or (isinstance(label, str) and label)
+            assert name in (MISSING, None) or (isinstance(name, str) and name) or not simulate

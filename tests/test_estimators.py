@@ -284,7 +284,13 @@ class TestPhiHbPositiveL:
         S = 4.0 * rng.chisquare(20, 16)
         batch = phi_hb(F, S, 5, 5, 20, BENCH_A, 1.0, 0.5)
         single = [phi_hb(f, s, 5, 5, 20, BENCH_A, 1.0, 0.5) for f, s in zip(F, S)]
-        np.testing.assert_allclose(batch, single, rtol=1e-14)
+        # Bit for bit: every loop under the quadrature retires its elements
+        # one at a time.
+        assert np.array_equal(batch, single)
+
+    @pytest.mark.parametrize("L", [0.0, 0.5])
+    def test_empty_batch(self, L):
+        assert phi_hb(np.array([]), np.array([]), 5, 5, 20, BENCH_A, 1.0, L).shape == (0,)
 
     def test_missed_tolerance_raises(self, monkeypatch):
         monkeypatch.setattr(estimators, "_HB_RTOL", 1e-300)
@@ -594,6 +600,14 @@ class TestEstimatorConfig:
         assert EstimatorConfig(kind="LINCOMB", d=(1.0, 0.0)).validate(spec)
         assert not EstimatorConfig(kind="JS").validate(spec)
         assert EstimatorConfig(kind="nonsense").validate(spec)
+
+    @pytest.mark.parametrize("label", [5, "", ["a"]], ids=["int", "empty", "list"])
+    def test_label_must_be_a_non_empty_string(self, label):
+        spec = benchmark_spec()
+        assert EstimatorConfig(kind="EB", a0=0.1, label=label).validate(spec) == [
+            f"label: must be a non-empty string, got {label!r}"
+        ]
+        assert not EstimatorConfig(kind="EB", a0=0.1, label="eb1").validate(spec)
 
     def test_dispatch_rejects_invalid(self):
         spec = benchmark_spec()

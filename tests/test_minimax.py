@@ -6,6 +6,7 @@ import pytest
 
 from poolshrink.estimators import phi_hb
 from poolshrink.minimax import (
+    check_hb_domain,
     check_shrink_function,
     solve_hb_a_from_ratio,
     double_shrinkage_report,
@@ -200,6 +201,23 @@ class TestSolveHbA:
         spec = scalar_spec(2, 3, 10, [1.0] * 3, 1.0, [0.0] * 3)
         with pytest.raises(ValueError, match="condition fails"):
             solve_hb_a(spec)
+
+    def test_solution_outside_the_domain_raises_through_check_hb_domain(self):
+        # Both bounds fail together, at c >= (n + p(k-1))/2 = 20 here, and the
+        # lower one is checked first.
+        with pytest.raises(ValueError, match=r"a must exceed -p\(k-1\)/2 = -10.0") as info:
+            solve_hb_a_from_ratio(5.0, 5, 5, 20, c=20.0)
+        assert info.traceback[-1].name == "check_hb_domain"
+        assert solve_hb_a_from_ratio(5.0, 5, 5, 20, c=19.9) > -10.0
+
+    def test_domain_bounds(self):
+        check_hb_domain(5, 5, 20, -9.9, 19.8, 0.5)
+        with pytest.raises(ValueError, match="a must exceed"):
+            check_hb_domain(5, 5, 20, -10.0, 1.0)
+        with pytest.raises(ValueError, match=r"a \+ c must be below n/2 = 10.0"):
+            check_hb_domain(5, 5, 20, 4.0, 6.0)
+        with pytest.raises(ValueError, match="L must be nonnegative"):
+            check_hb_domain(5, 5, 20, 0.0, 1.0, -0.1)
 
 
 class TestCheckShrinkFunction:

@@ -216,6 +216,10 @@ class TestRegIncBeta:
         with pytest.raises(ValueError, match="did not converge"):
             reg_inc_beta(3.0, 7.0, np.array([0.01, 0.2]))
 
+    def test_empty_batch(self):
+        # The loop used to run its 500 steps on no elements and then raise.
+        assert reg_inc_beta(2.0, 3.0, np.array([])).shape == (0,)
+
 
 class TestRegUpperGamma:
     def test_exponential_tail(self):
@@ -277,6 +281,33 @@ class TestRegUpperGamma:
             got = reg_upper_gamma(s, x, log=True, base=base)
             assert abs(got - float(exact)) <= 1e-14 * max(1.0, abs(float(exact)))
         assert reg_upper_gamma(20.0, 0.0, base=7.0) == 1.0
+
+    def test_batch_is_bit_identical_to_single_calls(self):
+        # Series points (x < s + 1) and continued-fraction points, with and
+        # without a base: each element leaves its loop at its own step.
+        rng = np.random.default_rng(13)
+        for s in (0.7, 5.5, 21.0):
+            x = np.concatenate([rng.uniform(0.0, 2.0 * s + 4.0, 30), [1e-12, s, s + 1.0, 300.0]])
+            for base in (0.0, 0.5 * s, 3.0 * s + 5.0):
+                batch = reg_upper_gamma(s, x, log=True, base=base)
+                single = [reg_upper_gamma(s, xi, log=True, base=base) for xi in x]
+                assert np.array_equal(batch, single)
+                assert np.array_equal(batch[::-1], reg_upper_gamma(s, x[::-1], log=True, base=base))
+
+    def test_empty_batch(self):
+        assert reg_upper_gamma(2.0, np.array([])).shape == (0,)
+        assert reg_upper_gamma(2.0, np.array([]), log=True, base=np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [(3.0, "incomplete gamma series did not converge"),
+         (30.0, "incomplete gamma continued fraction did not converge")],
+        ids=["series", "continued_fraction"],
+    )
+    def test_nonconvergence_raises(self, monkeypatch, x, message):
+        monkeypatch.setattr(numerics, "_CF_MAXIT", 2)
+        with pytest.raises(ValueError, match=message):
+            reg_upper_gamma(10.0, np.array([x, 0.5 * x]))
 
 
 class TestFQuantile:

@@ -9,7 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poolshrink.cli import parse_estimators
-from poolshrink.estimators import ESTIMATORS, EstimatorConfig, estimate, phi_hb, pt_threshold
+from poolshrink.estimators import (
+    ESTIMATORS,
+    EstimatorConfig,
+    estimate,
+    phi_hb,
+    preset_config,
+    pt_threshold,
+)
 from poolshrink.minimax import double_shrinkage_report, single_shrinkage_report
 from poolshrink.model import ModelSpec, Sample
 from poolshrink.risksim import _batch_loss
@@ -252,3 +259,21 @@ def test_config_defaults_meet_their_bounds(model):
     sup = (q2 + 2.0 * hb.a) / (spec.n - 2.0 * (hb.a + hb.c))
     assert hb.c == c
     assert sup == pytest.approx(double.phi_upper_double, rel=1e-12)
+
+
+@settings(max_examples=40)
+@given(minimax_models())
+def test_preset_constants_equal_their_formulas(model):
+    # The EB, HEB and HB preset constants, written out from the trace
+    # ratios, hold bit for bit however the minimax module derives them.
+    spec, _ = model
+    ratio = single_shrinkage_report(spec).ratio
+    ratio_pooled = double_shrinkage_report(spec).ratio_pooled
+    n, pk = spec.n, spec.p * (spec.k - 1.0)
+    r = ratio - 2.0
+    assert preset_config("EB", spec).a0 == (ratio - 2.0) / (n + 2.0)
+    heb = preset_config("HEB", spec)
+    assert heb.a0 == 0.5 * (ratio - 2.0) / (n + 2.0)
+    assert heb.b0 == 0.5 * (ratio_pooled - 2.0) / (n + 2.0)
+    hb = preset_config("HB", spec)
+    assert hb.a == (r * (n - 2.0 * 1.0) - pk * (n + 2.0)) / (2.0 * (n + 2.0) + 2.0 * r)

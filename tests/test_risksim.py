@@ -248,6 +248,22 @@ class TestSimulateMany:
         assert pools == [2]
         assert len(capsys.readouterr().out.splitlines()) == 1 + 11 * 5
 
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch, capsys):
+        # A fork pool starts every worker at once, whatever the task count.
+        pools = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(risksim, "ProcessPoolExecutor", RecordingPool)
+        assert main(["simulate", "--preset", "table1", "--reps", "2048", "--workers", "4"]) == 0
+        assert pools == []
+        assert main(["simulate", "--preset", "table1", "--reps", "4097", "--workers", "4"]) == 0
+        assert pools == [3]
+        capsys.readouterr()
+
     def test_preset_derives_constants_once(self, monkeypatch):
         calls = []
         original = estimators.solve_hb_a
@@ -260,6 +276,11 @@ class TestSimulateMany:
 
     def test_no_plans_no_reports(self):
         assert simulate_many([]) == []
+
+    def test_non_string_label_is_an_invalid_plan(self):
+        plan = small_plan(reps=10, estimators=[EstimatorConfig(kind="EB", a0=0.1, label=5)])
+        with pytest.raises(ValueError, match=r"invalid simulation plan 0: .*label: must be"):
+            simulate_many([plan])
 
     def test_invalid_later_plan_named(self):
         with pytest.raises(ValueError, match=r"invalid simulation plan 1: replications"):
