@@ -29,13 +29,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, estimate, preset_config
+from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, preset_config
 from .minimax import (
     double_shrinkage_report,
     lincomb_shrinkage_report,
     single_shrinkage_report,
 )
-from .model import ModelSpec, Sample, validate_spec
+from .model import ModelSpec, validate_spec
 # ``simulate_risk`` stays importable from here: benchmark/run.py's report tap
 # patches ``cli.simulate_risk``.
 from .risksim import SimPlan, simulate_many, simulate_risk, table1_preset  # noqa: F401
@@ -380,7 +380,6 @@ def cmd_estimate(args) -> int:
     doc = _load_config(args.config)
     spec = parse_model(doc.get("model", {}), require_mu=False)
     x, s = _read_data_file(args.data, spec.p, spec.k)
-    sample = Sample(X=x, S=s)
 
     wanted = [name.strip().upper() for name in args.estimators.split(",") if name.strip()]
     entries = doc.get("estimators")
@@ -397,15 +396,17 @@ def cmd_estimate(args) -> int:
         raise ConfigError(f"estimators not configured: {', '.join(missing)}")
 
     # Every value is computed and checked before the first line is written,
-    # so a runtime failure leaves no partial output.
-    nu, f_stat, g_stat = batch_pooled_stats(spec, x[np.newaxis], np.array([s]))
+    # so a runtime failure leaves no partial output.  The estimates use the
+    # printed nu_hat, F and G.
+    xs, ss = x[np.newaxis], np.array([s])
+    nu, f_stat, g_stat = batch_pooled_stats(spec, xs, ss)
     values = [("nu_hat", nu[0]), ("F", f_stat), ("G", g_stat)]
     for name, value in values:
         if not np.all(np.isfinite(value)):
             raise RuntimeError(f"{name} is not finite: {value}")
     for name, cfg in zip(wanted, selected):
         try:
-            value = estimate(sample, spec, cfg)
+            value = ESTIMATORS[cfg.kind].rule(cfg, spec, xs, ss, nu, f_stat, g_stat)[0]
         except Exception as exc:
             raise RuntimeError(f"estimator {cfg.name} failed: {exc}") from exc
         if not np.all(np.isfinite(value)):

@@ -63,30 +63,32 @@ class MinimaxReport:
         return {key: val for key, val in asdict(self).items() if val is not None}
 
 
-def _shrinkage_report(m: np.ndarray, spec: ModelSpec) -> MinimaxReport:
-    """Condition and single/double bounds built from the product M Q; the
-    ratio is undefined (NaN) where Ch_max(M Q) is numerically zero."""
+def _shrinkage_report(m: np.ndarray, scale: float, spec: ModelSpec) -> MinimaxReport:
+    """Condition and single/double bounds built from the product M Q.  The
+    ratio is undefined (NaN) where Ch_max(M Q) is numerically zero: at most
+    ``_CHMAX_TOL`` times ``scale``, the trace against Q of the term of M that
+    does not cancel, so the test does not depend on the units of V, Q or d."""
     tr = trace_product(m, spec.Q)
     ch = chmax_product(m, spec.Q)
-    if ch <= _CHMAX_TOL * max(1.0, abs(tr)):
+    if ch <= _CHMAX_TOL * scale:
         ch, ratio = 0.0, float("nan")
     else:
         ratio = tr / ch
-    scale = 2.0 * (ratio - 2.0) / (spec.n + 2.0)
+    bound = 2.0 * (ratio - 2.0) / (spec.n + 2.0)
     return MinimaxReport(
         trace=tr,
         chmax=ch,
         ratio=ratio,
         condition_holds=ratio > 2.0,
-        phi_upper_single=scale,
-        phi_upper_double=0.5 * scale,
+        phi_upper_single=bound,
+        phi_upper_double=0.5 * bound,
     )
 
 
 def single_shrinkage_report(spec: ModelSpec) -> MinimaxReport:
     """Condition and bounds for rules shrinking X_1 toward the pooled mean:
     built from the matrix product (V_1 - A) Q."""
-    return _shrinkage_report(spec.V[0] - spec.A, spec)
+    return _shrinkage_report(spec.V[0] - spec.A, trace_product(spec.V[0], spec.Q), spec)
 
 
 def double_shrinkage_report(spec: ModelSpec) -> MinimaxReport:
@@ -95,7 +97,7 @@ def double_shrinkage_report(spec: ModelSpec) -> MinimaxReport:
     (V_1 - A) Q and A Q to exceed 2.  ``psi_upper_double`` is the
     ``phi_upper_double`` of A Q."""
     base = single_shrinkage_report(spec)
-    pooled = _shrinkage_report(spec.A, spec)
+    pooled = _shrinkage_report(spec.A, trace_product(spec.A, spec.Q), spec)
     return replace(
         base,
         condition_holds=base.condition_holds and pooled.condition_holds,
@@ -114,7 +116,10 @@ def lincomb_shrinkage_report(spec: ModelSpec, d: Sequence[float]) -> MinimaxRepo
     When d is proportional to the pooling weights, M_d is numerically
     zero and the condition fails with chmax = 0.
     """
-    return _shrinkage_report(lincomb_deviation_matrix(spec.V, d, spec.A), spec)
+    m = lincomb_deviation_matrix(spec.V, d, spec.A)
+    # Scaled only once M_d has accepted the weights, so bad ones fail by name.
+    traces = [trace_product(v, spec.Q) for v in spec.V]
+    return _shrinkage_report(m, float(np.dot(np.square(d), traces)), spec)
 
 
 def optimal_eb_constant(spec: ModelSpec) -> float:

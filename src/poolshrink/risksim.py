@@ -134,23 +134,14 @@ def _draw_noise(spec: ModelSpec, seed: int, chunk: int):
     return noise, ss
 
 
-def _draw_chunk(spec: ModelSpec, seed: int, chunk: int, rows: int = _CHUNK_SIZE):
-    """Draws for the first ``rows`` replications of chunk ``chunk``: X of
-    shape (rows, k, p) and S of shape (rows,).
-
-    The whole chunk is drawn and transformed whatever ``rows`` is, so a
-    replication's draw does not depend on how many rows are kept."""
-    noise, ss = _draw_noise(spec, seed, chunk)
-    return spec.mu_stack + noise[:rows], ss[:rows]
-
-
 def replication_sample(plan: SimPlan, rep: int) -> Sample:
-    """The draw the engine evaluates for replication ``rep`` of the plan."""
+    """The draw the engine evaluates for replication ``rep`` of the plan:
+    its row of the chunk's noise plus the plan's means."""
     if not 0 <= rep < plan.replications:
         raise IndexError(f"replication {rep} outside [0, {plan.replications})")
     chunk, row = divmod(rep, _CHUNK_SIZE)
-    xs, ss = _draw_chunk(plan.spec, plan.seed, chunk)
-    return Sample(X=xs[row], S=ss[row])
+    noise, ss = _draw_noise(plan.spec, plan.seed, chunk)
+    return Sample(X=noise[row] + plan.spec.mu_stack, S=ss[row])
 
 
 # ---------------------------------------------------------------------------
@@ -178,25 +169,37 @@ def _locate_failure(
     return start
 
 
+def _moments(*quantities: np.ndarray) -> np.ndarray:
+    """One (sum, sum of squares) row per quantity of a block of draws."""
+    return np.array([(q.sum(), (q**2).sum()) for q in quantities])
+
+
+def _reduce(blocks: Sequence[np.ndarray], count: int) -> list[tuple[float, float]]:
+    """(mean, standard error) of each quantity over ``count`` draws from the
+    blocks' ``_moments`` rows, added in block order so the result does not
+    depend on where the blocks were computed; the standard error is NaN at
+    one draw."""
+    totals = np.zeros_like(blocks[0])
+    for block in blocks:
+        totals += block
+    n = float(count)
+    total, total_sq = totals.T
+    means = total / n
+    if count < 2:
+        return [(mean, float("nan")) for mean in means]
+    var = np.maximum((total_sq - total * total / n) / (n - 1.0), 0.0)
+    return list(zip(means, map(float, np.sqrt(var / n))))
+
+
 def _chunk_sums(plan: SimPlan, start: int, xs: np.ndarray, ss: np.ndarray) -> np.ndarray:
-    """Loss accumulators for the plan's draws ``xs``, ``ss`` of replications
-    ``start``, ``start + 1``, ...
-
-    Layout: [count, sum_l1, sumsq_l1] + per estimator [sum_l, sumsq_l,
-    sum_d, sumsq_d] where d is the per-replication loss difference
-    l1 - l_est on the same draws.
-    """
+    """``_moments`` of the plan's losses on its draws ``xs``, ``ss`` of
+    replications ``start``, ``start + 1``, ...: first the baseline loss l1,
+    then per estimator its loss l and the paired difference l1 - l."""
     spec = plan.spec
-    n_est = len(plan.estimators)
-    out = np.zeros(3 + 4 * n_est)
-    out[0] = len(ss)
-
     base_loss = _batch_loss(xs[:, 0, :], spec)
-    out[1] = base_loss.sum()
-    out[2] = (base_loss**2).sum()
     nu, f_stat, g_stat = batch_pooled_stats(spec, xs, ss)
-
-    for idx, cfg in enumerate(plan.estimators):
+    losses = [base_loss]
+    for cfg in plan.estimators:
         try:
             est = ESTIMATORS[cfg.kind].rule(cfg, spec, xs, ss, nu, f_stat, g_stat)
             est_loss = _batch_loss(est, spec)
@@ -207,13 +210,8 @@ def _chunk_sums(plan: SimPlan, start: int, xs: np.ndarray, ss: np.ndarray) -> np
             raise SimulationError(
                 f"estimator {cfg.name} failed at replication {rep} (seed {plan.seed}): {exc}"
             ) from exc
-        diff = base_loss - est_loss
-        base = 3 + 4 * idx
-        out[base] = est_loss.sum()
-        out[base + 1] = (est_loss**2).sum()
-        out[base + 2] = diff.sum()
-        out[base + 3] = (diff**2).sum()
-    return out
+        losses += [est_loss, base_loss - est_loss]
+    return _moments(*losses)
 
 
 # The plans of a pool worker process, set once by ``_adopt_plans`` when the
@@ -248,36 +246,18 @@ def _worker_group_chunk_sums(task: tuple[tuple[int, ...], int]) -> list:
     return _group_chunk_sums(_WORKER_PLANS, task)
 
 
-def _mean_se(total: float, total_sq: float, count: float) -> tuple[float, float]:
-    mean = total / count
-    if count < 2:
-        return mean, float("nan")
-    var = max((total_sq - total * total / count) / (count - 1.0), 0.0)
-    return mean, float(np.sqrt(var / count))
-
-
 def _report(plan: SimPlan, partials: list[np.ndarray]) -> RiskReport:
     """The plan's report from its chunk sums, listed in chunk order."""
-    sums = np.zeros_like(partials[0])
-    for part in partials:  # fixed chunk order keeps the reduction deterministic
-        sums += part
-
-    count = sums[0]
-    base_risk, base_se = _mean_se(sums[1], sums[2], count)
+    (base_risk, base_se), *pairs = _reduce(partials, plan.replications)
     reports = []
-    for idx, cfg in enumerate(plan.estimators):
-        base = 3 + 4 * idx
-        risk, se = _mean_se(sums[base], sums[base + 1], count)
-        d_mean, d_se = _mean_se(sums[base + 2], sums[base + 3], count)
-        prial = 100.0 * d_mean / base_risk
-        prial_se = 100.0 * d_se / base_risk
+    for cfg, (risk, se), (d_mean, d_se) in zip(plan.estimators, pairs[::2], pairs[1::2]):
         reports.append(
             EstimatorRisk(
                 name=cfg.name,
                 risk=risk,
                 std_error=se,
-                prial=prial,
-                prial_std_error=prial_se,
+                prial=100.0 * d_mean / base_risk,
+                prial_std_error=100.0 * d_se / base_risk,
             )
         )
     return RiskReport(
@@ -450,20 +430,17 @@ _ID_CHUNK = 50_000
 
 
 def _identity_check(sides: Callable, replications: int) -> IdentityCheck:
-    """Accumulate both sides of an identity over blocks of at most
-    ``_ID_CHUNK`` draws; ``sides(block)`` draws one block and returns its
-    per-draw left- and right-hand sides."""
-    sums = np.zeros(5)  # count, sum_lhs, sum_rhs, sum_d, sumsq_d
-    remaining = replications
-    while remaining > 0:
-        block = min(_ID_CHUNK, remaining)
-        lhs, rhs = sides(block)
-        diff = lhs - rhs
-        sums += [block, lhs.sum(), rhs.sum(), diff.sum(), (diff**2).sum()]
-        remaining -= block
-    count = sums[0]
-    _, d_se = _mean_se(sums[3], sums[4], count)
-    return IdentityCheck(lhs=sums[1] / count, rhs=sums[2] / count, std_error=d_se)
+    """Reduce both sides of an identity over blocks of at most ``_ID_CHUNK``
+    draws; ``sides(block)`` draws one block and returns its per-draw left-
+    and right-hand sides."""
+    if replications < 1:
+        raise ValueError(f"replications: must be >= 1, got {replications}")
+    blocks = []
+    for start in range(0, replications, _ID_CHUNK):
+        lhs, rhs = sides(min(_ID_CHUNK, replications - start))
+        blocks.append(_moments(lhs, rhs, lhs - rhs))
+    (lhs_mean, _), (rhs_mean, _), (_, d_se) = _reduce(blocks, replications)
+    return IdentityCheck(lhs=lhs_mean, rhs=rhs_mean, std_error=d_se)
 
 
 def stein_identity_check(

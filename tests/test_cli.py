@@ -2,6 +2,7 @@
 across worker counts, and exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -16,6 +17,8 @@ from poolshrink.cli import main, parse_estimators, parse_model
 from poolshrink.minimax import lincomb_shrinkage_report, solve_hb_a
 from poolshrink.numerics import QuadratureError
 
+DATA = Path(__file__).parent / "data"
+
 BENCH_MODEL = {
     "p": 5,
     "k": 5,
@@ -23,6 +26,17 @@ BENCH_MODEL = {
     "sigma2": 2.0,
     "V": [0.1, 0.2, 0.3, 0.4, 0.5],
     "Q": "inv_v1",
+    "mu": [0, 0, 0, 0, 0],
+}
+
+
+# The five-sample model in units where tr((V_1 - A) Q) is about 3e-13.
+SMALL_V_MODEL = {
+    "p": 5,
+    "k": 5,
+    "n": 20,
+    "V": [1e-13, 2e-13, 3e-13, 4e-13, 5e-13],
+    "Q": 1,
     "mu": [0, 0, 0, 0, 0],
 }
 
@@ -119,6 +133,38 @@ class TestSimulate:
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["estimator"] == "EB-small"
+
+    @pytest.mark.parametrize(
+        "argv, pinned",
+        [
+            (["--preset", "table1", "--reps", "4097", "--seed", "0"], "table1_reps4097_seed0.csv"),
+            (["--config", str(DATA / "hb_config.json")], "hb_config_seed3.csv"),
+        ],
+    )
+    def test_numbers_match_the_pinned_run(self, capsys, argv, pinned):
+        # The reports of an earlier commit, to the printed precision, so a
+        # last-bit BLAS difference passes while a change of the draw streams,
+        # which moves values by a standard error, does not.  A deliberate
+        # stream change updates the pinned files.
+        assert main(["simulate", *argv]) == 0
+        got = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        want = list(csv.DictReader(io.StringIO((DATA / pinned).read_text())))
+        assert len(got) == len(want)
+        for got_row, want_row in zip(got, want):
+            assert list(got_row) == list(want_row)
+            for field, value in want_row.items():
+                if field in ("mean_config", "estimator"):
+                    assert got_row[field] == value
+                else:
+                    assert float(got_row[field]) == pytest.approx(float(value), rel=1e-5)
+
+    def test_small_units_run(self, tmp_path, capsys):
+        # The EB default failed with "trace-ratio condition fails" once the
+        # traces fell below 1e-12, although the ratio is 5 in any units.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": SMALL_V_MODEL}))
+        assert main(["simulate", "--config", str(path), "--reps", "100"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 5
 
     def test_zero_reps_rejected(self, capsys):
         code = main(["simulate", "--preset", "table1", "--reps", "0"])
@@ -339,6 +385,39 @@ class TestCheck:
         out = capsys.readouterr()
         assert out.out == "" and "M_d is not finite for the weights [1e+200, 1.0" in out.err
         assert "34" not in out.err and "out of range" not in out.err
+
+    def _check(self, tmp_path, capsys, model):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"model": model}))
+        code = main(["check", "--config", str(path)])
+        return code, strict_json(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("units", ["V", "Q"])
+    def test_condition_does_not_depend_on_units(self, tmp_path, capsys, units):
+        # Ch_max counted as zero below an absolute 1e-12 once the trace was
+        # below 1, so these models printed "ratio": null and exited 1.
+        unit_model = {**SMALL_V_MODEL, "V": [0.1, 0.2, 0.3, 0.4, 0.5]}
+        model = SMALL_V_MODEL if units == "V" else {**unit_model, "Q": 1e-13}
+        code, report = self._check(tmp_path, capsys, model)
+        unit_code, unit_report = self._check(tmp_path, capsys, unit_model)
+        assert code == unit_code == 0
+        for section in ("single_shrinkage", "double_shrinkage"):
+            for key in ("ratio", "ratio_pooled"):
+                if key in unit_report[section]:
+                    assert report[section][key] == pytest.approx(
+                        unit_report[section][key], rel=1e-12
+                    )
+
+    def test_small_weights_keep_the_ratio(self, bench_config, capsys):
+        # 1e-7 weights printed "ratio": null and exited 1, while 1e-6 and
+        # 1 weights gave ratio 5.
+        assert main(["check", "--config", bench_config, "--weights=1,1,1,1,1"]) == 0
+        unit = strict_json(capsys.readouterr().out)["lincomb_shrinkage"]
+        small_weights = "--weights=" + ",".join(["1e-7"] * 5)
+        assert main(["check", "--config", bench_config, small_weights]) == 0
+        small = strict_json(capsys.readouterr().out)["lincomb_shrinkage"]
+        assert small["condition_holds"] is True
+        assert small["ratio"] == pytest.approx(unit["ratio"], rel=1e-12)
 
     def test_undefined_values_are_null(self, bench_config, capsys):
         # Zero weights leave M_d = 0, so the ratio and the bounds are

@@ -20,7 +20,7 @@ from poolshrink.estimators import (
 from poolshrink import estimators
 from poolshrink.model import Sample, scalar_spec
 from poolshrink.numerics import QuadratureError
-from poolshrink.risksim import _draw_chunk
+from poolshrink.risksim import SimPlan, replication_sample
 from poolshrink.statistics import batch_pooled_stats
 
 BENCH_A = -7.72  # HB constant for the benchmark model (c=1, L=0)
@@ -32,8 +32,7 @@ def benchmark_spec(mu=(0, 0, 0, 0, 0)):
 
 def random_sample(spec, seed):
     """The engine's first replication at ``seed``."""
-    xs, ss = _draw_chunk(spec, seed, 0, 1)
-    return Sample(X=xs[0], S=ss[0])
+    return replication_sample(SimPlan(spec, (), 1, seed), 0)
 
 
 def pooled_stats(sample, spec):

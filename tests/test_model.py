@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from poolshrink.model import ModelSpec, scalar_spec, validate_spec
-from poolshrink.risksim import _CHUNK_SIZE, _batch_loss, _draw_chunk
+from poolshrink.risksim import _CHUNK_SIZE, SimPlan, _batch_loss, _draw_noise, replication_sample
 
 
 def benchmark_spec(mu=(0, 0, 0, 0, 0), sigma2=2.0):
@@ -67,26 +67,24 @@ class TestValidateSpec:
 
 
 def engine_draws(spec, seed, reps):
-    """The first ``reps`` replications the engine draws at ``seed``, read
-    chunk by chunk."""
-    chunks, tail = divmod(reps, _CHUNK_SIZE)
-    parts = [_draw_chunk(spec, seed, c) for c in range(chunks)]
-    if tail:
-        parts.append(_draw_chunk(spec, seed, chunks, tail))
-    return np.concatenate([x for x, _ in parts]), np.concatenate([s for _, s in parts])
+    """The first ``reps`` replications the engine draws at ``seed``: the
+    means added to its noise, read chunk by chunk."""
+    parts = [_draw_noise(spec, seed, c) for c in range(-(-reps // _CHUNK_SIZE))]
+    xs = np.concatenate([noise for noise, _ in parts])[:reps] + spec.mu_stack
+    return xs, np.concatenate([s for _, s in parts])[:reps]
 
 
 class TestSampleDraw:
     def test_degenerate_scale_collapses_to_means(self):
         spec = benchmark_spec(mu=(1, 2, 3, 4, 5), sigma2=1e-20)
-        xs, ss = _draw_chunk(spec, 0, 0, 1)
-        np.testing.assert_allclose(xs[0], spec.mu_stack, atol=1e-8)
-        assert 0.0 < ss[0] < 1e-8
+        sample = replication_sample(SimPlan(spec, (), 1, 0), 0)
+        np.testing.assert_allclose(sample.X, spec.mu_stack, atol=1e-8)
+        assert 0.0 < sample.S < 1e-8
 
     def test_same_seed_reproduces_bit_for_bit(self):
         spec = benchmark_spec()
-        x1, s1 = _draw_chunk(spec, 42, 0)
-        x2, s2 = _draw_chunk(spec, 42, 0)
+        x1, s1 = _draw_noise(spec, 42, 0)
+        x2, s2 = _draw_noise(spec, 42, 0)
         assert np.array_equal(x1, x2)
         assert np.array_equal(s1, s2)
 

@@ -17,7 +17,11 @@ from poolshrink.estimators import (
     preset_config,
     pt_threshold,
 )
-from poolshrink.minimax import double_shrinkage_report, single_shrinkage_report
+from poolshrink.minimax import (
+    double_shrinkage_report,
+    lincomb_shrinkage_report,
+    single_shrinkage_report,
+)
 from poolshrink.model import ModelSpec, Sample
 from poolshrink.risksim import _batch_loss
 from poolshrink.statistics import batch_pooled_stats
@@ -277,3 +281,40 @@ def test_preset_constants_equal_their_formulas(model):
     assert heb.b0 == 0.5 * (ratio_pooled - 2.0) / (n + 2.0)
     hb = preset_config("HB", spec)
     assert hb.a == (r * (n - 2.0 * 1.0) - pk * (n + 2.0)) / (2.0 * (n + 2.0) + 2.0 * r)
+
+
+@st.composite
+def rescaled_models(draw):
+    """A dense model, weights d, and the same model and weights in other
+    units: V times 2^i, Q times 2^j and d times 2^l."""
+    p = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = [dense_spd(rng, p, rng.uniform(0.2, 2.0)) for _ in range(k)]
+    Q = dense_spd(rng, p, rng.uniform(0.2, 2.0))
+    d = rng.normal(0.0, 1.0, k)
+    i, j, l = (draw(st.integers(-150, 150)) for _ in range(3))
+    mu = tuple(np.zeros((k, p)))
+    spec = ModelSpec(p=p, k=k, n=10, V=tuple(V), Q=Q, sigma2=1.0, mu=mu)
+    scaled = ModelSpec(
+        p=p, k=k, n=10, V=tuple(np.ldexp(v, i) for v in V), Q=np.ldexp(Q, j), sigma2=1.0, mu=mu
+    )
+    return spec, d, scaled, np.ldexp(d, l)
+
+
+@settings(max_examples=60)
+@given(rescaled_models())
+def test_minimax_reports_do_not_depend_on_units(models):
+    # tr(M Q)/Ch_max(M Q) is invariant under rescaling V, Q and d, and so is
+    # whether Ch_max counts as zero.
+    spec, d, scaled, scaled_d = models
+    pairs = [
+        (single_shrinkage_report(spec), single_shrinkage_report(scaled)),
+        (double_shrinkage_report(spec), double_shrinkage_report(scaled)),
+        (lincomb_shrinkage_report(spec, d), lincomb_shrinkage_report(scaled, scaled_d)),
+    ]
+    for base, moved in pairs:
+        assert moved.condition_holds == base.condition_holds
+        for key in ("ratio", "ratio_pooled"):
+            if getattr(base, key) is not None:
+                np.testing.assert_allclose(getattr(moved, key), getattr(base, key), rtol=1e-9)

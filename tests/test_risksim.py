@@ -411,6 +411,28 @@ class TestChisqIdentity:
         assert res.agrees(4.0)
 
 
+class TestIdentityReplications:
+    @pytest.mark.parametrize("replications", [0, -5])
+    def test_fewer_than_one_replication_is_rejected(self, replications):
+        # Both checks returned lhs = rhs = std_error = nan after 0/0 warnings.
+        with pytest.raises(ValueError, match="replications: must be >= 1"):
+            stein_identity_check(
+                h=lambda y: y,
+                jacobian=lambda y: np.broadcast_to(np.eye(2), (y.shape[0], 2, 2)),
+                mu=np.zeros(2),
+                sigma=np.eye(2),
+                replications=replications,
+            )
+        with pytest.raises(ValueError, match="replications: must be >= 1"):
+            chisq_identity_check(
+                g=lambda s: np.ones_like(s),
+                g_prime=lambda s: np.zeros_like(s),
+                n=5,
+                sigma2=1.0,
+                replications=replications,
+            )
+
+
 class TestReportShape:
     def test_report_fields(self):
         report = simulate_risk(small_plan(reps=256))
