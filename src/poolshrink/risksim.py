@@ -2,17 +2,21 @@
 the Stein / chi-square integration-by-parts identities.
 
 Determinism contract: replications are drawn in fixed chunks of
-``_CHUNK_SIZE``, chunk c from one RNG stream keyed by (seed, c) and always
-drawn in full, so replication r's draw depends only on (seed, r): not on
-the worker count, nor on the plan's replication count, nor on which other
-plans run beside it.  ``simulate_many`` groups plans that share the seed and
-the noise model (p, k, n, sigma^2 and the Cholesky factors of sigma^2 V_i)
-and draws each chunk once per group; each plan adds its own means to the
-shared draw.  Chunk partial sums are reduced per plan in chunk order, so a
-plan produces bit-identical reports for any degree of parallelism.  A run
-opens at most one pool; its workers are fork-started and inherit the plans,
-so shrink functions need not be picklable; only plan indices, chunk indices
-and chunk sums cross the process boundary.
+``_CHUNK_SIZE``, chunk c from one RNG stream keyed by (seed, c).  The stream
+first gives S for every row of the chunk, then the normals row by row, and
+the noise is always computed over the whole chunk's shape, so a draw of the
+chunk's first r rows is the prefix of its full draw and replication r's
+draw depends only on (seed, r): not on the worker count,
+nor on the plan's replication count, nor on which other plans run beside
+it.  ``simulate_many`` groups plans that share the seed and the noise model
+(p, k, n, sigma^2 and the Cholesky factors of sigma^2 V_i) and draws each
+chunk once per group, as many rows as its longest member keeps; each plan
+adds its own means to the shared draw.  Chunk partial sums are reduced per
+plan in chunk order, so a plan produces bit-identical reports for any
+degree of parallelism.  A run opens at most one pool; its workers are
+fork-started and inherit the plans, so shrink functions need not be
+picklable; only plan indices, chunk indices and chunk sums cross the
+process boundary.
 """
 
 from __future__ import annotations
@@ -123,15 +127,25 @@ def _noise_key(plan: SimPlan) -> tuple:
     return (spec.p, spec.k, spec.n, spec.sigma2, plan.seed, spec.chol_scaled.tobytes())
 
 
-def _draw_noise(spec: ModelSpec, seed: int, chunk: int):
-    """The whole of chunk ``chunk`` without the means: X - mu of shape
-    (_CHUNK_SIZE, k, p) and S of shape (_CHUNK_SIZE,).  The only draw path;
-    it reads nothing of ``spec`` that ``_noise_key`` leaves out."""
+def _draw_noise(spec: ModelSpec, seed: int, chunk: int, rows: int):
+    """The first ``rows`` rows of chunk ``chunk`` without the means: X - mu
+    of shape (rows, k, p) and S of shape (rows,).  The only draw path; it
+    reads nothing of ``spec`` that ``_noise_key`` leaves out.
+
+    S is drawn for the whole chunk first, so the normals that follow start
+    at the same point of the stream whatever ``rows`` is.  Only the first
+    ``rows`` rows of normals are drawn; the rest stay zero, and the product
+    with the Cholesky factors is still taken over the whole chunk.  einsum
+    picks its summation loop from the operands' shapes: a product over one
+    row of a dense p = 20, k = 6 model differed in the last bits from the
+    same row of the full chunk's product.  With the shapes fixed, a draw of
+    r rows is the prefix of the full chunk's draw."""
     rng = replication_rng(seed, chunk)
-    z = rng.standard_normal((_CHUNK_SIZE, spec.k, spec.p))
-    noise = np.einsum("kij,bkj->bki", spec.chol_scaled, z, optimize=True)
     ss = spec.sigma2 * rng.gamma(0.5 * spec.n, 2.0, size=_CHUNK_SIZE)
-    return noise, ss
+    z = np.zeros((_CHUNK_SIZE, spec.k, spec.p))
+    rng.standard_normal(out=z[:rows])
+    noise = np.einsum("kij,bkj->bki", spec.chol_scaled, z, optimize=True)
+    return noise[:rows], ss[:rows]
 
 
 def replication_sample(plan: SimPlan, rep: int) -> Sample:
@@ -140,7 +154,7 @@ def replication_sample(plan: SimPlan, rep: int) -> Sample:
     if not 0 <= rep < plan.replications:
         raise IndexError(f"replication {rep} outside [0, {plan.replications})")
     chunk, row = divmod(rep, _CHUNK_SIZE)
-    noise, ss = _draw_noise(plan.spec, plan.seed, chunk)
+    noise, ss = _draw_noise(plan.spec, plan.seed, chunk, row + 1)
     return Sample(X=noise[row] + plan.spec.mu_stack, S=ss[row])
 
 
@@ -226,15 +240,16 @@ def _adopt_plans(plans: tuple[SimPlan, ...]) -> None:
 
 def _group_chunk_sums(plans: Sequence[SimPlan], task: tuple[tuple[int, ...], int]) -> list:
     """Chunk sums of the plans ``task = (indices, chunk)`` names, which
-    share one noise model and all reach the chunk, on one draw of it."""
+    share one noise model and all reach the chunk, on one draw of the rows
+    the longest of them keeps."""
     members, chunk = task
-    first = plans[members[0]]
-    noise, s_all = _draw_noise(first.spec, first.seed, chunk)
     start = chunk * _CHUNK_SIZE
+    kept = [min(_CHUNK_SIZE, plans[i].replications - start) for i in members]
+    first = plans[members[0]]
+    noise, s_all = _draw_noise(first.spec, first.seed, chunk, max(kept))
     sums = []
-    for i in members:
+    for i, rows in zip(members, kept):
         plan = plans[i]
-        rows = min(_CHUNK_SIZE, plan.replications - start)
         # The last plan adds its means in place, as no plan reads the noise after it.
         out = noise[:rows] if i == members[-1] else None
         xs = np.add(noise[:rows], plan.spec.mu_stack, out=out)

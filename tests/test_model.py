@@ -69,9 +69,12 @@ class TestValidateSpec:
 def engine_draws(spec, seed, reps):
     """The first ``reps`` replications the engine draws at ``seed``: the
     means added to its noise, read chunk by chunk."""
-    parts = [_draw_noise(spec, seed, c) for c in range(-(-reps // _CHUNK_SIZE))]
-    xs = np.concatenate([noise for noise, _ in parts])[:reps] + spec.mu_stack
-    return xs, np.concatenate([s for _, s in parts])[:reps]
+    parts = [
+        _draw_noise(spec, seed, c, min(_CHUNK_SIZE, reps - start))
+        for c, start in enumerate(range(0, reps, _CHUNK_SIZE))
+    ]
+    xs = np.concatenate([noise for noise, _ in parts]) + spec.mu_stack
+    return xs, np.concatenate([s for _, s in parts])
 
 
 class TestSampleDraw:
@@ -83,10 +86,22 @@ class TestSampleDraw:
 
     def test_same_seed_reproduces_bit_for_bit(self):
         spec = benchmark_spec()
-        x1, s1 = _draw_noise(spec, 42, 0)
-        x2, s2 = _draw_noise(spec, 42, 0)
+        x1, s1 = _draw_noise(spec, 42, 0, _CHUNK_SIZE)
+        x2, s2 = _draw_noise(spec, 42, 0, _CHUNK_SIZE)
         assert np.array_equal(x1, x2)
         assert np.array_equal(s1, s2)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 8, 1696, 2047, 2048])
+    def test_short_draw_is_prefix_of_full_chunk(self, rows, dense_spec):
+        # S comes first in the stream, so the normals of a short draw start
+        # where the full chunk's do; at one row the dense model's product
+        # differs in the last bits unless it is taken over the whole chunk.
+        for spec in (benchmark_spec(), dense_spec):
+            full_x, full_s = _draw_noise(spec, 9, 2, _CHUNK_SIZE)
+            x, s = _draw_noise(spec, 9, 2, rows)
+            assert x.shape == (rows, spec.k, spec.p) and s.shape == (rows,)
+            assert np.array_equal(x, full_x[:rows])
+            assert np.array_equal(s, full_s[:rows])
 
     def test_empirical_mean_of_x1(self):
         spec = benchmark_spec(mu=(0.7, -0.3, 0.1, 0.0, 1.5))

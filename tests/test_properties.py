@@ -1,7 +1,8 @@
 """Property tests on random dense models: every estimator kind against its
 formula written with solve-based numpy, the batched statistics against the
-solve-based reference, and the bound and monotonicity of phi_hb.  The
-derandomized profile in conftest fixes the examples."""
+solve-based reference, the bound and monotonicity of phi_hb, and short chunk
+draws as prefixes of full ones.  The derandomized profile in conftest fixes
+the examples."""
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from poolshrink.minimax import (
     single_shrinkage_report,
 )
 from poolshrink.model import ModelSpec, Sample
-from poolshrink.risksim import _batch_loss
+from poolshrink.risksim import _CHUNK_SIZE, _batch_loss, _draw_noise
 from poolshrink.statistics import batch_pooled_stats
 
 B = 2  # samples per example, evaluated as one batch
@@ -176,6 +177,17 @@ def test_contractions_match_einsum_forms(problem):
 
 
 F_GRID = np.geomspace(1e-300, 1e300, 601)
+
+
+@settings(max_examples=30)
+@given(large_dense_batches(), st.integers(1, _CHUNK_SIZE), st.integers(0, 2**32 - 1))
+def test_short_draw_is_prefix_of_full_chunk(problem, rows, seed):
+    # Replication r's draw must not depend on how many rows of its chunk a
+    # plan keeps: a draw of ``rows`` rows is the full chunk's, bit for bit.
+    spec = problem[0]
+    full_x, full_s = _draw_noise(spec, seed, 1, _CHUNK_SIZE)
+    x, s = _draw_noise(spec, seed, 1, rows)
+    assert np.array_equal(x, full_x[:rows]) and np.array_equal(s, full_s[:rows])
 
 
 @settings(max_examples=30)

@@ -92,11 +92,12 @@ class TestSimulateRisk:
         assert "fork start method unavailable" in caplog.text
         assert repr(report) == repr(simulate_risk(plan, workers=1))
 
-    def test_replication_draw_does_not_depend_on_replication_count(self):
-        short, full = small_plan(reps=2049), small_plan(reps=4096)
-        for rep in (0, 2047, 2048):
-            a, b = replication_sample(short, rep), replication_sample(full, rep)
-            assert np.array_equal(a.X, b.X) and a.S == b.S
+    def test_replication_draw_does_not_depend_on_replication_count(self, dense_spec):
+        dense = (SimPlan(dense_spec, (), 2049, 3), SimPlan(dense_spec, (), 4096, 3))
+        for short, full in [(small_plan(reps=2049), small_plan(reps=4096)), dense]:
+            for rep in (0, 1, 2047, 2048):
+                a, b = replication_sample(short, rep), replication_sample(full, rep)
+                assert np.array_equal(a.X, b.X) and a.S == b.S
 
     def test_matches_per_sample_estimators(self):
         # The engine's chunked evaluation must agree with estimate(), the
@@ -177,6 +178,25 @@ class TestHotPathCounts:
             simulate_risk(plan)
         assert calls == [(20, 20, 0.05)]
 
+    def test_short_plan_draws_only_its_rows(self, monkeypatch):
+        drawn = []
+        original = risksim.replication_rng
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def standard_normal(self, size=None, *, out=None):
+                drawn.append(len(out) if out is not None else size[0])
+                return self.rng.standard_normal(size, out=out)
+
+        monkeypatch.setattr(risksim, "replication_rng", lambda *args: Recording(original(*args)))
+        simulate_risk(small_plan(reps=8))
+        assert drawn == [8]
+
 
 class TestSimulateMany:
     """Plans that share a seed and a noise model share each chunk's draw,
@@ -187,7 +207,7 @@ class TestSimulateMany:
         return SimPlan(spec, preset_estimators(spec), reps, 3)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_matches_separate_runs(self, workers):
+    def test_matches_separate_runs(self, workers, dense_spec):
         zero = (0, 0, 0, 0, 0)
         # sigma^2 V_i equal to small_plan's bit for bit, but S scales by 1, not 2.
         other_sigma2 = scalar_spec(5, 5, 20, [0.2 * i for i in range(1, 6)], 1.0, zero)
@@ -205,6 +225,10 @@ class TestSimulateMany:
             small_plan(reps=4096, mu=(2, 2, 2, 2, 2)),
             self._plan(other_n, 2049),
             small_plan(reps=2047, mu=(0.4, 4, 4, 4, 4)),
+            # 2049 replications leave a one-row last chunk on the dense model.
+            self._plan(dense_spec, 2049),
+            # Drawn alone it takes one row; beside the plan above, 2,048.
+            self._plan(dense_spec, 1),
         ]
         expected = [repr(simulate_risk(plan)) for plan in plans]
         assert [repr(report) for report in simulate_many(plans, workers)] == expected
