@@ -9,14 +9,7 @@ minimax, and a deterministic Monte Carlo engine measuring risk and PRIAL
 estimator.
 """
 
-from .estimators import (
-    ESTIMATORS,
-    EstimatorConfig,
-    bayes_oracle_normal,
-    bayes_oracle_uniform,
-    estimate,
-    phi_hb,
-)
+from .estimators import ESTIMATORS, EstimatorConfig, estimate, phi_hb
 from .minimax import (
     MinimaxReport,
     check_shrink_function,
@@ -36,5 +29,15 @@ from .risksim import (
     table1_preset,
 )
 from .statistics import linear_bound_check, pooled_deviance_gap
+
+__all__ = [
+    "ESTIMATORS", "EstimatorConfig", "estimate", "phi_hb",
+    "MinimaxReport", "check_shrink_function", "double_shrinkage_report",
+    "lincomb_shrinkage_report", "single_shrinkage_report", "solve_hb_a",
+    "ModelSpec", "Sample", "scalar_spec", "validate_spec",
+    "RiskReport", "SimPlan", "chisq_identity_check", "simulate_many", "simulate_risk",
+    "stein_identity_check", "table1_preset",
+    "linear_bound_check", "pooled_deviance_gap",
+]
 
 __version__ = "0.1.0"

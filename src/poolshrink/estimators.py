@@ -13,8 +13,7 @@ nu_hat), both normalized by the chi-square statistic S:
   integrating the shrinkage weight against a second-stage prior;
 * hierarchical empirical Bayes (HEB): EB-style double shrinkage;
 * the generic single/double/linear-combination shrinkage classes
-  (CLASS1, CLASS2, LINCOMB) driven by user-supplied shrink functions;
-* oracle Bayes rules with known variance components.
+  (CLASS1, CLASS2, LINCOMB) driven by user-supplied shrink functions.
 
 Each kind is defined once, in the ``ESTIMATORS`` registry, as a rule
 batched over B samples; the Monte Carlo engine calls it on whole chunks
@@ -46,8 +45,6 @@ __all__ = [
     "EstimatorConfig",
     "EstimatorKind",
     "ShrinkFunction",
-    "bayes_oracle_normal",
-    "bayes_oracle_uniform",
     "estimate",
     "hb_small_f_factor",
     "phi_hb",
@@ -96,7 +93,7 @@ class EstimatorConfig:
     def name(self) -> str:
         return self.label if self.label is not None else self.kind
 
-    def validate(self, spec: ModelSpec | None = None) -> list[str]:
+    def validate(self, spec: ModelSpec) -> list[str]:
         """Field-level validation; returns violation messages.  A label, if
         given, must be a non-empty string."""
         errors = []
@@ -358,13 +355,13 @@ def _field_errors(cfg: EstimatorConfig, fields: tuple[str, ...]) -> list[str]:
     return errors
 
 
-def _no_checks(cfg: EstimatorConfig, spec: ModelSpec | None) -> list[str]:
+def _no_checks(cfg: EstimatorConfig, spec: ModelSpec) -> list[str]:
     return []
 
 
 def _check_hb(cfg, spec):
     """The HB domain of ``check_hb_domain``, given the model."""
-    if spec is None or cfg.a is None or cfg.c is None:
+    if cfg.a is None or cfg.c is None:
         return []
     try:
         check_hb_domain(spec.p, spec.k, spec.n, cfg.a, cfg.c)
@@ -374,7 +371,7 @@ def _check_hb(cfg, spec):
 
 
 def _check_weights(cfg, spec):
-    if cfg.d is not None and spec is not None and len(cfg.d) != spec.k:
+    if cfg.d is not None and len(cfg.d) != spec.k:
         return [f"d: expected {spec.k} weights, got {len(cfg.d)}"]
     return []
 
@@ -392,7 +389,7 @@ class EstimatorKind:
 
     fields: tuple[str, ...]
     rule: Callable[..., np.ndarray]
-    check: Callable[[EstimatorConfig, ModelSpec | None], list[str]] = _no_checks
+    check: Callable[[EstimatorConfig, ModelSpec], list[str]] = _no_checks
     optimal: Callable[[EstimatorConfig, ModelSpec], dict] | None = None
 
 
@@ -532,38 +529,3 @@ def estimate(sample: Sample, spec: ModelSpec, config: EstimatorConfig) -> np.nda
     S = np.array([sample.S])
     nu, F, G = batch_pooled_stats(spec, X, S)
     return ESTIMATORS[config.kind].rule(config, spec, X, S, nu, F, G)[0]
-
-
-# ---------------------------------------------------------------------------
-# Oracle Bayes rules (known variance components)
-# ---------------------------------------------------------------------------
-
-
-def _nu_hat(sample: Sample, spec: ModelSpec) -> np.ndarray:
-    nu, _, _ = batch_pooled_stats(spec, sample.X[np.newaxis], np.array([sample.S]))
-    return nu[0]
-
-
-def bayes_oracle_uniform(
-    sample: Sample, spec: ModelSpec, tau2: float, sigma2: float
-) -> np.ndarray:
-    """Oracle Bayes rule under a flat prior on the common mean:
-    X_1 - (sigma2/(tau2 + sigma2))(X_1 - nu_hat)."""
-    if not (tau2 > 0.0 and sigma2 > 0.0):
-        raise ValueError("tau2 and sigma2 must be positive")
-    w = sigma2 / (tau2 + sigma2)
-    return sample.X[0] - w * (sample.X[0] - _nu_hat(sample, spec))
-
-
-def bayes_oracle_normal(
-    sample: Sample, spec: ModelSpec, tau2: float, gamma2: float, sigma2: float
-) -> np.ndarray:
-    """Oracle Bayes rule under a centered normal prior on the common mean:
-    the flat-prior rule with an extra pull of nu_hat toward 0 by
-    sigma2/(gamma2 + tau2 + sigma2)."""
-    if not (tau2 > 0.0 and gamma2 > 0.0 and sigma2 > 0.0):
-        raise ValueError("tau2, gamma2 and sigma2 must be positive")
-    nu = _nu_hat(sample, spec)
-    w1 = sigma2 / (tau2 + sigma2)
-    w2 = sigma2 / (gamma2 + tau2 + sigma2)
-    return sample.X[0] - w1 * (sample.X[0] - nu) - w2 * nu

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, estimate, preset_config
+from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, preset_config
 from .model import ModelSpec, Sample, scalar_spec, validate_spec
 from .numerics import trace_product
 from .statistics import batch_pooled_stats
@@ -168,19 +168,20 @@ def _batch_loss(est: np.ndarray, spec: ModelSpec) -> np.ndarray:
     return np.einsum("bi,bi->b", diff @ spec.Q, diff) / spec.sigma2
 
 
-def _locate_failure(
-    cfg: EstimatorConfig, spec: ModelSpec, xs: np.ndarray, ss: np.ndarray, start: int
-) -> int:
-    """Re-evaluate the rows of a failed chunk one at a time to name the
-    culprit replication."""
+def _failing_row(cfg: EstimatorConfig, spec: ModelSpec, xs, ss, stats) -> int:
+    """The first row of a chunk on which ``cfg``'s rule, run on that row
+    alone with its pooled statistics ``stats`` = (nu_hat, F, G), raises or
+    gives a non-finite loss (the chunk's first row if none does)."""
+    rule = ESTIMATORS[cfg.kind].rule
     for row in range(len(ss)):
+        one = slice(row, row + 1)
         try:
-            val = estimate(Sample(X=xs[row], S=ss[row]), spec, cfg)
-            if not np.all(np.isfinite(val)):
-                return start + row
+            est = rule(cfg, spec, xs[one], ss[one], *(stat[one] for stat in stats))
+            if not np.isfinite(_batch_loss(est, spec)[0]):
+                return row
         except Exception:
-            return start + row
-    return start
+            return row
+    return 0
 
 
 def _moments(*quantities: np.ndarray) -> np.ndarray:
@@ -211,20 +212,22 @@ def _chunk_sums(plan: SimPlan, start: int, xs: np.ndarray, ss: np.ndarray) -> np
     then per estimator its loss l and the paired difference l1 - l."""
     spec = plan.spec
     base_loss = _batch_loss(xs[:, 0, :], spec)
-    nu, f_stat, g_stat = batch_pooled_stats(spec, xs, ss)
+    stats = batch_pooled_stats(spec, xs, ss)
     losses = [base_loss]
     for cfg in plan.estimators:
         try:
-            est = ESTIMATORS[cfg.kind].rule(cfg, spec, xs, ss, nu, f_stat, g_stat)
-            est_loss = _batch_loss(est, spec)
-            if not np.all(np.isfinite(est_loss)):
-                raise FloatingPointError("non-finite loss")
+            est_loss = _batch_loss(ESTIMATORS[cfg.kind].rule(cfg, spec, xs, ss, *stats), spec)
         except Exception as exc:
-            rep = _locate_failure(cfg, spec, xs, ss, start)
-            raise SimulationError(
-                f"estimator {cfg.name} failed at replication {rep} (seed {plan.seed}): {exc}"
-            ) from exc
-        losses += [est_loss, base_loss - est_loss]
+            row, cause = _failing_row(cfg, spec, xs, ss, stats), exc
+        else:
+            finite = np.isfinite(est_loss)
+            if finite.all():
+                losses += [est_loss, base_loss - est_loss]
+                continue
+            row, cause = int(np.argmin(finite)), FloatingPointError("non-finite loss")
+        raise SimulationError(
+            f"estimator {cfg.name} failed at replication {start + row} (seed {plan.seed}): {cause}"
+        ) from cause
     return _moments(*losses)
 
 

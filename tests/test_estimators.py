@@ -10,8 +10,6 @@ import pytest
 
 from poolshrink.estimators import (
     EstimatorConfig,
-    bayes_oracle_normal,
-    bayes_oracle_uniform,
     estimate,
     hb_small_f_factor,
     phi_hb,
@@ -458,43 +456,6 @@ class TestHebEstimate:
             - min(a0 / st.F, 1.0) * (sample.X[0] - st.nu_hat)
             - min(b0 / st.G, 1.0) * st.nu_hat
         )
-        np.testing.assert_allclose(out, expected, rtol=1e-12)
-
-
-class TestBayesOracles:
-    def test_diffuse_prior_limit(self):
-        spec = benchmark_spec()
-        sample = random_sample(spec, 12)
-        out = bayes_oracle_uniform(sample, spec, tau2=1e12, sigma2=1.0)
-        np.testing.assert_allclose(out, sample.X[0], atol=1e-9)
-
-    def test_point_prior_limit(self):
-        spec = benchmark_spec()
-        sample = random_sample(spec, 13)
-        st = pooled_stats(sample, spec)
-        out = bayes_oracle_uniform(sample, spec, tau2=1e-12, sigma2=1.0)
-        np.testing.assert_allclose(out, st.nu_hat, atol=1e-9)
-
-    def test_equal_variances_midpoint(self):
-        spec = benchmark_spec()
-        sample = random_sample(spec, 14)
-        st = pooled_stats(sample, spec)
-        out = bayes_oracle_uniform(sample, spec, tau2=1.0, sigma2=1.0)
-        np.testing.assert_allclose(out, 0.5 * (sample.X[0] + st.nu_hat), rtol=1e-12)
-
-    def test_normal_prior_flat_limit(self):
-        spec = benchmark_spec()
-        sample = random_sample(spec, 15)
-        flat = bayes_oracle_uniform(sample, spec, tau2=2.0, sigma2=1.5)
-        out = bayes_oracle_normal(sample, spec, tau2=2.0, gamma2=1e12, sigma2=1.5)
-        np.testing.assert_allclose(out, flat, atol=1e-9)
-
-    def test_unit_variances_arithmetic(self):
-        spec = benchmark_spec()
-        sample = random_sample(spec, 16)
-        st = pooled_stats(sample, spec)
-        out = bayes_oracle_normal(sample, spec, tau2=1.0, gamma2=1.0, sigma2=1.0)
-        expected = sample.X[0] - 0.5 * (sample.X[0] - st.nu_hat) - st.nu_hat / 3.0
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
 

@@ -24,6 +24,7 @@ from poolshrink.risksim import (
     stein_identity_check,
     table1_preset,
 )
+from poolshrink.statistics import batch_pooled_stats
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -33,6 +34,13 @@ def small_plan(reps=4000, seed=3, mu=(0, 0, 0, 0, 0), estimators=None):
     if estimators is None:
         estimators = preset_estimators(spec)
     return SimPlan(spec=spec, estimators=tuple(estimators), replications=reps, seed=seed)
+
+
+def replication_f(plan, rep):
+    """F of replication ``rep``: its ``replication_sample`` as a batch of one."""
+    sample = replication_sample(plan, rep)
+    _, f_stat, _ = batch_pooled_stats(plan.spec, sample.X[np.newaxis], np.array([sample.S]))
+    return f_stat[0]
 
 
 class TestSimulateRisk:
@@ -145,6 +153,21 @@ class TestSimulateRisk:
         with pytest.raises(SimulationError, match=r"replication \d+ \(seed 3\)"):
             simulate_risk(plan)
 
+    def test_non_finite_loss_names_the_first_culprit(self):
+        # phi/F = 1e160 where F > 3: the loss overflows on those rows only.
+        spec = table1_preset(replications=500, seed=3)[0][1].spec
+        huge = EstimatorConfig(
+            kind="CLASS1", phi=lambda f, s: np.where(f > 3.0, 1e160 * f, 0.0), label="HUGE"
+        )
+        plan = SimPlan(spec, (huge,), 500, 3)
+        first = next(rep for rep in range(plan.replications) if replication_f(plan, rep) > 3.0)
+        assert first > 0
+        with pytest.raises(SimulationError) as failure:
+            simulate_risk(plan)
+        assert str(failure.value) == (
+            f"estimator HUGE failed at replication {first} (seed 3): non-finite loss"
+        )
+
     def test_invalid_plan_rejected(self):
         plan = small_plan(reps=0)
         with pytest.raises(ValueError, match="replications"):
@@ -249,6 +272,39 @@ class TestSimulateMany:
         with pytest.raises(SimulationError) as shared:
             simulate_many([small_plan(reps=500), bad])
         assert str(shared.value) == str(alone.value)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_past_the_first_chunk_names_its_replication(self, workers):
+        # The F each replication's rule sees, recorded in chunk order.
+        seen = []
+        recording = EstimatorConfig(
+            kind="CLASS1", phi=lambda f, s: seen.append(f.copy()) or np.zeros_like(f)
+        )
+        probe = small_plan(reps=3 * 2048, estimators=[recording])
+        simulate_risk(probe)
+        f_stat = np.concatenate(seen)
+        # Chunk 0's largest F: the rule first raises past chunk 0.
+        threshold = f_stat[:2048].max()
+        first = 2048 + int(np.argmax(f_stat[2048:] > threshold))
+        assert f_stat[first] > threshold
+        assert replication_f(probe, first) == pytest.approx(f_stat[first], rel=1e-12)
+
+        def exploding(f, s):
+            if np.any(f > threshold):
+                raise FloatingPointError("boom")
+            return np.zeros_like(f)
+
+        bad = small_plan(
+            reps=3 * 2048, estimators=[EstimatorConfig(kind="CLASS1", phi=exploding, label="BAD")]
+        )
+        expected = f"estimator BAD failed at replication {first} (seed 3): boom"
+        with pytest.raises(SimulationError) as alone:
+            simulate_risk(bad)
+        assert str(alone.value) == expected
+        healthy = small_plan(reps=3 * 2048, mu=(1, 2, 0, -1, 3))
+        with pytest.raises(SimulationError) as shared:
+            simulate_many([healthy, bad], workers)
+        assert str(shared.value) == expected
 
     def test_preset_opens_one_stream_per_chunk(self, monkeypatch):
         opened = []
