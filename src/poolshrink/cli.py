@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -456,7 +457,10 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and every call of ``main`` gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="poolshrink",
         description="Shrinkage estimation toward a pooled mean: risk simulation, "

@@ -159,15 +159,22 @@ _HB_RTOL = 1e-12
 _HB_MAX_PANELS = 512
 
 
-def _hb_lpos_rule(zmax, span, width, qa, m, orders):
-    """The L > 0 rule of ``orders`` as flat node arrays over all rows:
-    (row, x, log numerator weight, log denominator weight).  The log-x
+def _hb_rules(qa: float) -> list:
+    """Per order of ``_HB_ORDERS``, the Gauss-Jacobi rule of the z panel
+    (weight z^(qa-1)) and the Gauss-Legendre rule of the log-x panels, as
+    memoized by ``gauss_jacobi``."""
+    return [(gauss_jacobi(nz, qa - 1.0), gauss_jacobi(nt, 0.0)) for nz, nt in _HB_ORDERS]
+
+
+def _hb_lpos_rule(zmax, span, width, qa, m, rules):
+    """The L > 0 rule of one ``_hb_rules`` pair as flat node arrays over all
+    rows: (row, x, log numerator weight, log denominator weight).  The log-x
     panels cover [zmax/(1-zmax), that times e^span].  The weights include
     every factor of the integrand except Q(m+1, kappa (1+x)); the
     denominator is scaled by zmax^-qa and the numerator by zmax^-(qa+1),
     so that neither underflows where F is tiny."""
-    nz, nt = orders
-    s, w = gauss_jacobi(nz, qa - 1.0)
+    (s, w), (u, wu) = rules
+    nz, nt = s.size, u.size
     z = zmax[:, None] * s
     log_den_z = np.log(w) + (m - qa) * np.log1p(-z)
 
@@ -175,7 +182,6 @@ def _hb_lpos_rule(zmax, span, width, qa, m, orders):
     rows = np.repeat(np.arange(zmax.size), panels)
     index = np.arange(rows.size) - (np.cumsum(panels) - panels)[rows]
     h = (span / np.maximum(panels, 1))[rows]
-    u, wu = gauss_jacobi(nt, 0.0)
     # Offsets in log x from the panel start, so that x keeps full relative
     # precision where log x is large.
     offset = h[:, None] * (index[:, None] + u)
@@ -240,7 +246,7 @@ def _phi_hb_lpos(F: np.ndarray, S: np.ndarray, qa: float, m: float, L: float) ->
     # at most e^20 across one panel.
     width = min(2.0, 20.0 / max(qa + 20.0, beta + 1.0))
 
-    rules = [_hb_lpos_rule(zmax, span, width, qa, m, o) for o in _HB_ORDERS]
+    rules = [_hb_lpos_rule(zmax, span, width, qa, m, pair) for pair in _hb_rules(qa)]
     # log Q(m+1, kappa (1+x)) - log Q(m+1, kappa) at the nodes of both rules,
     # in one call.
     base = kappa[np.concatenate([rule[0] for rule in rules])]
@@ -376,21 +382,41 @@ def _check_weights(cfg, spec):
     return []
 
 
+def _nothing_to_prepare(cfg: EstimatorConfig, spec: ModelSpec) -> None:
+    pass
+
+
+def _prepare_pt(cfg, spec):
+    """The F-test threshold the PT rule reads."""
+    pt_threshold(spec.p, spec.k, spec.n, cfg.alpha)
+
+
+def _prepare_hb(cfg, spec):
+    """At L > 0, the quadrature rules ``phi_hb`` reads, at its qa."""
+    if cfg.L > 0.0:
+        _hb_rules(0.5 * spec.p * (spec.k - 1) + cfg.a)
+
+
 @dataclass(frozen=True)
 class EstimatorKind:
     """One estimator kind: the config fields it uses, its batched rule, the
-    checks its fields need beyond ``_FIELD_RANGES`` (given the model), and
-    its bound-optimal constants, if it has any.
+    checks its fields need beyond ``_FIELD_RANGES`` (given the model), its
+    bound-optimal constants, if it has any, and the constants its rule
+    memoizes.
 
     The rule maps (config, spec, X (B, k, p), S (B,), nu_hat (B, p), F (B,),
     G (B,)) to the B estimates, shape (B, p).  ``optimal`` maps (config,
     spec) to the bound-optimal values of the config's constants, which may
-    depend on the constants the config already holds."""
+    depend on the constants the config already holds.  ``prepare`` computes,
+    for a valid (config, spec), every memoized constant the rule would
+    otherwise compute on its first call, so that processes forked after it
+    inherit them."""
 
     fields: tuple[str, ...]
     rule: Callable[..., np.ndarray]
     check: Callable[[EstimatorConfig, ModelSpec], list[str]] = _no_checks
     optimal: Callable[[EstimatorConfig, ModelSpec], dict] | None = None
+    prepare: Callable[[EstimatorConfig, ModelSpec], None] = _nothing_to_prepare
 
 
 def _shrink(X: np.ndarray, nu: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -472,7 +498,7 @@ def _lincomb_rule(cfg, spec, X, S, nu, F, G):
 
 
 ESTIMATORS: dict[str, EstimatorKind] = {
-    "PT": EstimatorKind(("alpha",), _pt_rule),
+    "PT": EstimatorKind(("alpha",), _pt_rule, prepare=_prepare_pt),
     "JS": EstimatorKind((), _js_rule),
     "EB": EstimatorKind(
         ("a0",), _eb_rule, optimal=lambda cfg, spec: {"a0": optimal_eb_constant(spec)}
@@ -482,6 +508,7 @@ ESTIMATORS: dict[str, EstimatorKind] = {
     "HB": EstimatorKind(
         ("a", "c", "L"), _hb_rule, _check_hb,
         optimal=lambda cfg, spec: {"a": solve_hb_a(spec, c=cfg.c)},
+        prepare=_prepare_hb,
     ),
     "HEB": EstimatorKind(
         ("a0", "b0"), _heb_rule,

@@ -16,7 +16,9 @@ plan in chunk order, so a plan produces bit-identical reports for any
 degree of parallelism.  A run opens at most one pool; its workers are
 fork-started and inherit the plans, so shrink functions need not be
 picklable; only plan indices, chunk indices and chunk sums cross the
-process boundary.
+process boundary.  Before any chunk runs, the calling process computes
+each estimator's memoized constants (``EstimatorKind.prepare``), which
+the workers inherit with the plans.
 """
 
 from __future__ import annotations
@@ -308,6 +310,11 @@ def simulate_many(plans: Sequence[SimPlan], workers: int = 1) -> list[RiskReport
             raise ValueError(f"invalid simulation plan {idx}: " + "; ".join(errors))
     if not plans:
         return []
+    # The constants the rules memoize are computed here, once, so that the
+    # fork workers inherit them instead of each computing its own.
+    for plan in plans:
+        for cfg in plan.estimators:
+            ESTIMATORS[cfg.kind].prepare(cfg, plan.spec)
     groups: dict[tuple, list[int]] = {}
     for idx, plan in enumerate(plans):
         groups.setdefault(_noise_key(plan), []).append(idx)

@@ -302,6 +302,27 @@ class TestEstimate:
         assert code == 0 and set(lines) == {"nu_hat", "F", "G", "A", "B"}
 
 
+class TestConsecutiveCalls:
+    """``main`` reuses one parser; a call's options do not carry over to the
+    next call."""
+
+    def test_simulate_format_resets(self, bench_config, capsys):
+        assert main(["simulate", "--config", bench_config, "--reps", "10", "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 5
+        assert main(["simulate", "--config", bench_config, "--reps", "10"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["estimator"] for row in rows] == ["PT", "JS", "EB", "HB", "HEB"]
+
+    def test_estimate_selection_resets(self, tmp_path, bench_config, capsys):
+        rows = [[0.1 * (i + j) for j in range(5)] for i in range(5)]
+        data = TestEstimate._write_data(tmp_path, rows, s=2.0)
+        names = lambda out: [line.split(":")[0] for line in out.splitlines()]
+        assert main(["estimate", data, "--config", bench_config, "--estimators", "pt"]) == 0
+        assert names(capsys.readouterr().out) == ["nu_hat", "F", "G", "PT"]
+        assert main(["estimate", data, "--config", bench_config]) == 0
+        assert names(capsys.readouterr().out) == ["nu_hat", "F", "G", "PT", "JS", "EB", "HB", "HEB"]
+
+
 class TestHbConstant:
     """An omitted HB a is solved at the entry's own c."""
 

@@ -10,7 +10,7 @@ import pytest
 
 from poolshrink import estimators, numerics, risksim
 from poolshrink.cli import main
-from poolshrink.estimators import EstimatorConfig, estimate, pt_threshold
+from poolshrink.estimators import EstimatorConfig, estimate, preset_config, pt_threshold
 from poolshrink.model import scalar_spec
 from poolshrink.risksim import (
     SimPlan,
@@ -365,6 +365,47 @@ class TestSimulateMany:
     def test_invalid_later_plan_named(self):
         with pytest.raises(ValueError, match=r"invalid simulation plan 1: replications"):
             simulate_many([small_plan(reps=10), small_plan(reps=0)])
+
+
+class TestWarmWorkers:
+    """The calling process computes the constants the rules memoize before
+    the pool forks, so its workers inherit them instead of each computing
+    its own."""
+
+    @staticmethod
+    def _cache_at_fork(monkeypatch, plan, memo):
+        """The plan's report at two workers and ``memo.cache_info()`` as it
+        stood when the pool was constructed."""
+        seen = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                seen.append(memo.cache_info())
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(risksim, "ProcessPoolExecutor", RecordingPool)
+        report = simulate_risk(plan, workers=2)
+        assert len(seen) == 1
+        return report, seen[0]
+
+    def _check(self, monkeypatch, plan, memo, entries):
+        memo.cache_clear()
+        report, at_fork = self._cache_at_fork(monkeypatch, plan, memo)
+        assert at_fork.currsize == entries
+        # The serial run finds every constant its rules read already there.
+        assert repr(simulate_risk(plan, workers=1)) == repr(report)
+        assert memo.cache_info().misses == at_fork.misses
+
+    def test_pt_threshold_before_the_pool(self, monkeypatch):
+        spec = small_plan().spec
+        plan = small_plan(reps=2 * 2048, estimators=[preset_config("PT", spec)])
+        self._check(monkeypatch, plan, pt_threshold, 1)
+
+    def test_hb_quadrature_rules_before_the_pool(self, monkeypatch):
+        spec = small_plan().spec
+        hb = preset_config("HB", spec, given={"L": 0.5})
+        # Rules at z^(qa-1) and Gauss-Legendre, at both orders.
+        self._check(monkeypatch, small_plan(reps=2049, estimators=[hb]), numerics.gauss_jacobi, 4)
 
 
 class TestTable1Preset:
