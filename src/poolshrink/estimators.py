@@ -94,15 +94,16 @@ class EstimatorConfig:
         return self.label if self.label is not None else self.kind
 
     def validate(self, spec: ModelSpec) -> list[str]:
-        """Field-level validation; returns violation messages.  A label, if
-        given, must be a non-empty string."""
+        """Violation messages; a label, if given, must be a non-empty string.
+        The kind's check runs after the field checks pass, against ``spec``,
+        which must be a valid model."""
         errors = []
         if self.label is not None and not (isinstance(self.label, str) and self.label):
             errors.append(f"label: must be a non-empty string, got {self.label!r}")
         kind = ESTIMATORS.get(self.kind)
         if kind is None:
             return errors + [f"kind: unknown estimator {self.kind!r}"]
-        return errors + _field_errors(self, kind.fields) + kind.check(self, spec)
+        return errors + (_field_errors(self, kind.fields) or kind.check(self, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -365,58 +366,48 @@ def _no_checks(cfg: EstimatorConfig, spec: ModelSpec) -> list[str]:
     return []
 
 
+def _check_pt(cfg, spec):
+    """Computes the F-test threshold the PT rule reads."""
+    pt_threshold(spec.p, spec.k, spec.n, cfg.alpha)
+    return []
+
+
 def _check_hb(cfg, spec):
-    """The HB domain of ``check_hb_domain``, given the model."""
-    if cfg.a is None or cfg.c is None:
-        return []
+    """The HB domain of ``check_hb_domain``, given the model; at L > 0 a
+    config inside it also computes the quadrature rules ``phi_hb`` reads."""
     try:
         check_hb_domain(spec.p, spec.k, spec.n, cfg.a, cfg.c)
     except ValueError as exc:
         return [str(exc)]
+    if cfg.L > 0.0:
+        _hb_rules(0.5 * spec.p * (spec.k - 1) + cfg.a)
     return []
 
 
 def _check_weights(cfg, spec):
-    if cfg.d is not None and len(cfg.d) != spec.k:
+    if len(cfg.d) != spec.k:
         return [f"d: expected {spec.k} weights, got {len(cfg.d)}"]
     return []
 
 
-def _nothing_to_prepare(cfg: EstimatorConfig, spec: ModelSpec) -> None:
-    pass
-
-
-def _prepare_pt(cfg, spec):
-    """The F-test threshold the PT rule reads."""
-    pt_threshold(spec.p, spec.k, spec.n, cfg.alpha)
-
-
-def _prepare_hb(cfg, spec):
-    """At L > 0, the quadrature rules ``phi_hb`` reads, at its qa."""
-    if cfg.L > 0.0:
-        _hb_rules(0.5 * spec.p * (spec.k - 1) + cfg.a)
-
-
 @dataclass(frozen=True)
 class EstimatorKind:
-    """One estimator kind: the config fields it uses, its batched rule, the
-    checks its fields need beyond ``_FIELD_RANGES`` (given the model), its
-    bound-optimal constants, if it has any, and the constants its rule
-    memoizes.
+    """One estimator kind: the config fields it uses, its batched rule, its
+    check and its bound-optimal constants, if it has any.
 
     The rule maps (config, spec, X (B, k, p), S (B,), nu_hat (B, p), F (B,),
-    G (B,)) to the B estimates, shape (B, p).  ``optimal`` maps (config,
-    spec) to the bound-optimal values of the config's constants, which may
-    depend on the constants the config already holds.  ``prepare`` computes,
-    for a valid (config, spec), every memoized constant the rule would
-    otherwise compute on its first call, so that processes forked after it
-    inherit them."""
+    G (B,)) to the B estimates, shape (B, p).  The check runs after the
+    field checks pass, against a valid model: it returns what the fields
+    violate beyond ``_FIELD_RANGES``, and for a config it accepts it
+    computes every constant the rule memoizes, so that processes forked
+    after validation inherit them.  ``optimal`` maps (config, spec) to the
+    bound-optimal values of the config's constants, which may depend on the
+    constants the config already holds."""
 
     fields: tuple[str, ...]
     rule: Callable[..., np.ndarray]
     check: Callable[[EstimatorConfig, ModelSpec], list[str]] = _no_checks
     optimal: Callable[[EstimatorConfig, ModelSpec], dict] | None = None
-    prepare: Callable[[EstimatorConfig, ModelSpec], None] = _nothing_to_prepare
 
 
 def _shrink(X: np.ndarray, nu: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -498,7 +489,7 @@ def _lincomb_rule(cfg, spec, X, S, nu, F, G):
 
 
 ESTIMATORS: dict[str, EstimatorKind] = {
-    "PT": EstimatorKind(("alpha",), _pt_rule, prepare=_prepare_pt),
+    "PT": EstimatorKind(("alpha",), _pt_rule, _check_pt),
     "JS": EstimatorKind((), _js_rule),
     "EB": EstimatorKind(
         ("a0",), _eb_rule, optimal=lambda cfg, spec: {"a0": optimal_eb_constant(spec)}
@@ -508,7 +499,6 @@ ESTIMATORS: dict[str, EstimatorKind] = {
     "HB": EstimatorKind(
         ("a", "c", "L"), _hb_rule, _check_hb,
         optimal=lambda cfg, spec: {"a": solve_hb_a(spec, c=cfg.c)},
-        prepare=_prepare_hb,
     ),
     "HEB": EstimatorKind(
         ("a0", "b0"), _heb_rule,

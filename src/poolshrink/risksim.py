@@ -16,9 +16,9 @@ plan in chunk order, so a plan produces bit-identical reports for any
 degree of parallelism.  A run opens at most one pool; its workers are
 fork-started and inherit the plans, so shrink functions need not be
 picklable; only plan indices, chunk indices and chunk sums cross the
-process boundary.  Before any chunk runs, the calling process computes
-each estimator's memoized constants (``EstimatorKind.prepare``), which
-the workers inherit with the plans.
+process boundary.  Every plan is validated before any chunk runs, and
+validation computes the memoized constants, which the workers inherit
+with the plans.
 """
 
 from __future__ import annotations
@@ -77,13 +77,24 @@ class SimPlan:
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
     def validate(self) -> list[str]:
+        """Violation messages; the estimators are checked only on a valid model."""
         errors = validate_spec(self.spec)
-        if self.replications < 1:
+        spec_valid = not errors
+        if not _is_integer(self.replications):
+            errors.append(f"replications: must be an integer, got {self.replications!r}")
+        elif self.replications < 1:
             errors.append(f"replications: must be >= 1, got {self.replications}")
-        for idx, cfg in enumerate(self.estimators):
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            errors.append(f"seed: must be a non-negative integer, got {self.seed!r}")
+        for idx, cfg in enumerate(self.estimators if spec_valid else ()):
             for msg in cfg.validate(self.spec):
                 errors.append(f"estimators[{idx}] ({cfg.name}): {msg}")
         return errors
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, but not a boolean."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -303,21 +314,18 @@ def simulate_many(plans: Sequence[SimPlan], workers: int = 1) -> list[RiskReport
     which inherit the plans (so shrink functions may be lambdas); where fork
     is unavailable the chunks run serially and a warning is logged.
     """
+    if not (_is_integer(workers) and workers >= 1):
+        raise ValueError(f"workers: must be an integer >= 1, got {workers!r}")
     plans = tuple(plans)
+    # Validation fills the rules' memos, which the fork workers inherit.
+    groups: dict[tuple, list[int]] = {}
     for idx, plan in enumerate(plans):
         errors = plan.validate()
         if errors:
             raise ValueError(f"invalid simulation plan {idx}: " + "; ".join(errors))
+        groups.setdefault(_noise_key(plan), []).append(idx)
     if not plans:
         return []
-    # The constants the rules memoize are computed here, once, so that the
-    # fork workers inherit them instead of each computing its own.
-    for plan in plans:
-        for cfg in plan.estimators:
-            ESTIMATORS[cfg.kind].prepare(cfg, plan.spec)
-    groups: dict[tuple, list[int]] = {}
-    for idx, plan in enumerate(plans):
-        groups.setdefault(_noise_key(plan), []).append(idx)
     n_chunks = [-(-plan.replications // _CHUNK_SIZE) for plan in plans]
     # Chunk-major, so each plan's chunk sums arrive in chunk order.
     tasks = []

@@ -15,7 +15,7 @@ from poolshrink.estimators import (
     phi_hb,
     pt_threshold,
 )
-from poolshrink import estimators
+from poolshrink import estimators, numerics
 from poolshrink.model import Sample, scalar_spec
 from poolshrink.numerics import QuadratureError
 from poolshrink.risksim import SimPlan, replication_sample
@@ -574,3 +574,22 @@ class TestEstimatorConfig:
         sample = random_sample(spec, 21)
         with pytest.raises(ValueError):
             estimate(sample, spec, EstimatorConfig(kind="EB"))
+
+    def test_accepted_pt_config_computes_its_threshold(self):
+        spec = benchmark_spec()
+        pt_threshold.cache_clear()
+        assert EstimatorConfig(kind="PT", alpha=0.07).validate(spec) == []
+        assert pt_threshold.cache_info().currsize == 1
+
+    def test_accepted_hb_config_computes_its_quadrature_rules(self):
+        spec = benchmark_spec()
+        numerics.gauss_jacobi.cache_clear()
+        assert EstimatorConfig(kind="HB", a=BENCH_A, c=1.0, L=0.5).validate(spec) == []
+        # The z-panel and log-x rules at both orders of _HB_ORDERS.
+        assert numerics.gauss_jacobi.cache_info().currsize == 4
+
+    def test_kind_check_runs_only_after_the_field_checks_pass(self):
+        # a + c = 10.5 is outside the HB domain (n/2 = 10), but the field
+        # error on L is the only one listed.
+        cfg = EstimatorConfig(kind="HB", a=9.5, c=1.0, L=-1.0)
+        assert cfg.validate(benchmark_spec()) == ["L: must be nonnegative, got -1.0"]

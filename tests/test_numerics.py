@@ -363,6 +363,36 @@ class TestFQuantile:
                 expected = stats.f.isf(alpha, d1, d2)
                 assert f_quantile(d1, d2, tail) == pytest.approx(expected, rel=1e-9), (d1, d2)
 
+    @staticmethod
+    def _one_point_bisection(fn, lo, hi):
+        """The reference: one midpoint per call of fn."""
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if fn(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("alpha", [1e-12, 0.05, 0.6])
+    @pytest.mark.parametrize("d1, d2", [(1, 1), (20, 20), (100, 20), (400, 7)])
+    def test_batched_bisection_takes_the_one_point_steps(self, d1, d2, alpha):
+        def fn(t):
+            return reg_inc_beta(0.5 * d2, 0.5 * d1, t) - alpha
+
+        got = numerics._bisect_monotone(fn, 0.0, 1.0)
+        assert got.hex() == self._one_point_bisection(fn, 0.0, 1.0).hex()
+
+    def test_batched_bisection_stops_after_200_steps(self):
+        # The root 1e-300 lies about 1,000 halvings below 1.
+        def fn(t):
+            return np.asarray(t) - 1e-300
+
+        got = numerics._bisect_monotone(fn, 0.0, 1.0)
+        assert got == self._one_point_bisection(fn, 0.0, 1.0) == 2.0**-201
+
     def test_domain(self):
         with pytest.raises(ValueError):
             f_quantile(0, 5, 0.05)

@@ -3,6 +3,7 @@ preset, and the integration-by-parts identity validators."""
 
 import dataclasses
 import logging
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -365,6 +366,46 @@ class TestSimulateMany:
     def test_invalid_later_plan_named(self):
         with pytest.raises(ValueError, match=r"invalid simulation plan 1: replications"):
             simulate_many([small_plan(reps=10), small_plan(reps=0)])
+
+
+class TestPlanValidation:
+    """Library callers get the plan's own messages for bad counts and seeds,
+    before any chunk runs."""
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
+    def test_bad_seed(self, seed):
+        message = f"invalid simulation plan 0: seed: must be a non-negative integer, got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate_many([small_plan(reps=10, seed=seed)])
+
+    @pytest.mark.parametrize("reps", [10.5, True], ids=["float", "bool"])
+    def test_non_integer_replications(self, reps):
+        message = f"invalid simulation plan 0: replications: must be an integer, got {reps!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate_many([small_plan(reps=reps)])
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker(self, workers):
+        message = f"workers: must be an integer >= 1, got {workers}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate_many([small_plan(reps=10)], workers=workers)
+
+    def test_numpy_integers_accepted(self):
+        got = simulate_risk(small_plan(reps=np.int64(10), seed=np.uint32(3)), workers=np.int64(1))
+        want = simulate_risk(small_plan(reps=10, seed=3))
+        assert repr(got.estimators) == repr(want.estimators)
+
+    @pytest.mark.parametrize(
+        "shape, field", [((5, 5, 0), "n"), ((5, 1, 20), "k")], ids=["n=0", "k=1"]
+    )
+    def test_estimators_checked_only_on_a_valid_model(self, shape, field):
+        # PT's check computes an F quantile, whose degrees of freedom need
+        # k >= 2 and n >= 1; an invalid model must be named instead.
+        p, k, n = shape
+        spec = scalar_spec(p, k, n, [0.1 * i for i in range(1, k + 1)], 2.0, [0.0] * k)
+        plan = SimPlan(spec, (EstimatorConfig(kind="PT", alpha=0.05),), 10, 0)
+        with pytest.raises(ValueError, match=rf"^invalid simulation plan 0: {field}: "):
+            simulate_many([plan])
 
 
 class TestWarmWorkers:
