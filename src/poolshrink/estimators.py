@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .minimax import check_hb_domain, optimal_eb_constant, optimal_heb_constants, solve_hb_a
-from .model import ModelSpec, Sample
+from .model import ModelSpec, Sample, validate_spec
 from .numerics import QuadratureError, _beta_cont_frac, f_quantile, gauss_jacobi, reg_upper_gamma
 from .statistics import batch_pooled_stats
 
@@ -538,8 +538,9 @@ def preset_config(
 
 def estimate(sample: Sample, spec: ModelSpec, config: EstimatorConfig) -> np.ndarray:
     """Evaluate the estimator described by ``config`` on one sample: its
-    batched rule with B = 1."""
-    errors = config.validate(spec)
+    batched rule with B = 1.  The model is validated first, and the config
+    only on a valid model."""
+    errors = validate_spec(spec) or config.validate(spec)
     if errors:
         raise ValueError("; ".join(errors))
     X = sample.X[np.newaxis]

@@ -18,11 +18,15 @@ fork-started and inherit the plans, so shrink functions need not be
 picklable; only plan indices, chunk indices and chunk sums cross the
 process boundary.  Every plan is validated before any chunk runs, and
 validation computes the memoized constants, which the workers inherit
-with the plans.
+with the plans.  While the pool is open the calling process holds OpenBLAS
+at one thread, so each worker inherits single-threaded BLAS and starts no
+helper threads of its own; other BLAS builds run as they are.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import logging
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -301,6 +305,49 @@ def _report(plan: SimPlan, partials: list[np.ndarray]) -> RiskReport:
     )
 
 
+# (get, set) thread-count symbols of the OpenBLAS builds, tried in order.
+_OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
+    for prefix in ("scipy_", "")
+    for suffix in ("64_", "")
+)
+
+
+def _openblas_thread_controls() -> list[tuple[Callable, Callable]]:
+    """The (get, set) thread-count functions of every OpenBLAS library the
+    process has loaded, found through /proc/self/maps; none without /proc,
+    OpenBLAS or the symbols."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+        libraries = [ctypes.CDLL(path) for path in sorted(paths)]
+    except OSError:
+        return []
+    controls = []
+    for lib in libraries:
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                controls.append((getattr(lib, get_name), getattr(lib, set_name)))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Hold every loaded OpenBLAS at one thread, then restore its count.  A
+    process forked inside inherits the count and never starts a helper
+    thread; setting the count inside the fork instead starts one."""
+    controls = _openblas_thread_controls()
+    counts = [get() for get, _ in controls]
+    for _, set_count in controls:
+        set_count(1)
+    try:
+        yield
+    finally:
+        for (_, set_count), count in zip(controls, counts):
+            set_count(count)
+
+
 def simulate_many(plans: Sequence[SimPlan], workers: int = 1) -> list[RiskReport]:
     """Estimate the risk of every estimator in every plan by Monte Carlo;
     one report per plan, in plan order.
@@ -311,8 +358,9 @@ def simulate_many(plans: Sequence[SimPlan], workers: int = 1) -> list[RiskReport
     the noise model (see ``_noise_key``) share each chunk's draw, and each
     report is bit-identical to the plan's report run alone, for any
     ``workers``.  Workers are fork-started processes of one pool per call,
-    which inherit the plans (so shrink functions may be lambdas); where fork
-    is unavailable the chunks run serially and a warning is logged.
+    which inherit the plans (so shrink functions may be lambdas) and run
+    OpenBLAS on one thread; where fork is unavailable the chunks run
+    serially and a warning is logged.
     """
     if not (_is_integer(workers) and workers >= 1):
         raise ValueError(f"workers: must be an integer >= 1, got {workers!r}")
@@ -344,7 +392,8 @@ def simulate_many(plans: Sequence[SimPlan], workers: int = 1) -> list[RiskReport
         workers = 1
     if workers > 1:
         # With fork the initializer's argument is inherited, never pickled.
-        with ProcessPoolExecutor(
+        # The pool shuts down before the BLAS thread count is restored.
+        with _single_blas_thread(), ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_adopt_plans,

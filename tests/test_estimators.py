@@ -575,6 +575,20 @@ class TestEstimatorConfig:
         with pytest.raises(ValueError):
             estimate(sample, spec, EstimatorConfig(kind="EB"))
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [EstimatorConfig(kind="EB", a0=0.1), EstimatorConfig(kind="PT", alpha=0.05)],
+        ids=["EB", "PT"],
+    )
+    def test_dispatch_rejects_an_invalid_model(self, cfg):
+        # With k = 1, EB returned a value and PT raised f_quantile's
+        # degrees-of-freedom error instead of naming k.
+        spec = scalar_spec(5, 1, 20, [0.1], 2.0, [0.0])
+        sample = Sample(X=np.ones((1, 5)), S=1.0)
+        message = "k: at least two populations are required, got 1"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate(sample, spec, cfg)
+
     def test_accepted_pt_config_computes_its_threshold(self):
         spec = benchmark_spec()
         pt_threshold.cache_clear()

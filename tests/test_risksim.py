@@ -3,6 +3,7 @@ preset, and the integration-by-parts identity validators."""
 
 import dataclasses
 import logging
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 
@@ -447,6 +448,76 @@ class TestWarmWorkers:
         hb = preset_config("HB", spec, given={"L": 0.5})
         # Rules at z^(qa-1) and Gauss-Legendre, at both orders.
         self._check(monkeypatch, small_plan(reps=2049, estimators=[hb]), numerics.gauss_jacobi, 4)
+
+
+def _blas_counts():
+    return [get() for get, _ in risksim._openblas_thread_controls()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS at two threads for the test, whatever the
+    environment set, and at its own count again afterwards."""
+    controls = risksim._openblas_thread_controls()
+    if not (os.path.isdir("/proc/self/task") and controls):
+        pytest.skip("no /proc or no OpenBLAS thread-count symbols in this process")
+    before = _blas_counts()
+    for _, set_count in controls:
+        set_count(2)
+    yield _blas_counts()
+    for (_, set_count), count in zip(controls, before):
+        set_count(count)
+
+
+@pytest.mark.usefixtures("two_blas_threads")
+class TestSingleBlasThread:
+    """While the pool is open the calling process holds OpenBLAS at one
+    thread, so the forked workers start no BLAS helper threads, and it gets
+    its own thread count back afterwards."""
+
+    def test_workers_start_no_blas_threads(self, dense_spec):
+        parent = os.getpid()
+
+        def single_threaded(f, s):
+            if os.getpid() != parent:
+                threads = len(os.listdir("/proc/self/task"))
+                if threads > 1:
+                    raise RuntimeError(f"{threads} threads in worker {os.getpid()}")
+            return np.minimum(f, 1.0)
+
+        probe = EstimatorConfig(kind="CLASS1", phi=single_threaded, label="PROBE")
+        plan = SimPlan(dense_spec, (probe,), 2 * 2048, 5)
+        assert repr(simulate_risk(plan, workers=2)) == repr(simulate_risk(plan, workers=1))
+
+    @staticmethod
+    def _run_recording_counts(monkeypatch, plan):
+        """Run the plan at two workers, checking that every OpenBLAS was at
+        one thread when the pool was constructed."""
+        at_fork = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                at_fork.append(_blas_counts())
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(risksim, "ProcessPoolExecutor", RecordingPool)
+        try:
+            simulate_risk(plan, workers=2)
+        finally:
+            assert len(at_fork) == 1 and set(at_fork[0]) == {1}
+
+    def test_thread_count_restored_after_a_run(self, monkeypatch, two_blas_threads):
+        self._run_recording_counts(monkeypatch, small_plan(reps=2 * 2048))
+        assert _blas_counts() == two_blas_threads
+
+    def test_thread_count_restored_after_a_failed_run(self, monkeypatch, two_blas_threads):
+        def exploding(f, s):
+            raise FloatingPointError("boom")
+
+        bad = EstimatorConfig(kind="CLASS1", phi=exploding, label="BAD")
+        with pytest.raises(SimulationError, match="estimator BAD failed at replication"):
+            self._run_recording_counts(monkeypatch, small_plan(reps=2 * 2048, estimators=[bad]))
+        assert _blas_counts() == two_blas_threads
 
 
 class TestTable1Preset:
