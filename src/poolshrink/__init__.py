@@ -12,7 +12,6 @@ estimator.
 from .estimators import ESTIMATORS, EstimatorConfig, estimate, phi_hb
 from .minimax import (
     MinimaxReport,
-    check_shrink_function,
     double_shrinkage_report,
     lincomb_shrinkage_report,
     single_shrinkage_report,
@@ -32,7 +31,7 @@ from .statistics import linear_bound_check, pooled_deviance_gap
 
 __all__ = [
     "ESTIMATORS", "EstimatorConfig", "estimate", "phi_hb",
-    "MinimaxReport", "check_shrink_function", "double_shrinkage_report",
+    "MinimaxReport", "double_shrinkage_report",
     "lincomb_shrinkage_report", "single_shrinkage_report", "solve_hb_a",
     "ModelSpec", "Sample", "scalar_spec", "validate_spec",
     "RiskReport", "SimPlan", "chisq_identity_check", "simulate_many", "simulate_risk",

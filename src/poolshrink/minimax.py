@@ -23,7 +23,6 @@ from .statistics import lincomb_deviation_matrix
 __all__ = [
     "MinimaxReport",
     "check_hb_domain",
-    "check_shrink_function",
     "double_shrinkage_report",
     "lincomb_shrinkage_report",
     "optimal_eb_constant",
@@ -178,58 +177,3 @@ def solve_hb_a(spec: ModelSpec, c: float = 1.0) -> float:
     shrink function sit exactly at the double-shrinkage bound; see
     ``solve_hb_a_from_ratio`` for the equation and its failures."""
     return solve_hb_a_from_ratio(single_shrinkage_report(spec).ratio, spec.p, spec.k, spec.n, c)
-
-
-def check_shrink_function(
-    phi,
-    bound: float,
-    F_grid: Sequence[float],
-    S_grid: Sequence[float],
-    tol: float = 1e-12,
-) -> tuple[bool, list[dict]]:
-    """Numerically verify the minimaxity conditions for a shrink function
-    on a grid: 0 < phi <= bound everywhere, nondecreasing along F,
-    nonincreasing along S.
-
-    ``phi`` must broadcast over ndarray arguments.  Violations are
-    returned as data, one dict per offending grid point.
-    """
-    f = np.asarray(F_grid, dtype=float)
-    s = np.asarray(S_grid, dtype=float)
-    if f.ndim != 1 or s.ndim != 1 or np.any(np.diff(f) <= 0) or np.any(np.diff(s) <= 0):
-        raise ValueError("grids must be strictly increasing 1-d sequences")
-    ff, ss = np.meshgrid(f, s, indexing="ij")
-    vals = np.asarray(phi(ff, ss), dtype=float)
-    if vals.shape != ff.shape:
-        vals = np.broadcast_to(vals, ff.shape)
-
-    violations: list[dict] = []
-
-    def record(kind: str, ii: np.ndarray, jj: np.ndarray):
-        for i, j in zip(ii, jj):
-            violations.append(
-                {
-                    "kind": kind,
-                    "F": float(f[i]),
-                    "S": float(s[j]),
-                    "value": float(vals[i, j]),
-                }
-            )
-
-    bad = vals <= 0.0
-    if np.any(bad):
-        record("positivity", *np.nonzero(bad))
-    bad = vals > bound + tol
-    if np.any(bad):
-        record("bound", *np.nonzero(bad))
-    diff_f = np.diff(vals, axis=0)
-    bad = diff_f < -tol * np.maximum(1.0, np.abs(vals[:-1, :]))
-    if np.any(bad):
-        ii, jj = np.nonzero(bad)
-        record("monotone_F", ii + 1, jj)
-    diff_s = np.diff(vals, axis=1)
-    bad = diff_s > tol * np.maximum(1.0, np.abs(vals[:, :-1]))
-    if np.any(bad):
-        ii, jj = np.nonzero(bad)
-        record("monotone_S", ii, jj + 1)
-    return len(violations) == 0, violations

@@ -285,16 +285,17 @@ def _report(plan: SimPlan, partials: list[np.ndarray]) -> RiskReport:
     """The plan's report from its chunk sums, listed in chunk order."""
     (base_risk, base_se), *pairs = _reduce(partials, plan.replications)
     reports = []
-    for cfg, (risk, se), (d_mean, d_se) in zip(plan.estimators, pairs[::2], pairs[1::2]):
-        reports.append(
-            EstimatorRisk(
-                name=cfg.name,
-                risk=risk,
-                std_error=se,
-                prial=100.0 * d_mean / base_risk,
-                prial_std_error=100.0 * d_se / base_risk,
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for cfg, (risk, se), (d_mean, d_se) in zip(plan.estimators, pairs[::2], pairs[1::2]):
+            reports.append(
+                EstimatorRisk(
+                    name=cfg.name,
+                    risk=risk,
+                    std_error=se,
+                    prial=100.0 * d_mean / base_risk,
+                    prial_std_error=100.0 * d_se / base_risk,
+                )
             )
-        )
     return RiskReport(
         baseline_risk=base_risk,
         baseline_std_error=base_se,

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -628,6 +629,17 @@ class TestExitCodes:
             assert main(["simulate", "--config", cfg]) == 3
         out = capsys.readouterr()
         assert out.out == "" and message in out.err
+
+    def test_zero_baseline_risk_is_named(self, tmp_path, capsys):
+        # Every mean 1e17: X_1 rounds to mu_1, so the baseline risk is 0 and
+        # each PRIAL 0/0.  The run exited 3 naming only the nan, or under
+        # warnings as errors only "invalid value encountered in scalar divide".
+        cfg = self._config(tmp_path, dict(BENCH_MODEL, mu=[1e17] * 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", cfg, "--reps", "4096", "--seed", "0"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "baseline risk is 0" in out.err
 
     @pytest.mark.parametrize(
         "label", [5, "", ["a"], []], ids=["int", "empty", "list", "empty_list"]

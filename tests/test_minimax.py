@@ -1,13 +1,10 @@
-"""Minimaxity condition reports, shrink-constant solvers, and the grid
-checker for shrink functions."""
+"""Minimaxity condition reports and shrink-constant solvers."""
 
 import numpy as np
 import pytest
 
-from poolshrink.estimators import phi_hb
 from poolshrink.minimax import (
     check_hb_domain,
-    check_shrink_function,
     solve_hb_a_from_ratio,
     double_shrinkage_report,
     lincomb_shrinkage_report,
@@ -218,44 +215,6 @@ class TestSolveHbA:
             check_hb_domain(5, 5, 20, 4.0, 6.0)
         with pytest.raises(ValueError, match="L must be nonnegative"):
             check_hb_domain(5, 5, 20, 0.0, 1.0, -0.1)
-
-
-class TestCheckShrinkFunction:
-    F_GRID = np.geomspace(1e-4, 1e3, 60)
-    S_GRID = np.geomspace(1e-2, 1e2, 30)
-
-    def test_clipped_function_passes(self):
-        ok, violations = check_shrink_function(
-            lambda f, s: np.minimum(0.1, f), 0.12, self.F_GRID, self.S_GRID
-        )
-        assert ok and not violations
-
-    def test_constant_above_bound_fails(self):
-        ok, violations = check_shrink_function(
-            lambda f, s: np.full_like(f, 0.2), 0.12, self.F_GRID, self.S_GRID
-        )
-        assert not ok
-        assert all(v["kind"] == "bound" for v in violations)
-
-    def test_decreasing_in_f_fails(self):
-        ok, violations = check_shrink_function(
-            lambda f, s: 1.0 / (1.0 + f), 2.0, self.F_GRID, self.S_GRID
-        )
-        assert not ok
-        assert any(v["kind"] == "monotone_F" for v in violations)
-
-    def test_hb_shrink_function_passes_benchmark_bound(self):
-        spec = benchmark_spec()
-        a = solve_hb_a(spec)
-        phi = lambda f, s: phi_hb(f, s, 5, 5, 20, a, 1.0, 0.0)
-        f_grid = np.geomspace(1e-4, 1e3, 100)
-        s_grid = np.geomspace(1e-2, 1e2, 100)
-        ok, violations = check_shrink_function(phi, 6.0 / 22.0, f_grid, s_grid)
-        assert ok, violations[:3]
-
-    def test_bad_grid_rejected(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            check_shrink_function(lambda f, s: f, 1.0, [1.0, 1.0], [1.0, 2.0])
 
 
 class TestInvariants:

@@ -14,30 +14,88 @@ E[X g(X)] = d E[g(chi2_{d+2})] for X ~ chi2_d.  Then F'/(1 + F') ~
 Beta((d+2)/2, n/2), so the probability is I_z((d+2)/2, n/2) at
 z = t/(1+t).  scipy supplies both the F quantile and the incomplete beta
 function, so the oracle shares no numerics with the engine.
+
+The same argument gives any rule X_1 - u(F)(X_1 - nu_hat) the risk
+
+    risk/sigma^2 = tr(AQ) + tr((V_1 - A)Q) E[(1 - u(F'))^2],
+
+a one-dimensional integral against the Beta law of F'/(1 + F').  EB has
+u(F) = min(a0/F, 1).  HB at L = 0 has u(F) = phi(F)/F with
+
+    phi(F) = (qa/b) I_z(qa + 1, b) / I_z(qa, b + 1),  z = F/(1 + F),
+
+qa = p(k-1)/2 + a and b = n/2 - c - a, taken here from scipy's ``betainc``.
+
+JS shrinks X_1 toward 0 and, with Q = V_1^{-1} as in the benchmark, has
+at every mean the closed-form risk (James & Stein 1961; Bock 1975)
+
+    risk/sigma^2 = p - (p-2)^2 n/(n+2) E[1/chi2_p(lam)],
+
+lam = mu_1' V_1^{-1} mu_1 / sigma^2, where E[1/chi2_p(lam)] is the Poisson
+mixture of 1/(p - 2 + 2K), K ~ Poisson(lam/2).
 """
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import integrate, special, stats
 
 from poolshrink.risksim import table1_preset
+
+
+def full_shrink_prial(spec):
+    """100 tr((V_1 - A)Q) / tr(V_1 Q): the PRIAL of nu_hat itself on an
+    equal-means model."""
+    a = np.linalg.inv(sum(np.linalg.inv(v) for v in spec.V))
+    v1 = spec.V[0]
+    return 100.0 * np.trace((v1 - a) @ spec.Q) / np.trace(v1 @ spec.Q)
 
 
 def exact_pt_prial(spec, alpha):
     """The PT PRIAL of an equal-means model at level ``alpha``."""
     d = spec.p * (spec.k - 1)
     t = d / spec.n * stats.f.isf(alpha, d, spec.n)
-    a = np.linalg.inv(sum(np.linalg.inv(v) for v in spec.V))
-    v1 = spec.V[0]
     shrink_rate = special.betainc(0.5 * (d + 2), 0.5 * spec.n, t / (1.0 + t))
-    return 100.0 * np.trace((v1 - a) @ spec.Q) * shrink_rate / np.trace(v1 @ spec.Q)
+    return full_shrink_prial(spec) * shrink_rate
 
+
+def exact_equal_means_prial(spec, factor, kinks=()):
+    """The PRIAL of the rule X_1 - factor(F)(X_1 - nu_hat) on an
+    equal-means model, integrating over w = F'/(1 + F') with a break at
+    each of ``kinks``."""
+    d = spec.p * (spec.k - 1)
+    law = stats.beta(0.5 * (d + 2), 0.5 * spec.n)
+    integrand = lambda w: (1.0 - factor(w / (1.0 - w))) ** 2 * law.pdf(w)
+    edges = [0.0, *kinks, 1.0]
+    kept = sum(
+        integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12)[0]
+        for lo, hi in zip(edges, edges[1:])
+    )
+    return full_shrink_prial(spec) * (1.0 - kept)
+
+
+def exact_js_risk(spec):
+    """The JS risk/sigma^2 of a model with Q = V_1^{-1}."""
+    v1_inv = np.linalg.inv(spec.V[0])
+    assert np.allclose(spec.Q, v1_inv)
+    lam = float(spec.mu[0] @ v1_inv @ spec.mu[0]) / spec.sigma2
+    terms = np.arange(int(lam) + 100)
+    weights = stats.poisson.pmf(terms, 0.5 * lam)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+    p, n = spec.p, spec.n
+    return p - (p - 2.0) ** 2 * n / (n + 2.0) * np.sum(weights / (p - 2.0 + 2.0 * terms))
+
+
+TABLE1_PLANS = table1_preset(replications=1)
 
 EQUAL_MEANS_PLANS = [
     (label, plan)
-    for label, plan in table1_preset(replications=1)
+    for label, plan in TABLE1_PLANS
     if all(np.array_equal(mu, plan.spec.mu[0]) for mu in plan.spec.mu)
 ]
+
+
+def _entry(reports, label, name):
+    return {e.name: e for e in reports[label].estimators}[name]
 
 
 def test_four_equal_means_rows():
@@ -53,5 +111,51 @@ def test_pt_prial_matches_the_exact_value(table1_reports, label, plan):
     (pt,) = [cfg for cfg in plan.estimators if cfg.kind == "PT"]
     exact = exact_pt_prial(plan.spec, pt.alpha)
     assert exact == pytest.approx(52.1566, abs=1e-4)
-    entry = {e.name: e for e in table1_reports[label].estimators}["PT"]
+    entry = _entry(table1_reports, label, "PT")
     assert abs(entry.prial - exact) <= 4.0 * entry.prial_std_error
+
+
+@pytest.mark.parametrize(
+    "label, plan", EQUAL_MEANS_PLANS, ids=[label for label, _ in EQUAL_MEANS_PLANS]
+)
+def test_eb_prial_matches_the_exact_value(table1_reports, label, plan):
+    (eb,) = [cfg for cfg in plan.estimators if cfg.kind == "EB"]
+    clipped = lambda f: np.minimum(eb.a0 / f, 1.0)
+    exact = exact_equal_means_prial(plan.spec, clipped, kinks=[eb.a0 / (1.0 + eb.a0)])
+    assert exact == pytest.approx(14.0511, abs=1e-4)
+    entry = _entry(table1_reports, label, "EB")
+    assert abs(entry.prial - exact) <= 4.0 * entry.prial_std_error
+
+
+@pytest.mark.parametrize(
+    "label, plan", EQUAL_MEANS_PLANS, ids=[label for label, _ in EQUAL_MEANS_PLANS]
+)
+def test_hb_prial_matches_the_exact_value(table1_reports, label, plan):
+    (hb,) = [cfg for cfg in plan.estimators if cfg.kind == "HB"]
+    assert hb.L == 0.0
+    spec = plan.spec
+    qa = 0.5 * spec.p * (spec.k - 1) + hb.a
+    b = 0.5 * spec.n - hb.c - hb.a
+
+    def factor(f):
+        z = f / (1.0 + f)
+        return qa / b * special.betainc(qa + 1.0, b, z) / special.betainc(qa, b + 1.0, z) / f
+
+    exact = exact_equal_means_prial(spec, factor)
+    assert exact == pytest.approx(13.9547, abs=1e-4)
+    entry = _entry(table1_reports, label, "HB")
+    assert abs(entry.prial - exact) <= 4.0 * entry.prial_std_error
+
+
+def test_js_risk_at_the_origin():
+    # E[1/chi2_5] = 1/3, so the risk is 5 - 3^2 (20/22)/3.
+    label, plan = TABLE1_PLANS[0]
+    assert label == "(0,0,0,0,0)"
+    assert exact_js_risk(plan.spec) == pytest.approx(5.0 - 60.0 / 22.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("label, plan", TABLE1_PLANS, ids=[label for label, _ in TABLE1_PLANS])
+def test_js_risk_matches_the_exact_value(table1_reports, label, plan):
+    exact = exact_js_risk(plan.spec)
+    entry = _entry(table1_reports, label, "JS")
+    assert abs(entry.risk - exact) <= 4.0 * entry.std_error
