@@ -232,7 +232,7 @@ def _check_finite(label: str, report) -> None:
             values.update(risk_se=est.std_error, prial_se=est.prial_std_error)
         bad = [f"{name} = {value}" for name, value in values.items() if not np.isfinite(value)]
         if bad:
-            cause = " (baseline risk is 0)" if report.baseline_risk == 0 else ""
+            cause = " (baseline risk is 0)" if est.baseline_risk == 0 else ""
             raise RuntimeError(
                 f"{label}: estimator {est.name} reported non-finite {', '.join(bad)}{cause}"
             )

@@ -390,10 +390,16 @@ def _check_weights(cfg, spec):
     return []
 
 
+def _first_mean(cfg: EstimatorConfig, spec: ModelSpec) -> np.ndarray:
+    """The weights e_1 of the estimand mu_1."""
+    return np.eye(spec.k)[0]
+
+
 @dataclass(frozen=True)
 class EstimatorKind:
     """One estimator kind: the config fields it uses, its batched rule, its
-    check and its bound-optimal constants, if it has any.
+    check, its bound-optimal constants, if it has any, its estimand and
+    whether it is shift-equivariant.
 
     The rule maps (config, spec, X (B, k, p), S (B,), nu_hat (B, p), F (B,),
     G (B,)) to the B estimates, shape (B, p).  The check runs after the
@@ -402,12 +408,17 @@ class EstimatorKind:
     computes every constant the rule memoizes, so that processes forked
     after validation inherit them.  ``optimal`` maps (config, spec) to the
     bound-optimal values of the config's constants, which may depend on the
-    constants the config already holds."""
+    constants the config already holds.  ``estimand`` maps (config, spec)
+    to the weights w of the estimated sum_i w_i mu_i.  An ``equivariant``
+    kind estimates mu_1 and its estimate moves by c when every X_i does, so
+    the engine may evaluate it on draws whose first mean is 0."""
 
     fields: tuple[str, ...]
     rule: Callable[..., np.ndarray]
     check: Callable[[EstimatorConfig, ModelSpec], list[str]] = _no_checks
     optimal: Callable[[EstimatorConfig, ModelSpec], dict] | None = None
+    estimand: Callable[[EstimatorConfig, ModelSpec], np.ndarray] = _first_mean
+    equivariant: bool = False
 
 
 def _shrink(X: np.ndarray, nu: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -488,24 +499,31 @@ def _lincomb_rule(cfg, spec, X, S, nu, F, G):
     return np.einsum("k,bki->bi", np.asarray(cfg.d, dtype=float), shrunk)
 
 
+# PT, EB, HB and CLASS1 shrink X_1 toward nu_hat by a factor of F and S,
+# all of which a common shift leaves alone or moves with it; JS, HEB and
+# CLASS2 also shrink toward the origin.
 ESTIMATORS: dict[str, EstimatorKind] = {
-    "PT": EstimatorKind(("alpha",), _pt_rule, _check_pt),
+    "PT": EstimatorKind(("alpha",), _pt_rule, _check_pt, equivariant=True),
     "JS": EstimatorKind((), _js_rule),
     "EB": EstimatorKind(
-        ("a0",), _eb_rule, optimal=lambda cfg, spec: {"a0": optimal_eb_constant(spec)}
+        ("a0",), _eb_rule, optimal=lambda cfg, spec: {"a0": optimal_eb_constant(spec)},
+        equivariant=True,
     ),
     # a puts the supremum (p(k-1) + 2a)/(n - 2(a + c)) of phi_hb at the
     # double-shrinkage bound, so it is solved at the config's own c.
     "HB": EstimatorKind(
         ("a", "c", "L"), _hb_rule, _check_hb,
-        optimal=lambda cfg, spec: {"a": solve_hb_a(spec, c=cfg.c)},
+        optimal=lambda cfg, spec: {"a": solve_hb_a(spec, c=cfg.c)}, equivariant=True,
     ),
     "HEB": EstimatorKind(
         ("a0", "b0"), _heb_rule,
         optimal=lambda cfg, spec: dict(zip(("a0", "b0"), optimal_heb_constants(spec))),
     ),
-    "LINCOMB": EstimatorKind(("d", "phi"), _lincomb_rule, _check_weights),
-    "CLASS1": EstimatorKind(("phi",), _class1_rule),
+    "LINCOMB": EstimatorKind(
+        ("d", "phi"), _lincomb_rule, _check_weights,
+        estimand=lambda cfg, spec: np.array(cfg.d, dtype=float),
+    ),
+    "CLASS1": EstimatorKind(("phi",), _class1_rule, equivariant=True),
     "CLASS2": EstimatorKind(("phi", "psi"), _class2_rule),
 }
 CONFIG_KINDS = tuple(

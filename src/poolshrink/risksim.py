@@ -10,11 +10,20 @@ draw depends only on (seed, r): not on the worker count,
 nor on the plan's replication count, nor on which other plans run beside
 it.  ``simulate_many`` groups plans that share the seed and the noise model
 (p, k, n, sigma^2 and the Cholesky factors of sigma^2 V_i) and draws each
-chunk once per group, as many rows as its longest member keeps; each plan
-adds its own means to the shared draw.  Chunk partial sums are reduced per
-plan in chunk order, so a plan produces bit-identical reports for any
-degree of parallelism.  A run opens at most one pool; its workers are
-fork-started and inherit the plans, so shrink functions need not be
+chunk once per group, as many rows as its longest member keeps.  Within a
+group and chunk, the part of the pooled statistics that depends only on
+the noise (its nu_hat, weighted deviations and dispersion) is computed once
+per (rows, V), and each plan adds its means to it through linearity.  The
+shift-equivariant kinds (PT, EB, HB, CLASS1) are evaluated on the centred
+draw noise + (mu_i - mu_1), their loss taken against 0, and their chunk
+sums are computed once per (rows, V, config, centred means, Q); the other
+kinds see that draw plus mu_1, whose X_1 is noise_1 + mu_1 bit for bit.
+Every shared value is a function of its key alone, computed on arrays of
+the same shape, so each plan's chunk sums are bit-identical to those of
+the plan run alone.  Chunk partial sums are
+reduced per plan in chunk order, so a plan produces bit-identical reports
+for any degree of parallelism.  A run opens at most one pool; its workers
+are fork-started and inherit the plans, so shrink functions need not be
 picklable; only plan indices, chunk indices and chunk sums cross the
 process boundary.  Every plan is validated before any chunk runs, and
 validation computes the memoized constants, which the workers inherit
@@ -38,7 +47,7 @@ import numpy as np
 from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, preset_config
 from .model import ModelSpec, Sample, scalar_spec, validate_spec
 from .numerics import trace_product
-from .statistics import batch_pooled_stats
+from .statistics import g_statistic, pooled_noise_stats, shifted_pooled_stats
 
 __all__ = [
     "EstimatorRisk",
@@ -103,13 +112,17 @@ def _is_integer(value) -> bool:
 
 @dataclass(frozen=True)
 class EstimatorRisk:
-    """Estimated risk and PRIAL of one estimator."""
+    """Estimated risk and PRIAL of one estimator, and the risk of its
+    baseline, the unshrunk sum_i w_i X_i of its estimand sum_i w_i mu_i:
+    X_1 for every kind but LINCOMB."""
 
     name: str
     risk: float
     std_error: float
     prial: float
     prial_std_error: float
+    baseline_risk: float
+    baseline_std_error: float
 
 
 @dataclass(frozen=True)
@@ -167,7 +180,9 @@ def _draw_noise(spec: ModelSpec, seed: int, chunk: int, rows: int):
 
 def replication_sample(plan: SimPlan, rep: int) -> Sample:
     """The draw the engine evaluates for replication ``rep`` of the plan:
-    its row of the chunk's noise plus the plan's means."""
+    its row of the chunk's noise plus the plan's means.  The engine forms
+    X_i as (noise_i + (mu_i - mu_1)) + mu_1, which is this X_1 bit for bit
+    and the other X_i up to rounding."""
     if not 0 <= rep < plan.replications:
         raise IndexError(f"replication {rep} outside [0, {plan.replications})")
     chunk, row = divmod(rep, _CHUNK_SIZE)
@@ -180,25 +195,68 @@ def replication_sample(plan: SimPlan, rep: int) -> Sample:
 # ---------------------------------------------------------------------------
 
 
-def _batch_loss(est: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    diff = est - spec.mu[0]
+def _loss(diff: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    """The scaled loss diff' Q diff / sigma^2 of each row of ``diff``."""
     return np.einsum("bi,bi->b", diff @ spec.Q, diff) / spec.sigma2
 
 
-def _failing_row(cfg: EstimatorConfig, spec: ModelSpec, xs, ss, stats) -> int:
+def _batch_loss(est: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    """The loss of each row of ``est`` as an estimate of mu_1."""
+    return _loss(est - spec.mu[0], spec)
+
+
+def _estimands(plan: SimPlan) -> tuple[list[np.ndarray], list[int]]:
+    """The distinct estimand weights of the plan's estimators, e_1 first
+    whether or not one of them estimates mu_1, and the index among them of
+    each estimator's weights."""
+    spec = plan.spec
+    first = np.eye(spec.k)[0]
+    weights = [ESTIMATORS[cfg.kind].estimand(cfg, spec) for cfg in plan.estimators]
+    distinct = {first.tobytes(): first}
+    for w in weights:
+        distinct.setdefault(w.tobytes(), w)
+    keys = list(distinct)
+    return list(distinct.values()), [keys.index(w.tobytes()) for w in weights]
+
+
+def _failing_row(cfg: EstimatorConfig, spec: ModelSpec, xs, ss, stats, target) -> int:
     """The first row of a chunk on which ``cfg``'s rule, run on that row
     alone with its pooled statistics ``stats`` = (nu_hat, F, G), raises or
-    gives a non-finite loss (the chunk's first row if none does)."""
+    gives a non-finite loss against ``target`` (the chunk's first row if
+    none does)."""
     rule = ESTIMATORS[cfg.kind].rule
     for row in range(len(ss)):
         one = slice(row, row + 1)
         try:
             est = rule(cfg, spec, xs[one], ss[one], *(stat[one] for stat in stats))
-            if not np.isfinite(_batch_loss(est, spec)[0]):
+            if not np.isfinite(_loss(est - target, spec)[0]):
                 return row
         except Exception:
             return row
     return 0
+
+
+def _estimator_sums(plan: SimPlan, cfg: EstimatorConfig, start: int, xs, ss, stats, target, base):
+    """``_moments`` of the loss l of ``cfg``'s rule on the draws ``xs``,
+    ``ss`` of replications ``start``, ``start + 1``, ... with their
+    statistics ``stats`` = (nu_hat, F, G), taken against ``target``, and of
+    the paired difference ``base`` - l; or, if the rule fails, the
+    SimulationError that names the first failing replication."""
+    spec = plan.spec
+    try:
+        est_loss = _loss(ESTIMATORS[cfg.kind].rule(cfg, spec, xs, ss, *stats) - target, spec)
+    except Exception as exc:
+        row, cause = _failing_row(cfg, spec, xs, ss, stats, target), exc
+    else:
+        finite = np.isfinite(est_loss)
+        if finite.all():
+            return _moments(est_loss, base - est_loss)
+        row, cause = int(np.argmin(finite)), FloatingPointError("non-finite loss")
+    failure = SimulationError(
+        f"estimator {cfg.name} failed at replication {start + row} (seed {plan.seed}): {cause}"
+    )
+    failure.__cause__ = cause
+    return failure
 
 
 def _moments(*quantities: np.ndarray) -> np.ndarray:
@@ -223,29 +281,72 @@ def _reduce(blocks: Sequence[np.ndarray], count: int) -> list[tuple[float, float
     return list(zip(means, map(float, np.sqrt(var / n))))
 
 
-def _chunk_sums(plan: SimPlan, start: int, xs: np.ndarray, ss: np.ndarray) -> np.ndarray:
-    """``_moments`` of the plan's losses on its draws ``xs``, ``ss`` of
-    replications ``start``, ``start + 1``, ...: first the baseline loss l1,
-    then per estimator its loss l and the paired difference l1 - l."""
+def _chunk_sums(plan: SimPlan, start: int, noise: np.ndarray, ss: np.ndarray, shared: dict,
+                last: bool) -> np.ndarray:
+    """``_moments`` of the plan's losses on replications ``start``,
+    ``start + 1``, ..., whose draws are ``noise`` plus the plan's means and
+    ``ss``: first the loss of the unshrunk sum_i w_i X_i for each of the
+    plan's ``_estimands`` w, then per estimator its loss l and the paired
+    difference b - l against a baseline loss b.
+
+    An equivariant estimator is evaluated on the centred draws X_c = noise
+    + (mu_i - mu_1), against 0, with b the loss of noise_1.  The others see
+    X_c + mu_1, whose X_1 is noise_1 + mu_1 bit for bit, with nu_hat = nu_c
+    + mu_1 and G taken from it, and b is the loss of their own estimand's
+    unshrunk estimate.  ``shared`` holds what the plans of one chunk and
+    noise group share: the noise statistics under (rows, V), and an
+    equivariant estimator's sums under (rows, V, config, centred means, Q).
+    ``last`` says that no plan reads ``noise`` after this one, so the draws
+    may overwrite it.  Of the estimators that fail, the first in plan order
+    raises."""
     spec = plan.spec
-    base_loss = _batch_loss(xs[:, 0, :], spec)
-    stats = batch_pooled_stats(spec, xs, ss)
-    losses = [base_loss]
-    for cfg in plan.estimators:
-        try:
-            est_loss = _batch_loss(ESTIMATORS[cfg.kind].rule(cfg, spec, xs, ss, *stats), spec)
-        except Exception as exc:
-            row, cause = _failing_row(cfg, spec, xs, ss, stats), exc
-        else:
-            finite = np.isfinite(est_loss)
-            if finite.all():
-                losses += [est_loss, base_loss - est_loss]
-                continue
-            row, cause = int(np.argmin(finite)), FloatingPointError("non-finite loss")
-        raise SimulationError(
-            f"estimator {cfg.name} failed at replication {start + row} (seed {plan.seed}): {cause}"
-        ) from cause
-    return _moments(*losses)
+    rows = len(ss)
+    noise_key = ("noise", rows, b"".join(v.tobytes() for v in spec.V))
+    if noise_key not in shared:
+        shared[noise_key] = pooled_noise_stats(spec, noise)
+    centred = spec.mu_stack - spec.mu_stack[0]
+    nu_c, f_stat = shifted_pooled_stats(spec, shared[noise_key], centred, ss)
+    share_keys = [
+        (noise_key, cfg, centred.tobytes(), spec.Q.tobytes())
+        if ESTIMATORS[cfg.kind].equivariant else None
+        for cfg in plan.estimators
+    ]
+    x1 = noise[:, 0, :] + spec.mu[0]
+    missing = [j for j, key in enumerate(share_keys) if key is not None and key not in shared]
+    absolute = [j for j, key in enumerate(share_keys) if key is None]
+    if missing or absolute:
+        draws = np.add(noise, centred, out=noise if last else None)
+    if missing:
+        base_key = ("base", rows, spec.Q.tobytes())
+        if base_key not in shared:
+            shared[base_key] = _loss(draws[:, 0, :], spec)
+        stats = (nu_c, f_stat, g_statistic(spec, nu_c, ss))
+        for j in missing:
+            shared[share_keys[j]] = _estimator_sums(
+                plan, plan.estimators[j], start, draws, ss, stats, np.zeros(spec.p),
+                shared[base_key],
+            )
+    sums = [shared.get(key) for key in share_keys]
+    estimands, slots = _estimands(plan)
+    baselines = [_batch_loss(x1, spec)]
+    if absolute:
+        draws += spec.mu[0]
+        nu = nu_c + spec.mu[0]
+        stats = (nu, f_stat, g_statistic(spec, nu, ss))
+        targets = [spec.mu[0]] + [w @ spec.mu_stack for w in estimands[1:]]
+        baselines += [
+            _loss(np.einsum("k,bki->bi", w, draws) - target, spec)
+            for w, target in zip(estimands[1:], targets[1:])
+        ]
+        for j in absolute:
+            sums[j] = _estimator_sums(
+                plan, plan.estimators[j], start, draws, ss, stats, targets[slots[j]],
+                baselines[slots[j]],
+            )
+    failures = [block for block in sums if isinstance(block, SimulationError)]
+    if failures:
+        raise failures[0]
+    return np.concatenate([_moments(*baselines), *sums])
 
 
 # The plans of a pool worker process, set once by ``_adopt_plans`` when the
@@ -267,14 +368,11 @@ def _group_chunk_sums(plans: Sequence[SimPlan], task: tuple[tuple[int, ...], int
     kept = [min(_CHUNK_SIZE, plans[i].replications - start) for i in members]
     first = plans[members[0]]
     noise, s_all = _draw_noise(first.spec, first.seed, chunk, max(kept))
-    sums = []
-    for i, rows in zip(members, kept):
-        plan = plans[i]
-        # The last plan adds its means in place, as no plan reads the noise after it.
-        out = noise[:rows] if i == members[-1] else None
-        xs = np.add(noise[:rows], plan.spec.mu_stack, out=out)
-        sums.append(_chunk_sums(plan, start, xs, s_all[:rows]))
-    return sums
+    shared: dict = {}
+    return [
+        _chunk_sums(plans[i], start, noise[:rows], s_all[:rows], shared, i == members[-1])
+        for i, rows in zip(members, kept)
+    ]
 
 
 def _worker_group_chunk_sums(task: tuple[tuple[int, ...], int]) -> list:
@@ -283,10 +381,15 @@ def _worker_group_chunk_sums(task: tuple[tuple[int, ...], int]) -> list:
 
 def _report(plan: SimPlan, partials: list[np.ndarray]) -> RiskReport:
     """The plan's report from its chunk sums, listed in chunk order."""
-    (base_risk, base_se), *pairs = _reduce(partials, plan.replications)
+    estimands, slots = _estimands(plan)
+    reduced = _reduce(partials, plan.replications)
+    baselines, pairs = reduced[: len(estimands)], reduced[len(estimands):]
     reports = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for cfg, (risk, se), (d_mean, d_se) in zip(plan.estimators, pairs[::2], pairs[1::2]):
+        for cfg, slot, (risk, se), (d_mean, d_se) in zip(
+            plan.estimators, slots, pairs[::2], pairs[1::2]
+        ):
+            base_risk, base_se = baselines[slot]
             reports.append(
                 EstimatorRisk(
                     name=cfg.name,
@@ -294,11 +397,13 @@ def _report(plan: SimPlan, partials: list[np.ndarray]) -> RiskReport:
                     std_error=se,
                     prial=100.0 * d_mean / base_risk,
                     prial_std_error=100.0 * d_se / base_risk,
+                    baseline_risk=base_risk,
+                    baseline_std_error=base_se,
                 )
             )
     return RiskReport(
-        baseline_risk=base_risk,
-        baseline_std_error=base_se,
+        baseline_risk=baselines[0][0],
+        baseline_std_error=baselines[0][1],
         trace_v1q=trace_product(plan.spec.V[0], plan.spec.Q),
         replications=plan.replications,
         seed=plan.seed,
@@ -353,15 +458,17 @@ def simulate_many(plans: Sequence[SimPlan], workers: int = 1) -> list[RiskReport
     """Estimate the risk of every estimator in every plan by Monte Carlo;
     one report per plan, in plan order.
 
-    Evaluates a plan's estimators on the same draws and reports PRIAL
-    relative to the unshrunk X_1 with a standard error computed from the
+    Evaluates a plan's estimators on the same draws and reports each one's
+    PRIAL relative to the unshrunk estimate of its estimand (X_1, or
+    sum_i d_i X_i for LINCOMB) with a standard error computed from the
     paired per-replication loss differences.  Plans that share the seed and
-    the noise model (see ``_noise_key``) share each chunk's draw, and each
-    report is bit-identical to the plan's report run alone, for any
-    ``workers``.  Workers are fork-started processes of one pool per call,
-    which inherit the plans (so shrink functions may be lambdas) and run
-    OpenBLAS on one thread; where fork is unavailable the chunks run
-    serially and a warning is logged.
+    the noise model (see ``_noise_key``) share each chunk's draw and the
+    work that does not depend on their means, and each report is
+    bit-identical to the plan's report run alone, for any ``workers``.
+    Workers are fork-started processes of one pool per call, which inherit
+    the plans (so shrink functions may be lambdas) and run OpenBLAS on one
+    thread; where fork is unavailable the chunks run serially and a warning
+    is logged.
     """
     if not (_is_integer(workers) and workers >= 1):
         raise ValueError(f"workers: must be an integer >= 1, got {workers!r}")

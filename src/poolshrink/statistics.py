@@ -25,9 +25,12 @@ from .numerics import chmax_product
 
 __all__ = [
     "batch_pooled_stats",
+    "g_statistic",
     "lincomb_deviation_matrix",
     "linear_bound_check",
     "pooled_deviance_gap",
+    "pooled_noise_stats",
+    "shifted_pooled_stats",
 ]
 
 
@@ -59,25 +62,64 @@ def _pooled_deviations(V: Sequence[np.ndarray], X: Sequence[np.ndarray]):
     return vs, a, dev, dispersion
 
 
+def _pooled_mean(spec: ModelSpec, X: np.ndarray) -> np.ndarray:
+    """nu_hat = A sum_i V_i^{-1} X_i of each (k, p) slice of ``X``, the sum
+    as one matrix product: rows i p .. (i+1) p - 1 of the stacked weights
+    hold V_i^{-1} transposed."""
+    k, p = X.shape[-2:]
+    weights = spec.v_inv.transpose(0, 2, 1).reshape(k * p, p)
+    return (X.reshape(*X.shape[:-2], k * p) @ weights) @ spec.A
+
+
+def pooled_noise_stats(spec: ModelSpec, X: np.ndarray):
+    """The part of the pooled statistics of B samples ``X`` (B, k, p) that
+    plans differing only in their means share: nu_hat (B, p), the weighted
+    deviations (X_i - nu_hat)' V_i^{-1} stacked (k, B, p), and the
+    dispersion sum_i (X_i - nu_hat)' V_i^{-1} (X_i - nu_hat) (B,)."""
+    nu = _pooled_mean(spec, X)
+    dev = X.transpose(1, 0, 2) - nu  # (k, B, p)
+    wdev = dev @ spec.v_inv
+    return nu, wdev, np.einsum("kbi,kbi->b", wdev, dev)
+
+
+def shifted_pooled_stats(spec: ModelSpec, noise_stats, means: np.ndarray, S: np.ndarray):
+    """nu_hat (B, p) and F (B,) of X + ``means`` (k, p), from
+    ``noise_stats = pooled_noise_stats(spec, X)``.
+
+    Both are linear or quadratic in X: nu_hat shifts by nu_hat(means), and
+    the dispersion gains twice the cross term sum_i wdev_i' dev_i plus the
+    means' own dispersion, where dev_i = mu_i - nu_hat(means).  Zero means
+    leave the noise's statistics as they are.
+    """
+    if np.any(S <= 0.0):
+        raise ValueError(f"S must be positive, got {np.min(S)}")
+    nu, wdev, dispersion = noise_stats
+    if means.any():
+        nu_means = _pooled_mean(spec, means)
+        dev = means - nu_means
+        own = np.einsum("ki,kij,kj->", dev, spec.v_inv, dev)
+        nu = nu + nu_means
+        cross = (wdev @ dev[:, :, None]).sum(axis=0)[:, 0]
+        dispersion = dispersion + 2.0 * cross + own
+    return nu, dispersion / S
+
+
+def g_statistic(spec: ModelSpec, nu: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """G = nu_hat' A^{-1} nu_hat / S, row by row."""
+    return np.einsum("bi,bi->b", nu @ spec.precision, nu) / S
+
+
 def batch_pooled_stats(spec: ModelSpec, X: np.ndarray, S: np.ndarray):
-    """Pooled mean and the F, G statistics for B samples at once.
+    """Pooled mean and the F, G statistics for B samples at once: the
+    zero-means case of ``shifted_pooled_stats``.
 
     ``X`` has shape (B, k, p) and ``S`` shape (B,); returns nu_hat (B, p),
     F (B,) and G (B,).  The inverses, the summed precision and A come from
     the model's cache, so nothing is solved per sample.
     """
-    if np.any(S <= 0.0):
-        raise ValueError(f"S must be positive, got {np.min(S)}")
-    rows, k, p = X.shape
-    winv = spec.v_inv
-    # sum_i V_i^{-1} X_i as one matrix product: rows i p .. (i+1) p - 1 of
-    # the stacked weights hold V_i^{-1} transposed.
-    weighted = X.reshape(rows, k * p) @ winv.transpose(0, 2, 1).reshape(k * p, p)
-    nu = weighted @ spec.A
-    dev = X.transpose(1, 0, 2) - nu  # (k, B, p)
-    f_stat = np.einsum("kbi,kbi->b", dev @ winv, dev) / S
-    g_stat = np.einsum("bi,bi->b", nu @ spec.precision, nu) / S
-    return nu, f_stat, g_stat
+    zero = np.zeros(X.shape[1:])
+    nu, f_stat = shifted_pooled_stats(spec, pooled_noise_stats(spec, X), zero, S)
+    return nu, f_stat, g_statistic(spec, nu, S)
 
 
 def pooled_deviance_gap(X: Sequence[np.ndarray], V: Sequence[np.ndarray]) -> float:

@@ -1,8 +1,9 @@
 """Property tests on random dense models: every estimator kind against its
 formula written with solve-based numpy, the batched statistics against the
-solve-based reference, the bound and monotonicity of phi_hb, and short chunk
-draws as prefixes of full ones.  The derandomized profile in conftest fixes
-the examples."""
+solve-based reference, the bound and monotonicity of phi_hb, short chunk
+draws as prefixes of full ones, and plans of one noise group sharing work
+without changing a bit.  The derandomized profile in conftest fixes the
+examples."""
 
 import numpy as np
 import pytest
@@ -24,7 +25,14 @@ from poolshrink.minimax import (
     single_shrinkage_report,
 )
 from poolshrink.model import ModelSpec, Sample
-from poolshrink.risksim import _CHUNK_SIZE, _batch_loss, _draw_noise
+from poolshrink.risksim import (
+    _CHUNK_SIZE,
+    SimPlan,
+    _batch_loss,
+    _draw_noise,
+    simulate_many,
+    simulate_risk,
+)
 from poolshrink.statistics import batch_pooled_stats
 
 B = 2  # samples per example, evaluated as one batch
@@ -330,3 +338,52 @@ def test_minimax_reports_do_not_depend_on_units(models):
         for key in ("ratio", "ratio_pooled"):
             if getattr(base, key) is not None:
                 np.testing.assert_allclose(getattr(moved, key), getattr(base, key), rtol=1e-9)
+
+
+@st.composite
+def shifted_plans(draw):
+    """Plans of one noise group, all with the estimators of ``configs``:
+    dyadic means, the same means under a common shift, which centre to the
+    same bits, the means under another shift with a second Q, and
+    arbitrary means; the replication counts differ."""
+    p = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = tuple(dense_spd(rng, p, rng.uniform(0.2, 2.0)) for _ in range(k))
+    Qs = [dense_spd(rng, p, rng.uniform(0.2, 2.0)) for _ in range(2)]
+    base = rng.integers(-32, 33, (k, p)) / 8.0
+    shifts = [draw(st.integers(-40, 40)) / 4.0 for _ in range(2)]
+    reps = [draw(st.sampled_from([1, 700, 2048, 2049])) for _ in range(3)]
+    models = [
+        (base, Qs[0], reps[0]),
+        (base + shifts[0], Qs[0], reps[0]),
+        (base + shifts[1], Qs[1], reps[1]),
+        (rng.normal(0.0, 1.0, (k, p)), Qs[0], reps[2]),
+    ]
+    specs = [ModelSpec(p=p, k=k, n=n, V=V, Q=Q, sigma2=1.5, mu=tuple(mu)) for mu, Q, _ in models]
+    estimators = tuple(configs(specs[0]))
+    return [SimPlan(spec, estimators, r, 11) for spec, (_, _, r) in zip(specs, models)]
+
+
+@settings(max_examples=12)
+@given(shifted_plans())
+def test_shared_group_matches_plans_run_alone(plans):
+    alone = [repr(simulate_risk(plan)) for plan in plans]
+    for workers in (1, 2):
+        assert [repr(report) for report in simulate_many(plans, workers)] == alone
+    # The first two plans differ by a common shift only and centre to the
+    # same bits, so the equivariant kinds see the same draws.
+    reports = simulate_many(plans)
+    centred = [plan.spec.mu_stack - plan.spec.mu_stack[0] for plan in plans]
+    assert centred[0].tobytes() == centred[1].tobytes()
+    for i in range(len(plans)):
+        for j in range(i):
+            a, b = plans[i], plans[j]
+            if (centred[i].tobytes(), a.spec.Q.tobytes(), a.replications) != (
+                centred[j].tobytes(), b.spec.Q.tobytes(), b.replications
+            ):
+                continue
+            for cfg, x, y in zip(a.estimators, reports[i].estimators, reports[j].estimators):
+                if ESTIMATORS[cfg.kind].equivariant:
+                    assert repr((x.name, x.risk, x.std_error)) == repr((y.name, y.risk, y.std_error))

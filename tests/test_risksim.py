@@ -142,6 +142,25 @@ class TestSimulateRisk:
             assert max(vals) - min(vals) < 1e-8
         assert max(by_name["JS"]) - min(by_name["JS"]) > 1.0
 
+    def test_equal_mean_configs_share_equivariant_losses_exactly(self):
+        # Equal means centre to the same zeros, so PT, EB and HB see the same
+        # draws and give the same losses bit for bit.  Their PRIALs divide by
+        # each plan's own X_1 baseline, whose last bits move with the shift.
+        reports = [
+            simulate_risk(small_plan(reps=4000, mu=mu))
+            for mu in [(0, 0, 0, 0, 0), (1, 1, 1, 1, 1), (3, 3, 3, 3, 3)]
+        ]
+        for name in ("PT", "EB", "HB"):
+            losses = {
+                repr((entry.risk, entry.std_error))
+                for report in reports
+                for entry in report.estimators
+                if entry.name == name
+            }
+            assert len(losses) == 1, name
+        js = {report.estimators[1].risk for report in reports}
+        assert len(js) == 3
+
     def test_failure_names_replication_and_seed(self):
         def exploding(f, s):
             f = np.asarray(f, dtype=float)
@@ -221,6 +240,82 @@ class TestHotPathCounts:
         monkeypatch.setattr(risksim, "replication_rng", lambda *args: Recording(original(*args)))
         simulate_risk(small_plan(reps=8))
         assert drawn == [8]
+
+
+    def test_table1_shares_noise_statistics_and_equivariant_rules(self, monkeypatch):
+        # 11 plans, 8 distinct centred mean sets: the four equal-means rows
+        # all centre to zero.
+        calls = {kind: 0 for kind in ("PT", "JS", "EB", "HB", "HEB")}
+
+        def counted(kind, rule):
+            def rule_counting(*args):
+                calls[kind] += 1
+                return rule(*args)
+
+            return rule_counting
+
+        for kind in calls:
+            entry = estimators.ESTIMATORS[kind]
+            monkeypatch.setitem(
+                estimators.ESTIMATORS, kind, dataclasses.replace(entry, rule=counted(kind, entry.rule))
+            )
+        noise_stats = []
+        original = risksim.pooled_noise_stats
+        monkeypatch.setattr(
+            risksim, "pooled_noise_stats", lambda *args: noise_stats.append(1) or original(*args)
+        )
+        simulate_many([plan for _, plan in table1_preset(replications=2048)])
+        assert calls == {"PT": 8, "JS": 11, "EB": 8, "HB": 8, "HEB": 11}
+        assert len(noise_stats) == 1
+
+
+class TestLincombEstimand:
+    """A LINCOMB estimator is scored against sum_i d_i mu_i, with the
+    unshrunk sum_i d_i X_i as its baseline."""
+
+    D = (1.0, -1.0, 0.0, 0.0, 0.0)
+    MU = (0, 1, 0, 0, 0)
+
+    def spec(self):
+        return scalar_spec(5, 5, 20, [0.1 * i for i in range(1, 6)], 4.0, self.MU)
+
+    def test_unshrunk_difference_has_the_exact_risk(self):
+        # phi = 0 leaves X_1 - X_2, whose risk is tr((V_1 + V_2) Q) = 15.
+        # The engine read 27.53 +- 0.11 against mu_1, a PRIAL of about -199%.
+        zero = EstimatorConfig(
+            kind="LINCOMB", d=self.D, phi=lambda f, s: np.zeros_like(np.asarray(f, dtype=float))
+        )
+        report = simulate_risk(SimPlan(self.spec(), (zero,), 20_480, 0))
+        entry = report.estimators[0]
+        assert abs(entry.risk - 15.0) <= 4.0 * entry.std_error
+        assert entry.prial == 0.0 and entry.prial_std_error == 0.0
+        assert (entry.baseline_risk, entry.baseline_std_error) == (entry.risk, entry.std_error)
+
+    def test_first_population_weights_match_class1(self):
+        phi = lambda f, s: np.minimum(0.4, f)  # noqa: E731
+        spec = self.spec()
+        class1 = EstimatorConfig(kind="CLASS1", phi=phi, label="shrink")
+        lincomb = EstimatorConfig(kind="LINCOMB", d=(1, 0, 0, 0, 0), phi=phi, label="shrink")
+        reports = [simulate_risk(SimPlan(spec, (cfg,), 4097, 5)) for cfg in (class1, lincomb)]
+        assert repr(reports[0]) == repr(reports[1])
+
+    def test_matches_per_sample_estimate(self):
+        spec = self.spec()
+        cfg = EstimatorConfig(kind="LINCOMB", d=self.D, phi=lambda f, s: np.minimum(0.25, f))
+        plan = SimPlan(spec, (cfg,), 64, 3)
+        entry = simulate_risk(plan).estimators[0]
+        target = np.asarray(self.D) @ spec.mu_stack
+        losses, base = [], []
+        for rep in range(plan.replications):
+            sample = replication_sample(plan, rep)
+            for value, out in ((estimate(sample, spec, cfg), losses), (self.D @ sample.X, base)):
+                diff = value - target
+                out.append(float(diff @ spec.Q @ diff) / spec.sigma2)
+        assert entry.risk == pytest.approx(np.mean(losses), rel=1e-10)
+        assert entry.baseline_risk == pytest.approx(np.mean(base), rel=1e-12)
+        assert entry.prial == pytest.approx(
+            100.0 * (np.mean(base) - np.mean(losses)) / np.mean(base), rel=1e-8
+        )
 
 
 class TestSimulateMany:
