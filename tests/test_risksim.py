@@ -199,8 +199,9 @@ class TestSimulateRisk:
 
 
 class TestHotPathCounts:
-    """The engine opens one stream per chunk and computes the PT quantile
-    once per (p, k, n, alpha)."""
+    """The engine opens one stream per chunk, computes the PT quantile
+    once per (p, k, n, alpha), and shares the noise statistics and the
+    equivariant rules between the plans of a noise group."""
 
     def test_one_stream_per_chunk(self, monkeypatch):
         opened = []
