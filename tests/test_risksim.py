@@ -242,7 +242,6 @@ class TestHotPathCounts:
         simulate_risk(small_plan(reps=8))
         assert drawn == [8]
 
-
     def test_table1_shares_noise_statistics_and_equivariant_rules(self, monkeypatch):
         # 11 plans, 8 distinct centred mean sets: the four equal-means rows
         # all centre to zero.
