@@ -11,6 +11,7 @@ sum_i d_i^2 V_i - (sum_i d_i)^2 A for linear combinations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
@@ -113,12 +114,19 @@ def lincomb_shrinkage_report(spec: ModelSpec, d: Sequence[float]) -> MinimaxRepo
 
     With d = e_1 this reduces exactly to the single-shrinkage report.
     When d is proportional to the pooling weights, M_d is numerically
-    zero and the condition fails with chmax = 0.
+    zero and the condition fails with chmax = 0.  The ratio is scale-free,
+    so the report is built at the exact d / 2^e, 2^e near max |d_i|, and
+    trace and Ch_max are scaled back by 4^e in Python floats (inf on overflow).
     """
-    m = lincomb_deviation_matrix(spec.V, d, spec.A)
-    # Scaled only once M_d has accepted the weights, so bad ones fail by name.
+    # Called at d itself, so weights whose M_d overflows fail by name.
+    lincomb_deviation_matrix(spec.V, d, spec.A)
+    scale = math.ldexp(1.0, math.frexp(max(map(abs, d)))[1])
+    unit = [x / scale for x in d]
     traces = [trace_product(v, spec.Q) for v in spec.V]
-    return _shrinkage_report(m, float(np.dot(np.square(d), traces)), spec)
+    m = lincomb_deviation_matrix(spec.V, unit, spec.A)
+    report = _shrinkage_report(m, float(np.dot(np.square(unit), traces)), spec)
+    back = {key: float(getattr(report, key)) * scale * scale for key in ("trace", "chmax")}
+    return replace(report, **back)
 
 
 def optimal_eb_constant(spec: ModelSpec) -> float:

@@ -6,30 +6,29 @@ Determinism contract: replications are drawn in fixed chunks of
 first gives S for every row of the chunk, then the normals row by row, and
 the noise is always computed over the whole chunk's shape, so a draw of the
 chunk's first r rows is the prefix of its full draw and replication r's
-draw depends only on (seed, r): not on the worker count,
-nor on the plan's replication count, nor on which other plans run beside
-it.  ``simulate_many`` groups plans that share the seed and the noise model
-(p, k, n, sigma^2 and the Cholesky factors of sigma^2 V_i) and draws each
-chunk once per group, as many rows as its longest member keeps.  Within a
-group and chunk, the part of the pooled statistics that depends only on
-the noise (its nu_hat, weighted deviations and dispersion) is computed once
-per (rows, V), and each plan adds its means to it through linearity.  The
-shift-equivariant kinds (PT, EB, HB, CLASS1) are evaluated on the centred
-draw noise + (mu_i - mu_1), their loss taken against 0, and their chunk
-sums are computed once per (rows, V, config, centred means, Q); the other
-kinds see that draw plus mu_1, whose X_1 is noise_1 + mu_1 bit for bit.
-Every shared value is a function of its key alone, computed on arrays of
-the same shape, so each plan's chunk sums are bit-identical to those of
-the plan run alone.  Chunk partial sums are
-reduced per plan in chunk order, so a plan produces bit-identical reports
-for any degree of parallelism.  A run opens at most one pool; its workers
-are fork-started and inherit the plans, so shrink functions need not be
-picklable; only plan indices, chunk indices and chunk sums cross the
-process boundary.  Every plan is validated before any chunk runs, and
-validation computes the memoized constants, which the workers inherit
-with the plans.  While the pool is open the calling process holds OpenBLAS
-at one thread, so each worker inherits single-threaded BLAS and starts no
-helper threads of its own; other BLAS builds run as they are.
+draw depends only on (seed, r): not on the worker count, nor on the plan's
+replication count, nor on which other plans run beside it.
+``simulate_many`` groups the plans that share the seed, the replication
+count, p, k, n, sigma^2 and V, which draw identical rows, and draws each
+chunk once per group.  Within a group and chunk, the part of the pooled
+statistics that depends only on the noise (its nu_hat, weighted deviations
+and dispersion) is computed once, and each plan adds its means to it
+through linearity.  The shift-equivariant kinds (PT, EB, HB, CLASS1) are
+evaluated on the centred draw noise + (mu_i - mu_1), their loss taken
+against 0, and their chunk sums are computed once per (config, centred
+means, Q); the other kinds see that draw plus mu_1, whose X_1 is noise_1 +
+mu_1 bit for bit.  Every shared value is a function of its key and the
+group's draw alone, so each plan's chunk sums are bit-identical to those of
+the plan run alone.  Chunk partial sums are reduced per plan in chunk
+order, so a plan produces bit-identical reports for any degree of
+parallelism.  A run opens at most one pool; its workers are fork-started
+and inherit the plans, so shrink functions need not be picklable; only
+plan indices, chunk indices and chunk sums cross the process boundary.
+Every plan is validated before any chunk runs, and validation computes the
+memoized constants, which the workers inherit with the plans.  While the
+pool is open the calling process holds OpenBLAS at one thread, so each
+worker inherits single-threaded BLAS and starts no helper threads of its
+own; other BLAS builds run as they are.
 """
 
 from __future__ import annotations
@@ -151,10 +150,11 @@ def replication_rng(seed: int, chunk: int) -> np.random.Generator:
 
 
 def _noise_key(plan: SimPlan) -> tuple:
-    """What a chunk's draw depends on besides the chunk index: plans with
-    equal keys share every chunk's draw."""
+    """The seed, replication count, p, k, n, sigma^2 and V: plans with equal
+    keys draw the same rows of the same chunks, bit for bit."""
     spec = plan.spec
-    return (spec.p, spec.k, spec.n, spec.sigma2, plan.seed, spec.chol_scaled.tobytes())
+    v_bytes = b"".join(v.tobytes() for v in spec.V)
+    return (spec.p, spec.k, spec.n, spec.sigma2, plan.seed, plan.replications, v_bytes)
 
 
 def _draw_noise(spec: ModelSpec, seed: int, chunk: int, rows: int):
@@ -203,20 +203,6 @@ def _loss(diff: np.ndarray, spec: ModelSpec) -> np.ndarray:
 def _batch_loss(est: np.ndarray, spec: ModelSpec) -> np.ndarray:
     """The loss of each row of ``est`` as an estimate of mu_1."""
     return _loss(est - spec.mu[0], spec)
-
-
-def _estimands(plan: SimPlan) -> tuple[list[np.ndarray], list[int]]:
-    """The distinct estimand weights of the plan's estimators, e_1 first
-    whether or not one of them estimates mu_1, and the index among them of
-    each estimator's weights."""
-    spec = plan.spec
-    first = np.eye(spec.k)[0]
-    weights = [ESTIMATORS[cfg.kind].estimand(cfg, spec) for cfg in plan.estimators]
-    distinct = {first.tobytes(): first}
-    for w in weights:
-        distinct.setdefault(w.tobytes(), w)
-    keys = list(distinct)
-    return list(distinct.values()), [keys.index(w.tobytes()) for w in weights]
 
 
 def _failing_row(cfg: EstimatorConfig, spec: ModelSpec, xs, ss, stats, target) -> int:
@@ -281,43 +267,40 @@ def _reduce(blocks: Sequence[np.ndarray], count: int) -> list[tuple[float, float
     return list(zip(means, map(float, np.sqrt(var / n))))
 
 
-def _chunk_sums(plan: SimPlan, start: int, noise: np.ndarray, ss: np.ndarray, shared: dict,
-                last: bool) -> np.ndarray:
+def _chunk_sums(plan: SimPlan, start: int, noise: np.ndarray, ss: np.ndarray, noise_stats,
+                shared: dict, last: bool) -> np.ndarray:
     """``_moments`` of the plan's losses on replications ``start``,
     ``start + 1``, ..., whose draws are ``noise`` plus the plan's means and
-    ``ss``: first the loss of the unshrunk sum_i w_i X_i for each of the
-    plan's ``_estimands`` w, then per estimator its loss l and the paired
-    difference b - l against a baseline loss b.
+    ``ss``, with ``noise_stats = pooled_noise_stats(spec, noise)``: first
+    the loss of X_1, then per estimator its loss l, the paired difference
+    b - l against a baseline loss b, and the loss of the unshrunk
+    sum_i w_i X_i of its estimand sum_i w_i mu_i.
 
     An equivariant estimator is evaluated on the centred draws X_c = noise
     + (mu_i - mu_1), against 0, with b the loss of noise_1.  The others see
     X_c + mu_1, whose X_1 is noise_1 + mu_1 bit for bit, with nu_hat = nu_c
     + mu_1 and G taken from it, and b is the loss of their own estimand's
-    unshrunk estimate.  ``shared`` holds what the plans of one chunk and
-    noise group share: the noise statistics under (rows, V), and an
-    equivariant estimator's sums under (rows, V, config, centred means, Q).
-    ``last`` says that no plan reads ``noise`` after this one, so the draws
-    may overwrite it.  Of the estimators that fail, the first in plan order
-    raises."""
+    unshrunk estimate.  ``shared`` holds what the plans of one noise group
+    share within the chunk: an equivariant estimator's sums under (config,
+    centred means, Q), and their base loss under Q.  ``last`` says that no
+    plan reads ``noise`` after this one, so the draws may overwrite it.  Of
+    the estimators that fail, the first in plan order raises."""
     spec = plan.spec
-    rows = len(ss)
-    noise_key = ("noise", rows, b"".join(v.tobytes() for v in spec.V))
-    if noise_key not in shared:
-        shared[noise_key] = pooled_noise_stats(spec, noise)
     centred = spec.mu_stack - spec.mu_stack[0]
-    nu_c, f_stat = shifted_pooled_stats(spec, shared[noise_key], centred, ss)
+    nu_c, f_stat = shifted_pooled_stats(spec, noise_stats, centred, ss)
     share_keys = [
-        (noise_key, cfg, centred.tobytes(), spec.Q.tobytes())
-        if ESTIMATORS[cfg.kind].equivariant else None
+        (cfg, centred.tobytes(), spec.Q.tobytes()) if ESTIMATORS[cfg.kind].equivariant else None
         for cfg in plan.estimators
     ]
-    x1 = noise[:, 0, :] + spec.mu[0]
+    weights = [ESTIMATORS[cfg.kind].estimand(cfg, spec) for cfg in plan.estimators]
+    first = np.eye(spec.k)[0].tobytes()
+    unshrunk = {first: _batch_loss(noise[:, 0, :] + spec.mu[0], spec)}
     missing = [j for j, key in enumerate(share_keys) if key is not None and key not in shared]
     absolute = [j for j, key in enumerate(share_keys) if key is None]
     if missing or absolute:
         draws = np.add(noise, centred, out=noise if last else None)
     if missing:
-        base_key = ("base", rows, spec.Q.tobytes())
+        base_key = spec.Q.tobytes()
         if base_key not in shared:
             shared[base_key] = _loss(draws[:, 0, :], spec)
         stats = (nu_c, f_stat, g_statistic(spec, nu_c, ss))
@@ -327,26 +310,23 @@ def _chunk_sums(plan: SimPlan, start: int, noise: np.ndarray, ss: np.ndarray, sh
                 shared[base_key],
             )
     sums = [shared.get(key) for key in share_keys]
-    estimands, slots = _estimands(plan)
-    baselines = [_batch_loss(x1, spec)]
     if absolute:
         draws += spec.mu[0]
         nu = nu_c + spec.mu[0]
         stats = (nu, f_stat, g_statistic(spec, nu, ss))
-        targets = [spec.mu[0]] + [w @ spec.mu_stack for w in estimands[1:]]
-        baselines += [
-            _loss(np.einsum("k,bki->bi", w, draws) - target, spec)
-            for w, target in zip(estimands[1:], targets[1:])
-        ]
         for j in absolute:
+            target, key = weights[j] @ spec.mu_stack, weights[j].tobytes()
+            if key not in unshrunk:
+                unshrunk[key] = _loss(np.einsum("k,bki->bi", weights[j], draws) - target, spec)
             sums[j] = _estimator_sums(
-                plan, plan.estimators[j], start, draws, ss, stats, targets[slots[j]],
-                baselines[slots[j]],
+                plan, plan.estimators[j], start, draws, ss, stats, target, unshrunk[key]
             )
     failures = [block for block in sums if isinstance(block, SimulationError)]
     if failures:
         raise failures[0]
-    return np.concatenate([_moments(*baselines), *sums])
+    own = {key: _moments(loss) for key, loss in unshrunk.items()}
+    blocks = [np.concatenate([block, own[w.tobytes()]]) for block, w in zip(sums, weights)]
+    return np.concatenate([own[first], *blocks])
 
 
 # The plans of a pool worker process, set once by ``_adopt_plans`` when the
@@ -361,17 +341,18 @@ def _adopt_plans(plans: tuple[SimPlan, ...]) -> None:
 
 def _group_chunk_sums(plans: Sequence[SimPlan], task: tuple[tuple[int, ...], int]) -> list:
     """Chunk sums of the plans ``task = (indices, chunk)`` names, which
-    share one noise model and all reach the chunk, on one draw of the rows
-    the longest of them keeps."""
+    draw identical rows, on one draw of the chunk and one computation of
+    its noise statistics."""
     members, chunk = task
-    start = chunk * _CHUNK_SIZE
-    kept = [min(_CHUNK_SIZE, plans[i].replications - start) for i in members]
     first = plans[members[0]]
-    noise, s_all = _draw_noise(first.spec, first.seed, chunk, max(kept))
+    start = chunk * _CHUNK_SIZE
+    rows = min(_CHUNK_SIZE, first.replications - start)
+    noise, ss = _draw_noise(first.spec, first.seed, chunk, rows)
+    noise_stats = pooled_noise_stats(first.spec, noise)
     shared: dict = {}
     return [
-        _chunk_sums(plans[i], start, noise[:rows], s_all[:rows], shared, i == members[-1])
-        for i, rows in zip(members, kept)
+        _chunk_sums(plans[i], start, noise, ss, noise_stats, shared, i == members[-1])
+        for i in members
     ]
 
 
@@ -381,29 +362,26 @@ def _worker_group_chunk_sums(task: tuple[tuple[int, ...], int]) -> list:
 
 def _report(plan: SimPlan, partials: list[np.ndarray]) -> RiskReport:
     """The plan's report from its chunk sums, listed in chunk order."""
-    estimands, slots = _estimands(plan)
-    reduced = _reduce(partials, plan.replications)
-    baselines, pairs = reduced[: len(estimands)], reduced[len(estimands):]
+    (base_risk, base_se), *rows = _reduce(partials, plan.replications)
     reports = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for cfg, slot, (risk, se), (d_mean, d_se) in zip(
-            plan.estimators, slots, pairs[::2], pairs[1::2]
+        for cfg, (risk, se), (d_mean, d_se), (own_risk, own_se) in zip(
+            plan.estimators, rows[::3], rows[1::3], rows[2::3]
         ):
-            base_risk, base_se = baselines[slot]
             reports.append(
                 EstimatorRisk(
                     name=cfg.name,
                     risk=risk,
                     std_error=se,
-                    prial=100.0 * d_mean / base_risk,
-                    prial_std_error=100.0 * d_se / base_risk,
-                    baseline_risk=base_risk,
-                    baseline_std_error=base_se,
+                    prial=100.0 * d_mean / own_risk,
+                    prial_std_error=100.0 * d_se / own_risk,
+                    baseline_risk=own_risk,
+                    baseline_std_error=own_se,
                 )
             )
     return RiskReport(
-        baseline_risk=baselines[0][0],
-        baseline_std_error=baselines[0][1],
+        baseline_risk=base_risk,
+        baseline_std_error=base_se,
         trace_v1q=trace_product(plan.spec.V[0], plan.spec.Q),
         replications=plan.replications,
         seed=plan.seed,
@@ -461,10 +439,11 @@ def simulate_many(plans: Sequence[SimPlan], workers: int = 1) -> list[RiskReport
     Evaluates a plan's estimators on the same draws and reports each one's
     PRIAL relative to the unshrunk estimate of its estimand (X_1, or
     sum_i d_i X_i for LINCOMB) with a standard error computed from the
-    paired per-replication loss differences.  Plans that share the seed and
-    the noise model (see ``_noise_key``) share each chunk's draw and the
-    work that does not depend on their means, and each report is
-    bit-identical to the plan's report run alone, for any ``workers``.
+    paired per-replication loss differences.  Plans that share the seed,
+    the replication count, p, k, n, sigma^2 and V (see ``_noise_key``) draw
+    identical rows: they share each chunk's draw and the work that does not
+    depend on their means, and each report is bit-identical to the plan's
+    report run alone, for any ``workers``.
     Workers are fork-started processes of one pool per call, which inherit
     the plans (so shrink functions may be lambdas) and run OpenBLAS on one
     thread; where fork is unavailable the chunks run serially and a warning
@@ -482,14 +461,12 @@ def simulate_many(plans: Sequence[SimPlan], workers: int = 1) -> list[RiskReport
         groups.setdefault(_noise_key(plan), []).append(idx)
     if not plans:
         return []
-    n_chunks = [-(-plan.replications // _CHUNK_SIZE) for plan in plans]
-    # Chunk-major, so each plan's chunk sums arrive in chunk order.
-    tasks = []
-    for chunk in range(max(n_chunks)):
-        for members in groups.values():
-            reached = tuple(i for i in members if chunk < n_chunks[i])
-            if reached:
-                tasks.append((reached, chunk))
+    # Each plan's chunk sums arrive in chunk order.
+    tasks = [
+        (tuple(members), chunk)
+        for members in groups.values()
+        for chunk in range(-(-plans[members[0]].replications // _CHUNK_SIZE))
+    ]
 
     # A fork pool starts all its workers at once: no more than there are tasks.
     workers = min(workers, len(tasks))

@@ -441,6 +441,22 @@ class TestCheck:
         assert small["condition_holds"] is True
         assert small["ratio"] == pytest.approx(unit["ratio"], rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "weights, trace", [("1e154,-1e154,1,1,1", None), (",".join(["1e-300"] * 5), 0.0)]
+    )
+    def test_extreme_weights_keep_the_ratio(self, bench_config, capsys, weights, trace):
+        # The ratio does not depend on the scale of d, but 1e154 weights
+        # exited 3 with "Eigenvalues did not converge" (an overflow warning
+        # under -W error), and 1e-300 weights printed "ratio": null and
+        # exited 1.  The trace itself overflows or underflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--config", bench_config, f"--weights={weights}"]) == 0
+        lin = strict_json(capsys.readouterr().out)["lincomb_shrinkage"]
+        assert lin["condition_holds"] is True
+        assert lin["ratio"] == pytest.approx(5.0, rel=1e-12)
+        assert lin["trace"] == trace
+
     def test_undefined_values_are_null(self, bench_config, capsys):
         # Zero weights leave M_d = 0, so the ratio and the bounds are
         # undefined; they were printed as NaN, which is not JSON.

@@ -1,5 +1,5 @@
 """Exact risk oracles for the benchmark's equal-means rows, checked against
-the shared acceptance run (no Monte Carlo of their own).
+the shared acceptance run and, for a CLASS1 rule, one run of their own.
 
 Under equal means the whitened GLS residual is N(0, sigma^2 P), with P a
 projector of rank d = p(k-1); it is independent of nu_hat and S, and its
@@ -25,6 +25,7 @@ u(F) = min(a0/F, 1).  HB at L = 0 has u(F) = phi(F)/F with
     phi(F) = (qa/b) I_z(qa + 1, b) / I_z(qa, b + 1),  z = F/(1 + F),
 
 qa = p(k-1)/2 + a and b = n/2 - c - a, taken here from scipy's ``betainc``.
+CLASS1 with phi(F, S) = c F/(1 + F) has u(F) = c/(1 + F).
 
 JS shrinks X_1 toward 0 and, with Q = V_1^{-1} as in the benchmark, has
 at every mean the closed-form risk (James & Stein 1961; Bock 1975)
@@ -39,7 +40,9 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from poolshrink.risksim import table1_preset
+from poolshrink.estimators import EstimatorConfig
+from poolshrink.minimax import single_shrinkage_report
+from poolshrink.risksim import SimPlan, simulate_many, table1_preset
 
 
 def full_shrink_prial(spec):
@@ -145,6 +148,21 @@ def test_hb_prial_matches_the_exact_value(table1_reports, label, plan):
     assert exact == pytest.approx(13.9547, abs=1e-4)
     entry = _entry(table1_reports, label, "HB")
     assert abs(entry.prial - exact) <= 4.0 * entry.prial_std_error
+
+
+def test_class1_prial_matches_the_exact_value():
+    specs = [plan.spec for _, plan in EQUAL_MEANS_PLANS]
+    bound = single_shrinkage_report(specs[0]).phi_upper_single
+    c = 0.5 * bound
+    assert 0.0 < c < bound
+    cfg = EstimatorConfig(kind="CLASS1", phi=lambda f, s: c * f / (1.0 + f))
+    reports = simulate_many([SimPlan(spec, (cfg,), 100_000, 11) for spec in specs])
+    exact = exact_equal_means_prial(specs[0], lambda f: c / (1.0 + f))
+    for report in reports:
+        (entry,) = report.estimators
+        assert abs(entry.prial - exact) <= 4.0 * entry.prial_std_error
+    # The four rows centre to the same draws, so their risks agree bit for bit.
+    assert len({report.estimators[0].risk for report in reports}) == 1
 
 
 def test_js_risk_at_the_origin():

@@ -268,6 +268,13 @@ class TestHotPathCounts:
         assert calls == {"PT": 8, "JS": 11, "EB": 8, "HB": 8, "HEB": 11}
         assert len(noise_stats) == 1
 
+    def test_table1_factors_one_noise_model(self):
+        # The 11 plans draw identical rows, so only the first one's draws
+        # need the Cholesky factors of sigma^2 V_i.
+        plans = [plan for _, plan in table1_preset(replications=2048)]
+        simulate_many(plans)
+        assert sum("chol_scaled" in vars(plan.spec) for plan in plans) == 1
+
 
 class TestLincombEstimand:
     """A LINCOMB estimator is scored against sum_i d_i mu_i, with the
