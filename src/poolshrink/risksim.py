@@ -21,14 +21,17 @@ mu_1 bit for bit.  Every shared value is a function of its key and the
 group's draw alone, so each plan's chunk sums are bit-identical to those of
 the plan run alone.  Chunk partial sums are reduced per plan in chunk
 order, so a plan produces bit-identical reports for any degree of
-parallelism.  A run opens at most one pool; its workers are fork-started
-and inherit the plans, so shrink functions need not be picklable; only
-plan indices, chunk indices and chunk sums cross the process boundary.
-Every plan is validated before any chunk runs, and validation computes the
-memoized constants, which the workers inherit with the plans.  While the
-pool is open the calling process holds OpenBLAS at one thread, so each
-worker inherits single-threaded BLAS and starts no helper threads of its
-own; other BLAS builds run as they are.
+parallelism.  A parallel run forks w = min(workers, tasks) children, child
+j running (group, chunk) tasks j, j + w, ..., so a group's equal-cost
+chunks spread evenly.  They inherit the plans, so shrink functions need not
+be picklable, and each pipes back one pickle: its chunk sums, or the error
+of its first failed task.  The parent reads each pipe to its end and reaps
+its child; a child that dies or sends a truncated result is a RuntimeError
+naming it, and no child outlives the call.  Every plan is validated before
+any chunk runs, and validation computes the memoized constants, which the
+children inherit.  While the children run the calling process holds
+OpenBLAS at one thread, so each child inherits single-threaded BLAS and
+starts no helper threads of its own; other BLAS builds run as they are.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import logging
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -329,16 +333,6 @@ def _chunk_sums(plan: SimPlan, start: int, noise: np.ndarray, ss: np.ndarray, no
     return np.concatenate([own[first], *blocks])
 
 
-# The plans of a pool worker process, set once by ``_adopt_plans`` when the
-# worker starts.
-_WORKER_PLANS: tuple[SimPlan, ...] = ()
-
-
-def _adopt_plans(plans: tuple[SimPlan, ...]) -> None:
-    global _WORKER_PLANS
-    _WORKER_PLANS = plans
-
-
 def _group_chunk_sums(plans: Sequence[SimPlan], task: tuple[tuple[int, ...], int]) -> list:
     """Chunk sums of the plans ``task = (indices, chunk)`` names, which
     draw identical rows, on one draw of the chunk and one computation of
@@ -356,8 +350,67 @@ def _group_chunk_sums(plans: Sequence[SimPlan], task: tuple[tuple[int, ...], int
     ]
 
 
-def _worker_group_chunk_sums(task: tuple[tuple[int, ...], int]) -> list:
-    return _group_chunk_sums(_WORKER_PLANS, task)
+def _fork_worker(plans: Sequence[SimPlan], tasks: list, first: int, step: int):
+    """Fork a child that runs ``tasks[first::step]`` up to its first failure
+    and pipes back one pickle, the list of (task index, chunk sums or
+    exception); returns the child's pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    try:
+        os.close(read_fd)
+        done = []
+        for index in range(first, len(tasks), step):
+            try:
+                done.append((index, _group_chunk_sums(plans, tasks[index])))
+            except Exception as exc:
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:
+                    exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                done.append((index, exc))
+                break
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(done, pipe)
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _fork_map(plans: Sequence[SimPlan], tasks: list, workers: int) -> list:
+    """Every task's ``_group_chunk_sums`` from ``workers`` forked children,
+    striped over the tasks; raises the failure of the first task that
+    failed, or a RuntimeError for a child that sends no whole result.
+    Every child is reaped, or killed and reaped, before the call returns."""
+    results: list = [None] * len(tasks)
+    children = []
+    try:
+        for first in range(workers):
+            children.append(_fork_worker(plans, tasks, first, workers))
+        for first, (pid, pipe) in enumerate(list(children)):
+            payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.remove((pid, pipe))
+            pipe.close()
+            with contextlib.suppress(pickle.UnpicklingError, EOFError):
+                if code == 0:
+                    for index, result in pickle.loads(payload):
+                        results[index] = result
+                    continue
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise RuntimeError(f"simulation worker {pid} {how} before sending its results"
+                               f" (its first task: chunk {tasks[first][1]})")
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
 
 
 def _report(plan: SimPlan, partials: list[np.ndarray]) -> RiskReport:
@@ -444,10 +497,10 @@ def simulate_many(plans: Sequence[SimPlan], workers: int = 1) -> list[RiskReport
     identical rows: they share each chunk's draw and the work that does not
     depend on their means, and each report is bit-identical to the plan's
     report run alone, for any ``workers``.
-    Workers are fork-started processes of one pool per call, which inherit
-    the plans (so shrink functions may be lambdas) and run OpenBLAS on one
-    thread; where fork is unavailable the chunks run serially and a warning
-    is logged.
+    ``workers`` children are forked once per call and striped over the
+    (group, chunk) tasks; they inherit the plans (so shrink functions may be
+    lambdas), run OpenBLAS on one thread and are reaped before it returns.
+    Where ``os`` has no fork the chunks run serially and a warning is logged.
     """
     if not (_is_integer(workers) and workers >= 1):
         raise ValueError(f"workers: must be an integer >= 1, got {workers!r}")
@@ -468,23 +521,17 @@ def simulate_many(plans: Sequence[SimPlan], workers: int = 1) -> list[RiskReport
         for chunk in range(-(-plans[members[0]].replications // _CHUNK_SIZE))
     ]
 
-    # A fork pool starts all its workers at once: no more than there are tasks.
+    # Every child forks at once: no more of them than there are tasks.
     workers = min(workers, len(tasks))
-    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+    if workers > 1 and not hasattr(os, "fork"):
         _log.warning(
             "fork start method unavailable: running serially instead of on %d workers", workers
         )
         workers = 1
     if workers > 1:
-        # With fork the initializer's argument is inherited, never pickled.
-        # The pool shuts down before the BLAS thread count is restored.
-        with _single_blas_thread(), ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_adopt_plans,
-            initargs=(plans,),
-        ) as pool:
-            results = list(pool.map(_worker_group_chunk_sums, tasks))
+        # The children are reaped before the BLAS thread count is restored.
+        with _single_blas_thread():
+            results = _fork_map(plans, tasks, workers)
     else:
         results = [_group_chunk_sums(plans, task) for task in tasks]
 

@@ -5,7 +5,6 @@ import dataclasses
 import logging
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -36,6 +35,25 @@ def small_plan(reps=4000, seed=3, mu=(0, 0, 0, 0, 0), estimators=None):
     if estimators is None:
         estimators = preset_estimators(spec)
     return SimPlan(spec=spec, estimators=tuple(estimators), replications=reps, seed=seed)
+
+
+def record_forks(monkeypatch, probe=lambda: None):
+    """Hook ``risksim._fork_map`` and ``os.fork``: the list returned gets one
+    list per batch of forks, with ``probe()`` as it stood at each fork."""
+    batches = []
+    fork, fork_map = os.fork, risksim._fork_map
+
+    def recording_fork():
+        batches[-1].append(probe())
+        return fork()
+
+    def recording_map(*args):
+        batches.append([])
+        return fork_map(*args)
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(risksim, "_fork_map", recording_map)
+    return batches
 
 
 def replication_f(plan, rep):
@@ -91,10 +109,10 @@ class TestSimulateRisk:
 
     def test_without_fork_workers_run_serially(self, monkeypatch, caplog):
         def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started without the fork start method")
+            raise AssertionError("workers were forked without os.fork")
 
-        monkeypatch.setattr(risksim.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(risksim, "ProcessPoolExecutor", no_pool)
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(risksim, "_fork_map", no_pool)
         lam = EstimatorConfig(kind="CLASS1", phi=lambda f, s: np.minimum(0.4, f))
         plan = small_plan(reps=2049, estimators=[lam])
         with caplog.at_level(logging.WARNING, logger="poolshrink.risksim"):
@@ -410,6 +428,60 @@ class TestSimulateMany:
             simulate_many([healthy, bad], workers)
         assert str(shared.value) == expected
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_first_failure_in_task_order_is_raised(self, workers):
+        # One row of chunk 1 and one of chunk 2 fail; at two and at three
+        # workers the two chunks belong to different workers.
+        seen = []
+        recording = EstimatorConfig(
+            kind="CLASS1", phi=lambda f, s: seen.append(f.copy()) or np.zeros_like(f)
+        )
+        simulate_risk(small_plan(reps=3 * 2048, estimators=[recording]))
+        f_stat = np.concatenate(seen)
+        failing = f_stat[[2048 + 1000, 2 * 2048 + 10]]
+
+        def exploding(f, s):
+            if np.isin(f, failing).any():
+                raise FloatingPointError("boom")
+            return np.zeros_like(f)
+
+        bad = small_plan(
+            reps=3 * 2048, estimators=[EstimatorConfig(kind="CLASS1", phi=exploding, label="BAD")]
+        )
+        with pytest.raises(SimulationError) as serial:
+            simulate_risk(bad)
+        assert str(serial.value) == "estimator BAD failed at replication 3048 (seed 3): boom"
+        with pytest.raises(SimulationError) as forked:
+            simulate_risk(bad, workers=workers)
+        assert str(forked.value) == str(serial.value)
+
+    def test_dead_worker_is_named_and_reaped(self):
+        parent = os.getpid()
+
+        def dying(f, s):
+            if os.getpid() != parent:
+                os._exit(7)
+            return np.zeros_like(f)
+
+        plan = small_plan(reps=3 * 2048, estimators=[EstimatorConfig(kind="CLASS1", phi=dying)])
+        counts = _blas_counts()
+        with pytest.raises(RuntimeError, match=r"^simulation worker \d+ exited with status 7 "):
+            simulate_risk(plan, workers=2)
+        assert _blas_counts() == counts
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_unpicklable_failure_arrives_as_runtime_error(self, monkeypatch):
+        class Unpicklable(Exception):
+            pass
+
+        def failing(plans, task):
+            raise Unpicklable(f"chunk {task[1]}")
+
+        monkeypatch.setattr(risksim, "_group_chunk_sums", failing)
+        with pytest.raises(RuntimeError, match=r"^Unpicklable: chunk 0$"):
+            simulate_risk(small_plan(reps=2 * 2048), workers=2)
+
     def test_preset_opens_one_stream_per_chunk(self, monkeypatch):
         opened = []
         original = risksim.replication_rng
@@ -420,32 +492,18 @@ class TestSimulateMany:
         assert opened == [0, 1, 2]
 
     def test_preset_run_opens_one_pool(self, monkeypatch, capsys):
-        pools = []
-
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(risksim, "ProcessPoolExecutor", CountingPool)
+        batches = record_forks(monkeypatch)
         assert main(["simulate", "--preset", "table1", "--reps", "4097", "--workers", "2"]) == 0
-        assert pools == [2]
+        assert [len(forks) for forks in batches] == [2]
         assert len(capsys.readouterr().out.splitlines()) == 1 + 11 * 5
 
     def test_pool_has_no_more_workers_than_tasks(self, monkeypatch, capsys):
-        # A fork pool starts every worker at once, whatever the task count.
-        pools = []
-
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(risksim, "ProcessPoolExecutor", RecordingPool)
+        # Every worker forks at once, whatever the task count.
+        batches = record_forks(monkeypatch)
         assert main(["simulate", "--preset", "table1", "--reps", "2048", "--workers", "4"]) == 0
-        assert pools == []
+        assert batches == []
         assert main(["simulate", "--preset", "table1", "--reps", "4097", "--workers", "4"]) == 0
-        assert pools == [3]
+        assert [len(forks) for forks in batches] == [3]
         capsys.readouterr()
 
     def test_preset_derives_constants_once(self, monkeypatch):
@@ -513,24 +571,18 @@ class TestPlanValidation:
 
 class TestWarmWorkers:
     """The calling process computes the constants the rules memoize before
-    the pool forks, so its workers inherit them instead of each computing
-    its own."""
+    it forks, so its workers inherit them instead of each computing its
+    own."""
 
     @staticmethod
     def _cache_at_fork(monkeypatch, plan, memo):
         """The plan's report at two workers and ``memo.cache_info()`` as it
-        stood when the pool was constructed."""
-        seen = []
-
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                seen.append(memo.cache_info())
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(risksim, "ProcessPoolExecutor", RecordingPool)
+        stood when the workers were forked."""
+        batches = record_forks(monkeypatch, memo.cache_info)
         report = simulate_risk(plan, workers=2)
-        assert len(seen) == 1
-        return report, seen[0]
+        assert len(batches) == 1 and len(batches[0]) == 2
+        assert batches[0][1] == batches[0][0]
+        return report, batches[0][0]
 
     def _check(self, monkeypatch, plan, memo, entries):
         memo.cache_clear()
@@ -573,7 +625,7 @@ def two_blas_threads():
 
 @pytest.mark.usefixtures("two_blas_threads")
 class TestSingleBlasThread:
-    """While the pool is open the calling process holds OpenBLAS at one
+    """While its workers run the calling process holds OpenBLAS at one
     thread, so the forked workers start no BLAS helper threads, and it gets
     its own thread count back afterwards."""
 
@@ -594,19 +646,13 @@ class TestSingleBlasThread:
     @staticmethod
     def _run_recording_counts(monkeypatch, plan):
         """Run the plan at two workers, checking that every OpenBLAS was at
-        one thread when the pool was constructed."""
-        at_fork = []
-
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                at_fork.append(_blas_counts())
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(risksim, "ProcessPoolExecutor", RecordingPool)
+        one thread when each worker was forked."""
+        batches = record_forks(monkeypatch, _blas_counts)
         try:
             simulate_risk(plan, workers=2)
         finally:
-            assert len(at_fork) == 1 and set(at_fork[0]) == {1}
+            assert len(batches) == 1 and len(batches[0]) == 2
+            assert all(set(at_fork) == {1} for at_fork in batches[0])
 
     def test_thread_count_restored_after_a_run(self, monkeypatch, two_blas_threads):
         self._run_recording_counts(monkeypatch, small_plan(reps=2 * 2048))
