@@ -399,16 +399,18 @@ def cmd_estimate(args) -> int:
 
     # Every value is computed and checked before the first line is written,
     # so a runtime failure leaves no partial output.  The estimates use the
-    # printed nu_hat, F and G.
+    # printed nu_hat, F and G; a statistic that overflows is named below.
     xs, ss = x[np.newaxis], np.array([s])
-    nu, f_stat, g_stat = batch_pooled_stats(spec, xs, ss)
+    with np.errstate(over="ignore", divide="ignore"):
+        nu, f_stat, g_stat = batch_pooled_stats(spec, xs, ss)
     values = [("nu_hat", nu[0]), ("F", f_stat), ("G", g_stat)]
     for name, value in values:
         if not np.all(np.isfinite(value)):
             raise RuntimeError(f"{name} is not finite: {value}")
     for name, cfg in zip(wanted, selected):
         try:
-            value = ESTIMATORS[cfg.kind].rule(cfg, spec, xs, ss, nu, f_stat, g_stat)[0]
+            kind = ESTIMATORS[cfg.kind]
+            value = kind.rule(cfg, spec, kind.estimand(cfg, spec) @ xs, ss, nu, f_stat)[0]
         except Exception as exc:
             raise RuntimeError(f"estimator {cfg.name} failed: {exc}") from exc
         if not np.all(np.isfinite(value)):

@@ -37,7 +37,7 @@ import numpy as np
 from .minimax import check_hb_domain, optimal_eb_constant, optimal_heb_constants, solve_hb_a
 from .model import ModelSpec, Sample, validate_spec
 from .numerics import QuadratureError, _beta_cont_frac, f_quantile, gauss_jacobi, reg_upper_gamma
-from .statistics import batch_pooled_stats
+from .statistics import batch_pooled_stats, g_statistic
 
 __all__ = [
     "CONFIG_KINDS",
@@ -401,17 +401,19 @@ class EstimatorKind:
     check, its bound-optimal constants, if it has any, its estimand and
     whether it is shift-equivariant.
 
-    The rule maps (config, spec, X (B, k, p), S (B,), nu_hat (B, p), F (B,),
-    G (B,)) to the B estimates, shape (B, p).  The check runs after the
+    The rule maps (config, spec, x (B, p), S (B,), nu_hat (B, p), F (B,)) to
+    the B estimates, shape (B, p), where x = sum_i w_i X_i is the unshrunk
+    estimate of the kind's estimand: X_1, or sum_i d_i X_i for LINCOMB.  The
+    rules that read G compute it from nu_hat and S.  The check runs after the
     field checks pass, against a valid model: it returns what the fields
     violate beyond ``_FIELD_RANGES``, and for a config it accepts it
     computes every constant the rule memoizes, so that processes forked
     after validation inherit them.  ``optimal`` maps (config, spec) to the
     bound-optimal values of the config's constants, which may depend on the
-    constants the config already holds.  ``estimand`` maps (config, spec)
-    to the weights w of the estimated sum_i w_i mu_i.  An ``equivariant``
-    kind estimates mu_1 and its estimate moves by c when every X_i does, so
-    the engine may evaluate it on draws whose first mean is 0."""
+    constants the config already holds.  ``estimand`` maps (config, spec) to
+    the weights w of the estimated sum_i w_i mu_i.  An ``equivariant`` kind
+    estimates mu_1 and its estimate moves by c when every X_i does, so the
+    engine may evaluate it on draws whose first mean is 0."""
 
     fields: tuple[str, ...]
     rule: Callable[..., np.ndarray]
@@ -421,10 +423,9 @@ class EstimatorKind:
     equivariant: bool = False
 
 
-def _shrink(X: np.ndarray, nu: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """X_1 - factor (X_1 - nu_hat), row by row."""
-    x1 = X[:, 0, :]
-    return x1 - factor[:, None] * (x1 - nu)
+def _shrink(x: np.ndarray, nu: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """x - factor (x - nu), row by row."""
+    return x - factor[:, None] * (x - nu)
 
 
 def _clipped(const: float, stat: np.ndarray) -> np.ndarray:
@@ -444,59 +445,58 @@ def _handle_factor(fn: ShrinkFunction, stat: np.ndarray, S: np.ndarray) -> np.nd
     return factor
 
 
-def _pt_rule(cfg, spec, X, S, nu, F, G):
+def _pt_rule(cfg, spec, x, S, nu, F):
     """X_1 when the equal-means hypothesis is rejected at level alpha,
     nu_hat otherwise."""
     thr = pt_threshold(spec.p, spec.k, spec.n, cfg.alpha)
-    return np.where((F > thr)[:, None], X[:, 0, :], nu)
+    return np.where((F > thr)[:, None], x, nu)
 
 
-def _js_rule(cfg, spec, X, S, nu, F, G):
+def _js_rule(cfg, spec, x, S, nu, F):
     """X_1 - ((p-2)/(n+2)) (S/||X_1||^2_{V_1^{-1}}) X_1; 0 when X_1 = 0."""
-    x1 = X[:, 0, :]
-    norm2 = np.einsum("bi,bi->b", x1 @ spec.v_inv[0], x1)
+    norm2 = np.einsum("bi,bi->b", x @ spec.v_inv[0], x)
     coef = np.zeros_like(norm2)
     okay = norm2 > 0.0
     coef[okay] = (spec.p - 2.0) / (spec.n + 2.0) * S[okay] / norm2[okay]
-    return x1 - coef[:, None] * x1
+    return x - coef[:, None] * x
 
 
-def _eb_rule(cfg, spec, X, S, nu, F, G):
+def _eb_rule(cfg, spec, x, S, nu, F):
     """X_1 - min(a0/F, 1)(X_1 - nu_hat)."""
-    return _shrink(X, nu, _clipped(cfg.a0, F))
+    return _shrink(x, nu, _clipped(cfg.a0, F))
 
 
-def _hb_rule(cfg, spec, X, S, nu, F, G):
+def _hb_rule(cfg, spec, x, S, nu, F):
     """X_1 - (phi_hb(F, S)/F)(X_1 - nu_hat), with the small-F factor
     (q+a)/(q+a+1) at F = 0."""
     factor = np.full_like(F, hb_small_f_factor(spec.p, spec.k, cfg.a))
     pos = F > 0.0
     factor[pos] = phi_hb(F[pos], S[pos], spec.p, spec.k, spec.n, cfg.a, cfg.c, cfg.L) / F[pos]
-    return _shrink(X, nu, factor)
+    return _shrink(x, nu, factor)
 
 
-def _heb_rule(cfg, spec, X, S, nu, F, G):
+def _heb_rule(cfg, spec, x, S, nu, F):
     """X_1 - min(a0/F, 1)(X_1 - nu_hat) - min(b0/G, 1) nu_hat."""
-    return _shrink(X, nu, _clipped(cfg.a0, F)) - _clipped(cfg.b0, G)[:, None] * nu
+    G = g_statistic(spec, nu, S)
+    return _shrink(x, nu, _clipped(cfg.a0, F)) - _clipped(cfg.b0, G)[:, None] * nu
 
 
-def _class1_rule(cfg, spec, X, S, nu, F, G):
+def _class1_rule(cfg, spec, x, S, nu, F):
     """X_1 - (phi(F, S)/F)(X_1 - nu_hat)."""
-    return _shrink(X, nu, _handle_factor(cfg.phi, F, S))
+    return _shrink(x, nu, _handle_factor(cfg.phi, F, S))
 
 
-def _class2_rule(cfg, spec, X, S, nu, F, G):
+def _class2_rule(cfg, spec, x, S, nu, F):
     """X_1 - (phi(F, S)/F)(X_1 - nu_hat) - (psi(G, S)/G) nu_hat."""
-    est = _shrink(X, nu, _handle_factor(cfg.phi, F, S))
-    return est - _handle_factor(cfg.psi, G, S)[:, None] * nu
+    est = _shrink(x, nu, _handle_factor(cfg.phi, F, S))
+    return est - _handle_factor(cfg.psi, g_statistic(spec, nu, S), S)[:, None] * nu
 
 
-def _lincomb_rule(cfg, spec, X, S, nu, F, G):
+def _lincomb_rule(cfg, spec, x, S, nu, F):
     """sum_i d_i [X_i - (phi(F, S)/F)(X_i - nu_hat)], an estimate of
-    sum_i d_i mu_i."""
-    factor = _handle_factor(cfg.phi, F, S)
-    shrunk = X - factor[:, None, None] * (X - nu[:, None, :])
-    return np.einsum("k,bki->bi", np.asarray(cfg.d, dtype=float), shrunk)
+    sum_i d_i mu_i, as x - (phi(F, S)/F)(x - (sum_i d_i) nu_hat) with
+    x = sum_i d_i X_i."""
+    return _shrink(x, sum(cfg.d) * nu, _handle_factor(cfg.phi, F, S))
 
 
 # PT, EB, HB and CLASS1 shrink X_1 toward nu_hat by a factor of F and S,
@@ -563,5 +563,6 @@ def estimate(sample: Sample, spec: ModelSpec, config: EstimatorConfig) -> np.nda
         raise ValueError("; ".join(errors))
     X = sample.X[np.newaxis]
     S = np.array([sample.S])
-    nu, F, G = batch_pooled_stats(spec, X, S)
-    return ESTIMATORS[config.kind].rule(config, spec, X, S, nu, F, G)[0]
+    nu, F, _ = batch_pooled_stats(spec, X, S)
+    kind = ESTIMATORS[config.kind]
+    return kind.rule(config, spec, kind.estimand(config, spec) @ X, S, nu, F)[0]

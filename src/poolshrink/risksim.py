@@ -13,25 +13,28 @@ count, p, k, n, sigma^2 and V, which draw identical rows, and draws each
 chunk once per group.  Within a group and chunk, the part of the pooled
 statistics that depends only on the noise (its nu_hat, weighted deviations
 and dispersion) is computed once, and each plan adds its means to it
-through linearity.  The shift-equivariant kinds (PT, EB, HB, CLASS1) are
-evaluated on the centred draw noise + (mu_i - mu_1), their loss taken
-against 0, and their chunk sums are computed once per (config, centred
-means, Q); the other kinds see that draw plus mu_1, whose X_1 is noise_1 +
-mu_1 bit for bit.  Every shared value is a function of its key and the
-group's draw alone, so each plan's chunk sums are bit-identical to those of
-the plan run alone.  Chunk partial sums are reduced per plan in chunk
-order, so a plan produces bit-identical reports for any degree of
-parallelism.  A parallel run forks w = min(workers, tasks) children, child
-j running (group, chunk) tasks j, j + w, ..., so a group's equal-cost
-chunks spread evenly.  They inherit the plans, so shrink functions need not
-be picklable, and each pipes back one pickle: its chunk sums, or the error
-of its first failed task.  The parent reads each pipe to its end and reaps
-its child; a child that dies or sends a truncated result is a RuntimeError
-naming it, and no child outlives the call.  Every plan is validated before
-any chunk runs, and validation computes the memoized constants, which the
-children inherit.  While the children run the calling process holds
-OpenBLAS at one thread, so each child inherits single-threaded BLAS and
-starts no helper threads of its own; other BLAS builds run as they are.
+through linearity.  Every rule reads one (B, p) vector per replication,
+the unshrunk estimate x = sum_i w_i X_i of its estimand, and no plan copies
+or writes the draw.  The shift-equivariant kinds (PT, EB, HB, CLASS1) read
+noise_1 with the statistics of the centred draw noise + (mu_i - mu_1),
+their loss taken against 0, and their chunk sums are computed once per
+(config, centred means, Q); the other kinds read x = w . noise + w . mu,
+formed once per plan and distinct w, which for w = e_1 is noise_1 + mu_1.
+Every shared value is a function of its key and the group's draw alone, so
+each plan's chunk sums are bit-identical to those of the plan run alone.
+Chunk partial sums are reduced per plan in chunk order, so a plan produces
+bit-identical reports for any degree of parallelism.  A parallel run forks
+w = min(workers, tasks) children, child j running (group, chunk) tasks j,
+j + w, ..., so a group's equal-cost chunks spread evenly.  They inherit the
+plans, so shrink functions need not be picklable, and each pipes back one
+pickle: its chunk sums, or the error of its first failed task.  The parent
+reads each pipe to its end and reaps its child; a child that dies or sends
+a truncated result is a RuntimeError naming it, and no child outlives the
+call.  Every plan is validated before any chunk runs, and validation
+computes the memoized constants, which the children inherit.  While the
+children run the calling process holds OpenBLAS at one thread, so each
+child inherits single-threaded BLAS and starts no helper threads of its
+own; other BLAS builds run as they are.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import numpy as np
 from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, preset_config
 from .model import ModelSpec, Sample, scalar_spec, validate_spec
 from .numerics import trace_product
-from .statistics import g_statistic, pooled_noise_stats, shifted_pooled_stats
+from .statistics import pooled_noise_stats, shifted_pooled_stats
 
 __all__ = [
     "EstimatorRisk",
@@ -185,8 +188,8 @@ def _draw_noise(spec: ModelSpec, seed: int, chunk: int, rows: int):
 def replication_sample(plan: SimPlan, rep: int) -> Sample:
     """The draw the engine evaluates for replication ``rep`` of the plan:
     its row of the chunk's noise plus the plan's means.  The engine forms
-    X_i as (noise_i + (mu_i - mu_1)) + mu_1, which is this X_1 bit for bit
-    and the other X_i up to rounding."""
+    only X_1 = noise_1 + mu_1, which is this X_1 bit for bit, and
+    sum_i d_i X_i for LINCOMB, which equals this sample's up to rounding."""
     if not 0 <= rep < plan.replications:
         raise IndexError(f"replication {rep} outside [0, {plan.replications})")
     chunk, row = divmod(rep, _CHUNK_SIZE)
@@ -204,21 +207,16 @@ def _loss(diff: np.ndarray, spec: ModelSpec) -> np.ndarray:
     return np.einsum("bi,bi->b", diff @ spec.Q, diff) / spec.sigma2
 
 
-def _batch_loss(est: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    """The loss of each row of ``est`` as an estimate of mu_1."""
-    return _loss(est - spec.mu[0], spec)
-
-
-def _failing_row(cfg: EstimatorConfig, spec: ModelSpec, xs, ss, stats, target) -> int:
+def _failing_row(cfg: EstimatorConfig, spec: ModelSpec, x, ss, stats, target) -> int:
     """The first row of a chunk on which ``cfg``'s rule, run on that row
-    alone with its pooled statistics ``stats`` = (nu_hat, F, G), raises or
+    alone with its pooled statistics ``stats`` = (nu_hat, F), raises or
     gives a non-finite loss against ``target`` (the chunk's first row if
     none does)."""
     rule = ESTIMATORS[cfg.kind].rule
     for row in range(len(ss)):
         one = slice(row, row + 1)
         try:
-            est = rule(cfg, spec, xs[one], ss[one], *(stat[one] for stat in stats))
+            est = rule(cfg, spec, x[one], ss[one], *(stat[one] for stat in stats))
             if not np.isfinite(_loss(est - target, spec)[0]):
                 return row
         except Exception:
@@ -226,27 +224,26 @@ def _failing_row(cfg: EstimatorConfig, spec: ModelSpec, xs, ss, stats, target) -
     return 0
 
 
-def _estimator_sums(plan: SimPlan, cfg: EstimatorConfig, start: int, xs, ss, stats, target, base):
-    """``_moments`` of the loss l of ``cfg``'s rule on the draws ``xs``,
-    ``ss`` of replications ``start``, ``start + 1``, ... with their
-    statistics ``stats`` = (nu_hat, F, G), taken against ``target``, and of
-    the paired difference ``base`` - l; or, if the rule fails, the
-    SimulationError that names the first failing replication."""
+def _estimator_sums(plan: SimPlan, cfg: EstimatorConfig, start: int, x, ss, stats, target, base):
+    """``_moments`` of the loss l of ``cfg``'s rule on the unshrunk
+    estimates ``x`` and the ``ss`` of replications ``start``, ``start + 1``,
+    ... with their statistics ``stats`` = (nu_hat, F), taken against
+    ``target``, and of the paired difference ``base`` - l.  If the rule
+    fails, raises the SimulationError that names the first failing
+    replication."""
     spec = plan.spec
     try:
-        est_loss = _loss(ESTIMATORS[cfg.kind].rule(cfg, spec, xs, ss, *stats) - target, spec)
+        est_loss = _loss(ESTIMATORS[cfg.kind].rule(cfg, spec, x, ss, *stats) - target, spec)
     except Exception as exc:
-        row, cause = _failing_row(cfg, spec, xs, ss, stats, target), exc
+        row, cause = _failing_row(cfg, spec, x, ss, stats, target), exc
     else:
         finite = np.isfinite(est_loss)
         if finite.all():
             return _moments(est_loss, base - est_loss)
         row, cause = int(np.argmin(finite)), FloatingPointError("non-finite loss")
-    failure = SimulationError(
+    raise SimulationError(
         f"estimator {cfg.name} failed at replication {start + row} (seed {plan.seed}): {cause}"
-    )
-    failure.__cause__ = cause
-    return failure
+    ) from cause
 
 
 def _moments(*quantities: np.ndarray) -> np.ndarray:
@@ -272,65 +269,51 @@ def _reduce(blocks: Sequence[np.ndarray], count: int) -> list[tuple[float, float
 
 
 def _chunk_sums(plan: SimPlan, start: int, noise: np.ndarray, ss: np.ndarray, noise_stats,
-                shared: dict, last: bool) -> np.ndarray:
+                shared: dict) -> np.ndarray:
     """``_moments`` of the plan's losses on replications ``start``,
     ``start + 1``, ..., whose draws are ``noise`` plus the plan's means and
     ``ss``, with ``noise_stats = pooled_noise_stats(spec, noise)``: first
     the loss of X_1, then per estimator its loss l, the paired difference
-    b - l against a baseline loss b, and the loss of the unshrunk
-    sum_i w_i X_i of its estimand sum_i w_i mu_i.
+    b - l against a baseline loss b, and the loss of the unshrunk estimate
+    x = w . noise + w . mu of its estimand w . mu, formed once per w.
 
-    An equivariant estimator is evaluated on the centred draws X_c = noise
-    + (mu_i - mu_1), against 0, with b the loss of noise_1.  The others see
-    X_c + mu_1, whose X_1 is noise_1 + mu_1 bit for bit, with nu_hat = nu_c
-    + mu_1 and G taken from it, and b is the loss of their own estimand's
-    unshrunk estimate.  ``shared`` holds what the plans of one noise group
-    share within the chunk: an equivariant estimator's sums under (config,
-    centred means, Q), and their base loss under Q.  ``last`` says that no
-    plan reads ``noise`` after this one, so the draws may overwrite it.  Of
-    the estimators that fail, the first in plan order raises."""
+    An equivariant estimator reads noise_1 with the centred draws'
+    statistics, against 0, with b the loss of noise_1; ``shared`` holds its
+    sums under (config, centred means, Q), and b under Q, for the plans of
+    one noise group.  The others read x with nu_hat = nu_c + mu_1, against
+    w . mu, with b the loss of x.  The estimators run in plan order, so the
+    first that fails raises; ``noise`` is only read."""
     spec = plan.spec
     centred = spec.mu_stack - spec.mu_stack[0]
     nu_c, f_stat = shifted_pooled_stats(spec, noise_stats, centred, ss)
-    share_keys = [
-        (cfg, centred.tobytes(), spec.Q.tobytes()) if ESTIMATORS[cfg.kind].equivariant else None
-        for cfg in plan.estimators
-    ]
+    nu = nu_c + spec.mu[0]
+    first = np.eye(spec.k)[0]
     weights = [ESTIMATORS[cfg.kind].estimand(cfg, spec) for cfg in plan.estimators]
-    first = np.eye(spec.k)[0].tobytes()
-    unshrunk = {first: _batch_loss(noise[:, 0, :] + spec.mu[0], spec)}
-    missing = [j for j, key in enumerate(share_keys) if key is not None and key not in shared]
-    absolute = [j for j, key in enumerate(share_keys) if key is None]
-    if missing or absolute:
-        draws = np.add(noise, centred, out=noise if last else None)
-    if missing:
-        base_key = spec.Q.tobytes()
-        if base_key not in shared:
-            shared[base_key] = _loss(draws[:, 0, :], spec)
-        stats = (nu_c, f_stat, g_statistic(spec, nu_c, ss))
-        for j in missing:
-            shared[share_keys[j]] = _estimator_sums(
-                plan, plan.estimators[j], start, draws, ss, stats, np.zeros(spec.p),
-                shared[base_key],
-            )
-    sums = [shared.get(key) for key in share_keys]
-    if absolute:
-        draws += spec.mu[0]
-        nu = nu_c + spec.mu[0]
-        stats = (nu, f_stat, g_statistic(spec, nu, ss))
-        for j in absolute:
-            target, key = weights[j] @ spec.mu_stack, weights[j].tobytes()
-            if key not in unshrunk:
-                unshrunk[key] = _loss(np.einsum("k,bki->bi", weights[j], draws) - target, spec)
-            sums[j] = _estimator_sums(
-                plan, plan.estimators[j], start, draws, ss, stats, target, unshrunk[key]
-            )
-    failures = [block for block in sums if isinstance(block, SimulationError)]
-    if failures:
-        raise failures[0]
-    own = {key: _moments(loss) for key, loss in unshrunk.items()}
-    blocks = [np.concatenate([block, own[w.tobytes()]]) for block, w in zip(sums, weights)]
-    return np.concatenate([own[first], *blocks])
+    unshrunk = {}
+    for w in (first, *weights):
+        if w.tobytes() not in unshrunk:
+            target = w @ spec.mu_stack
+            x = np.einsum("k,bki->bi", w, noise) + target
+            loss = _loss(x - target, spec)
+            unshrunk[w.tobytes()] = (x, target, loss, _moments(loss))
+    base_key = spec.Q.tobytes()
+    blocks = [unshrunk[first.tobytes()][3]]
+    for cfg, w in zip(plan.estimators, weights):
+        x, target, loss, moments = unshrunk[w.tobytes()]
+        if ESTIMATORS[cfg.kind].equivariant:
+            key = (cfg, centred.tobytes(), base_key)
+            if key not in shared:
+                if base_key not in shared:
+                    shared[base_key] = _loss(noise[:, 0, :], spec)
+                shared[key] = _estimator_sums(
+                    plan, cfg, start, noise[:, 0, :], ss, (nu_c, f_stat), np.zeros(spec.p),
+                    shared[base_key],
+                )
+            blocks.append(shared[key])
+        else:
+            blocks.append(_estimator_sums(plan, cfg, start, x, ss, (nu, f_stat), target, loss))
+        blocks.append(moments)
+    return np.concatenate(blocks)
 
 
 def _group_chunk_sums(plans: Sequence[SimPlan], task: tuple[tuple[int, ...], int]) -> list:
@@ -344,10 +327,7 @@ def _group_chunk_sums(plans: Sequence[SimPlan], task: tuple[tuple[int, ...], int
     noise, ss = _draw_noise(first.spec, first.seed, chunk, rows)
     noise_stats = pooled_noise_stats(first.spec, noise)
     shared: dict = {}
-    return [
-        _chunk_sums(plans[i], start, noise, ss, noise_stats, shared, i == members[-1])
-        for i in members
-    ]
+    return [_chunk_sums(plans[i], start, noise, ss, noise_stats, shared) for i in members]
 
 
 def _fork_worker(plans: Sequence[SimPlan], tasks: list, first: int, step: int):

@@ -51,6 +51,25 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+# The console smoke run of ``estimate``: its model and its data rows
+# without S.
+SMOKE_MODEL = {
+    "p": 5, "k": 5, "n": 20, "sigma2": 4.0, "V": [0.1, 0.2, 0.3, 0.4, 0.5], "Q": "inv_v1"
+}
+SMOKE_ROWS = (
+    "0.1,0.2,0.3,0.4,0.5\n-0.3,0.1,0.7,0.2,0.0\n1.1,0.9,-0.4,0.3,0.2\n"
+    "0.5,0.5,0.5,-1.0,0.8\n0.0,-0.2,0.6,1.4,0.3\n"
+)
+
+
+def smoke_estimate(tmp_path, s: str) -> list[str]:
+    """The smoke ``estimate`` call's arguments, with S written as ``s``."""
+    cfg, data = tmp_path / "model.json", tmp_path / "data.csv"
+    cfg.write_text(json.dumps({"model": SMOKE_MODEL}))
+    data.write_text(SMOKE_ROWS + s + "\n")
+    return ["estimate", str(data), "--config", str(cfg)]
+
+
 @pytest.fixture()
 def bench_config(tmp_path):
     path = tmp_path / "config.json"
@@ -234,6 +253,10 @@ class TestEstimate:
         lines = dict(line.split(": ", 1) for line in out.strip().splitlines())
         # F = (x1 - x2)'(V1 + V2)^{-1}(x1 - x2)/S = 2/(2*2) = 0.5
         assert float(lines["F"]) == pytest.approx(0.5, rel=1e-12)
+
+    def test_smoke_run_matches_pinned_output(self, tmp_path, capsys):
+        assert main(smoke_estimate(tmp_path, "3.7")) == 0
+        assert capsys.readouterr().out == (DATA / "estimate_table1.txt").read_text()
 
     def test_missing_s_row_rejected(self, tmp_path, bench_config, capsys):
         data = self._write_data(tmp_path, [[0.0] * 5] * 5, s=None)
@@ -472,6 +495,54 @@ class TestCheck:
         assert main(["check", "--config", "/nonexistent/cfg.json"]) == 2
 
 
+def _model_without(field: str) -> dict:
+    return {key: value for key, value in BENCH_MODEL.items() if key != field}
+
+
+ROW = "0.1,0.2,0.3,0.4,0.5\n"
+# (id, command, config document or its text, data file text or None for no
+# file, more options, what the error names): each input exits 2.
+ERROR_PATHS = [
+    ("no_estimators", "simulate", {"model": BENCH_MODEL, "estimators": []}, None, [],
+     "estimators: expected a nonempty list"),
+    ("entry_without_kind", "simulate", {"model": BENCH_MODEL, "estimators": [{"a0": 1.0}]},
+     None, [], "estimators[0]: expected an object with a 'kind' field"),
+    ("class1_in_config", "simulate", {"model": BENCH_MODEL, "estimators": [{"kind": "CLASS1"}]},
+     None, [], "estimators[0]: kind 'CLASS1' is not supported in config files"),
+    ("four_v", "simulate", {"model": dict(BENCH_MODEL, V=[0.1, 0.2, 0.3, 0.4])}, None, [],
+     "model.V: expected a list of 5 entries"),
+    ("no_mu", "simulate", {"model": _model_without("mu")}, None, [],
+     "model.mu: required for simulation configs"),
+    ("three_mu", "simulate", {"model": dict(BENCH_MODEL, mu=[0, 0, 0])}, None, [],
+     "model.mu: expected a list of 5 entries"),
+    ("p_0", "simulate", {"model": dict(BENCH_MODEL, p=0)}, None, [],
+     "model.p: dimension must be >= 1"),
+    ("model_list", "simulate", {"model": [1]}, None, [], "model: expected an object"),
+    ("not_json", "simulate", "{not json", None, [], "is not valid JSON"),
+    ("top_level_array", "simulate", "[1, 2]", None, [], "expected a JSON object at top level"),
+    ("workers_0", "simulate", {"model": BENCH_MODEL}, None, ["--workers", "0"],
+     "--workers: must be >= 1"),
+    ("replications_0", "simulate", {"model": BENCH_MODEL, "replications": 0}, None, [],
+     "replications: must be >= 1"),
+    ("no_k", "simulate", {"model": _model_without("k")}, None, [],
+     "model: missing required field 'k'"),
+    ("v_2x2", "simulate", {"model": dict(BENCH_MODEL, V=[[[1, 0], [0, 1]], 0.2, 0.3, 0.4, 0.5])},
+     None, [], "model.V[0]: expected a scalar or shape (5, 5)"),
+    ("v_string", "simulate", {"model": dict(BENCH_MODEL, V=["a", 0.2, 0.3, 0.4, 0.5])}, None,
+     [], "model.V[0]: expected numbers"),
+    ("non_numeric_cell", "estimate", {"model": BENCH_MODEL},
+     2 * ROW + "0.1,x,0.3,0.4,0.5\n" + 2 * ROW + "2.0\n", [], "data row 2: "),
+    ("final_row_of_two", "estimate", {"model": BENCH_MODEL}, 5 * ROW + "2.0,3.0\n", [],
+     "final row must hold the single value S, got 2 values"),
+    ("non_numeric_s", "estimate", {"model": BENCH_MODEL}, 5 * ROW + "abc\n", [], "S: could not"),
+    ("missing_data_file", "estimate", {"model": BENCH_MODEL}, None, [], "cannot read data file"),
+    ("inf_cell", "estimate", {"model": BENCH_MODEL}, "0.1,inf,0.3,0.4,0.5\n" + 4 * ROW + "2.0\n",
+     [], "data rows must hold finite values"),
+    ("letter_weights", "check", {"model": BENCH_MODEL}, None, ["--weights", "a,b,c,d,e"],
+     "--weights: could not convert"),
+]
+
+
 class TestExitCodes:
     """Config errors exit 2 before any output; runtime failures exit 3."""
 
@@ -656,6 +727,40 @@ class TestExitCodes:
             assert main(["simulate", "--config", cfg, "--reps", "4096", "--seed", "0"]) == 3
         out = capsys.readouterr()
         assert out.out == "" and "baseline risk is 0" in out.err
+
+    def test_tiny_s_names_f(self, tmp_path, capsys):
+        # S = 5e-324 overflows F.  The run exited 3 naming F after two
+        # RuntimeWarnings, and under warnings as errors named only
+        # "overflow encountered in divide".
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(smoke_estimate(tmp_path, "5e-324")) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "F is not finite" in out.err
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["default", "warnings_as_errors"])
+    @pytest.mark.parametrize(
+        "command, doc, data, extra, named",
+        [case[1:] for case in ERROR_PATHS],
+        ids=[case[0] for case in ERROR_PATHS],
+    )
+    def test_config_and_data_errors_name_their_field(
+        self, tmp_path, capsys, command, doc, data, extra, named, strict
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        argv = [command]
+        if command == "estimate":
+            path = tmp_path / "data.csv"
+            if data is not None:
+                path.write_text(data)
+            argv.append(str(path))
+        with warnings.catch_warnings():
+            if strict:
+                warnings.simplefilter("error")
+            assert main(argv + ["--config", str(cfg), *extra]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and named in out.err
 
     @pytest.mark.parametrize(
         "label", [5, "", ["a"], []], ids=["int", "empty", "list", "empty_list"]

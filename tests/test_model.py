@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from poolshrink.model import ModelSpec, scalar_spec, validate_spec
-from poolshrink.risksim import _CHUNK_SIZE, SimPlan, _batch_loss, _draw_noise, replication_sample
+from poolshrink.risksim import _CHUNK_SIZE, SimPlan, _draw_noise, _loss, replication_sample
 
 
 def benchmark_spec(mu=(0, 0, 0, 0, 0), sigma2=2.0):
@@ -121,20 +121,20 @@ class TestSampleDraw:
 
 
 class TestLoss:
-    # _batch_loss is the engine's scaled loss (d - mu_1)' Q (d - mu_1) / sigma2.
+    # _loss is the engine's scaled loss diff' Q diff / sigma2, at diff = d - mu_1.
     def test_zero_at_target(self):
         spec = scalar_spec(4, 2, 10, [1.0, 1.0], 2.0, [1.0, 1.0], q_scalar=1.0)
-        assert _batch_loss(np.ones((1, 4)), spec)[0] == 0.0
+        assert _loss(np.ones((1, 4)) - spec.mu[0], spec)[0] == 0.0
 
     def test_direct_arithmetic(self):
         spec = scalar_spec(5, 2, 10, [1.0, 1.0], 2.0, [0.0, 0.0], q_scalar=10.0)
         delta = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])
-        assert _batch_loss(delta, spec)[0] == pytest.approx(5.0)
+        assert _loss(delta - spec.mu[0], spec)[0] == pytest.approx(5.0)
 
     def test_unshrunk_risk_matches_trace(self):
         # E[loss(X1)] = tr(V1 Q) = 5 at the benchmark configuration.
         spec = benchmark_spec(mu=(1, 1, 1, 1, 1))
         reps = 100_000
         xs, _ = engine_draws(spec, 13, reps)
-        total = _batch_loss(xs[:, 0, :], spec).sum()
+        total = _loss(xs[:, 0, :] - spec.mu[0], spec).sum()
         assert total / reps == pytest.approx(5.0, abs=4.0 * np.sqrt(2.0 * 5.0 / reps))

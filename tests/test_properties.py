@@ -28,8 +28,8 @@ from poolshrink.model import ModelSpec, Sample
 from poolshrink.risksim import (
     _CHUNK_SIZE,
     SimPlan,
-    _batch_loss,
     _draw_noise,
+    _loss,
     simulate_many,
     simulate_risk,
 )
@@ -129,7 +129,8 @@ def test_estimate_matches_formula(problem):
     pt_thr = pt_threshold(spec.p, spec.k, spec.n, ALPHA)
     assume(np.all(np.abs(F - pt_thr) > 1e-8 * pt_thr))
     for cfg in configs(spec):
-        rows = ESTIMATORS[cfg.kind].rule(cfg, spec, X, S, nu, F, G)
+        kind = ESTIMATORS[cfg.kind]
+        rows = kind.rule(cfg, spec, kind.estimand(cfg, spec) @ X, S, nu, F)
         for b in range(B):
             scale = np.max(np.abs(X[b]))
             single = estimate(Sample(X=X[b], S=S[b]), spec, cfg)
@@ -181,7 +182,7 @@ def test_contractions_match_einsum_forms(problem):
     for est in (X[:, 0, :], nu):
         diff = est - spec.mu[0]
         loss_ref = np.einsum("bi,ij,bj->b", diff, spec.Q, diff) / spec.sigma2
-        np.testing.assert_allclose(_batch_loss(est, spec), loss_ref, rtol=1e-13)
+        np.testing.assert_allclose(_loss(est - spec.mu[0], spec), loss_ref, rtol=1e-13)
 
 
 F_GRID = np.geomspace(1e-300, 1e300, 601)

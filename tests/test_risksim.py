@@ -455,6 +455,43 @@ class TestSimulateMany:
             simulate_risk(bad, workers=workers)
         assert str(forked.value) == str(serial.value)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failure_in_plan_order(self, workers):
+        # Row (2,-0.5,-0.5,-0.5,-0.5): CLASS1 reads the centred draw and
+        # CLASS2 the plan's own, and both fail on the first replication.
+        spec = table1_preset(replications=2048)[5][1].spec
+
+        def raising(name):
+            def shrink(stat, s):
+                raise ValueError(name)
+
+            return shrink
+
+        zero = lambda stat, s: np.zeros_like(stat)  # noqa: E731
+        a = EstimatorConfig(kind="CLASS2", phi=zero, psi=raising("psi"), label="A")
+        b = EstimatorConfig(kind="CLASS1", phi=raising("phi"), label="B")
+        for entries, expected in (((a, b), "A failed at replication 0 (seed 4): psi"),
+                                  ((b, a), "B failed at replication 0 (seed 4): phi")):
+            with pytest.raises(SimulationError) as failed:
+                simulate_risk(SimPlan(spec, entries, 3 * 2048, 4), workers)
+            assert str(failed.value) == f"estimator {expected}"
+
+    def test_plans_never_write_the_shared_draw(self, monkeypatch, dense_spec):
+        runs = [
+            [plan for _, plan in table1_preset(replications=2048)],
+            [SimPlan(dense_spec, preset_estimators(dense_spec), 2048, 0)],
+        ]
+        expected = [repr(simulate_many(plans)) for plans in runs]
+        draw = risksim._draw_noise
+
+        def read_only(*args):
+            noise, ss = draw(*args)
+            noise.flags.writeable = False
+            return noise, ss
+
+        monkeypatch.setattr(risksim, "_draw_noise", read_only)
+        assert [repr(simulate_many(plans)) for plans in runs] == expected
+
     def test_dead_worker_is_named_and_reaped(self):
         parent = os.getpid()
 
