@@ -399,14 +399,10 @@ def cmd_estimate(args) -> int:
 
     # Every value is computed and checked before the first line is written,
     # so a runtime failure leaves no partial output.  The estimates use the
-    # printed nu_hat, F and G; a statistic that overflows is named below.
+    # printed nu_hat, F and G, which are finite.
     xs, ss = x[np.newaxis], np.array([s])
-    with np.errstate(over="ignore", divide="ignore"):
-        nu, f_stat, g_stat = batch_pooled_stats(spec, xs, ss)
+    nu, f_stat, g_stat = batch_pooled_stats(spec, xs, ss)
     values = [("nu_hat", nu[0]), ("F", f_stat), ("G", g_stat)]
-    for name, value in values:
-        if not np.all(np.isfinite(value)):
-            raise RuntimeError(f"{name} is not finite: {value}")
     for name, cfg in zip(wanted, selected):
         try:
             kind = ESTIMATORS[cfg.kind]

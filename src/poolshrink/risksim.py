@@ -13,15 +13,15 @@ count, p, k, n, sigma^2 and V, which draw identical rows, and draws each
 chunk once per group.  Within a group and chunk, the part of the pooled
 statistics that depends only on the noise (its nu_hat, weighted deviations
 and dispersion) is computed once, and each plan adds its means to it
-through linearity.  Every rule reads one (B, p) vector per replication,
-the unshrunk estimate x = sum_i w_i X_i of its estimand, and no plan copies
-or writes the draw.  The shift-equivariant kinds (PT, EB, HB, CLASS1) read
-noise_1 with the statistics of the centred draw noise + (mu_i - mu_1),
-their loss taken against 0, and their chunk sums are computed once per
-(config, centred means, Q); the other kinds read x = w . noise + w . mu,
-formed once per plan and distinct w, which for w = e_1 is noise_1 + mu_1.
-Every shared value is a function of its key and the group's draw alone, so
-each plan's chunk sums are bit-identical to those of the plan run alone.
+through linearity.  Each estimator is evaluated with the means shifted by
+its origin, mu_1 for the shift-equivariant kinds (PT, EB, HB, CLASS1) and
+0 for the others and X_1: its rule reads the unshrunk estimate
+x = w . (noise + mu - origin) of its estimand, scored against
+w . (mu - origin) with the loss of x as its baseline, and no plan copies or
+writes the draw.  One memo per group and chunk holds w . noise under w,
+each x under (w, target, Q) and each estimator's chunk sums under (config,
+shifted means, Q), each a function of its key and the group's draw alone,
+so each plan's chunk sums are bit-identical to those of the plan run alone.
 Chunk partial sums are reduced per plan in chunk order, so a plan produces
 bit-identical reports for any degree of parallelism.  A parallel run forks
 w = min(workers, tasks) children, child j running (group, chunk) tasks j,
@@ -119,8 +119,8 @@ def _is_integer(value) -> bool:
 @dataclass(frozen=True)
 class EstimatorRisk:
     """Estimated risk and PRIAL of one estimator, and the risk of its
-    baseline, the unshrunk sum_i w_i X_i of its estimand sum_i w_i mu_i:
-    X_1 for every kind but LINCOMB."""
+    baseline, the unshrunk sum_i w_i X_i of its estimand sum_i w_i mu_i
+    (X_1 for every kind but LINCOMB), taken at the estimator's origin."""
 
     name: str
     risk: float
@@ -188,8 +188,8 @@ def _draw_noise(spec: ModelSpec, seed: int, chunk: int, rows: int):
 def replication_sample(plan: SimPlan, rep: int) -> Sample:
     """The draw the engine evaluates for replication ``rep`` of the plan:
     its row of the chunk's noise plus the plan's means.  The engine forms
-    only X_1 = noise_1 + mu_1, which is this X_1 bit for bit, and
-    sum_i d_i X_i for LINCOMB, which equals this sample's up to rounding."""
+    x = w . noise + w . (mu - origin): at origin 0 and w = e_1 this X_1 bit
+    for bit, else this sample's up to rounding and the origin's shift."""
     if not 0 <= rep < plan.replications:
         raise IndexError(f"replication {rep} outside [0, {plan.replications})")
     chunk, row = divmod(rep, _CHUNK_SIZE)
@@ -269,50 +269,47 @@ def _reduce(blocks: Sequence[np.ndarray], count: int) -> list[tuple[float, float
 
 
 def _chunk_sums(plan: SimPlan, start: int, noise: np.ndarray, ss: np.ndarray, noise_stats,
-                shared: dict) -> np.ndarray:
+                memo: dict) -> np.ndarray:
     """``_moments`` of the plan's losses on replications ``start``,
     ``start + 1``, ..., whose draws are ``noise`` plus the plan's means and
     ``ss``, with ``noise_stats = pooled_noise_stats(spec, noise)``: first
     the loss of X_1, then per estimator its loss l, the paired difference
-    b - l against a baseline loss b, and the loss of the unshrunk estimate
-    x = w . noise + w . mu of its estimand w . mu, formed once per w.
+    b - l and its baseline loss b.
 
-    An equivariant estimator reads noise_1 with the centred draws'
-    statistics, against 0, with b the loss of noise_1; ``shared`` holds its
-    sums under (config, centred means, Q), and b under Q, for the plans of
-    one noise group.  The others read x with nu_hat = nu_c + mu_1, against
-    w . mu, with b the loss of x.  The estimators run in plan order, so the
+    X_1 and each estimator are evaluated with the means shifted by an
+    origin, mu_1 for an equivariant kind and 0 otherwise: the rule reads
+    x = w . noise + w . (mu - origin) and nu_hat = nu_c + mu_1 - origin,
+    against the target w . (mu - origin), and b is the loss of x.  ``memo``
+    holds, for the plans of one noise group, w . noise under w, (x, target,
+    b, moments of b) under (w, target, Q) and each estimator's sums under
+    (config, shifted means, Q).  The estimators run in plan order, so the
     first that fails raises; ``noise`` is only read."""
     spec = plan.spec
     centred = spec.mu_stack - spec.mu_stack[0]
     nu_c, f_stat = shifted_pooled_stats(spec, noise_stats, centred, ss)
-    nu = nu_c + spec.mu[0]
-    first = np.eye(spec.k)[0]
-    weights = [ESTIMATORS[cfg.kind].estimand(cfg, spec) for cfg in plan.estimators]
-    unshrunk = {}
-    for w in (first, *weights):
-        if w.tobytes() not in unshrunk:
-            target = w @ spec.mu_stack
-            x = np.einsum("k,bki->bi", w, noise) + target
+    frames = {True: (centred, nu_c), False: (spec.mu_stack, nu_c + spec.mu_stack[0])}
+    q_key = spec.Q.tobytes()
+
+    def unshrunk(w, means):
+        target = w @ means
+        key = (w.tobytes(), target.tobytes(), q_key)
+        if key not in memo:
+            if key[0] not in memo:
+                memo[key[0]] = np.einsum("k,bki->bi", w, noise)
+            x = memo[key[0]] + target
             loss = _loss(x - target, spec)
-            unshrunk[w.tobytes()] = (x, target, loss, _moments(loss))
-    base_key = spec.Q.tobytes()
-    blocks = [unshrunk[first.tobytes()][3]]
-    for cfg, w in zip(plan.estimators, weights):
-        x, target, loss, moments = unshrunk[w.tobytes()]
-        if ESTIMATORS[cfg.kind].equivariant:
-            key = (cfg, centred.tobytes(), base_key)
-            if key not in shared:
-                if base_key not in shared:
-                    shared[base_key] = _loss(noise[:, 0, :], spec)
-                shared[key] = _estimator_sums(
-                    plan, cfg, start, noise[:, 0, :], ss, (nu_c, f_stat), np.zeros(spec.p),
-                    shared[base_key],
-                )
-            blocks.append(shared[key])
-        else:
-            blocks.append(_estimator_sums(plan, cfg, start, x, ss, (nu, f_stat), target, loss))
-        blocks.append(moments)
+            memo[key] = (x, target, loss, _moments(loss))
+        return memo[key]
+
+    blocks = [unshrunk(np.eye(spec.k)[0], spec.mu_stack)[3]]
+    for cfg in plan.estimators:
+        kind = ESTIMATORS[cfg.kind]
+        means, nu = frames[kind.equivariant]
+        x, target, loss, moments = unshrunk(kind.estimand(cfg, spec), means)
+        key = (cfg, means.tobytes(), q_key)
+        if key not in memo:
+            memo[key] = _estimator_sums(plan, cfg, start, x, ss, (nu, f_stat), target, loss)
+        blocks += [memo[key], moments]
     return np.concatenate(blocks)
 
 
@@ -326,8 +323,8 @@ def _group_chunk_sums(plans: Sequence[SimPlan], task: tuple[tuple[int, ...], int
     rows = min(_CHUNK_SIZE, first.replications - start)
     noise, ss = _draw_noise(first.spec, first.seed, chunk, rows)
     noise_stats = pooled_noise_stats(first.spec, noise)
-    shared: dict = {}
-    return [_chunk_sums(plans[i], start, noise, ss, noise_stats, shared) for i in members]
+    memo: dict = {}
+    return [_chunk_sums(plans[i], start, noise, ss, noise_stats, memo) for i in members]
 
 
 def _fork_worker(plans: Sequence[SimPlan], tasks: list, first: int, step: int):

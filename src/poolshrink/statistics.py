@@ -115,11 +115,17 @@ def batch_pooled_stats(spec: ModelSpec, X: np.ndarray, S: np.ndarray):
 
     ``X`` has shape (B, k, p) and ``S`` shape (B,); returns nu_hat (B, p),
     F (B,) and G (B,).  The inverses, the summed precision and A come from
-    the model's cache, so nothing is solved per sample.
+    the model's cache, so nothing is solved per sample.  A statistic that
+    overflows is a RuntimeError that names it.
     """
     zero = np.zeros(X.shape[1:])
-    nu, f_stat = shifted_pooled_stats(spec, pooled_noise_stats(spec, X), zero, S)
-    return nu, f_stat, g_statistic(spec, nu, S)
+    with np.errstate(over="ignore", divide="ignore"):
+        nu, f_stat = shifted_pooled_stats(spec, pooled_noise_stats(spec, X), zero, S)
+        stats = {"nu_hat": nu, "F": f_stat, "G": g_statistic(spec, nu, S)}
+    for name, value in stats.items():
+        if not np.all(np.isfinite(value)):
+            raise RuntimeError(f"{name} is not finite: {value}")
+    return tuple(stats.values())
 
 
 def pooled_deviance_gap(X: Sequence[np.ndarray], V: Sequence[np.ndarray]) -> float:

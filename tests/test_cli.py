@@ -699,7 +699,7 @@ class TestExitCodes:
             (
                 {"V": [1, 1, 1], "mu": [1e200, 0, 0]},
                 [{"kind": kind} for kind in ("PT", "JS", "EB", "HEB")],
-                "huge: estimator PT reported non-finite prial = nan, prial_se = nan",
+                "huge: estimator JS reported non-finite prial = nan, prial_se = nan",
             ),
         ],
         ids=["v_1e300", "mu_1e200"],

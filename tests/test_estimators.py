@@ -2,6 +2,7 @@
 hierarchical Bayes shrink function against brute-force oracles.  Each kind
 is evaluated through ``estimate``, the B = 1 call of its batched rule."""
 
+import warnings
 from types import SimpleNamespace
 
 import mpmath
@@ -588,6 +589,26 @@ class TestEstimatorConfig:
         message = "k: at least two populations are required, got 1"
         with pytest.raises(ValueError, match=f"^{message}$"):
             estimate(sample, spec, cfg)
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["default", "warnings_as_errors"])
+    @pytest.mark.parametrize("kind", ["EB", "PT"])
+    def test_overflowing_f_is_named(self, kind, strict):
+        # The console smoke rows of ``estimate`` with S = 5e-324: F overflows.
+        # estimate() returned X_1 after two RuntimeWarnings, and under
+        # warnings as errors raised a bare "overflow encountered in divide".
+        spec = scalar_spec(5, 5, 20, [0.1 * i for i in range(1, 6)], 4.0, [0.0] * 5)
+        rows = [
+            [0.1, 0.2, 0.3, 0.4, 0.5],
+            [-0.3, 0.1, 0.7, 0.2, 0.0],
+            [1.1, 0.9, -0.4, 0.3, 0.2],
+            [0.5, 0.5, 0.5, -1.0, 0.8],
+            [0.0, -0.2, 0.6, 1.4, 0.3],
+        ]
+        cfg = estimators.preset_config(kind, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error" if strict else "default")
+            with pytest.raises(RuntimeError, match=r"^F is not finite: \[inf\]$"):
+                estimate(Sample(X=np.array(rows), S=5e-324), spec, cfg)
 
     def test_accepted_pt_config_computes_its_threshold(self):
         spec = benchmark_spec()

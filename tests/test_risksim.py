@@ -162,22 +162,20 @@ class TestSimulateRisk:
 
     def test_equal_mean_configs_share_equivariant_losses_exactly(self):
         # Equal means centre to the same zeros, so PT, EB and HB see the same
-        # draws and give the same losses bit for bit.  Their PRIALs divide by
-        # each plan's own X_1 baseline, whose last bits move with the shift.
+        # draws and give the same losses bit for bit, and each divides by the
+        # loss of the centred X_1.  Their baselines were X_1's loss in the
+        # plan's own coordinates, whose bits move with the shift: at 1e15 the
+        # PRIALs moved in the third digit.
         reports = [
-            simulate_risk(small_plan(reps=4000, mu=mu))
-            for mu in [(0, 0, 0, 0, 0), (1, 1, 1, 1, 1), (3, 3, 3, 3, 3)]
+            simulate_risk(small_plan(reps=4000, mu=(c,) * 5)) for c in (0.0, 1.0, 3.0, 1e15)
         ]
         for name in ("PT", "EB", "HB"):
-            losses = {
-                repr((entry.risk, entry.std_error))
-                for report in reports
-                for entry in report.estimators
-                if entry.name == name
+            entries = {
+                repr(entry) for report in reports for entry in report.estimators if entry.name == name
             }
-            assert len(losses) == 1, name
+            assert len(entries) == 1, name
         js = {report.estimators[1].risk for report in reports}
-        assert len(js) == 3
+        assert len(js) == 4
 
     def test_failure_names_replication_and_seed(self):
         def exploding(f, s):
@@ -285,6 +283,17 @@ class TestHotPathCounts:
         simulate_many([plan for _, plan in table1_preset(replications=2048)])
         assert calls == {"PT": 8, "JS": 11, "EB": 8, "HB": 8, "HEB": 11}
         assert len(noise_stats) == 1
+
+    def test_table1_losses_once_per_memo_key(self, monkeypatch):
+        # 9 distinct (e_1, target) pairs of the unshrunk X_1: the 9 distinct
+        # mu_1 of table1, of which 0 is also every equivariant kind's target.
+        # Then one rule loss per (config, shifted means): 8 each for PT, EB
+        # and HB (centred means), 11 each for JS and HEB (absolute means).
+        calls = []
+        original = risksim._loss
+        monkeypatch.setattr(risksim, "_loss", lambda *args: calls.append(1) or original(*args))
+        simulate_many([plan for _, plan in table1_preset(replications=2048)])
+        assert len(calls) == 9 + 3 * 8 + 2 * 11
 
     def test_table1_factors_one_noise_model(self):
         # The 11 plans draw identical rows, so only the first one's draws
