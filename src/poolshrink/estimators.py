@@ -556,11 +556,13 @@ def preset_config(
 
 def estimate(sample: Sample, spec: ModelSpec, config: EstimatorConfig) -> np.ndarray:
     """Evaluate the estimator described by ``config`` on one sample: its
-    batched rule with B = 1.  The model is validated first, and the config
-    only on a valid model."""
+    batched rule with B = 1.  The model is validated first, then the config
+    and then the shape of the sample."""
     errors = validate_spec(spec) or config.validate(spec)
     if errors:
         raise ValueError("; ".join(errors))
+    if sample.X.shape != (spec.k, spec.p):
+        raise ValueError(f"X: expected shape ({spec.k}, {spec.p}), got {sample.X.shape}")
     X = sample.X[np.newaxis]
     S = np.array([sample.S])
     nu, F, _ = batch_pooled_stats(spec, X, S)

@@ -8,7 +8,7 @@ Estimators of mu_1 are judged by the scaled quadratic loss
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -21,7 +21,7 @@ __all__ = ["ModelSpec", "Sample", "scalar_spec", "validate_spec"]
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """Immutable description of the k-sample model.
+    """Immutable description of the k-sample model, with read-only arrays.
 
     Attributes
     ----------
@@ -50,13 +50,50 @@ class ModelSpec:
     mu: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "V", tuple(np.array(v, dtype=float) for v in self.V)
-        )
+        object.__setattr__(self, "V", tuple(np.array(v, dtype=float) for v in self.V))
         object.__setattr__(self, "Q", np.array(self.Q, dtype=float))
-        object.__setattr__(
-            self, "mu", tuple(np.array(m, dtype=float).reshape(-1) for m in self.mu)
-        )
+        object.__setattr__(self, "mu", tuple(np.array(m, dtype=float).ravel() for m in self.mu))
+        # Read-only, so that no value cached from them goes stale.
+        for array in (*self.V, self.Q, *self.mu):
+            array.setflags(write=False)
+
+    def with_means(self, mu: Sequence) -> ModelSpec:
+        """This model with the means ``mu``.  The spec returned shares this
+        one's V and Q, its checks of them and every value cached from them."""
+        self._model_errors  # computed here, so that the copy shares it
+        spec = replace(self, mu=mu)
+        vars(spec).update({k: v for k, v in vars(self).items() if k not in ("mu", "mu_stack")})
+        return spec
+
+    @cached_property
+    def _model_errors(self) -> tuple[str, ...]:
+        """The violations of ``validate_spec`` that do not read the means."""
+        errors: list[str] = []
+        if self.p < 1:
+            errors.append(f"p: dimension must be >= 1, got {self.p}")
+        if self.k < 2:
+            errors.append(f"k: at least two populations are required, got {self.k}")
+        if self.n < 1:
+            errors.append(f"n: chi-square degrees of freedom must be >= 1, got {self.n}")
+        if not self.sigma2 > 0.0:
+            errors.append(f"sigma2: must be positive, got {self.sigma2}")
+        if len(self.V) != self.k:
+            errors.append(f"V: expected {self.k} matrices, got {len(self.V)}")
+        for name, mat in [*((f"V[{i}]", v) for i, v in enumerate(self.V)), ("Q", self.Q)]:
+            if mat.shape != (self.p, self.p):
+                errors.append(f"{name}: expected shape ({self.p}, {self.p}), got {mat.shape}")
+                continue
+            try:
+                validate_spd(mat, name)
+            except ValueError as exc:
+                errors.append(str(exc))
+        # Without earlier errors there are k >= 2 SPD matrices V_i, so A exists.
+        if not errors:
+            try:
+                validate_spd(self.V[0] - self.A, "V[0] - A")
+            except ValueError:
+                errors.append("V: V[0] - A is not positive definite")
+        return tuple(errors)
 
     @cached_property
     def mu_stack(self) -> np.ndarray:
@@ -77,7 +114,7 @@ class ModelSpec:
     def v_inv(self) -> np.ndarray:
         """Inverses of the scale matrices, stacked (k, p, p); used by the
         pooled statistics."""
-        return np.linalg.inv(np.stack(self.V))
+        return np.linalg.inv(self.V)
 
     @cached_property
     def precision(self) -> np.ndarray:
@@ -142,37 +179,10 @@ def validate_spec(spec: ModelSpec) -> list[str]:
     positive definite, where A is the pooled scale matrix; that condition
     underpins the shrinkage risk bounds downstream.
     """
-    errors: list[str] = []
-    if spec.p < 1:
-        errors.append(f"p: dimension must be >= 1, got {spec.p}")
-    if spec.k < 2:
-        errors.append(f"k: at least two populations are required, got {spec.k}")
-    if spec.n < 1:
-        errors.append(f"n: chi-square degrees of freedom must be >= 1, got {spec.n}")
-    if not spec.sigma2 > 0.0:
-        errors.append(f"sigma2: must be positive, got {spec.sigma2}")
-    if len(spec.V) != spec.k:
-        errors.append(f"V: expected {spec.k} matrices, got {len(spec.V)}")
+    errors = list(spec._model_errors)
     if len(spec.mu) != spec.k:
         errors.append(f"mu: expected {spec.k} vectors, got {len(spec.mu)}")
-
-    for name, mat in [*((f"V[{i}]", v) for i, v in enumerate(spec.V)), ("Q", spec.Q)]:
-        if mat.shape != (spec.p, spec.p):
-            errors.append(f"{name}: expected shape ({spec.p}, {spec.p}), got {mat.shape}")
-            continue
-        try:
-            validate_spd(mat, name)
-        except ValueError as exc:
-            errors.append(str(exc))
     for i, m in enumerate(spec.mu):
         if m.shape != (spec.p,):
             errors.append(f"mu[{i}]: expected length {spec.p}, got shape {m.shape}")
-
-    # Without earlier errors there are k >= 2 SPD matrices V_i, so A exists.
-    if not errors:
-        try:
-            validate_spd(spec.V[0] - spec.A, "V[0] - A")
-        except ValueError:
-            errors.append("V: V[0] - A is not positive definite")
     return errors
-

@@ -92,10 +92,7 @@ def chmax_product(m: np.ndarray, q: np.ndarray) -> float:
     q = _as_square(q, "Q")
     if m.shape != q.shape:
         raise ValueError(f"dimension mismatch: M {m.shape} vs Q {q.shape}")
-    try:
-        low = np.linalg.cholesky(symmetrize(q, "Q"))
-    except np.linalg.LinAlgError:
-        raise ValueError("Q is not positive definite") from None
+    low = np.linalg.cholesky(validate_spd(q, "Q"))
     s = low.T @ m @ low
     s = 0.5 * (s + s.T)
     lam = float(np.linalg.eigvalsh(s)[-1])

@@ -573,22 +573,13 @@ def table1_preset(
     All plans share the same seed, so translation-equivariant estimators
     produce identical PRIAL values across mean configurations that differ
     by a common shift.  They share the noise model too, so ``simulate_many``
-    draws each chunk once for all of them.  The estimators' constants depend
-    on V, Q, n, p, k and alpha but not on the means, so they are derived
-    once and shared.
+    draws each chunk once for all of them.  Their models derive from one by
+    ``ModelSpec.with_means``, so its checks and constants, and the
+    estimators' (which do not depend on the means), are computed once.
     """
-    specs = [
-        scalar_spec(
-            p=5,
-            k=5,
-            n=20,
-            v_scalars=[0.1 * i for i in range(1, 6)],
-            sigma2=4.0,
-            mu_scalars=means,
-        )
-        for means in TABLE1_MEANS
-    ]
-    estimators = preset_estimators(specs[0], alpha=alpha)
+    base = scalar_spec(5, 5, 20, [0.1 * i for i in range(1, 6)], 4.0, TABLE1_MEANS[0])
+    specs = [base.with_means(np.multiply.outer(means, np.ones(5))) for means in TABLE1_MEANS]
+    estimators = preset_estimators(base, alpha=alpha)
     return [
         (_mean_label(means), SimPlan(spec, estimators, replications, seed))
         for means, spec in zip(TABLE1_MEANS, specs)

@@ -42,24 +42,20 @@ def _stack_spd(V: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _pooled_deviations(V: Sequence[np.ndarray], X: Sequence[np.ndarray]):
-    """The stacked V, A, the deviations X_i - nu_hat and the dispersion sum
-    sum_i (X_i - nu_hat)' V_i^{-1} (X_i - nu_hat) for one sample, from one
-    batched inverse of the V_i."""
+    """A model of the V_i, with no means and with n, sigma^2 and Q = I that
+    nothing here reads; the deviations X_i - nu_hat of one sample; and its
+    dispersion sum sum_i (X_i - nu_hat)' V_i^{-1} (X_i - nu_hat)."""
     vs = _stack_spd(V)
     xs = np.asarray(X, dtype=float)
     xs = xs.reshape(len(xs), -1)
-    if xs.shape != (vs.shape[0], vs.shape[1]):
+    if xs.shape != vs.shape[:2]:
         raise ValueError(
             f"X must hold {vs.shape[0]} vectors of length {vs.shape[1]}, got {xs.shape}"
         )
-    v_inv = np.linalg.inv(vs)
-    prec = v_inv.sum(axis=0)
-    a = np.linalg.inv(0.5 * (prec + prec.T))
-    a = 0.5 * (a + a.T)
-    nu = a @ np.einsum("kij,kj->i", v_inv, xs)
-    dev = xs - nu
-    dispersion = float(np.einsum("ki,kij,kj->", dev, v_inv, dev))
-    return vs, a, dev, dispersion
+    k, p = xs.shape
+    spec = ModelSpec(p=p, k=k, n=1, V=tuple(vs), Q=np.eye(p), sigma2=1.0, mu=())
+    nu, _, dispersion = pooled_noise_stats(spec, xs[np.newaxis])
+    return spec, xs - nu, float(dispersion[0])
 
 
 def _pooled_mean(spec: ModelSpec, X: np.ndarray) -> np.ndarray:
@@ -136,10 +132,10 @@ def pooled_deviance_gap(X: Sequence[np.ndarray], V: Sequence[np.ndarray]) -> flo
 
     Nonnegative for every input; identically zero when k = 2.
     """
-    vs, a, dev, dispersion = _pooled_deviations(V, X)
-    if vs.shape[0] < 2:
+    spec, dev, dispersion = _pooled_deviations(V, X)
+    if spec.k < 2:
         raise ValueError("at least two populations are required")
-    rhs = float(dev[0] @ np.linalg.solve(vs[0] - a, dev[0]))
+    rhs = float(dev[0] @ np.linalg.solve(spec.V[0] - spec.A, dev[0]))
     return dispersion - rhs
 
 
@@ -176,8 +172,8 @@ def linear_bound_check(
     where y_i = x_i - nu_hat.  B_value <= bound always holds; at d = e_1,
     B_value is the statistic B.
     """
-    vs, a, dev, dispersion = _pooled_deviations(V, X)
-    m = lincomb_deviation_matrix(vs, d, a)
+    spec, dev, dispersion = _pooled_deviations(V, X)
+    m = lincomb_deviation_matrix(spec.V, d, spec.A)
     if dispersion <= 0.0:
         raise ValueError("all observations coincide with the pooled mean: B is undefined")
     q = np.asarray(Q, dtype=float)

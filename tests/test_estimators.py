@@ -590,6 +590,16 @@ class TestEstimatorConfig:
         with pytest.raises(ValueError, match=f"^{message}$"):
             estimate(sample, spec, cfg)
 
+    @pytest.mark.parametrize("shape", [(4, 5), (5, 4), (25,)])
+    def test_dispatch_names_a_wrong_shaped_sample(self, shape):
+        # A (4, 5) sample raised "cannot reshape array of size 125 into
+        # shape (20,5)" from inside the pooled statistics.
+        spec = scalar_spec(5, 5, 20, [0.1 * i for i in range(1, 6)], 4.0, [0.0] * 5)
+        cfg = estimators.preset_config("EB", spec)
+        message = rf"^X: expected shape \(5, 5\), got \({shape[0]},( {shape[-1]})?\)$"
+        with pytest.raises(ValueError, match=message):
+            estimate(Sample(X=np.zeros(shape), S=1.0), spec, cfg)
+
     @pytest.mark.parametrize("strict", [False, True], ids=["default", "warnings_as_errors"])
     @pytest.mark.parametrize("kind", ["EB", "PT"])
     def test_overflowing_f_is_named(self, kind, strict):

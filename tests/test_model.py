@@ -3,6 +3,8 @@ engine's draws."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from poolshrink.model import ModelSpec, scalar_spec, validate_spec
 from poolshrink.risksim import _CHUNK_SIZE, SimPlan, _draw_noise, _loss, replication_sample
@@ -64,6 +66,94 @@ class TestValidateSpec:
         else:
             bad = ModelSpec(p=3, k=2, n=10, V=(nan, spec.V[1]), Q=spec.Q, sigma2=1.0, mu=spec.mu)
         assert f"{name} has non-finite entries" in validate_spec(bad)
+
+
+def fresh_spec(spec, mu):
+    """A model built from scratch with the fields of ``spec`` and means ``mu``."""
+    return ModelSpec(spec.p, spec.k, spec.n, spec.V, spec.Q, spec.sigma2, tuple(mu))
+
+
+def base_specs():
+    """A valid p = k = 3 model and two invalid ones: V[1] asymmetric, and
+    V[0] - A rounded to 0 (V[1] and V[2] are so large that A = V[0])."""
+    spec = scalar_spec(3, 3, 10, [1.0, 2.0, 3.0], 1.0, [0.0] * 3)
+    asymmetric = 2.0 * np.eye(3)
+    asymmetric[0, 1] = 0.5
+    return {
+        "valid": spec,
+        "asymmetric_v1": ModelSpec(
+            3, 3, 10, (spec.V[0], asymmetric, spec.V[2]), spec.Q, 1.0, spec.mu
+        ),
+        "v0_minus_a_not_pd": ModelSpec(
+            3, 3, 10, (np.eye(3), 1e20 * np.eye(3), 1e20 * np.eye(3)), spec.Q, 1.0, spec.mu
+        ),
+    }
+
+
+BASES = base_specs()
+MEANS = st.lists(
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4), min_size=1, max_size=4
+)
+
+
+class TestWithMeans:
+    """Models derived with ``with_means`` share the base model's arrays,
+    checks and cached values, which is sound because the arrays are
+    read-only."""
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda spec: spec.V[0].__setitem__((0, 0), 1.0),
+            lambda spec: spec.Q.__setitem__((0, 0), 1.0),
+            lambda spec: spec.mu[0].__setitem__(0, 1.0),
+        ],
+        ids=["V", "Q", "mu"],
+    )
+    def test_arrays_are_read_only(self, write):
+        spec = benchmark_spec()
+        with pytest.raises(ValueError, match="read-only"):
+            write(spec)
+        assert validate_spec(spec) == []
+
+    def test_derived_spec_shares_the_model_and_owns_its_means(self):
+        base = benchmark_spec()
+        base.v_inv, base.A, base.mu_stack
+        derived = base.with_means(np.arange(25.0).reshape(5, 5))
+        assert derived.V is base.V and derived.Q is base.Q
+        assert derived.v_inv is base.v_inv
+        assert derived.A is base.A
+        assert derived._model_errors is base._model_errors
+        assert derived.mu_stack is not base.mu_stack
+        np.testing.assert_array_equal(derived.mu_stack, np.arange(25.0).reshape(5, 5))
+        np.testing.assert_array_equal(base.mu_stack, np.zeros((5, 5)))
+
+    def test_derived_spec_is_its_fresh_twin_bit_for_bit(self):
+        base = benchmark_spec()
+        base.chol_scaled, base.A
+        mu = np.linspace(-1.0, 1.0, 25).reshape(5, 5)
+        derived, fresh = base.with_means(mu), fresh_spec(base, mu)
+        for name in ("chol_scaled", "v_inv", "precision", "A", "mu_stack"):
+            assert np.array_equal(getattr(derived, name), getattr(fresh, name)), name
+
+
+class TestWithMeansValidation:
+    @pytest.mark.parametrize("base", list(BASES))
+    @given(mu=MEANS)
+    @example(mu=[[0.5] * 3] * 3)
+    @example(mu=[[0.5] * 3] * 2)
+    @example(mu=[[0.5] * 3, [0.5] * 2, [0.5] * 3])
+    def test_matches_a_fresh_spec(self, base, mu):
+        # Valid means, k - 1 means and a mean of the wrong length, on valid
+        # and invalid bases.
+        spec = BASES[base]
+        errors = validate_spec(spec.with_means(mu))
+        assert errors == validate_spec(fresh_spec(spec, mu))
+        assert bool(errors) == (base != "valid" or [len(m) for m in mu] != [3, 3, 3])
+        # The model's messages come first, and V[0] - A is checked even when
+        # the means are malformed.
+        assert errors[: len(spec._model_errors)] == list(spec._model_errors)
+        assert ("V: V[0] - A is not positive definite" in errors) == (base == "v0_minus_a_not_pd")
 
 
 def engine_draws(spec, seed, reps):

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from poolshrink import estimators, numerics, risksim
+from poolshrink import estimators, model, numerics, risksim
 from poolshrink.cli import main
 from poolshrink.estimators import EstimatorConfig, estimate, preset_config, pt_threshold
 from poolshrink.model import scalar_spec
@@ -301,6 +301,17 @@ class TestHotPathCounts:
         plans = [plan for _, plan in table1_preset(replications=2048)]
         simulate_many(plans)
         assert sum("chol_scaled" in vars(plan.spec) for plan in plans) == 1
+
+    def test_table1_checks_its_model_once(self, monkeypatch):
+        # The 11 plans share one model's V and Q: V[0..4], Q and V[0] - A
+        # are checked once, not once per plan (77 checks).
+        checked = []
+        original = model.validate_spd
+        monkeypatch.setattr(
+            model, "validate_spd", lambda m, name: checked.append(name) or original(m, name)
+        )
+        simulate_many([plan for _, plan in table1_preset(replications=2048)])
+        assert checked == [*(f"V[{i}]" for i in range(5)), "Q", "V[0] - A"]
 
 
 class TestLincombEstimand:
