@@ -89,10 +89,10 @@ def chmax_product(m: np.ndarray, q: np.ndarray) -> float:
     so the largest eigenvalue is computed from that symmetric matrix.
     """
     m = symmetrize(m, "M")
-    q = _as_square(q, "Q")
+    q = validate_spd(q, "Q")
     if m.shape != q.shape:
         raise ValueError(f"dimension mismatch: M {m.shape} vs Q {q.shape}")
-    low = np.linalg.cholesky(validate_spd(q, "Q"))
+    low = np.linalg.cholesky(q)
     s = low.T @ m @ low
     s = 0.5 * (s + s.T)
     lam = float(np.linalg.eigvalsh(s)[-1])

@@ -69,7 +69,7 @@ class TestValidateSpec:
 
 
 def fresh_spec(spec, mu):
-    """A model built from scratch with the fields of ``spec`` and means ``mu``."""
+    """A new model with the fields of ``spec`` and the means ``mu``."""
     return ModelSpec(spec.p, spec.k, spec.n, spec.V, spec.Q, spec.sigma2, tuple(mu))
 
 
@@ -118,7 +118,7 @@ class TestWithMeans:
 
     def test_derived_spec_shares_the_model_and_owns_its_means(self):
         base = benchmark_spec()
-        base.v_inv, base.A, base.mu_stack
+        base.mu_stack  # cached on the base, and still not shared
         derived = base.with_means(np.arange(25.0).reshape(5, 5))
         assert derived.V is base.V and derived.Q is base.Q
         assert derived.v_inv is base.v_inv
@@ -130,7 +130,7 @@ class TestWithMeans:
 
     def test_derived_spec_is_its_fresh_twin_bit_for_bit(self):
         base = benchmark_spec()
-        base.chol_scaled, base.A
+        base.chol_scaled  # cached on the base, so the derived spec shares it
         mu = np.linspace(-1.0, 1.0, 25).reshape(5, 5)
         derived, fresh = base.with_means(mu), fresh_spec(base, mu)
         for name in ("chol_scaled", "v_inv", "precision", "A", "mu_stack"):
