@@ -398,8 +398,7 @@ def cmd_estimate(args) -> int:
         raise ConfigError(f"estimators not configured: {', '.join(missing)}")
 
     # Every value is computed and checked before the first line is written,
-    # so a runtime failure leaves no partial output.  The estimates use the
-    # printed nu_hat, F and G, which are finite.
+    # so a runtime failure leaves no partial output.
     xs, ss = x[np.newaxis], np.array([s])
     nu, f_stat, g_stat = batch_pooled_stats(spec, xs, ss)
     values = [("nu_hat", nu[0]), ("F", f_stat), ("G", g_stat)]
@@ -409,9 +408,10 @@ def cmd_estimate(args) -> int:
             value = kind.rule(cfg, spec, kind.estimand(cfg, spec) @ xs, ss, nu, f_stat)[0]
         except Exception as exc:
             raise RuntimeError(f"estimator {cfg.name} failed: {exc}") from exc
-        if not np.all(np.isfinite(value)):
-            raise RuntimeError(f"estimator {cfg.name} is not finite: {value}")
         values.append((name, value))
+    for name, value in values:
+        if not np.all(np.isfinite(value)):
+            raise RuntimeError(f"{name} is not finite: {value}")
     lines = [f"{name}: {' '.join(format(v, '.10g') for v in value)}" for name, value in values]
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK

@@ -63,21 +63,31 @@ class MinimaxReport:
         return {key: val for key, val in asdict(self).items() if val is not None}
 
 
-def _shrinkage_report(m: np.ndarray, scale: float, spec: ModelSpec) -> MinimaxReport:
-    """Condition and single/double bounds built from the product M Q.  The
-    ratio is undefined (NaN) where Ch_max(M Q) is numerically zero: at most
-    ``_CHMAX_TOL`` times ``scale``, the trace against Q of the term of M that
-    does not cancel, so the test does not depend on the units of V, Q or d."""
-    tr = trace_product(m, spec.Q)
-    ch = chmax_product(m, spec.Q)
-    if ch <= _CHMAX_TOL * scale:
-        ch, ratio = 0.0, float("nan")
-    else:
-        ratio = tr / ch
+def _scale_back(x: float, e: int) -> float:
+    """x 2^e: inf where it overflows, 0 where it underflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _shrinkage_report(m: np.ndarray, term: np.ndarray, spec: ModelSpec, e=0) -> MinimaxReport:
+    """Condition and single/double bounds of M 2^e Q, where ``term`` is the
+    part of M that does not cancel.  They are built at unit scale (M and
+    ``term`` times 2^-e_m, Q times 4^-e_q, which is exact), so no units of
+    V, Q or d change them; there Ch_max counts as 0, and the ratio as NaN, at
+    most ``_CHMAX_TOL`` tr(term Q).  Only trace and Ch_max are scaled back."""
+    e_m = math.frexp(float(np.abs(term).max()))[1]
+    e_q = math.frexp(float(np.abs(spec.Q).max()))[1] // 2
+    m, term, q = np.ldexp(m, -e_m), np.ldexp(term, -e_m), np.ldexp(spec.Q, -2 * e_q)
+    tr, ch = trace_product(m, q), chmax_product(m, q)
+    ch = ch if ch > _CHMAX_TOL * trace_product(term, q) else 0.0
+    ratio = tr / ch if ch else float("nan")
     bound = 2.0 * (ratio - 2.0) / (spec.n + 2.0)
+    e += e_m + 2 * e_q
     return MinimaxReport(
-        trace=tr,
-        chmax=ch,
+        trace=_scale_back(tr, e),
+        chmax=_scale_back(ch, e),
         ratio=ratio,
         condition_holds=ratio > 2.0,
         phi_upper_single=bound,
@@ -87,8 +97,8 @@ def _shrinkage_report(m: np.ndarray, scale: float, spec: ModelSpec) -> MinimaxRe
 
 def single_shrinkage_report(spec: ModelSpec) -> MinimaxReport:
     """Condition and bounds for rules shrinking X_1 toward the pooled mean:
-    built from the matrix product (V_1 - A) Q."""
-    return _shrinkage_report(spec.V[0] - spec.A, trace_product(spec.V[0], spec.Q), spec)
+    built from the matrix product (V_1 - A) Q, V_1 by its symmetric part."""
+    return _shrinkage_report(0.5 * (spec.V[0] + spec.V[0].T) - spec.A, spec.V[0], spec)
 
 
 def double_shrinkage_report(spec: ModelSpec) -> MinimaxReport:
@@ -97,7 +107,7 @@ def double_shrinkage_report(spec: ModelSpec) -> MinimaxReport:
     (V_1 - A) Q and A Q to exceed 2.  ``psi_upper_double`` is the
     ``phi_upper_double`` of A Q."""
     base = single_shrinkage_report(spec)
-    pooled = _shrinkage_report(spec.A, trace_product(spec.A, spec.Q), spec)
+    pooled = _shrinkage_report(spec.A, spec.A, spec)
     return replace(
         base,
         condition_holds=base.condition_holds and pooled.condition_holds,
@@ -114,19 +124,15 @@ def lincomb_shrinkage_report(spec: ModelSpec, d: Sequence[float]) -> MinimaxRepo
 
     With d = e_1 this reduces exactly to the single-shrinkage report.
     When d is proportional to the pooling weights, M_d is numerically
-    zero and the condition fails with chmax = 0.  The ratio is scale-free,
-    so the report is built at the exact d / 2^e, 2^e near max |d_i|, and
-    trace and Ch_max are scaled back by 4^e in Python floats (inf on overflow).
+    zero and the condition fails with chmax = 0.  M_d is built at the
+    exact d / 2^e, 2^e near max |d_i|, so that it cannot overflow.
     """
     # Called at d itself, so weights whose M_d overflows fail by name.
-    lincomb_deviation_matrix(spec.V, d, spec.A)
-    scale = math.ldexp(1.0, math.frexp(max(map(abs, d)))[1])
-    unit = [x / scale for x in d]
-    traces = [trace_product(v, spec.Q) for v in spec.V]
-    m = lincomb_deviation_matrix(spec.V, unit, spec.A)
-    report = _shrinkage_report(m, float(np.dot(np.square(unit), traces)), spec)
-    back = {key: float(getattr(report, key)) * scale * scale for key in ("trace", "chmax")}
-    return replace(report, **back)
+    lincomb_deviation_matrix(spec, d)
+    e = math.frexp(max(map(abs, d)))[1]
+    unit = [math.ldexp(x, -e) for x in d]
+    term = np.einsum("i,ijk->jk", np.square(unit), spec.V)
+    return _shrinkage_report(lincomb_deviation_matrix(spec, unit), term, spec, 2 * e)
 
 
 def optimal_eb_constant(spec: ModelSpec) -> float:

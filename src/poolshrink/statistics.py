@@ -34,18 +34,13 @@ __all__ = [
 ]
 
 
-def _stack_spd(V: Sequence[np.ndarray]) -> np.ndarray:
-    vs = np.asarray(V, dtype=float)
-    if vs.ndim != 3 or vs.shape[1] != vs.shape[2]:
-        raise ValueError(f"V must be a list of square matrices, got shape {vs.shape}")
-    return vs
-
-
 def _pooled_deviations(V: Sequence[np.ndarray], X: Sequence[np.ndarray]):
     """A model of the V_i, with no means and with n, sigma^2 and Q = I that
     nothing here reads; the deviations X_i - nu_hat of one sample; and its
     dispersion sum sum_i (X_i - nu_hat)' V_i^{-1} (X_i - nu_hat)."""
-    vs = _stack_spd(V)
+    vs = np.asarray(V, dtype=float)
+    if vs.ndim != 3 or vs.shape[1] != vs.shape[2]:
+        raise ValueError(f"V must be a list of square matrices, got shape {vs.shape}")
     xs = np.asarray(X, dtype=float)
     xs = xs.reshape(len(xs), -1)
     if xs.shape != vs.shape[:2]:
@@ -111,17 +106,18 @@ def batch_pooled_stats(spec: ModelSpec, X: np.ndarray, S: np.ndarray):
 
     ``X`` has shape (B, k, p) and ``S`` shape (B,); returns nu_hat (B, p),
     F (B,) and G (B,).  The inverses, the summed precision and A come from
-    the model's cache, so nothing is solved per sample.  A statistic that
-    overflows is a RuntimeError that names it.
+    the model's cache, so nothing is solved per sample.  A nu_hat or F that
+    overflows, which every rule reads, is a RuntimeError that names it; G is
+    returned unchecked.
     """
     zero = np.zeros(X.shape[1:])
     with np.errstate(over="ignore", divide="ignore"):
         nu, f_stat = shifted_pooled_stats(spec, pooled_noise_stats(spec, X), zero, S)
-        stats = {"nu_hat": nu, "F": f_stat, "G": g_statistic(spec, nu, S)}
-    for name, value in stats.items():
+        g_stat = g_statistic(spec, nu, S)
+    for name, value in (("nu_hat", nu), ("F", f_stat)):
         if not np.all(np.isfinite(value)):
             raise RuntimeError(f"{name} is not finite: {value}")
-    return tuple(stats.values())
+    return nu, f_stat, g_stat
 
 
 def pooled_deviance_gap(X: Sequence[np.ndarray], V: Sequence[np.ndarray]) -> float:
@@ -139,18 +135,15 @@ def pooled_deviance_gap(X: Sequence[np.ndarray], V: Sequence[np.ndarray]) -> flo
     return dispersion - rhs
 
 
-def lincomb_deviation_matrix(
-    V: Sequence[np.ndarray], d: Sequence[float], A: np.ndarray
-) -> np.ndarray:
-    """M_d = sum_i d_i^2 V_i - (sum_i d_i)^2 A, the scale matrix of the
-    weighted deviation sum_i d_i (X_i - nu_hat); always positive
-    semidefinite."""
-    vs = _stack_spd(V)
+def lincomb_deviation_matrix(spec: ModelSpec, d: Sequence[float]) -> np.ndarray:
+    """M_d = sum_i d_i^2 V_i - (sum_i d_i)^2 A of the model ``spec``, the
+    scale matrix of the weighted deviation sum_i d_i (X_i - nu_hat); always
+    positive semidefinite."""
     dv = np.asarray(d, dtype=float).reshape(-1)
-    if dv.size != vs.shape[0]:
-        raise ValueError(f"expected {vs.shape[0]} weights, got {dv.size}")
+    if dv.size != spec.k:
+        raise ValueError(f"expected {spec.k} weights, got {dv.size}")
     with np.errstate(over="ignore", invalid="ignore"):
-        m = np.einsum("i,ijk->jk", dv**2, vs) - dv.sum() ** 2 * A
+        m = np.einsum("i,ijk->jk", dv**2, spec.V) - dv.sum() ** 2 * spec.A
     if not np.all(np.isfinite(m)):
         raise ValueError(f"M_d is not finite for the weights {dv.tolist()}")
     return 0.5 * (m + m.T)
@@ -173,7 +166,7 @@ def linear_bound_check(
     B_value is the statistic B.
     """
     spec, dev, dispersion = _pooled_deviations(V, X)
-    m = lincomb_deviation_matrix(spec.V, d, spec.A)
+    m = lincomb_deviation_matrix(spec, d)
     if dispersion <= 0.0:
         raise ValueError("all observations coincide with the pooled mean: B is undefined")
     q = np.asarray(Q, dtype=float)

@@ -738,6 +738,53 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == "" and "F is not finite" in out.err
 
+    def test_overflowing_g_is_named(self, tmp_path, capsys):
+        # Means of 1e160 overflow the printed G but not nu_hat, F or the
+        # estimates, which do not read G.
+        cfg = self._config(tmp_path, SMOKE_MODEL)
+        rows = [[1e160] * 5 for _ in range(5)]
+        rows[1][0] = 1e160 + 1e150
+        data = tmp_path / "data.csv"
+        data.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows) + "1.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", str(data), "--config", cfg]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "G is not finite: [inf]" in out.err
+
+    @pytest.mark.parametrize(
+        "units, trace, simulate_error",
+        [
+            # The trace underflowed to 0, so check printed "ratio": null and
+            # exited 1, and estimate and simulate exited 2 with "estimators[2]
+            # (EB): trace-ratio condition fails".  The losses underflow too.
+            (-200, 0.0, "(baseline risk is 0)"),
+            # The trace overflowed, so check exited 3 with "Eigenvalues did
+            # not converge", and estimate and simulate exited 2 with that
+            # message.  The losses overflow too.
+            (300, None, "estimator PT failed at replication 0 (seed 0): non-finite loss"),
+        ],
+        ids=["units_1e-200", "units_1e300"],
+    )
+    def test_model_units_do_not_decide_the_condition(
+        self, tmp_path, capsys, units, trace, simulate_error
+    ):
+        scale = 10.0**units
+        V = [0.1 * i * scale for i in range(1, 6)]
+        cfg = self._config(tmp_path, dict(SMOKE_MODEL, V=V, Q=scale, mu=[0] * 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--config", cfg]) == 0
+            report = strict_json(capsys.readouterr().out)["single_shrinkage"]
+            assert report["ratio"] == pytest.approx(5.0, rel=1e-12)
+            assert report["trace"] == trace
+            assert main(smoke_estimate(tmp_path, "3.7")[:2] + ["--config", cfg]) == 0
+            assert "EB: " in capsys.readouterr().out
+        with np.errstate(all="ignore"):
+            assert main(["simulate", "--config", cfg, "--reps", "16"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and simulate_error in out.err
+
     @pytest.mark.parametrize("strict", [False, True], ids=["default", "warnings_as_errors"])
     @pytest.mark.parametrize(
         "command, doc, data, extra, named",
@@ -888,3 +935,30 @@ class TestFuzz:
             # Only a non-empty string names an estimator or a run.
             assert label in (MISSING, None) or (isinstance(label, str) and label)
             assert name in (MISSING, None) or (isinstance(name, str) and name) or not simulate
+
+    @settings(max_examples=100)
+    @given(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
+    @example(300.0, 300.0)
+    @example(-300.0, -300.0)
+    @example(-300.0, 300.0)
+    @example(300.0, -300.0)
+    def test_model_units(self, a, b):
+        # The table1 model with V times 10^a and Q times 10^b: the condition
+        # holds with ratio 5 at any units, and the runs succeed or name a
+        # runtime failure.
+        V = [0.1 * i * 10.0**a for i in range(1, 6)]
+        model = dict(SMOKE_MODEL, V=V, Q=10.0 ** (1.0 + b), mu=[0] * 5)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps({"model": model}))
+            data = Path(tmp) / "data.csv"
+            data.write_text(SMOKE_ROWS + "3.7\n")
+            code, out, err = run_cli(["check", "--config", str(cfg)])
+            assert code == 0, err
+            report = strict_json(out)
+            for section, key in (("single_shrinkage", "ratio"), ("double_shrinkage", "ratio_pooled")):
+                assert report[section][key] == pytest.approx(5.0, rel=1e-12)
+            for argv in (["estimate", str(data)], ["simulate", "--reps", "16"]):
+                code, out, err = run_cli([*argv, "--config", str(cfg)])
+                assert_named_outcome(code, out, err)
+                assert code in (0, 3), err

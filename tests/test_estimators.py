@@ -620,6 +620,19 @@ class TestEstimatorConfig:
             with pytest.raises(RuntimeError, match=r"^F is not finite: \[inf\]$"):
                 estimate(Sample(X=np.array(rows), S=5e-324), spec, cfg)
 
+    @pytest.mark.parametrize("kind", ["EB", "PT", "JS"])
+    def test_overflowing_g_is_not_read(self, kind):
+        # Means of 1e160 overflow G but not nu_hat or F.  These rules never
+        # read G, yet estimate() raised "G is not finite: [inf]".
+        spec = scalar_spec(5, 5, 20, [0.1 * i for i in range(1, 6)], 4.0, [0.0] * 5)
+        X = np.full((5, 5), 1e160)
+        X[1, 0] = 1e160 + 1e150
+        cfg = estimators.preset_config(kind, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = estimate(Sample(X=X, S=1.0), spec, cfg)
+        assert np.all(np.isfinite(value))
+
     def test_accepted_pt_config_computes_its_threshold(self):
         spec = benchmark_spec()
         pt_threshold.cache_clear()

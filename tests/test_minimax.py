@@ -1,7 +1,11 @@
 """Minimaxity condition reports and shrink-constant solvers."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poolshrink.minimax import (
     check_hb_domain,
@@ -13,7 +17,7 @@ from poolshrink.minimax import (
     single_shrinkage_report,
     solve_hb_a,
 )
-from poolshrink.model import ModelSpec, scalar_spec
+from poolshrink.model import ModelSpec, scalar_spec, validate_spec
 
 
 def benchmark_spec():
@@ -45,6 +49,17 @@ class TestSingleShrinkageReport:
     def test_p_two_fails(self):
         spec = scalar_spec(2, 4, 12, [1.0] * 4, 1.0, [0.0] * 4)
         assert not single_shrinkage_report(spec).condition_holds
+
+    def test_asymmetry_the_model_accepts(self):
+        # Below unit scale validate_spec checks symmetry absolutely, so it
+        # accepts V_1 with 1e-10 relative asymmetry at 1e-13 units.  Built
+        # at unit scale, the report rejected M as "not symmetric".
+        spec = scalar_spec(5, 5, 20, [1e-14 * i for i in range(1, 6)], 1.0, [0.0] * 5, 1.0)
+        v1 = np.array(spec.V[0])
+        v1[0, 1] += 1e-24
+        skewed = ModelSpec(5, 5, 20, (v1, *spec.V[1:]), spec.Q, 1.0, spec.mu)
+        assert validate_spec(skewed) == []
+        assert single_shrinkage_report(skewed).ratio == pytest.approx(5.0, rel=1e-9)
 
 
 class TestDoubleShrinkageReport:
@@ -238,3 +253,57 @@ class TestInvariants:
         assert "psi_upper_double" in payload
         single = single_shrinkage_report(benchmark_spec()).as_dict()
         assert "psi_upper_double" not in single
+
+
+@st.composite
+def unit_changes(draw):
+    """A dense model, weights d, and exponents i, j for V times 4^i and Q
+    times 4^j."""
+    p = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = tuple(random_spd(rng, p) * rng.uniform(0.2, 2.0) for _ in range(k))
+    spec = ModelSpec(p=p, k=k, n=10, V=V, Q=random_spd(rng, p), sigma2=1.0, mu=())
+    d = rng.normal(0.0, 1.0, k)
+    return spec, d, draw(st.integers(-240, 240)), draw(st.integers(-240, 240))
+
+
+def _same(a, b) -> bool:
+    """Equal bit for bit, NaN equal to NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+TABLE1_SPEC = scalar_spec(5, 5, 20, [0.1 * i for i in range(1, 6)], 1.0, [])
+
+
+@settings(max_examples=80)
+@given(unit_changes())
+@example((TABLE1_SPEC, [1.0, 2.0, 3.0, 4.0, 5.0], 240, 240))
+@example((TABLE1_SPEC, [1.0, 2.0, 3.0, 4.0, 5.0], -240, -240))
+def test_reports_are_built_at_unit_scale(case):
+    # Built at the model's own units, the trace underflowed or overflowed
+    # beyond 4^(+-200), and the ratio with it.  The ratio, the condition and
+    # the bounds are now the same bits at any units; the trace and Ch_max
+    # are the unit values times 4^(i + j) while that product is finite.
+    spec, d, i, j = case
+    scaled = ModelSpec(
+        p=spec.p, k=spec.k, n=spec.n, V=tuple(np.ldexp(v, 2 * i) for v in spec.V),
+        Q=np.ldexp(spec.Q, 2 * j), sigma2=1.0, mu=(),
+    )
+    pairs = [
+        (single_shrinkage_report(spec), single_shrinkage_report(scaled)),
+        (double_shrinkage_report(spec), double_shrinkage_report(scaled)),
+        (lincomb_shrinkage_report(spec, d), lincomb_shrinkage_report(scaled, d)),
+    ]
+    for base, moved in pairs:
+        base, moved = base.as_dict(), moved.as_dict()
+        assert base.keys() == moved.keys()
+        for key, value in base.items():
+            if key.startswith(("trace", "chmax")):
+                try:
+                    expected = math.ldexp(value, 2 * (i + j))
+                except OverflowError:
+                    continue
+                assert moved[key] == expected, key
+            else:
+                assert _same(moved[key], value), key
