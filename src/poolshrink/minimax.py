@@ -63,31 +63,32 @@ class MinimaxReport:
         return {key: val for key, val in asdict(self).items() if val is not None}
 
 
-def _scale_back(x: float, e: int) -> float:
-    """x 2^e: inf where it overflows, 0 where it underflows."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.copysign(math.inf, x)
+def _centre(a: np.ndarray) -> int:
+    """The exponent halfway between those of a's largest and smallest diagonal entry."""
+    diag = np.abs(np.diagonal(a))
+    return (math.frexp(float(diag.max()))[1] + math.frexp(float(diag.min()))[1]) // 2
 
 
 def _shrinkage_report(m: np.ndarray, term: np.ndarray, spec: ModelSpec, e=0) -> MinimaxReport:
     """Condition and single/double bounds of M 2^e Q, where ``term`` is the
-    part of M that does not cancel.  They are built at unit scale (M and
-    ``term`` times 2^-e_m, Q times 4^-e_q, which is exact), so no units of
-    V, Q or d change them; there Ch_max counts as 0, and the ratio as NaN, at
-    most ``_CHMAX_TOL`` tr(term Q).  Only trace and Ch_max are scaled back."""
-    e_m = math.frexp(float(np.abs(term).max()))[1]
-    e_q = math.frexp(float(np.abs(spec.Q).max()))[1] // 2
+    part of M that does not cancel.  They are built at unit scale, M and
+    ``term`` times 2^-e_m and Q times 4^-e_q with each diagonal centred on 1,
+    which is exact, so no units of V, Q or d change them; there Ch_max counts
+    as 0, and the ratio as NaN, at most ``_CHMAX_TOL`` tr(term Q).  Only trace
+    and Ch_max are scaled back: inf where they overflow, 0 where they underflow."""
+    e_m, e_q = _centre(term), _centre(spec.Q) // 2
     m, term, q = np.ldexp(m, -e_m), np.ldexp(term, -e_m), np.ldexp(spec.Q, -2 * e_q)
+    # Symmetric parts, as validate_spec takes them in the model's own units.
+    m, q = 0.5 * (m + m.T), 0.5 * (q + q.T)
     tr, ch = trace_product(m, q), chmax_product(m, q)
     ch = ch if ch > _CHMAX_TOL * trace_product(term, q) else 0.0
     ratio = tr / ch if ch else float("nan")
+    with np.errstate(over="ignore"):
+        trace, chmax = map(float, np.ldexp([tr, ch], e + e_m + 2 * e_q))
     bound = 2.0 * (ratio - 2.0) / (spec.n + 2.0)
-    e += e_m + 2 * e_q
     return MinimaxReport(
-        trace=_scale_back(tr, e),
-        chmax=_scale_back(ch, e),
+        trace=trace,
+        chmax=chmax,
         ratio=ratio,
         condition_holds=ratio > 2.0,
         phi_upper_single=bound,
@@ -97,8 +98,8 @@ def _shrinkage_report(m: np.ndarray, term: np.ndarray, spec: ModelSpec, e=0) -> 
 
 def single_shrinkage_report(spec: ModelSpec) -> MinimaxReport:
     """Condition and bounds for rules shrinking X_1 toward the pooled mean:
-    built from the matrix product (V_1 - A) Q, V_1 by its symmetric part."""
-    return _shrinkage_report(0.5 * (spec.V[0] + spec.V[0].T) - spec.A, spec.V[0], spec)
+    built from the matrix product (V_1 - A) Q."""
+    return _shrinkage_report(spec.V[0] - spec.A, spec.V[0], spec)
 
 
 def double_shrinkage_report(spec: ModelSpec) -> MinimaxReport:

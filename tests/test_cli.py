@@ -752,6 +752,19 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == "" and "G is not finite: [inf]" in out.err
 
+    def test_asymmetric_q_the_model_accepts(self, tmp_path, capsys):
+        # Below unit scale the model's check of Q's symmetry is absolute, so
+        # it accepts this Q; built at unit scale, the reports rejected it as
+        # "not symmetric", and check exited 3 and estimate 2.
+        q = 1e-13 * np.eye(5)
+        q[0, 1] = 0.5e-13
+        cfg = self._config(tmp_path, dict(SMOKE_MODEL, Q=q.tolist()))
+        assert main(["check", "--config", cfg]) == 0
+        report = strict_json(capsys.readouterr().out)["single_shrinkage"]
+        assert report["condition_holds"]
+        assert main(smoke_estimate(tmp_path, "3.7")[:2] + ["--config", cfg]) == 0
+        assert "EB: " in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "units, trace, simulate_error",
         [

@@ -5,9 +5,11 @@ draws as prefixes of full ones, and plans of one noise group sharing work
 without changing a bit.  The derandomized profile in conftest fixes the
 examples."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from poolshrink.cli import parse_estimators
@@ -24,7 +26,7 @@ from poolshrink.minimax import (
     lincomb_shrinkage_report,
     single_shrinkage_report,
 )
-from poolshrink.model import ModelSpec, Sample
+from poolshrink.model import ModelSpec, Sample, scalar_spec
 from poolshrink.risksim import (
     _CHUNK_SIZE,
     SimPlan,
@@ -304,23 +306,28 @@ def test_preset_constants_equal_their_formulas(model):
     assert hb.a == (r * (n - 2.0 * 1.0) - pk * (n + 2.0)) / (2.0 * (n + 2.0) + 2.0 * r)
 
 
+def rescale(spec, i, j):
+    """The model ``spec`` with V times 2^i and Q times 2^j."""
+    V = tuple(np.ldexp(v, i) for v in spec.V)
+    Q = np.ldexp(spec.Q, j)
+    return ModelSpec(p=spec.p, k=spec.k, n=spec.n, V=V, Q=Q, sigma2=1.0, mu=spec.mu)
+
+
 @st.composite
-def rescaled_models(draw):
+def rescaled_models(draw, step=1, span=150):
     """A dense model, weights d, and the same model and weights in other
-    units: V times 2^i, Q times 2^j and d times 2^l."""
+    units: V times 2^i, Q times 2^j and d times 2^l, where i, j and l are
+    ``step`` times integers in [-span, span]."""
     p = draw(st.integers(1, 4))
     k = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     V = [dense_spd(rng, p, rng.uniform(0.2, 2.0)) for _ in range(k)]
     Q = dense_spd(rng, p, rng.uniform(0.2, 2.0))
     d = rng.normal(0.0, 1.0, k)
-    i, j, l = (draw(st.integers(-150, 150)) for _ in range(3))
+    i, j, l = (step * draw(st.integers(-span, span)) for _ in range(3))
     mu = tuple(np.zeros((k, p)))
     spec = ModelSpec(p=p, k=k, n=10, V=tuple(V), Q=Q, sigma2=1.0, mu=mu)
-    scaled = ModelSpec(
-        p=p, k=k, n=10, V=tuple(np.ldexp(v, i) for v in V), Q=np.ldexp(Q, j), sigma2=1.0, mu=mu
-    )
-    return spec, d, scaled, np.ldexp(d, l)
+    return spec, d, rescale(spec, i, j), np.ldexp(d, l)
 
 
 @settings(max_examples=60)
@@ -339,6 +346,46 @@ def test_minimax_reports_do_not_depend_on_units(models):
         for key in ("ratio", "ratio_pooled"):
             if getattr(base, key) is not None:
                 np.testing.assert_allclose(getattr(moved, key), getattr(base, key), rtol=1e-9)
+
+
+TABLE1 = scalar_spec(5, 5, 20, [0.1 * i for i in range(1, 6)], 1.0, [0.0] * 5)
+TABLE1_D = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+
+
+@settings(max_examples=80)
+@given(rescaled_models(step=2, span=240))
+@example((TABLE1, TABLE1_D, rescale(TABLE1, 480, 480), TABLE1_D))
+@example((TABLE1, TABLE1_D, rescale(TABLE1, -480, -480), TABLE1_D))
+def test_minimax_reports_are_built_at_unit_scale(models):
+    # Built in the model's own units, the trace underflowed or overflowed
+    # beyond 4^(+-200), and the ratio with it.  With V times 4^i and Q times
+    # 4^j, the ratio, the condition and the bounds are the same bits; the
+    # trace and Ch_max are the unit values times 4^(i + j) while that is
+    # finite.  The weights keep their units: at 4^240, M_d itself overflows.
+    spec, d, scaled, _ = models
+    # 2(i + j), read back from the two models.
+    shift = sum(
+        math.frexp(b[0, 0])[1] - math.frexp(a[0, 0])[1]
+        for a, b in ((spec.V[0], scaled.V[0]), (spec.Q, scaled.Q))
+    )
+    pairs = [
+        (single_shrinkage_report(spec), single_shrinkage_report(scaled)),
+        (double_shrinkage_report(spec), double_shrinkage_report(scaled)),
+        (lincomb_shrinkage_report(spec, d), lincomb_shrinkage_report(scaled, d)),
+    ]
+    for base, moved in pairs:
+        base, moved = base.as_dict(), moved.as_dict()
+        assert base.keys() == moved.keys()
+        for key, value in base.items():
+            if key.startswith(("trace", "chmax")):
+                try:
+                    expected = math.ldexp(value, shift)
+                except OverflowError:
+                    continue
+                assert moved[key] == expected, key
+            else:
+                # Bit for bit, NaN equal to NaN.
+                assert moved[key] == value or (math.isnan(value) and math.isnan(moved[key])), key
 
 
 @st.composite
