@@ -139,17 +139,14 @@ def _phi_hb_zero_l(F: np.ndarray, qa: float, m: float) -> np.ndarray:
     z = F / (1.0 + F)
     w = 1.0 / (1.0 + F)
     direct = z <= (qa + 2.0) / (m + 3.0)
-    cf = _beta_cont_frac(
-        np.where(direct, qa + 1.0, b), np.where(direct, b, qa + 1.0), np.where(direct, z, w)
-    )
     ratio = np.empty_like(F)
-    ratio[direct] = (qa + 1.0) / (z[direct] * cf[direct])
+    ratio[direct] = (qa + 1.0) / (z[direct] * _beta_cont_frac(qa + 1.0, b, z[direct]))
     far = ~direct
     if np.any(far):
         # t = T / B(qa+1, b); then I_w(b, qa+1) = t z cf / b.
         ln_beta = math.lgamma(qa + 1.0) + math.lgamma(b) - math.lgamma(m + 1.0)
         t = np.exp(qa * np.log1p(-w[far]) - b * np.log1p(F[far]) - ln_beta)
-        ratio[far] = t / (1.0 - t * z[far] * cf[far] / b)
+        ratio[far] = t / (1.0 - t * z[far] * _beta_cont_frac(b, qa + 1.0, w[far]) / b)
     return qa / (b + ratio)
 
 
@@ -298,8 +295,8 @@ def phi_hb(F, S, p: int, k: int, n: int, a: float, c: float, L: float = 0.0):
     m = 0.5 * (n + p * (k - 1)) - c
     farr = np.asarray(F, dtype=float)
     sarr = np.asarray(S, dtype=float)
-    if np.any(farr < 0.0):
-        raise ValueError("F must be nonnegative")
+    if not np.all(farr >= 0.0):
+        raise ValueError("F must be nonnegative and not NaN")
     scalar = farr.ndim == 0 and sarr.ndim == 0
     fv, sv = np.broadcast_arrays(np.atleast_1d(farr), np.atleast_1d(sarr))
     fv = fv.astype(float)
@@ -317,8 +314,8 @@ def phi_hb(F, S, p: int, k: int, n: int, a: float, c: float, L: float = 0.0):
     if L == 0.0:
         out[live] = _phi_hb_zero_l(fv[live], qa, m)
     else:
-        if np.any(sv[live] <= 0.0):
-            raise ValueError("S must be positive when L > 0")
+        if not np.all(sv[live] > 0.0):
+            raise ValueError("S must be positive and not NaN when L > 0")
         out[live] = _phi_hb_lpos(fv[live], sv[live], qa, m, L)
     if scalar:
         return float(out[0])

@@ -203,8 +203,11 @@ def replication_sample(plan: SimPlan, rep: int) -> Sample:
 
 
 def _loss(diff: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    """The scaled loss diff' Q diff / sigma^2 of each row of ``diff``."""
-    return np.einsum("bi,bi->b", diff @ spec.Q, diff) / spec.sigma2
+    """The scaled loss diff' Q diff / sigma^2 of each row of ``diff``.  One
+    that overflows is inf or NaN, without a warning, so that the caller's
+    finiteness check names the estimator and the replication."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.einsum("bi,bi->b", diff @ spec.Q, diff) / spec.sigma2
 
 
 def _failing_row(cfg: EstimatorConfig, spec: ModelSpec, x, ss, stats, target) -> int:

@@ -798,6 +798,19 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == "" and simulate_error in out.err
 
+    def test_overflowing_baseline_loss_is_named_under_warnings_as_errors(self, tmp_path, capsys):
+        # The loss of X_1 overflows.  Under warnings as errors the run exited
+        # 3 with only "overflow encountered in matmul".
+        model = {"p": 5, "k": 5, "n": 20, "V": [i * 1e299 for i in range(1, 6)], "Q": 1e300,
+                 "mu": [0] * 5}
+        cfg = self._config(tmp_path, model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", cfg, "--reps", "16"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "estimator PT failed at replication 0 (seed 0): non-finite loss" in out.err
+
     @pytest.mark.parametrize("strict", [False, True], ids=["default", "warnings_as_errors"])
     @pytest.mark.parametrize(
         "command, doc, data, extra, named",

@@ -190,6 +190,12 @@ class TestPhiHb:
             batch = phi_hb(F, 1.0, *args, 0.0)
             assert np.array_equal(batch, [phi_hb(f, 1.0, *args, 0.0) for f in F])
 
+    @pytest.mark.parametrize("L", [0.0, 0.5])
+    def test_nan_f_is_named(self, L):
+        # At L = 0 a NaN F used to end in "did not converge".
+        with pytest.raises(ValueError, match="F must be nonnegative and not NaN"):
+            phi_hb(np.array([0.5, np.nan]), 20.0, 5, 5, 20, BENCH_A, 1.0, L)
+
 
 def mpmath_phi_hb(F, S, p, k, n, a, c, L, dps=20):
     """phi_hb for L > 0 at each of the increasing values F, by mpmath: the two
@@ -294,6 +300,15 @@ class TestPhiHbPositiveL:
         monkeypatch.setattr(estimators, "_HB_RTOL", 1e-300)
         with pytest.raises(QuadratureError, match="F=.*S="):
             phi_hb(np.array([0.5, 2.0]), 20.0, 5, 5, 20, BENCH_A, 1.0, 0.5)
+
+    @pytest.mark.parametrize("F", [1e-200, 0.5])
+    def test_nan_s_is_named(self, F):
+        # A NaN S used to warn in a cast and raise "negative dimensions are
+        # not allowed", whether or not F is below the small-F cutoff.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="S must be positive and not NaN when L > 0"):
+                phi_hb(F, np.nan, 5, 5, 20, BENCH_A, 1.0, 0.5)
 
 
 class TestPtEstimate:

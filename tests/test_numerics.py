@@ -3,10 +3,13 @@ brute-force oracle (dense eigensolvers, high-resolution Simpson/trapezoid
 quadrature, mpmath, scipy) rather than against itself."""
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from poolshrink import numerics
@@ -97,6 +100,22 @@ class TestChmaxProduct:
     def test_non_finite_q_named(self):
         with pytest.raises(ValueError, match="Q has non-finite entries"):
             chmax_product(np.eye(3), np.full((3, 3), np.nan))
+
+    def test_q_is_factored_once(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m) or cholesky(m))
+        m, q = np.diag([1.0, 2.0, 3.0]), np.diag([3.0, 2.0, 1.0])
+        assert chmax_product(m, q) == pytest.approx(4.0)
+        assert len(calls) == 1
+        # Q is still checked before the dimensions, by the same messages.
+        with pytest.raises(ValueError, match="Q is not positive definite"):
+            chmax_product(np.eye(2), -q)
+        with pytest.raises(ValueError, match=r"Q is not symmetric \(relative tolerance 1e-12\)"):
+            chmax_product(np.eye(2), np.triu(q + 1.0))
+        with pytest.raises(ValueError, match=r"dimension mismatch: M \(2, 2\) vs Q \(3, 3\)"):
+            chmax_product(np.eye(2), q)
+        assert len(calls) == 3
 
 
 class TestTraceRatio:
@@ -219,6 +238,83 @@ class TestRegIncBeta:
     def test_empty_batch(self):
         # The loop used to run its 500 steps on no elements and then raise.
         assert reg_inc_beta(2.0, 3.0, np.array([])).shape == (0,)
+
+    def test_nan_x_is_named(self):
+        # NaN passed the range check and ran 500 steps before reporting
+        # "did not converge".
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+            reg_inc_beta(2.0, 3.0, np.nan)
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+            reg_inc_beta(2.0, 3.0, np.array([0.5, np.nan]))
+
+
+def dlmf_beta_fraction(a, b, x, depth):
+    """1/(1 + d_1 x/(1 + d_2 x/(1 + ... d_{2 depth+1} x))) of DLMF 8.17.22,
+    with d_{2m} = m(b-m)/((a+2m-1)(a+2m)) and d_{2m+1} =
+    -(a+m)(a+b+m)/((a+2m)(a+2m+1)), evaluated backward in floats."""
+    d = [-(a + b) / (a + 1.0)]
+    for m in range(1, depth + 1):
+        d += [m * (b - m) / ((a + 2 * m - 1) * (a + 2 * m)),
+              -(a + m) * (a + b + m) / ((a + 2 * m) * (a + 2 * m + 1))]
+    t = np.ones_like(x)
+    for dj in reversed(d):
+        t = 1.0 + dj * x / t
+    return 1.0 / t
+
+
+def fraction_depth(a, b):
+    """N(a, b): the smallest step limit at which ``_beta_cont_frac`` does not
+    raise, found by bisection on ``_CF_MAXIT``."""
+    lo, hi = 0, numerics._CF_MAXIT
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        with mock.patch.object(numerics, "_CF_MAXIT", mid):
+            try:
+                numerics._beta_cont_frac(a, b, np.zeros(1))
+                hi = mid
+            except ValueError:
+                lo = mid
+    return hi
+
+
+log_shapes = st.floats(math.log(0.05), math.log(2000.0))
+
+
+class TestBetaFractionDepth:
+    """The fraction is cut at one depth N(a, b), where the Lentz test passes
+    at the edge x_e = (a+1)/(a+b+2); no x in [0, x_e] may need more."""
+
+    @settings(max_examples=120)
+    @given(log_a=log_shapes, log_b=log_shapes,
+           u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    def test_depth_of_the_edge_serves_every_x(self, log_a, log_b, u):
+        a, b = math.exp(log_a), math.exp(log_b)
+        x = np.array(u) * ((a + 1.0) / (a + b + 2.0))
+        depth = fraction_depth(a, b)
+        cf = numerics._beta_cont_frac(a, b, x)
+        deep = dlmf_beta_fraction(a, b, x, 2 * depth)
+        # The denominator 1/cf = 1 + d_1 x / t_2 is a sum of terms of order
+        # one: within 4 ulp of 1 at depth N and 2N.  (cf itself cancels in
+        # that sum where a >> b, e.g. cf ~ 870 at a = 1561, b = 0.34, so its
+        # own last bits are not a measure of the depth.)
+        assert np.all(np.abs(1.0 / cf - 1.0 / deep) <= 4.0 * np.spacing(1.0))
+
+    @settings(max_examples=60)
+    @given(log_a=log_shapes, log_b=log_shapes, u=st.floats(0.0, 1.0))
+    def test_against_mpmath(self, log_a, log_b, u):
+        a, b = math.exp(log_a), math.exp(log_b)
+        x = u * ((a + 1.0) / (a + b + 2.0))
+        with mpmath.workdps(30):
+            expected = float(mpmath.betainc(a, b, 0, x, regularized=True))
+        # 1e-13, plus the rounding of the prefactor's log, a log x +
+        # b log(1-x) - log B(a, b), whose lgamma terms alone reach 2.4e4 at
+        # b = 2000 (3.6e-12 relative at a = 4.07, b = 1872, x = 0.00164).
+        xs = max(x, np.finfo(float).tiny)
+        terms = (abs(a * math.log(xs)) + abs(b * math.log1p(-xs)) + abs(math.lgamma(a))
+                 + abs(math.lgamma(b)) + abs(math.lgamma(a + b)))
+        rtol = 1e-13 + 4.0 * np.spacing(1.0) * terms
+        got = reg_inc_beta(a, b, x)
+        assert abs(got - expected) <= rtol * expected + np.finfo(float).tiny
 
 
 class TestRegUpperGamma:
