@@ -299,7 +299,9 @@ def phi_hb(F, S, p: int, k: int, n: int, a: float, c: float, L: float = 0.0):
         raise ValueError("F must be nonnegative and not NaN")
     scalar = farr.ndim == 0 and sarr.ndim == 0
     fv, sv = np.broadcast_arrays(np.atleast_1d(farr), np.atleast_1d(sarr))
-    fv = fv.astype(float)
+    # F = inf is taken at the largest float, past where the integrands of
+    # both rules are cut off or underflow: the F -> inf limit.
+    fv = np.minimum(fv, np.finfo(float).max)
 
     # Below this point the integrands are numerically pure power laws (for
     # L > 0, while Q(m+1, LS(1+x)/2) is also constant across [0, F]) and the

@@ -108,30 +108,6 @@ def chmax_product(m: np.ndarray, q: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _converge(step: Callable, state: tuple, message: str) -> np.ndarray:
-    """Iterate ``state, value, done = step(i, *state)`` for i = 1, 2, ...
-    over 1-d arrays of one length, and return the values.
-
-    Each element leaves at the first step where ``done`` holds, with its
-    ``value`` at that step, so it does not depend on the other elements of
-    the batch.  Raises ``ValueError(message)`` after ``_CF_MAXIT`` steps."""
-    out = np.empty(state[0].size)
-    live = np.arange(out.size)
-    if not live.size:
-        return out
-    for i in range(1, _CF_MAXIT + 1):
-        state, value, done = step(i, *state)
-        hit = done.nonzero()[0]
-        if hit.size:
-            out[live[hit]] = value[hit]
-            if hit.size == live.size:
-                return out
-            keep = ~done
-            live = live[keep]
-            state = tuple(arr[keep] for arr in state)
-    raise ValueError(message)
-
-
 def _beta_cont_frac(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """The incomplete beta continued fraction 1/(1 + d_1 x/(1 + d_2 x/(1 + ...)))
     of DLMF 8.17.22, for scalar a, b and an array of x in [0, x_e], the
@@ -202,49 +178,68 @@ def reg_inc_beta(a: float, b: float, x):
     return out.reshape(xarr.shape)
 
 
+def _gamma_series(s: float, x: np.ndarray) -> np.ndarray:
+    """The series sum_i x^i/(s (s+1) ... (s+i)) = (1 + x/(s+1) (1 + x/(s+2)
+    (1 + ...)))/s of P(s, x) for x < s + 1, cut after the first term below
+    1e-15 of the sum at x = s + 1 and summed backward."""
+    if not x.size:
+        return x
+    term = total = 1.0 / s
+    for n in range(1, _CF_MAXIT + 1):
+        term *= (s + 1.0) / (s + n)
+        total += term
+        if term < total * _CF_EPS:
+            break
+    else:
+        raise ValueError("incomplete gamma series did not converge")
+    t = 1.0
+    for i in range(n, 0, -1):
+        t = 1.0 + x * t / (s + i)
+    return t / s
+
+
+def _gamma_cont_frac(s: float, x: np.ndarray) -> np.ndarray:
+    """The continued fraction 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))), a_i =
+    -i(i-s), b_i = x + 1 - s + 2i, of Q(s, x) for x >= s + 1 (Numerical
+    Recipes, section 6.2), cut after a_N, N the step at which the modified
+    Lentz test |delta - 1| < 1e-15 passes at x = s + 1, and evaluated
+    backward, t <- b_{i-1} + a_i/t.  There the Lentz denominators stay near
+    b_i = 2 + 2i, and the backward tails positive, so neither needs a guard
+    against zero."""
+    if not x.size:
+        return x
+    c, d = 1.0 / _TINY, 0.5  # d = 1/b_0, and b_0 = 2 at x = s + 1
+    for n in range(1, _CF_MAXIT + 1):
+        an = -n * (n - s)
+        d = 1.0 / (an * d + 2.0 + 2 * n)
+        c = 2.0 + 2 * n + an / c
+        if abs(c * d - 1.0) < _CF_EPS:
+            break
+    else:
+        raise ValueError("incomplete gamma continued fraction did not converge")
+    b0 = x + 1.0 - s
+    t = b0 + 2 * n
+    for i in range(n, 0, -1):
+        t = b0 + 2 * (i - 1) - i * (i - s) / t
+    return 1.0 / t
+
+
 def _log_upper_gamma(s: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log Q(s, x), log Q(s, x) - (s log x - x - lgamma(s))) for finite x > 0.
 
-    Series expansion of the lower function for x < s + 1, continued
-    fraction for the upper function otherwise (Lentz algorithm).  The
-    second array, log Q less its closed-form prefactor, is the continued
-    fraction's log; it is NaN on the series branch, where Q is not small.
+    P = 1 - Q by ``_gamma_series`` for x < s + 1, Q by ``_gamma_cont_frac``
+    otherwise, each cut at one depth per s found at the branch edge x = s + 1,
+    where it converges slowest (ValueError past ``_CF_MAXIT``); so no value
+    depends on its batch.  The second array is the fraction's log, NaN on
+    the series branch, where Q is not small.
     """
     log_q = -x + s * np.log(x) - math.lgamma(s)
     rest = np.full_like(x, np.nan)
-
-    # Both loops report convergence on every fourth step only, which saves
-    # compacting the batch; each element still leaves at a step of its own.
-    def series_step(i, xl, term, total):
-        term = term * xl / (s + i)
-        total = total + term
-        return (xl, term, total), total, (i % 4 == 0) & (term < total * _CF_EPS)
-
     lower = x < s + 1.0
-    xl = x[lower]
-    first = np.full_like(xl, 1.0 / s)
-    total = _converge(series_step, (xl, first, first), "incomplete gamma series did not converge")
     # P(s, x) <= 1 up to rounding.
-    log_q[lower] = np.log1p(-np.minimum(np.exp(log_q[lower]) * total, 1.0))
-
-    # For x >= s + 1 the Lentz denominators stay near b = x + 1 - s + 2i
-    # >= 2 (above 0.55 b for s up to 300 and x up to 1e6), so they need no
-    # guard against zero.
-    def fraction_step(i, b, c, d, h):
-        an = -i * (i - s)
-        b = b + 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        delta = d * c
-        h = h * delta
-        return (b, c, d, h), h, (i % 4 == 0) & (np.abs(delta - 1.0) < _CF_EPS)
-
+    log_q[lower] = np.log1p(-np.minimum(np.exp(log_q[lower]) * _gamma_series(s, x[lower]), 1.0))
     upper = ~lower
-    b = x[upper] + 1.0 - s
-    d = 1.0 / b
-    state = (b, np.full_like(b, 1.0 / _TINY), d, d)
-    h = _converge(fraction_step, state, "incomplete gamma continued fraction did not converge")
-    rest[upper] = np.log(h)
+    rest[upper] = np.log(_gamma_cont_frac(s, x[upper]))
     log_q[upper] += rest[upper]
     return log_q, rest
 

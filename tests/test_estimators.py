@@ -155,6 +155,21 @@ class TestPhiHb:
         assert np.all(vals <= bound * (1.0 + 1e-12))
         assert vals[-1] == pytest.approx(bound, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "L, limit", [(0.0, 3.0 / 22.0), (0.5, 0.10013115584519906), (5.0, 0.011338527132223936)]
+    )
+    def test_infinite_f_is_the_limit(self, L, limit):
+        # F = inf gave NaN at L = 0 (z = inf/inf) and raised "negative
+        # dimensions are not allowed" at L > 0.  Its value is the F -> inf
+        # limit, the bound at L = 0 and a value of S at L > 0, as at F = 1e300.
+        args = (80.0, 5, 5, 20, BENCH_A, 1.0, L)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = phi_hb(np.array([2.0, np.inf]), *args)
+        assert got[0] == phi_hb(2.0, *args)
+        assert got[1] == phi_hb(1e300, *args)
+        assert got[1] == pytest.approx(limit, rel=1e-12)
+
     def test_domain_violations(self):
         with pytest.raises(ValueError, match="p\\(k-1\\)/2"):
             phi_hb(1.0, 1.0, 5, 5, 20, -10.5, 1.0, 0.0)
@@ -288,8 +303,8 @@ class TestPhiHbPositiveL:
         S = 4.0 * rng.chisquare(20, 16)
         batch = phi_hb(F, S, 5, 5, 20, BENCH_A, 1.0, 0.5)
         single = [phi_hb(f, s, 5, 5, 20, BENCH_A, 1.0, 0.5) for f, s in zip(F, S)]
-        # Bit for bit: every loop under the quadrature retires its elements
-        # one at a time.
+        # Bit for bit: every series and fraction under the quadrature is cut
+        # at one depth per shape, whatever the batch.
         assert np.array_equal(batch, single)
 
     @pytest.mark.parametrize("L", [0.0, 0.5])

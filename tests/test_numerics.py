@@ -221,8 +221,8 @@ class TestRegIncBeta:
         assert reg_inc_beta(a, b, x) == pytest.approx(expected, rel=1e-12)
 
     def test_batch_is_bit_identical_to_single_calls(self):
-        # Each element leaves the continued fraction at its own step, so a
-        # value does not depend on the batch it is evaluated in.
+        # The continued fraction is cut at one depth per (a, b), so a value
+        # does not depend on the batch it is evaluated in.
         rng = np.random.default_rng(12)
         x = np.concatenate([rng.uniform(0.0, 1.0, 40), [1e-300, 1e-8, 0.5, 1.0 - 1e-12]])
         for a, b in [(0.3, 12.0), (3.0, 7.0), (20.0, 0.7)]:
@@ -262,19 +262,24 @@ def dlmf_beta_fraction(a, b, x, depth):
     return 1.0 / t
 
 
-def fraction_depth(a, b):
-    """N(a, b): the smallest step limit at which ``_beta_cont_frac`` does not
-    raise, found by bisection on ``_CF_MAXIT``."""
+def step_limit(evaluate):
+    """The smallest ``_CF_MAXIT`` at which ``evaluate()`` does not raise,
+    found by bisection."""
     lo, hi = 0, numerics._CF_MAXIT
     while hi - lo > 1:
         mid = (lo + hi) // 2
         with mock.patch.object(numerics, "_CF_MAXIT", mid):
             try:
-                numerics._beta_cont_frac(a, b, np.zeros(1))
+                evaluate()
                 hi = mid
             except ValueError:
                 lo = mid
     return hi
+
+
+def fraction_depth(a, b):
+    """N(a, b): the depth at which ``_beta_cont_frac`` cuts its fraction."""
+    return step_limit(lambda: numerics._beta_cont_frac(a, b, np.zeros(1)))
 
 
 log_shapes = st.floats(math.log(0.05), math.log(2000.0))
@@ -315,6 +320,79 @@ class TestBetaFractionDepth:
         rtol = 1e-13 + 4.0 * np.spacing(1.0) * terms
         got = reg_inc_beta(a, b, x)
         assert abs(got - expected) <= rtol * expected + np.finfo(float).tiny
+
+
+def gamma_series(s, x, depth):
+    """(1 + x/(s+1) (1 + ... (1 + x/(s+depth))))/s, the series of P(s, x)
+    to term ``depth``, summed backward in floats."""
+    t = np.ones_like(x)
+    for i in range(depth, 0, -1):
+        t = 1.0 + x * t / (s + i)
+    return t / s
+
+
+def gamma_fraction(s, x, depth):
+    """1/(b_0 + a_1/(b_1 + ... a_depth/b_depth)) with a_i = -i(i-s) and
+    b_i = x + 1 - s + 2i, the fraction of Q(s, x), evaluated backward in
+    floats."""
+    t = x + 1.0 - s + 2.0 * depth
+    for i in range(depth, 0, -1):
+        t = x + 1.0 - s + 2.0 * (i - 1) - i * (i - s) / t
+    return 1.0 / t
+
+
+class TestGammaDepth:
+    """Each branch of ``reg_upper_gamma`` is cut at one depth N(s), found at
+    the branch edge x = s + 1, where it converges slowest.
+
+    The series: term i+1 over term i is x/(s+i+1), so the terms after N
+    over those up to N are a sum of products of x/(s+l), each growing with
+    x.  At the edge these ratios fall from r = (s+1)/(s+N+1), so the tail
+    is below 1e-15 r/(1-r) = 1e-15 (s+1)/N of the sum.
+
+    The fraction: its approximants' denominators are Laguerre polynomials
+    in -x, which grow like exp(2 sqrt(N x)), so the N-th approximant errs
+    by about exp(-4 sqrt(N x)), falling as x grows past the edge.  The
+    Lentz test bounds the last step's change, not the tail: where the
+    fraction converges slowly (s near 0.05, about 77 steps) the value at
+    depth N is up to about 22 ulp from the value at depth 2N."""
+
+    @settings(max_examples=120)
+    @given(log_s=log_shapes, u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4))
+    def test_series_depth_of_the_edge_serves_every_x(self, log_s, u):
+        s = math.exp(log_s)
+        x = np.array(u) * (s + 1.0)
+        depth = step_limit(lambda: numerics._gamma_series(s, np.ones(1)))
+        deep = gamma_series(s, x, 2 * depth)
+        # The tail bound above, plus 4 ulp of rounding.
+        bound = numerics._CF_EPS * (s + 1.0) / depth + 4.0 * np.spacing(1.0)
+        assert np.all(np.abs(numerics._gamma_series(s, x) / deep - 1.0) <= bound)
+
+    @settings(max_examples=120)
+    @given(log_s=log_shapes, v=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4))
+    def test_fraction_depth_of_the_edge_serves_every_x(self, log_s, v):
+        s = math.exp(log_s)
+        x = (s + 1.0) * np.exp(v)
+        depth = step_limit(lambda: numerics._gamma_cont_frac(s, np.ones(1)))
+        deep = gamma_fraction(s, x, 2 * depth)
+        assert np.all(np.abs(numerics._gamma_cont_frac(s, x) / deep - 1.0) <= 32.0 * np.spacing(1.0))
+
+    @settings(max_examples=60)
+    @given(log_s=log_shapes, u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           v=st.floats(0.0, 5.0), w=st.floats(0.0, 1.0, exclude_max=True))
+    def test_against_mpmath(self, log_s, u, v, w):
+        # log Q(s, base + x) - log Q(s, base) on each branch, with base = 0
+        # and with base = w (base + x).
+        s = math.exp(log_s)
+        for y in (u * (s + 1.0), (s + 1.0) * math.exp(v)):
+            for base in (0.0, w * y):
+                x = y - base
+                with mpmath.workdps(40):
+                    exact = mpmath.log(mpmath.gammainc(s, mpmath.mpf(base) + x, mpmath.inf, regularized=True))
+                    if base:
+                        exact -= mpmath.log(mpmath.gammainc(s, base, mpmath.inf, regularized=True))
+                got = reg_upper_gamma(s, x, log=True, base=base)
+                assert abs(got - float(exact)) <= 5e-13 * max(1.0, abs(float(exact)))
 
 
 class TestRegUpperGamma:
@@ -380,7 +458,7 @@ class TestRegUpperGamma:
 
     def test_batch_is_bit_identical_to_single_calls(self):
         # Series points (x < s + 1) and continued-fraction points, with and
-        # without a base: each element leaves its loop at its own step.
+        # without a base: each branch is cut at one depth per s.
         rng = np.random.default_rng(13)
         for s in (0.7, 5.5, 21.0):
             x = np.concatenate([rng.uniform(0.0, 2.0 * s + 4.0, 30), [1e-12, s, s + 1.0, 300.0]])

@@ -27,6 +27,20 @@ u(F) = min(a0/F, 1).  HB at L = 0 has u(F) = phi(F)/F with
 qa = p(k-1)/2 + a and b = n/2 - c - a, taken here from scipy's ``betainc``.
 CLASS1 with phi(F, S) = c F/(1 + F) has u(F) = c/(1 + F).
 
+HB at L > 0 has u = phi(F, S)/F, and phi depends on S = sigma^2 chi2_n as
+well, so the mean is over the two independent chi-squares of F' =
+chi2_{d+2}/chi2_n.  In T = F'/(1 + F') ~ Beta((d+2)/2, n/2) and R =
+chi2_{d+2} + chi2_n ~ chi2_{n+d+2}, which are independent, S = sigma^2
+R (1 - T), and E[(1 - u)^2] is a product Gauss-Jacobi by generalized
+Gauss-Laguerre rule from scipy.  At each node phi is the ratio
+
+    int_0^T z^qa (1-z)^(m-qa-1) Q dz / int_0^T z^(qa-1) (1-z)^(m-qa) Q dz,
+
+Q = Q(m+1, kappa/(1-z))/Q(m+1, kappa), kappa = L S/2 and m = (n + d)/2 -
+c, by scipy's ``quad_vec``.  For integer m + 1, Q(m+1, y) = e^-y
+sum_{j<=m} y^j/j! (DLMF 8.4.10), taken in log space so that it cannot
+underflow.
+
 JS shrinks X_1 toward 0 and, with Q = V_1^{-1} as in the benchmark, has
 at every mean the closed-form risk (James & Stein 1961; Bock 1975)
 
@@ -35,6 +49,8 @@ at every mean the closed-form risk (James & Stein 1961; Bock 1975)
 lam = mu_1' V_1^{-1} mu_1 / sigma^2, where E[1/chi2_p(lam)] is the Poisson
 mixture of 1/(p - 2 + 2K), K ~ Poisson(lam/2).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -86,6 +102,41 @@ def exact_js_risk(spec):
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     p, n = spec.p, spec.n
     return p - (p - 2.0) ** 2 * n / (n + 2.0) * np.sum(weights / (p - 2.0 + 2.0 * terms))
+
+
+def hb_lpos_mean_square(spec, a, c, L, nodes=24):
+    """E[(1 - phi(F', S)/F')^2] of HB at L > 0 on an equal-means model, on
+    ``nodes`` x ``nodes`` points of (T, R).  On the table1 model at L = 0.5
+    and 5, 24 nodes agree with 48 to 5e-13."""
+    d, n = spec.p * (spec.k - 1), spec.n
+    qa, m = 0.5 * d + a, 0.5 * (n + d) - c
+    j = np.arange(round(m + 1.0))[:, None]
+    assert j.size == m + 1.0
+    log_fact = special.gammaln(j + 1.0)
+    xt, wt = special.roots_jacobi(nodes, 0.5 * n - 1.0, 0.5 * d)
+    xr, wr = special.roots_genlaguerre(nodes, 0.5 * (n + d))
+    t = np.repeat(0.5 * (1.0 + xt), nodes)
+    kappa = 0.5 * L * spec.sigma2 * np.tile(2.0 * xr, nodes) * (1.0 - t)
+    log_p = lambda y: special.logsumexp(j * np.log(y) - log_fact, axis=0)
+    log_p0 = log_p(kappa)
+
+    def integrands(v, scale):
+        # In z = T v over v in [0, 1]: the numerator and the denominator,
+        # each over its own magnitude, so that one relative tolerance
+        # serves both at every node.
+        z = t * v
+        q = np.exp(-kappa * z / (1.0 - z) + log_p(kappa / (1.0 - z)) - log_p0)
+        core = v ** (qa - 1.0) * (1.0 - z) ** (m - qa) * q
+        return np.concatenate([core * v / (1.0 - z), core]) / scale
+
+    scale = np.ones(2 * t.size)
+    for _ in range(2):
+        scale = scale * integrate.quad_vec(
+            integrands, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, norm="max", args=(scale,)
+        )[0]
+    num, den = np.split(scale, 2)
+    u = (1.0 - t) * num / den
+    return (wt / wt.sum()) @ ((1.0 - u) ** 2).reshape(nodes, nodes) @ (wr / wr.sum())
 
 
 TABLE1_PLANS = table1_preset(replications=1)
@@ -148,6 +199,31 @@ def test_hb_prial_matches_the_exact_value(table1_reports, label, plan):
     assert exact == pytest.approx(13.9547, abs=1e-4)
     entry = _entry(table1_reports, label, "HB")
     assert abs(entry.prial - exact) <= 4.0 * entry.prial_std_error
+
+
+def _table1_hb():
+    _, plan = EQUAL_MEANS_PLANS[0]
+    (hb,) = [cfg for cfg in plan.estimators if cfg.kind == "HB"]
+    return plan.spec, hb
+
+
+def test_hb_lpos_oracle_tends_to_the_l0_value():
+    # As L -> 0, Q -> 1 and phi is the L = 0 ratio of incomplete betas.
+    spec, hb = _table1_hb()
+    exact = full_shrink_prial(spec) * (1.0 - hb_lpos_mean_square(spec, hb.a, hb.c, 1e-12))
+    assert exact == pytest.approx(13.9547, abs=1e-4)
+
+
+def test_hb_lpos_prials_match_the_exact_values():
+    # The two HB entries of data/hb_config.json (L = 0.5 and 5, c = 1, a
+    # derived) on the equal-means table1 model.
+    spec, hb = _table1_hb()
+    configs = [dataclasses.replace(hb, L=L, label=f"HB{L:g}") for L in (0.5, 5.0)]
+    (report,) = simulate_many([SimPlan(spec, tuple(configs), 8192, 2024)])
+    for cfg, entry, pinned in zip(configs, report.estimators, (10.1906, 1.2656)):
+        exact = full_shrink_prial(spec) * (1.0 - hb_lpos_mean_square(spec, cfg.a, cfg.c, cfg.L))
+        assert exact == pytest.approx(pinned, abs=1e-4)
+        assert abs(entry.prial - exact) <= 4.0 * entry.prial_std_error
 
 
 def test_class1_prial_matches_the_exact_value():
