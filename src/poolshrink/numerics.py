@@ -178,60 +178,95 @@ def reg_inc_beta(a: float, b: float, x):
     return out.reshape(xarr.shape)
 
 
-def _gamma_series(s: float, x: np.ndarray) -> np.ndarray:
-    """The series sum_i x^i/(s (s+1) ... (s+i)) = (1 + x/(s+1) (1 + x/(s+2)
-    (1 + ...)))/s of P(s, x) for x < s + 1, cut after the first term below
-    1e-15 of the sum at x = s + 1 and summed backward."""
-    if not x.size:
-        return x
+def _by_depth(s: float, x: np.ndarray, depth: Callable):
+    """(order, n, steps): the order of x by falling depth, the depths in that
+    order, and the pairs (i, k) for i from the largest depth down to 1, k
+    the number of x whose depth is at least i.  The gamma series and
+    fraction converge slower the nearer x lies to the branch edge s + 1, so
+    x takes the depth depth(s, d, _CF_MAXIT) at the point (s+1)(1+d) that
+    is nearest the edge in its octave of distance x/(s+1) - 1 from it:
+    [d, 2d) for d > 0, (2d, d] for d < 0, or d = 0.  So no value depends
+    on its batch, and the values far from the edge take fewer steps."""
+    mant, exp = np.frexp(x / (s + 1.0) - 1.0)
+    near = np.ldexp(np.clip(mant, -0.5, 0.5), exp)
+    # The distinct octaves.  (np.unique would do, but its first call costs
+    # more than a megabyte of peak memory.)
+    octaves = np.sort(near)
+    octaves = octaves[np.diff(octaves, prepend=-np.inf) > 0.0]
+    n = [depth(s, float(d), _CF_MAXIT) for d in octaves]
+    n = np.array(n, dtype=np.int16)[np.searchsorted(octaves, near)]
+    order = np.argsort(-n, kind="stable")
+    i = np.arange(n.max(initial=0), 0, -1)
+    return order, n[order], zip(i.tolist(), np.searchsorted(-n[order], -i, side="right").tolist())
+
+
+@lru_cache(maxsize=4096)
+def _series_depth(s: float, d: float, maxit: int) -> int:
+    """The first term of the series of P below 1e-15 of the sum, at x =
+    (s+1)(1+d), within maxit terms.  Term i over term i-1 is x/(s+i), which
+    grows with x."""
     term = total = 1.0 / s
-    for n in range(1, _CF_MAXIT + 1):
-        term *= (s + 1.0) / (s + n)
+    for n in range(1, maxit + 1):
+        term *= (s + 1.0) * (1.0 + d) / (s + n)
         total += term
         if term < total * _CF_EPS:
-            break
-    else:
-        raise ValueError("incomplete gamma series did not converge")
-    t = 1.0
-    for i in range(n, 0, -1):
-        t = 1.0 + x * t / (s + i)
-    return t / s
+            return n
+    raise ValueError("incomplete gamma series did not converge")
+
+
+def _gamma_series(s: float, x: np.ndarray) -> np.ndarray:
+    """The series sum_i x^i/(s (s+1) ... (s+i)) = (1 + x/(s+1) (1 + x/(s+2)
+    (1 + ...)))/s of P(s, x) for x < s + 1, summed backward from the depth
+    of ``_by_depth``; step i runs on the prefix of x whose depth is >= i."""
+    order, _, steps = _by_depth(s, x, _series_depth)
+    xs, t = x[order], np.ones_like(x)
+    for i, k in steps:
+        t[:k] = 1.0 + xs[:k] * t[:k] / (s + i)
+    out = np.empty_like(x)
+    out[order] = t / s
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _fraction_depth(s: float, d: float, maxit: int) -> int:
+    """The step at which the modified Lentz test |delta - 1| < 1e-15 passes
+    on the fraction of Q, at x = (s+1)(1+d), within maxit steps.  Its b_i
+    grow with x, and so does its speed of convergence."""
+    b0 = 2.0 + (s + 1.0) * d  # x + 1 - s
+    c, h = 1.0 / _TINY, 1.0 / b0
+    for n in range(1, maxit + 1):
+        an = -n * (n - s)
+        h = 1.0 / (an * h + b0 + 2 * n)
+        c = b0 + 2 * n + an / c
+        if abs(c * h - 1.0) < _CF_EPS:
+            return n
+    raise ValueError("incomplete gamma continued fraction did not converge")
 
 
 def _gamma_cont_frac(s: float, x: np.ndarray) -> np.ndarray:
     """The continued fraction 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))), a_i =
     -i(i-s), b_i = x + 1 - s + 2i, of Q(s, x) for x >= s + 1 (Numerical
-    Recipes, section 6.2), cut after a_N, N the step at which the modified
-    Lentz test |delta - 1| < 1e-15 passes at x = s + 1, and evaluated
-    backward, t <- b_{i-1} + a_i/t.  There the Lentz denominators stay near
-    b_i = 2 + 2i, and the backward tails positive, so neither needs a guard
-    against zero."""
-    if not x.size:
-        return x
-    c, d = 1.0 / _TINY, 0.5  # d = 1/b_0, and b_0 = 2 at x = s + 1
-    for n in range(1, _CF_MAXIT + 1):
-        an = -n * (n - s)
-        d = 1.0 / (an * d + 2.0 + 2 * n)
-        c = 2.0 + 2 * n + an / c
-        if abs(c * d - 1.0) < _CF_EPS:
-            break
-    else:
-        raise ValueError("incomplete gamma continued fraction did not converge")
-    b0 = x + 1.0 - s
-    t = b0 + 2 * n
-    for i in range(n, 0, -1):
-        t = b0 + 2 * (i - 1) - i * (i - s) / t
-    return 1.0 / t
+    Recipes, section 6.2), cut after a_N, N the depth of ``_by_depth``, and
+    evaluated backward, t <- b_{i-1} + a_i/t, step i on the prefix of x
+    whose depth is >= i.  The Lentz denominators stay near b_i >= 2 + 2i,
+    and the backward tails positive, so neither needs a guard."""
+    order, n, steps = _by_depth(s, x, _fraction_depth)
+    b0 = x[order] + 1.0 - s
+    t = b0 + 2.0 * n
+    for i, k in steps:
+        t[:k] = b0[:k] + 2 * (i - 1) - i * (i - s) / t[:k]
+    out = np.empty_like(x)
+    out[order] = 1.0 / t
+    return out
 
 
 def _log_upper_gamma(s: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log Q(s, x), log Q(s, x) - (s log x - x - lgamma(s))) for finite x > 0.
 
     P = 1 - Q by ``_gamma_series`` for x < s + 1, Q by ``_gamma_cont_frac``
-    otherwise, each cut at one depth per s found at the branch edge x = s + 1,
-    where it converges slowest (ValueError past ``_CF_MAXIT``); so no value
-    depends on its batch.  The second array is the fraction's log, NaN on
-    the series branch, where Q is not small.
+    otherwise, each cut at one depth per octave of ``_by_depth``
+    (ValueError past ``_CF_MAXIT`` steps).  The second array is the
+    fraction's log, NaN on the series branch, where Q is not small.
     """
     log_q = -x + s * np.log(x) - math.lgamma(s)
     rest = np.full_like(x, np.nan)

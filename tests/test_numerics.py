@@ -342,13 +342,15 @@ def gamma_fraction(s, x, depth):
 
 
 class TestGammaDepth:
-    """Each branch of ``reg_upper_gamma`` is cut at one depth N(s), found at
-    the branch edge x = s + 1, where it converges slowest.
+    """Each branch of ``reg_upper_gamma`` is cut at one depth per octave of
+    the distance x/(s+1) - 1 from the branch edge x = s + 1, that of the
+    octave's point x_d nearest the edge, where it converges slowest.
 
-    The series: term i+1 over term i is x/(s+i+1), so the terms after N
-    over those up to N are a sum of products of x/(s+l), each growing with
-    x.  At the edge these ratios fall from r = (s+1)/(s+N+1), so the tail
-    is below 1e-15 r/(1-r) = 1e-15 (s+1)/N of the sum.
+    The series: term i+1 over term i is x/(s+i+1), so term N over the sum
+    up to N, 1/sum_i x^(i-N) (s+i+1) ... (s+N), grows with x, and is below
+    1e-15 for x <= x_d.  The terms after N over those up to N are a sum of
+    products of x/(s+l), l > N, which fall from r = x/(s+N+1) <= (s+1)/(s+N+1),
+    so the tail is below 1e-15 r/(1-r) <= 1e-15 (s+1)/N of the sum.
 
     The fraction: its approximants' denominators are Laguerre polynomials
     in -x, which grow like exp(2 sqrt(N x)), so the N-th approximant errs
@@ -357,25 +359,57 @@ class TestGammaDepth:
     fraction converges slowly (s near 0.05, about 77 steps) the value at
     depth N is up to about 22 ulp from the value at depth 2N."""
 
+    @staticmethod
+    def depth(s, x, cut):
+        """The depth at which ``cut`` evaluates x (one element)."""
+        return step_limit(lambda: cut(s, np.array([x])))
+
     @settings(max_examples=120)
     @given(log_s=log_shapes, u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4))
-    def test_series_depth_of_the_edge_serves_every_x(self, log_s, u):
+    def test_series_depth_of_the_octave_serves_its_x(self, log_s, u):
         s = math.exp(log_s)
         x = np.array(u) * (s + 1.0)
-        depth = step_limit(lambda: numerics._gamma_series(s, np.ones(1)))
-        deep = gamma_series(s, x, 2 * depth)
-        # The tail bound above, plus 4 ulp of rounding.
-        bound = numerics._CF_EPS * (s + 1.0) / depth + 4.0 * np.spacing(1.0)
-        assert np.all(np.abs(numerics._gamma_series(s, x) / deep - 1.0) <= bound)
+        got = numerics._gamma_series(s, x)
+        for xi, gi in zip(x, got):
+            depth = self.depth(s, xi, numerics._gamma_series)
+            deep = gamma_series(s, xi, 2 * depth)
+            # The tail bound above, plus 4 ulp of rounding.
+            bound = numerics._CF_EPS * (s + 1.0) / depth + 4.0 * np.spacing(1.0)
+            assert abs(gi / deep - 1.0) <= bound
 
     @settings(max_examples=120)
     @given(log_s=log_shapes, v=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4))
-    def test_fraction_depth_of_the_edge_serves_every_x(self, log_s, v):
+    def test_fraction_depth_of_the_octave_serves_its_x(self, log_s, v):
         s = math.exp(log_s)
         x = (s + 1.0) * np.exp(v)
-        depth = step_limit(lambda: numerics._gamma_cont_frac(s, np.ones(1)))
-        deep = gamma_fraction(s, x, 2 * depth)
-        assert np.all(np.abs(numerics._gamma_cont_frac(s, x) / deep - 1.0) <= 32.0 * np.spacing(1.0))
+        got = numerics._gamma_cont_frac(s, x)
+        for xi, gi in zip(x, got):
+            deep = gamma_fraction(s, xi, 2 * self.depth(s, xi, numerics._gamma_cont_frac))
+            assert abs(gi / deep - 1.0) <= 32.0 * np.spacing(1.0)
+
+    def test_octave_depths_fall_away_from_the_edge(self):
+        # x = 0.9 (s+1) and 1.1 (s+1) need fewer steps than the edge, where
+        # the series takes 48 at s = 20; all of x < (s+1)/2 takes the depth
+        # at (s+1)/2.
+        s = 20.0
+        edge = self.depth(s, s + 1.0, numerics._gamma_series)
+        assert edge == 48
+        assert self.depth(s, 0.9 * (s + 1.0), numerics._gamma_series) < edge
+        half = self.depth(s, 0.5 * (s + 1.0), numerics._gamma_series)
+        assert self.depth(s, 1e-3, numerics._gamma_series) == half < 30
+        frac_edge = self.depth(s, s + 1.0, numerics._gamma_cont_frac)
+        assert self.depth(s, 1.1 * (s + 1.0), numerics._gamma_cont_frac) < frac_edge
+
+    @pytest.mark.parametrize("s", [4010.0, 1e4, 1e5])
+    def test_large_shape(self, s):
+        # Past s = 3973 the series needs more than 500 terms at the edge;
+        # x off the edge by a tenth or more takes the depth of its own
+        # octave, and converges.
+        x = np.array([1.0, 0.4 * s, 0.9 * (s + 1.0), 1.1 * (s + 1.0), 3.0 * s])
+        got = reg_upper_gamma(s, x, log=True)
+        with mpmath.workdps(40):
+            exact = [float(mpmath.log(mpmath.gammainc(s, xi, mpmath.inf, regularized=True))) for xi in x]
+        np.testing.assert_allclose(got, exact, rtol=1e-11, atol=1e-11)
 
     @settings(max_examples=60)
     @given(log_s=log_shapes, u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
