@@ -36,7 +36,7 @@ import numpy as np
 
 from .minimax import check_hb_domain, optimal_eb_constant, optimal_heb_constants, solve_hb_a
 from .model import ModelSpec, Sample, validate_spec
-from .numerics import QuadratureError, _beta_cont_frac, f_quantile, gauss_jacobi, reg_upper_gamma
+from .numerics import QuadratureError, _beta_cont_frac, _log_q_ratio, f_quantile, gauss_jacobi
 from .statistics import batch_pooled_stats, g_statistic
 
 __all__ = [
@@ -213,11 +213,11 @@ def _phi_hb_lpos(F: np.ndarray, S: np.ndarray, qa: float, m: float, L: float) ->
     become exponentials, the near-singular (1-z)^(m-qa-1) at z -> 1 among
     them, and the cutoff of Q at x ~ (m+1)/kappa is smooth.  log x stops
     at F or where the integrand has fallen by about e^-45 (through Q or
-    through (1+x)^-(m-qa)).  Q is taken in log space relative to
-    Q(m+1, kappa), so it may underflow.  Two rule orders give each value
-    an error estimate; rows that miss ``_HB_RTOL`` raise QuadratureError.
-    The estimate does not see the truncation of log x, whose bounds are
-    analytic.
+    through (1+x)^-(m-qa)).  Q is taken in log space relative to the row's
+    Q(m+1, kappa), evaluated once per row, so it may underflow.  Two rule
+    orders give each value an error estimate; rows that miss ``_HB_RTOL``
+    raise QuadratureError.  The estimate does not see the truncation of
+    log x, whose bounds are analytic.
     """
     beta = m - qa
     kappa = 0.5 * L * S
@@ -246,10 +246,10 @@ def _phi_hb_lpos(F: np.ndarray, S: np.ndarray, qa: float, m: float, L: float) ->
 
     rules = [_hb_lpos_rule(zmax, span, width, qa, m, pair) for pair in _hb_rules(qa)]
     # log Q(m+1, kappa (1+x)) - log Q(m+1, kappa) at the nodes of both rules,
-    # in one call.
-    base = kappa[np.concatenate([rule[0] for rule in rules])]
+    # in one call that takes each row's Q(m+1, kappa) once.
+    row = np.concatenate([rule[0] for rule in rules])
     x = np.concatenate([rule[1] for rule in rules])
-    log_q = reg_upper_gamma(m + 1.0, base * x, log=True, base=base)
+    log_q = _log_q_ratio(m + 1.0, kappa, row, kappa[row] * x)
     split = np.cumsum([rule[1].size for rule in rules])[:-1]
     values = []
     for (row, _, log_num, log_den), lq in zip(rules, np.split(log_q, split)):

@@ -279,49 +279,48 @@ def _log_upper_gamma(s: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_q, rest
 
 
-def reg_upper_gamma(s: float, x, log: bool = False, base=0.0):
-    """Regularized upper incomplete gamma ratio Q(s, base + x) / Q(s, base),
-    or its natural log when ``log`` is true.
-
-    With the default ``base = 0`` this is Q(s, x) = Gamma(s, x) / Gamma(s)
-    itself.  A positive ``base`` (broadcast against ``x``) keeps the ratio
-    accurate when x is small against base, where log Q(s, base + x) and
-    log Q(s, base) can be large and nearly equal.  The log stays finite
-    where Q underflows, and Q(s, inf) = 0.
+def reg_upper_gamma(s: float, x, log: bool = False):
+    """Regularized upper incomplete gamma ratio Q(s, x) = Gamma(s, x) / Gamma(s),
+    or its natural log when ``log`` is true.  The log stays finite where Q
+    underflows, and Q(s, inf) = 0.
     """
     if not s > 0.0:
         raise ValueError(f"shape parameter must be positive, got s={s}")
-    xarr, barr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(base, dtype=float))
-    if np.any(xarr < 0.0) or np.any(barr < 0.0) or not np.all(np.isfinite(barr)):
-        raise ValueError("x must be nonnegative and base nonnegative and finite")
-    scalar = xarr.ndim == 0
-    xv = np.atleast_1d(xarr).astype(float).ravel()
-    bv = np.atleast_1d(barr).astype(float).ravel()
+    xarr = np.asarray(x, dtype=float)
+    if np.any(xarr < 0.0):
+        raise ValueError("x must be nonnegative")
+    xv = xarr.ravel()
     out = np.where(np.isinf(xv), -np.inf, np.where(np.isnan(xv), np.nan, 0.0))
     live = (xv > 0.0) & np.isfinite(xv)
-    xl, bl = xv[live], bv[live]
-    # Bases repeat (one per row of a batch of integrals): evaluate each
-    # positive one once, in the same pass as the sums.
-    uniq, inv = np.unique(bl, return_inverse=True)
-    zero = uniq == 0.0
-    log_q, rest = _log_upper_gamma(s, np.concatenate([bl + xl, uniq[~zero]]))
-    n = xl.size
-    base_log_q = np.zeros_like(uniq)
-    base_rest = np.full_like(uniq, np.nan)
-    base_log_q[~zero], base_rest[~zero] = log_q[n:], rest[n:]
-    vals = log_q[:n] - base_log_q[inv]
-    # Where base is on the continued-fraction branch (so is base + x),
-    # both logs are of order -base: take the difference of the
-    # prefactors through x, so that no large terms cancel.
-    far = ~np.isnan(base_rest[inv])
-    vals[far] = rest[:n][far] - base_rest[inv][far] + s * np.log1p(xl[far] / bl[far]) - xl[far]
-    out[live] = np.minimum(vals, 0.0)
-
+    out[live] = np.minimum(_log_upper_gamma(s, xv[live])[0], 0.0)
     if not log:
         out = np.exp(out)
-    if scalar:
+    if xarr.ndim == 0:
         return float(out[0])
     return out.reshape(xarr.shape)
+
+
+def _log_q_ratio(s: float, base: np.ndarray, row: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log Q(s, base[row] + x) - log Q(s, base[row]) for finite base >= 0
+    and finite x >= 0.  Each positive base is evaluated once, in the same
+    pass as the nodes (one pass costs less than two on a small batch).
+    Where base is on the continued-fraction branch (so is base + x), both
+    logs are of order -base: the difference is taken of the fractions' logs
+    and of the prefactors through x, so that no large terms cancel."""
+    out = np.zeros_like(x)
+    live = x > 0.0
+    r, xl = row[live], x[live]
+    pos = base > 0.0
+    log_q, rest = _log_upper_gamma(s, np.concatenate([base[r] + xl, base[pos]]))
+    n = xl.size
+    base_log_q, base_rest = np.zeros_like(base), np.full_like(base, np.nan)
+    base_log_q[pos], base_rest[pos] = log_q[n:], rest[n:]
+    vals = log_q[:n] - base_log_q[r]
+    far = ~np.isnan(base_rest[r])
+    r, xl = r[far], xl[far]
+    vals[far] = rest[:n][far] - base_rest[r] + s * np.log1p(xl / base[r]) - xl
+    out[live] = np.minimum(vals, 0.0)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,41 @@ class TestPhiHbPositiveL:
         want = phi_hb(F, 1.0, *args, 0.0)
         np.testing.assert_allclose(phi_hb(F, 1e-16, *args, 0.5), want, rtol=1e-12)
 
+    @pytest.mark.parametrize("model", sorted(HB_MODELS))
+    def test_zero_kappa_is_the_zero_l_value(self, model):
+        # kappa = LS/2 rounds to 0 at L = 5e-324, so Q(m+1, kappa (1+x)) = 1:
+        # the L = 0 ratio, with no gamma taken at 0 (where its log would
+        # divide by zero).
+        args = HB_MODELS[model]
+        F = np.array([1e-3, 1.0, 1e3, 1e6])
+        S = np.array([1e-3, 1.0, 1e3, 1e300])
+        assert np.all(0.5 * 5e-324 * S == 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = phi_hb(F, S, *args, 5e-324)
+            want = phi_hb(F, S, *args, 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("L", [0.5, 5.0])
+    def test_large_kappa(self, L):
+        # n = 2000, so the gamma's shape is m + 1 = 1010.  kappa = LS/2 lies
+        # on the series side of its branch edge at S = 200 and on the
+        # continued-fraction side at S = 8000 (kappa up to 20,000), where
+        # Q(m+1, kappa (1+x)) / Q(m+1, kappa) is taken through the
+        # fractions' logs.  The values are
+        # mpmath_phi_hb([0.004, 0.3, 1.5], S, 5, 5, 2000, 0.0, 1.0, L),
+        # pinned because each S takes 1-2 s.
+        pinned = {
+            (0.5, 200.0): [0.0034907268482509113, 0.010010010010010017, 0.010010010010010017],
+            (0.5, 8000.0): [0.00324797062425518, 0.004995024777800308, 0.004995024777800308],
+            (5.0, 200.0): [0.0034907268483409105, 0.010010010010010027, 0.010010010010010027],
+            (5.0, 8000.0): [0.0004999736885104107, 0.0004999736885104107, 0.0004999736885104107],
+        }
+        F = np.array([0.004, 0.3, 1.5])
+        for S in (200.0, 8000.0):
+            got = phi_hb(F, S, 5, 5, 2000, 0.0, 1.0, L)
+            np.testing.assert_allclose(got, pinned[L, S], rtol=1e-10)
+
     def test_huge_f_and_tiny_s_are_finite_and_bounded(self):
         # F ~ 1/S where z = F/(1+F) rounds to 1 and Q cuts off far below it.
         bound = (20 + 2 * BENCH_A) / (20 - 2 * (BENCH_A + 1))

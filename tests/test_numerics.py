@@ -40,6 +40,13 @@ def spec_with(V, Q):
     return ModelSpec(p=p, k=k, n=10, V=tuple(V), Q=Q, sigma2=1.0, mu=tuple(np.zeros(p) for _ in V))
 
 
+def log_q_ratio(s, base, x):
+    """numerics._log_q_ratio with every x on one row, whose base is ``base``."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    got = numerics._log_q_ratio(s, np.array([base]), np.zeros(xs.size, dtype=int), xs)
+    return got if np.ndim(x) else float(got[0])
+
+
 def simpson(f, lo, hi, panels):
     """Composite Simpson oracle (panels must be even)."""
     x = np.linspace(lo, hi, panels + 1)
@@ -425,8 +432,10 @@ class TestGammaDepth:
                     exact = mpmath.log(mpmath.gammainc(s, mpmath.mpf(base) + x, mpmath.inf, regularized=True))
                     if base:
                         exact -= mpmath.log(mpmath.gammainc(s, base, mpmath.inf, regularized=True))
-                got = reg_upper_gamma(s, x, log=True, base=base)
+                got = log_q_ratio(s, base, x)
                 assert abs(got - float(exact)) <= 5e-13 * max(1.0, abs(float(exact)))
+                if not base:
+                    assert got == reg_upper_gamma(s, x, log=True)
 
 
 class TestRegUpperGamma:
@@ -456,8 +465,6 @@ class TestRegUpperGamma:
             reg_upper_gamma(0.0, 1.0)
         with pytest.raises(ValueError):
             reg_upper_gamma(2.0, -0.5)
-        with pytest.raises(ValueError):
-            reg_upper_gamma(2.0, 0.5, base=-1.0)
 
     def test_infinite_argument(self):
         # Q(s, inf) = 0, and one infinite element leaves the rest of a batch
@@ -486,9 +493,9 @@ class TestRegUpperGamma:
                 mpmath.gammainc(s, base + mpmath.mpf(x), mpmath.inf, regularized=True)
                 / mpmath.gammainc(s, base, mpmath.inf, regularized=True)
             )
-            got = reg_upper_gamma(s, x, log=True, base=base)
+            got = log_q_ratio(s, base, x)
             assert abs(got - float(exact)) <= 1e-14 * max(1.0, abs(float(exact)))
-        assert reg_upper_gamma(20.0, 0.0, base=7.0) == 1.0
+        assert log_q_ratio(20.0, 7.0, 0.0) == 0.0
 
     def test_batch_is_bit_identical_to_single_calls(self):
         # Series points (x < s + 1) and continued-fraction points, with and
@@ -496,15 +503,23 @@ class TestRegUpperGamma:
         rng = np.random.default_rng(13)
         for s in (0.7, 5.5, 21.0):
             x = np.concatenate([rng.uniform(0.0, 2.0 * s + 4.0, 30), [1e-12, s, s + 1.0, 300.0]])
-            for base in (0.0, 0.5 * s, 3.0 * s + 5.0):
-                batch = reg_upper_gamma(s, x, log=True, base=base)
-                single = [reg_upper_gamma(s, xi, log=True, base=base) for xi in x]
+            batch = reg_upper_gamma(s, x, log=True)
+            assert np.array_equal(batch, [reg_upper_gamma(s, xi, log=True) for xi in x])
+            assert np.array_equal(batch[::-1], reg_upper_gamma(s, x[::-1], log=True))
+            bases = np.array([0.0, 0.5 * s, 3.0 * s + 5.0])
+            for base in bases:
+                batch = log_q_ratio(s, base, x)
+                single = [log_q_ratio(s, base, xi) for xi in x]
                 assert np.array_equal(batch, single)
-                assert np.array_equal(batch[::-1], reg_upper_gamma(s, x[::-1], log=True, base=base))
+                assert np.array_equal(batch[::-1], log_q_ratio(s, base, x[::-1]))
+            # All three bases in one call, one row each.
+            rows = np.repeat(np.arange(3), x.size)
+            mixed = numerics._log_q_ratio(s, bases, rows, np.tile(x, 3))
+            assert np.array_equal(mixed, np.concatenate([log_q_ratio(s, base, x) for base in bases]))
 
     def test_empty_batch(self):
         assert reg_upper_gamma(2.0, np.array([])).shape == (0,)
-        assert reg_upper_gamma(2.0, np.array([]), log=True, base=np.array([])).shape == (0,)
+        assert numerics._log_q_ratio(2.0, np.array([]), np.array([], dtype=int), np.array([])).shape == (0,)
 
     @pytest.mark.parametrize(
         "x, message",
