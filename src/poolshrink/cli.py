@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import functools
 import io
 import json
@@ -48,6 +49,27 @@ EXIT_OK = 0
 EXIT_CONDITION_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_RUNTIME_ERROR = 3
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Keep freed arrays under 32 MiB mapped for the rest of the process.
+
+    By default glibc hands a freed chunk array back to the kernel once its
+    dynamic trim threshold is passed, and the next chunk faults the same
+    pages in again (hundreds of faults per table1 run).  Fixed thresholds
+    keep them; forked pool workers inherit the setting.  Set once per
+    process, by the CLI only: the library leaves its host's allocator alone.
+    A no-op where the C library has no ``mallopt``, as on macOS or Windows."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # Blocks under 32 MiB, glibc's own ceiling for its dynamic mmap
+    # threshold, come from the heap, whose top is trimmed past 64 MiB free.
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 class ConfigError(ValueError):
@@ -497,6 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -155,6 +155,9 @@ def _phi_hb_zero_l(F: np.ndarray, qa: float, m: float) -> np.ndarray:
 _HB_ORDERS = ((48, 16), (64, 24))
 _HB_RTOL = 1e-12
 _HB_MAX_PANELS = 512
+# Nodes of both orders in one slice of rows of ``_phi_hb_lpos`` (a row has
+# at most 20,592): each node array of a slice stays at 8 MiB or less.
+_HB_NODE_BUDGET = 1 << 20
 
 
 def _hb_rules(qa: float) -> list:
@@ -164,19 +167,18 @@ def _hb_rules(qa: float) -> list:
     return [(gauss_jacobi(nz, qa - 1.0), gauss_jacobi(nt, 0.0)) for nz, nt in _HB_ORDERS]
 
 
-def _hb_lpos_rule(zmax, span, width, qa, m, rules):
+def _hb_lpos_rule(zmax, span, panels, qa, m, rules):
     """The L > 0 rule of one ``_hb_rules`` pair as flat node arrays over all
     rows: (row, x, log numerator weight, log denominator weight).  The log-x
-    panels cover [zmax/(1-zmax), that times e^span].  The weights include
-    every factor of the integrand except Q(m+1, kappa (1+x)); the
-    denominator is scaled by zmax^-qa and the numerator by zmax^-(qa+1),
-    so that neither underflows where F is tiny."""
+    panels, ``panels`` per row, cover [zmax/(1-zmax), that times e^span].
+    The weights include every factor of the integrand except
+    Q(m+1, kappa (1+x)); the denominator is scaled by zmax^-qa and the
+    numerator by zmax^-(qa+1), so that neither underflows where F is tiny."""
     (s, w), (u, wu) = rules
     nz, nt = s.size, u.size
     z = zmax[:, None] * s
     log_den_z = np.log(w) + (m - qa) * np.log1p(-z)
 
-    panels = np.minimum(np.ceil(span / width), _HB_MAX_PANELS).astype(int)
     rows = np.repeat(np.arange(zmax.size), panels)
     index = np.arange(rows.size) - (np.cumsum(panels) - panels)[rows]
     h = (span / np.maximum(panels, 1))[rows]
@@ -194,6 +196,24 @@ def _hb_lpos_rule(zmax, span, width, qa, m, rules):
     x = np.concatenate([(z / (1.0 - z)).ravel(), x_t.ravel()])
     log_den = np.concatenate([log_den_z.ravel(), log_den_t.ravel()])
     return row, x, log_den + np.log(x / zmax[row]), log_den
+
+
+def _hb_lpos_values(zmax, span, panels, kappa, qa, m):
+    """The values of both ``_hb_rules`` orders of ``_phi_hb_lpos`` at its
+    per-row panel bounds, one array per order."""
+    rules = [_hb_lpos_rule(zmax, span, panels, qa, m, pair) for pair in _hb_rules(qa)]
+    # log Q(m+1, kappa (1+x)) - log Q(m+1, kappa) at the nodes of both rules,
+    # in one call that takes each row's Q(m+1, kappa) once.
+    row = np.concatenate([rule[0] for rule in rules])
+    x = np.concatenate([rule[1] for rule in rules])
+    log_q = _log_q_ratio(m + 1.0, kappa, row, kappa[row] * x)
+    split = np.cumsum([rule[1].size for rule in rules])[:-1]
+    values = []
+    for (row, _, log_num, log_den), lq in zip(rules, np.split(log_q, split)):
+        num = np.bincount(row, np.exp(log_num + lq), minlength=zmax.size)
+        den = np.bincount(row, np.exp(log_den + lq), minlength=zmax.size)
+        values.append(zmax * num / den)
+    return values
 
 
 def _phi_hb_lpos(F: np.ndarray, S: np.ndarray, qa: float, m: float, L: float) -> np.ndarray:
@@ -217,7 +237,8 @@ def _phi_hb_lpos(F: np.ndarray, S: np.ndarray, qa: float, m: float, L: float) ->
     Q(m+1, kappa), evaluated once per row, so it may underflow.  Two rule
     orders give each value an error estimate; rows that miss ``_HB_RTOL``
     raise QuadratureError.  The estimate does not see the truncation of
-    log x, whose bounds are analytic.
+    log x, whose bounds are analytic.  The rows are evaluated in slices of
+    at most ``_HB_NODE_BUDGET`` nodes, so memory does not grow with them.
     """
     beta = m - qa
     kappa = 0.5 * L * S
@@ -243,20 +264,21 @@ def _phi_hb_lpos(F: np.ndarray, S: np.ndarray, qa: float, m: float, L: float) ->
     # integrand in log x (qa + 20 where they start, m - qa + 1 at large x):
     # at most e^20 across one panel.
     width = min(2.0, 20.0 / max(qa + 20.0, beta + 1.0))
+    panels = np.minimum(np.ceil(span / width), _HB_MAX_PANELS).astype(int)
 
-    rules = [_hb_lpos_rule(zmax, span, width, qa, m, pair) for pair in _hb_rules(qa)]
-    # log Q(m+1, kappa (1+x)) - log Q(m+1, kappa) at the nodes of both rules,
-    # in one call that takes each row's Q(m+1, kappa) once.
-    row = np.concatenate([rule[0] for rule in rules])
-    x = np.concatenate([rule[1] for rule in rules])
-    log_q = _log_q_ratio(m + 1.0, kappa, row, kappa[row] * x)
-    split = np.cumsum([rule[1].size for rule in rules])[:-1]
-    values = []
-    for (row, _, log_num, log_den), lq in zip(rules, np.split(log_q, split)):
-        num = np.bincount(row, np.exp(log_num + lq), minlength=F.size)
-        den = np.bincount(row, np.exp(log_den + lq), minlength=F.size)
-        values.append(zmax * num / den)
-    low, high = values
+    # Slices of whole rows, at least one, within the node budget.  Rows are
+    # independent, so the slicing moves no bit.
+    ends = np.cumsum(sum(nz + panels * nt for nz, nt in _HB_ORDERS))
+    low, high = np.empty_like(F), np.empty_like(F)
+    start = 0
+    while start < F.size:
+        limit = (ends[start - 1] if start else 0) + _HB_NODE_BUDGET
+        stop = max(int(np.searchsorted(ends, limit, side="right")), start + 1)
+        rows = slice(start, stop)
+        low[rows], high[rows] = _hb_lpos_values(
+            zmax[rows], span[rows], panels[rows], kappa[rows], qa, m
+        )
+        start = stop
     with np.errstate(invalid="ignore"):
         bad = ~(np.abs(high - low) <= _HB_RTOL * np.abs(high))
     if np.any(bad):

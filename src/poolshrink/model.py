@@ -88,9 +88,12 @@ class ModelSpec:
             except ValueError as exc:
                 errors.append(str(exc))
         # Without earlier errors there are k >= 2 SPD matrices V_i, so A exists.
+        # Both are checked, so V[0] - A is factored from V[0]'s symmetric
+        # part: where the two nearly cancel, the asymmetry V[0] may have can
+        # pass the tolerance relative to their difference.
         if not errors:
             try:
-                validate_spd(self.V[0] - self.A, "V[0] - A")
+                validate_spd(0.5 * (self.V[0] + self.V[0].T) - self.A, "V[0] - A")
             except ValueError:
                 errors.append("V: V[0] - A is not positive definite")
         return tuple(errors)

@@ -50,8 +50,7 @@ def symmetrize(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = _as_square(m, name)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} has non-finite entries")
-    scale = max(1.0, float(abs(m).max()))
-    if float(abs(m - m.T).max()) > SYM_RTOL * scale:
+    if float(abs(m - m.T).max()) > SYM_RTOL * float(abs(m).max()):
         raise ValueError(f"{name} is not symmetric (relative tolerance {SYM_RTOL})")
     return 0.5 * (m + m.T)
 

@@ -364,6 +364,10 @@ def _fork_map(plans: Sequence[SimPlan], tasks: list, workers: int) -> list:
     striped over the tasks; raises the failure of the first task that
     failed, or a RuntimeError for a child that sends no whole result.
     Every child is reaped, or killed and reaped, before the call returns."""
+    # numpy loads numpy.random lazily; loaded here, it is imported once
+    # rather than once in every child that draws.
+    import numpy.random  # noqa: F401
+
     results: list = [None] * len(tasks)
     children = []
     try:

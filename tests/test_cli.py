@@ -5,16 +5,22 @@ import contextlib
 import csv
 import io
 import json
+import os
+import platform
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poolshrink.cli import main, parse_estimators, parse_model
+from poolshrink import cli
+from poolshrink.cli import ConfigError, main, parse_estimators, parse_model
 from poolshrink.minimax import lincomb_shrinkage_report, solve_hb_a
 from poolshrink.numerics import QuadratureError
 
@@ -345,6 +351,52 @@ class TestConsecutiveCalls:
         assert names(capsys.readouterr().out) == ["nu_hat", "F", "G", "PT"]
         assert main(["estimate", data, "--config", bench_config]) == 0
         assert names(capsys.readouterr().out) == ["nu_hat", "F", "G", "PT", "JS", "EB", "HB", "HEB"]
+
+
+class TestAllocatorPolicy:
+    """``main`` sets glibc's allocator, once per process, to keep freed
+    arrays under 32 MiB, so that a run does not fault its working memory in
+    again for every chunk."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_policy(self):
+        cli._keep_freed_memory.cache_clear()
+        yield
+        cli._keep_freed_memory.cache_clear()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
+    def test_second_table1_run_faults_few_pages(self):
+        # Without the policy the second run took about 450 minor faults.
+        script = (
+            "import contextlib, io, resource\n"
+            "from poolshrink.cli import main\n"
+            "def run():\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(['simulate', '--preset', 'table1', '--reps', '2048']) == 0\n"
+            "run()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert int(run.stdout) < 64
+
+    def test_sets_both_thresholds_once(self, monkeypatch, bench_config, capsys):
+        calls = []
+        libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        for _ in range(2):
+            assert main(["simulate", "--config", bench_config, "--reps", "10"]) == 0
+        # M_MMAP_THRESHOLD at 32 MiB, then M_TRIM_THRESHOLD at 64 MiB.
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_no_op_without_mallopt(self, monkeypatch, bench_config, capsys):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace())
+        assert main(["simulate", "--config", bench_config, "--reps", "10"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestHbConstant:
@@ -753,17 +805,29 @@ class TestExitCodes:
         assert out.out == "" and "G is not finite: [inf]" in out.err
 
     def test_asymmetric_q_the_model_accepts(self, tmp_path, capsys):
-        # Below unit scale the model's check of Q's symmetry is absolute, so
-        # it accepts this Q; built at unit scale, the reports rejected it as
-        # "not symmetric", and check exited 3 and estimate 2.
+        # The model accepts this Q, asymmetric to 0.9e-12 relative, just
+        # inside its tolerance; the reports take its symmetric part.
         q = 1e-13 * np.eye(5)
-        q[0, 1] = 0.5e-13
+        q[0, 1] = 0.9e-25
         cfg = self._config(tmp_path, dict(SMOKE_MODEL, Q=q.tolist()))
         assert main(["check", "--config", cfg]) == 0
         report = strict_json(capsys.readouterr().out)["single_shrinkage"]
         assert report["condition_holds"]
         assert main(smoke_estimate(tmp_path, "3.7")[:2] + ["--config", cfg]) == 0
         assert "EB: " in capsys.readouterr().out
+
+    def test_asymmetric_v_below_unit_scale_exits_two(self, tmp_path, capsys):
+        # The symmetry check used to be absolute below unit scale, so check
+        # and simulate accepted this V[0] and ran on its symmetric part.
+        v0 = (1e-13 * np.array([[1.0, 0.5], [0.0, 1.0]])).tolist()
+        model = {"p": 2, "k": 3, "n": 20, "V": [v0, 2e-13, 3e-13], "Q": 1, "mu": [0, 0, 0]}
+        with pytest.raises(ConfigError, match=r"^model: V\[0\] is not symmetric"):
+            parse_model(model)
+        cfg = self._config(tmp_path, model)
+        for argv in (["check"], ["simulate", "--reps", "16"]):
+            assert main(argv + ["--config", cfg]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and "V[0] is not symmetric" in out.err
 
     @pytest.mark.parametrize(
         "units, trace, simulate_error",

@@ -290,6 +290,32 @@ class TestPhiHbPositiveL:
             np.testing.assert_allclose(got, want, rtol=1e-10)
 
     @pytest.mark.parametrize("model", sorted(HB_MODELS))
+    def test_row_slices_are_bit_identical(self, monkeypatch, model):
+        # A call is taken in slices of whole rows under a node budget, which
+        # bounds its memory; rows are independent, so any slicing gives the
+        # bits of one slice.
+        args = HB_MODELS[model]
+        F, S = (g.ravel() for g in np.meshgrid([1e-4, 1e-1, 10.0, 1e3, 1e6], [2.0, 200.0]))
+        values = estimators._hb_lpos_values
+        slices = []
+
+        def counting(*a):
+            slices.append(a[0].size)
+            return values(*a)
+
+        monkeypatch.setattr(estimators, "_hb_lpos_values", counting)
+        for L in (0.01, 0.5, 5.0):
+            got = {}
+            for budget in (1 << 40, 600, 1):
+                monkeypatch.setattr(estimators, "_HB_NODE_BUDGET", budget)
+                slices.clear()
+                got[budget] = phi_hb(F, S, *args, L)
+                assert sum(slices) == F.size
+            assert len(slices) == F.size
+            assert np.array_equal(got[1], got[1 << 40])
+            assert np.array_equal(got[600], got[1 << 40])
+
+    @pytest.mark.parametrize("model", sorted(HB_MODELS))
     def test_tiny_s_recovers_zero_l(self, model):
         # Q(m+1, LS(1+x)/2) = 1 to rounding on [0, F] once LS F is tiny, so
         # phi_hb is the L = 0 ratio of incomplete beta functions.

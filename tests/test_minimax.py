@@ -47,29 +47,30 @@ class TestSingleShrinkageReport:
         assert not single_shrinkage_report(spec).condition_holds
 
     def test_asymmetry_the_model_accepts(self):
-        # Below unit scale validate_spec checks symmetry absolutely, so it
-        # accepts V_1 with 1e-10 relative asymmetry at 1e-13 units.  Built
-        # at unit scale, the report rejected M as "not symmetric".
+        # validate_spec accepts V_1 with 0.9e-12 relative asymmetry, just
+        # inside its tolerance.  Relative to M = V_1 - A that is 1.6e-12,
+        # past it, so the report must take M's symmetric part.
         spec = scalar_spec(5, 5, 20, [1e-14 * i for i in range(1, 6)], 1.0, [0.0] * 5, 1.0)
         v1 = np.array(spec.V[0])
-        v1[0, 1] += 1e-24
+        v1[0, 1] += 0.9e-26
         skewed = ModelSpec(5, 5, 20, (v1, *spec.V[1:]), spec.Q, 1.0, spec.mu)
         assert validate_spec(skewed) == []
         assert single_shrinkage_report(skewed).ratio == pytest.approx(5.0, rel=1e-9)
 
     def test_asymmetric_q_the_model_accepts(self):
-        # The same for Q: 1e-13 [[1, 0.5], [0, 1]] passes validate_spec, and
-        # the reports take its symmetric part, as validate_spec does.
+        # The same for Q, asymmetric to 0.8e-12 relative: it passes
+        # validate_spec, and the reports take its symmetric part, about
+        # 1e-13 [[1, 0.5], [0.5, 1]], as validate_spec does.
         spec = scalar_spec(2, 5, 20, [0.1 * i for i in range(1, 6)], 1.0, [0.0] * 5)
-        q = 1e-13 * np.array([[1.0, 0.5], [0.0, 1.0]])
+        q = 1e-13 * np.array([[1.0, 0.5 + 0.4e-12], [0.5 - 0.4e-12, 1.0]])
         skewed = ModelSpec(2, 5, 20, spec.V, q, 1.0, spec.mu)
         assert validate_spec(skewed) == []
         for rep in (
             single_shrinkage_report(skewed),
             lincomb_shrinkage_report(skewed, [1.0, 2.0, 3.0, 4.0, 5.0]),
         ):
-            assert rep.ratio == pytest.approx(1.6, rel=1e-12)
-        assert double_shrinkage_report(skewed).ratio_pooled == pytest.approx(1.6, rel=1e-12)
+            assert rep.ratio == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert double_shrinkage_report(skewed).ratio_pooled == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_entries_spanning_more_than_the_float_range_of_one(self):
         # Scaled so that its largest entry is 1, Q's 1e-300 underflowed to 0

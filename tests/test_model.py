@@ -40,6 +40,22 @@ class TestValidateSpec:
         errors = validate_spec(spec)
         assert any("V[1]" in msg for msg in errors)
 
+    def test_asymmetric_v_below_unit_scale_reported(self):
+        # The symmetry check used to be absolute below unit scale, so this
+        # V[0] passed.
+        v0 = 1e-13 * np.array([[1.0, 0.5], [0.0, 1.0]])
+        spec = scalar_spec(2, 3, 10, [1e-13, 2e-13, 3e-13], 1.0, [0.0] * 3)
+        skewed = ModelSpec(2, 3, 10, (v0, *spec.V[1:]), spec.Q, 1.0, spec.mu)
+        assert validate_spec(skewed) == ["V[0] is not symmetric (relative tolerance 1e-12)"]
+
+    def test_v1_minus_a_from_the_symmetric_part(self):
+        # V[0] is symmetric to 1e-13 relative, within the tolerance, but
+        # V[0] - A is 1e-12 V[0]: relative to it, V[0]'s asymmetry is 0.1.
+        v0 = np.eye(2)
+        v0[0, 1] = 1e-13
+        spec = ModelSpec(2, 2, 10, (v0, 1e12 * np.eye(2)), np.eye(2), 1.0, (np.zeros(2),) * 2)
+        assert validate_spec(spec) == []
+
     def test_nonpositive_sigma2(self):
         spec = scalar_spec(3, 2, 10, [1.0, 1.0], 1.0, [0.0, 0.0])
         bad = ModelSpec(

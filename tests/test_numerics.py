@@ -72,6 +72,15 @@ class TestSpdHelpers:
         out = validate_spd(m)
         np.testing.assert_allclose(out, out.T)
 
+    @pytest.mark.parametrize("scale", [1e-13, 1e-200, 1.0, 1e200])
+    def test_symmetry_check_is_relative_at_every_scale(self, scale):
+        # Below unit scale the check used to be absolute, so at 1e-13 this
+        # matrix passed while at unit scale it failed.
+        with pytest.raises(ValueError, match=r"not symmetric \(relative tolerance 1e-12\)"):
+            validate_spd(scale * np.array([[1.0, 0.5], [0.0, 1.0]]))
+        tiny = scale * np.array([[1.0, 0.9e-12], [0.0, 1.0]])
+        assert np.array_equal(validate_spd(tiny), 0.5 * (tiny + tiny.T))
+
 
 class TestChmaxProduct:
     def test_benchmark_scalar_case(self):

@@ -5,6 +5,9 @@ import dataclasses
 import logging
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -659,6 +662,24 @@ class TestWarmWorkers:
         hb = preset_config("HB", spec, given={"L": 0.5})
         # Rules at z^(qa-1) and Gauss-Legendre, at both orders.
         self._check(monkeypatch, small_plan(reps=2049, estimators=[hb]), numerics.gauss_jacobi, 4)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork pool without os.fork")
+    def test_numpy_random_before_the_pool(self):
+        # numpy imports numpy.random lazily, and only the workers draw, so
+        # each worker imported it.  A fresh interpreter shows whether the
+        # calling process has.
+        script = (
+            "import sys\n"
+            "from poolshrink.risksim import simulate_many, table1_preset\n"
+            "[(_, plan)] = table1_preset(replications=2 * 2048, seed=0)[:1]\n"
+            "simulate_many([plan], workers=2)\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(risksim.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.split() == ["True"]
 
 
 def _blas_counts():
