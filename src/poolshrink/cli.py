@@ -169,12 +169,14 @@ def parse_estimators(
 ) -> tuple[EstimatorConfig, ...]:
     """Build and validate estimator configs; omitted constants become the
     preset's (see ``preset_config``), and omitted entries the five preset
-    estimators.  An entry may hold only its own kind's fields."""
+    estimators.  An entry may hold only its own kind's fields, and no two
+    entries may share a name (label, else kind, in any case)."""
     if entries is None:
         entries = [{"kind": kind} for kind in CONFIG_KINDS]
     if not isinstance(entries, list) or not entries:
         raise ConfigError("estimators: expected a nonempty list")
     configs = []
+    names: dict[str, int] = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ConfigError(f"estimators[{i}]: expected an object with a 'kind' field")
@@ -201,6 +203,9 @@ def parse_estimators(
         problems = cfg.validate(spec)
         if problems:
             raise ConfigError(f"{where}: " + "; ".join(problems))
+        j = names.setdefault(cfg.name.upper(), i)
+        if j != i:
+            raise ConfigError(f"estimators[{j}] and estimators[{i}] share the name {cfg.name!r}")
         configs.append(cfg)
     return tuple(configs)
 
@@ -377,16 +382,11 @@ def _select_estimators(
 ) -> list[EstimatorConfig | None]:
     """The entry each upper-case name in ``wanted`` selects, or None: the
     entry of that name (its label, else its kind, in any case), else the one
-    entry of that kind.  Two entries of one name are a config error, and so
-    is selecting by kind among several entries of that kind."""
-    by_name: dict[str, int] = {}
+    entry of that kind.  Selecting by kind among several entries of that
+    kind is a config error; ``parse_estimators`` rejects two of one name."""
+    by_name = {cfg.name.upper(): i for i, cfg in enumerate(configs)}
     by_kind: dict[str, list[int]] = {}
     for i, cfg in enumerate(configs):
-        first = by_name.setdefault(cfg.name.upper(), i)
-        if first != i:
-            raise ConfigError(
-                f"estimators[{first}] and estimators[{i}] share the name {cfg.name!r}"
-            )
         by_kind.setdefault(cfg.kind, []).append(i)
     selected = []
     for name in wanted:

@@ -19,10 +19,9 @@ Each kind is defined once, in the ``ESTIMATORS`` registry, as a rule
 batched over B samples; the Monte Carlo engine calls it on whole chunks
 and ``estimate`` calls it with B = 1.
 
-Degenerate statistics follow a continuity convention: a clipped factor
-min(a0/F, 1) is taken to be 1 at F = 0 (full shrink, a measure-zero
-event), a shrink-function factor phi(F, S)/F is taken to be 0, and the HB
-factor uses its analytic small-F limit.
+Every rule but PT shrinks by factors phi(stat, S)/stat from ``_factor``,
+which takes a given value where the statistic is not positive: 1 (full
+shrink) for EB and HEB, the small-F limit for HB, and 0 for the rest.
 """
 
 from __future__ import annotations
@@ -330,8 +329,9 @@ def phi_hb(F, S, p: int, k: int, n: int, a: float, c: float, L: float = 0.0):
     # ratio equals its analytic small-F limit to machine precision.
     tiny = fv < 1e-150
     if L > 0.0:
-        with np.errstate(over="ignore"):
-            tiny &= 0.5 * L * sv * fv < 1e-150
+        with np.errstate(over="ignore", invalid="ignore"):
+            kappa = 0.5 * L * sv
+            tiny &= kappa * fv < 1e-150
     out = np.where(tiny, fv * hb_small_f_factor(p, k, a), 0.0)
 
     live = ~tiny
@@ -340,6 +340,8 @@ def phi_hb(F, S, p: int, k: int, n: int, a: float, c: float, L: float = 0.0):
     else:
         if not np.all(sv[live] > 0.0):
             raise ValueError("S must be positive and not NaN when L > 0")
+        # Rows whose kappa = LS/2 overflows take the kappa -> inf limit, 0.
+        live &= kappa < np.inf
         out[live] = _phi_hb_lpos(fv[live], sv[live], qa, m, L)
     if scalar:
         return float(out[0])
@@ -444,25 +446,17 @@ class EstimatorKind:
     equivariant: bool = False
 
 
-def _shrink(x: np.ndarray, nu: np.ndarray, factor: np.ndarray) -> np.ndarray:
+def _shrink(x: np.ndarray, nu: np.ndarray | float, factor: np.ndarray) -> np.ndarray:
     """x - factor (x - nu), row by row."""
     return x - factor[:, None] * (x - nu)
 
 
-def _clipped(const: float, stat: np.ndarray) -> np.ndarray:
-    """min(const/stat, 1), taken to be 1 at stat = 0."""
-    factor = np.ones_like(stat)
+def _factor(phi: ShrinkFunction, stat: np.ndarray, S: np.ndarray, at_zero: float):
+    """phi(stat, S)/stat row by row, and ``at_zero`` where stat is not positive."""
+    factor = np.full_like(stat, at_zero)
     pos = stat > 0.0
-    factor[pos] = np.minimum(const / stat[pos], 1.0)
-    return factor
-
-
-def _handle_factor(fn: ShrinkFunction, stat: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """fn(stat, S)/stat for a user shrink function, taken to be 0 at stat = 0."""
-    factor = np.zeros_like(stat)
-    pos = stat > 0.0
-    vals = np.broadcast_to(np.asarray(fn(stat[pos], S[pos]), dtype=float), stat[pos].shape)
-    factor[pos] = vals / stat[pos]
+    live = stat[pos]
+    factor[pos] = phi(live, S[pos]) / live
     return factor
 
 
@@ -476,48 +470,44 @@ def _pt_rule(cfg, spec, x, S, nu, F):
 def _js_rule(cfg, spec, x, S, nu, F):
     """X_1 - ((p-2)/(n+2)) (S/||X_1||^2_{V_1^{-1}}) X_1; 0 when X_1 = 0."""
     norm2 = np.einsum("bi,bi->b", x @ spec.v_inv[0], x)
-    coef = np.zeros_like(norm2)
-    okay = norm2 > 0.0
-    coef[okay] = (spec.p - 2.0) / (spec.n + 2.0) * S[okay] / norm2[okay]
-    return x - coef[:, None] * x
+    js = lambda t, s: (spec.p - 2.0) / (spec.n + 2.0) * s
+    return _shrink(x, 0.0, _factor(js, norm2, S, 0.0))
 
 
 def _eb_rule(cfg, spec, x, S, nu, F):
     """X_1 - min(a0/F, 1)(X_1 - nu_hat)."""
-    return _shrink(x, nu, _clipped(cfg.a0, F))
+    return _shrink(x, nu, _factor(lambda f, s: np.minimum(cfg.a0, f), F, S, 1.0))
 
 
 def _hb_rule(cfg, spec, x, S, nu, F):
-    """X_1 - (phi_hb(F, S)/F)(X_1 - nu_hat), with the small-F factor
-    (q+a)/(q+a+1) at F = 0."""
-    factor = np.full_like(F, hb_small_f_factor(spec.p, spec.k, cfg.a))
-    pos = F > 0.0
-    factor[pos] = phi_hb(F[pos], S[pos], spec.p, spec.k, spec.n, cfg.a, cfg.c, cfg.L) / F[pos]
-    return _shrink(x, nu, factor)
+    """X_1 - (phi_hb(F, S)/F)(X_1 - nu_hat); (q+a)/(q+a+1) at F = 0."""
+    hb = lambda f, s: phi_hb(f, s, spec.p, spec.k, spec.n, cfg.a, cfg.c, cfg.L)
+    return _shrink(x, nu, _factor(hb, F, S, hb_small_f_factor(spec.p, spec.k, cfg.a)))
 
 
 def _heb_rule(cfg, spec, x, S, nu, F):
     """X_1 - min(a0/F, 1)(X_1 - nu_hat) - min(b0/G, 1) nu_hat."""
     G = g_statistic(spec, nu, S)
-    return _shrink(x, nu, _clipped(cfg.a0, F)) - _clipped(cfg.b0, G)[:, None] * nu
+    est = _eb_rule(cfg, spec, x, S, nu, F)
+    return est - _factor(lambda g, s: np.minimum(cfg.b0, g), G, S, 1.0)[:, None] * nu
 
 
 def _class1_rule(cfg, spec, x, S, nu, F):
     """X_1 - (phi(F, S)/F)(X_1 - nu_hat)."""
-    return _shrink(x, nu, _handle_factor(cfg.phi, F, S))
+    return _shrink(x, nu, _factor(cfg.phi, F, S, 0.0))
 
 
 def _class2_rule(cfg, spec, x, S, nu, F):
     """X_1 - (phi(F, S)/F)(X_1 - nu_hat) - (psi(G, S)/G) nu_hat."""
-    est = _shrink(x, nu, _handle_factor(cfg.phi, F, S))
-    return est - _handle_factor(cfg.psi, g_statistic(spec, nu, S), S)[:, None] * nu
+    est = _class1_rule(cfg, spec, x, S, nu, F)
+    return est - _factor(cfg.psi, g_statistic(spec, nu, S), S, 0.0)[:, None] * nu
 
 
 def _lincomb_rule(cfg, spec, x, S, nu, F):
     """sum_i d_i [X_i - (phi(F, S)/F)(X_i - nu_hat)], an estimate of
     sum_i d_i mu_i, as x - (phi(F, S)/F)(x - (sum_i d_i) nu_hat) with
     x = sum_i d_i X_i."""
-    return _shrink(x, sum(cfg.d) * nu, _handle_factor(cfg.phi, F, S))
+    return _shrink(x, sum(cfg.d) * nu, _factor(cfg.phi, F, S, 0.0))
 
 
 # PT, EB, HB and CLASS1 shrink X_1 toward nu_hat by a factor of F and S,

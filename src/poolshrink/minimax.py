@@ -96,19 +96,27 @@ def _shrinkage_report(m: np.ndarray, term: np.ndarray, spec: ModelSpec, e=0) -> 
     )
 
 
+def _once(spec: ModelSpec, name: str, build) -> MinimaxReport:
+    """``build()``, once per model: kept with the model's cached values,
+    which its ``with_means`` copies share."""
+    if name not in vars(spec):
+        vars(spec)[name] = build()
+    return vars(spec)[name]
+
+
 def single_shrinkage_report(spec: ModelSpec) -> MinimaxReport:
     """Condition and bounds for rules shrinking X_1 toward the pooled mean:
-    built from the matrix product (V_1 - A) Q."""
-    return _shrinkage_report(spec.V[0] - spec.A, spec.V[0], spec)
+    built from the matrix product (V_1 - A) Q, once per model."""
+    return _once(spec, "_single", lambda: _shrinkage_report(spec.V[0] - spec.A, spec.V[0], spec))
 
 
 def double_shrinkage_report(spec: ModelSpec) -> MinimaxReport:
     """Condition and bounds for double-shrinkage rules, which additionally
     pull the pooled mean toward 0: requires the trace ratio of both
     (V_1 - A) Q and A Q to exceed 2.  ``psi_upper_double`` is the
-    ``phi_upper_double`` of A Q."""
+    ``phi_upper_double`` of A Q, built once per model."""
     base = single_shrinkage_report(spec)
-    pooled = _shrinkage_report(spec.A, spec.A, spec)
+    pooled = _once(spec, "_pooled", lambda: _shrinkage_report(spec.A, spec.A, spec))
     return replace(
         base,
         condition_holds=base.condition_holds and pooled.condition_holds,

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poolshrink import cli
+from poolshrink import cli, minimax
 from poolshrink.cli import ConfigError, main, parse_estimators, parse_model
 from poolshrink.minimax import lincomb_shrinkage_report, solve_hb_a
 from poolshrink.numerics import QuadratureError
@@ -211,6 +211,32 @@ class TestSimulate:
         assert "sigma2" in capsys.readouterr().err
 
 
+class TestSimulateConfig:
+    def test_entries_sharing_a_name_are_a_config_error(self, tmp_path, capsys):
+        # Both entries were printed as rows "config,EB", so a reader keyed on
+        # (mean_config, estimator) kept one; ``estimate`` rejected the config.
+        entries = [{"kind": "EB"}, {"kind": "EB", "a0": 0.1}]
+        cfg = tmp_path / "dup.json"
+        cfg.write_text(json.dumps({"model": BENCH_MODEL, "estimators": entries}))
+        assert main(["simulate", "--config", str(cfg), "--reps", "16"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "estimators[0] and estimators[1] share the name 'EB'" in out.err
+
+    def test_hb_where_ls_overflows_is_the_limit(self, tmp_path, capsys):
+        # kappa = LS/2 overflows at L = 1e308: the run exited 3 on "repeats may
+        # not contain negative values", and under warnings as errors on an
+        # overflow.  HB is X_1 there, with PRIAL 0.
+        model = dict(BENCH_MODEL, sigma2=4.0)
+        cfg = tmp_path / "hb.json"
+        cfg.write_text(json.dumps({"model": model, "estimators": [{"kind": "HB", "L": 1e308}]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(cfg), "--reps", "256"]) == 0
+        [row] = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["estimator"] == "HB" and float(row["prial"]) == 0.0
+
+
 class TestEstimate:
     @staticmethod
     def _write_data(tmp_path, rows, s=None, header=False):
@@ -298,6 +324,21 @@ class TestEstimate:
         code, lines, _ = self._run_estimators(tmp_path, capsys, both, "HB,HB15")
         assert code == 0
         assert lines["HB"] == alone1["HB"] and lines["HB15"] == alone15["HB"]
+
+    def test_one_op_builds_each_minimax_report_once(
+        self, tmp_path, bench_config, capsys, monkeypatch
+    ):
+        # EB, HB and HEB each built the single-shrinkage report and HEB the
+        # pooled one: 4 builds, 3 of them alike.
+        calls = []
+        build = minimax._shrinkage_report
+        monkeypatch.setattr(
+            minimax, "_shrinkage_report", lambda *a, **kw: calls.append(a) or build(*a, **kw)
+        )
+        rows = [[0.1 * (i + j) for j in range(5)] for i in range(5)]
+        data = self._write_data(tmp_path, rows, s=2.0)
+        assert main(["estimate", data, "--config", bench_config]) == 0
+        assert len(calls) == 2
 
     def test_entries_sharing_a_name_are_a_config_error(self, tmp_path, capsys):
         entries = [{"kind": "HB", "c": 1}, {"kind": "JS"}, {"kind": "HB", "c": 2}]

@@ -20,7 +20,7 @@ from poolshrink import estimators, numerics
 from poolshrink.model import Sample, scalar_spec
 from poolshrink.numerics import QuadratureError
 from poolshrink.risksim import SimPlan, replication_sample
-from poolshrink.statistics import batch_pooled_stats
+from poolshrink.statistics import batch_pooled_stats, g_statistic
 
 BENCH_A = -7.72  # HB constant for the benchmark model (c=1, L=0)
 
@@ -386,6 +386,19 @@ class TestPhiHbPositiveL:
         with pytest.raises(QuadratureError, match="F=.*S="):
             phi_hb(np.array([0.5, 2.0]), 20.0, 5, 5, 20, BENCH_A, 1.0, 0.5)
 
+    def test_overflowing_kappa_is_the_limit(self):
+        # kappa = LS/2 overflows at L = 1e308 and S = 80: those rows take the
+        # kappa -> inf limit, 0.  They overflowed in a multiply, and without
+        # warnings as errors raised "repeats may not contain negative
+        # values".  At S = 1 kappa = 5e307 is finite and phi is about qa/kappa.
+        F = np.array([0.0, 1e-200, 0.5, 1e6, np.inf, 2.0])
+        S = np.array([80.0, 80.0, 80.0, 80.0, 80.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = phi_hb(F, S, 5, 5, 20, BENCH_A, 1.0, 1e308)
+        assert np.array_equal(got[:5], np.zeros(5))
+        assert got[5] == pytest.approx((10.0 + BENCH_A) / 5e307, rel=1e-3)
+
     @pytest.mark.parametrize("F", [1e-200, 0.5])
     def test_nan_s_is_named(self, F):
         # A NaN S used to warn in a cast and raise "negative dimensions are
@@ -589,6 +602,79 @@ class TestLincombEstimate:
         factor = float(phi(st.F, sample.S)) / st.F
         xbar = sample.X.mean(axis=0)
         np.testing.assert_allclose(out, xbar - factor * (xbar - st.nu_hat), rtol=1e-12)
+
+
+def capped(t, s):
+    """The shrink function min(0.2, t) of the degenerate-statistics tests."""
+    return np.minimum(0.2, t)
+
+
+class TestDegenerateStatistics:
+    """Each kind's rule at F = 0 with X_1 off nu_hat, at G = 0 (nu_hat = 0)
+    and at F = inf, bit for bit against its closed form with the factor's
+    value there, under warnings as errors.  JS at ||X_1|| = 0 is
+    ``TestJsEstimate.test_zero_x1_returns_zero``."""
+
+    spec = benchmark_spec()
+    x = np.array([0.3, -1.2, 0.8, 0.1, 2.0])
+    S = np.array([2.0])
+    D = (0.3, -0.1, 0.5, 0.2, 0.1)
+    CONFIGS = {
+        "PT": EstimatorConfig(kind="PT", alpha=0.05),
+        "EB": EstimatorConfig(kind="EB", a0=0.25),
+        "HB": EstimatorConfig(kind="HB", a=BENCH_A, c=1.0),
+        "HEB": EstimatorConfig(kind="HEB", a0=0.25, b0=0.5),
+        "CLASS1": EstimatorConfig(kind="CLASS1", phi=capped),
+        "CLASS2": EstimatorConfig(kind="CLASS2", phi=capped, psi=capped),
+        "LINCOMB": EstimatorConfig(kind="LINCOMB", d=D, phi=capped),
+    }
+
+    def rule(self, kind, nu, F):
+        cfg = self.CONFIGS[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return estimators.ESTIMATORS[kind].rule(
+                cfg, self.spec, self.x[None], self.S, nu[None], np.array([F])
+            )[0]
+
+    def closed_form(self, kind, nu, f_factor, G):
+        """x - f_factor (x - target) - g_factor nu_hat, with the G factor
+        of the kind at G (min(b0/G, 1) or psi(G, S)/G, and 1 or 0 at G = 0)."""
+        target = sum(self.D) * nu if kind == "LINCOMB" else nu
+        est = self.x - f_factor * (self.x - target)
+        if kind == "HEB":
+            return est - (min(0.5 / G, 1.0) if G > 0 else 1.0) * nu
+        if kind == "CLASS2":
+            return est - (capped(G, 2.0) / G if G > 0 else 0.0) * nu
+        return est
+
+    # The factor of F at F = 0 and at F = 1: 1 and min(a0, 1) for EB and
+    # HEB, the small-F limit and phi_hb(1, S) for HB, 0 and phi(1, S) for
+    # the shrink functions.
+    F_ZERO = {"EB": 1.0, "HEB": 1.0, "HB": hb_small_f_factor(5, 5, BENCH_A),
+              "CLASS1": 0.0, "CLASS2": 0.0, "LINCOMB": 0.0}
+    F_ONE = {"EB": 0.25, "HEB": 0.25, "HB": phi_hb(1.0, 2.0, 5, 5, 20, BENCH_A, 1.0),
+             "CLASS1": 0.2, "CLASS2": 0.2, "LINCOMB": 0.2}
+
+    @pytest.mark.parametrize("kind", sorted(F_ZERO))
+    def test_f_zero(self, kind):
+        nu = np.array([0.5, 0.25, -0.75, 1.0, 0.125])
+        G = float(g_statistic(self.spec, nu[None], self.S)[0])
+        want = self.closed_form(kind, nu, self.F_ZERO[kind], G)
+        assert np.array_equal(self.rule(kind, nu, 0.0), want)
+
+    @pytest.mark.parametrize("kind", sorted(F_ONE))
+    def test_g_zero(self, kind):
+        nu = np.zeros(5)
+        want = self.closed_form(kind, nu, self.F_ONE[kind], 0.0)
+        assert np.array_equal(self.rule(kind, nu, 1.0), want)
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_f_inf(self, kind):
+        # Every factor of F is 0 at F = inf: phi(inf, S)/inf, min(a0, inf)/inf.
+        nu = np.array([0.5, 0.25, -0.75, 1.0, 0.125])
+        G = float(g_statistic(self.spec, nu[None], self.S)[0])
+        assert np.array_equal(self.rule(kind, nu, np.inf), self.closed_form(kind, nu, 0.0, G))
 
 
 class TestTranslationEquivariance:
