@@ -35,7 +35,7 @@ import numpy as np
 
 from .minimax import check_hb_domain, optimal_eb_constant, optimal_heb_constants, solve_hb_a
 from .model import ModelSpec, Sample, validate_spec
-from .numerics import QuadratureError, _beta_cont_frac, _log_q_ratio, f_quantile, gauss_jacobi
+from .numerics import QuadratureError, _beta_cont_frac, _log_lower_gamma, f_quantile, gauss_jacobi
 from .statistics import batch_pooled_stats, g_statistic
 
 __all__ = [
@@ -149,135 +149,125 @@ def _phi_hb_zero_l(F: np.ndarray, qa: float, m: float) -> np.ndarray:
     return qa / (b + ratio)
 
 
-# Orders (Gauss-Jacobi nodes on the z panel, Gauss-Legendre nodes per log-x
-# panel) of the two rules whose difference is the error estimate for L > 0.
-_HB_ORDERS = ((48, 16), (64, 24))
+# Orders of the two Gauss-Legendre rules whose difference is the error
+# estimate for L > 0.
+_HB_ORDERS = (16, 24)
 _HB_RTOL = 1e-12
-_HB_MAX_PANELS = 512
-# Nodes of both orders in one slice of rows of ``_phi_hb_lpos`` (a row has
-# at most 20,592): each node array of a slice stays at 8 MiB or less.
-_HB_NODE_BUDGET = 1 << 20
+# Drops of the log integrand from its peak: the first panel on each side
+# ends where the estimate of ``_hb_core`` has dropped by the first, the rule
+# where its bounds have dropped by the second, and the panels between grow
+# by at most _HB_GROWTH each.
+_HB_DROPS = (10.0, 38.0)
+_HB_GROWTH = 4.0
+# Drops of log P(qa, y) left and right of its bend that get edges where it
+# may fall in a long panel: qa > beta + 1, or beta below _HB_SLOW.
+_HB_TRANSITION = ((2.0, 12.0, 36.0), (2.0, 24.0))
+_HB_SLOW = 10.0
 
 
-def _hb_rules(qa: float) -> list:
-    """Per order of ``_HB_ORDERS``, the Gauss-Jacobi rule of the z panel
-    (weight z^(qa-1)) and the Gauss-Legendre rule of the log-x panels, as
-    memoized by ``gauss_jacobi``."""
-    return [(gauss_jacobi(nz, qa - 1.0), gauss_jacobi(nt, 0.0)) for nz, nt in _HB_ORDERS]
+def _reach(k, c, sign, d, x):
+    """Three Newton steps down to the root of the convex c x + k (e^(sign x)
+    - 1) = d from x above it: where a log integrand at slope -s and curvature
+    k e^x drops by d to the right (sign 1, c = s - k), or to the left at
+    slope b - k e^-x (sign -1, c = b)."""
+    for _ in range(3):
+        x = x - (c * x + k * np.expm1(sign * x) - d) / (c + sign * k * np.exp(sign * x))
+    return x
 
 
-def _hb_lpos_rule(zmax, span, panels, qa, m, rules):
-    """The L > 0 rule of one ``_hb_rules`` pair as flat node arrays over all
-    rows: (row, x, log numerator weight, log denominator weight).  The log-x
-    panels, ``panels`` per row, cover [zmax/(1-zmax), that times e^span].
-    The weights include every factor of the integrand except
-    Q(m+1, kappa (1+x)); the denominator is scaled by zmax^-qa and the
-    numerator by zmax^-(qa+1), so that neither underflows where F is tiny."""
-    (s, w), (u, wu) = rules
-    nz, nt = s.size, u.size
-    z = zmax[:, None] * s
-    log_den_z = np.log(w) + (m - qa) * np.log1p(-z)
-
-    rows = np.repeat(np.arange(zmax.size), panels)
-    index = np.arange(rows.size) - (np.cumsum(panels) - panels)[rows]
-    h = (span / np.maximum(panels, 1))[rows]
-    # Offsets in log x from the panel start, so that x keeps full relative
-    # precision where log x is large.
-    offset = h[:, None] * (index[:, None] + u)
-    x_t = (zmax / (1.0 - zmax))[rows, None] * np.exp(offset)
-    # The z panel carries the factor zmax^qa of z = zmax s; the log-x panels
-    # are divided by it instead: x^qa / zmax^qa = exp(qa (offset - log(1-zmax))).
-    log_den_t = (
-        np.log(h[:, None] * wu) + qa * (offset - np.log1p(-zmax)[rows, None])
-        - (m + 1.0) * np.log1p(x_t)
-    )
-    row = np.concatenate([np.repeat(np.arange(zmax.size), nz), np.repeat(rows, nt)])
-    x = np.concatenate([(z / (1.0 - z)).ravel(), x_t.ravel()])
-    log_den = np.concatenate([log_den_z.ravel(), log_den_t.ravel()])
-    return row, x, log_den + np.log(x / zmax[row]), log_den
+def _reach_right(k, s, d):
+    """``_reach`` right, from the root of s x + k x^2/2 = d, which is above."""
+    x = 2.0 * d / (s + np.hypot(s, math.sqrt(2.0 * d) * np.sqrt(k)))
+    return _reach(k, s - k, 1.0, d, np.minimum(x, 700.0))
 
 
-def _hb_lpos_values(zmax, span, panels, kappa, qa, m):
-    """The values of both ``_hb_rules`` orders of ``_phi_hb_lpos`` at its
-    per-row panel bounds, one array per order."""
-    rules = [_hb_lpos_rule(zmax, span, panels, qa, m, pair) for pair in _hb_rules(qa)]
-    # log Q(m+1, kappa (1+x)) - log Q(m+1, kappa) at the nodes of both rules,
-    # in one call that takes each row's Q(m+1, kappa) once.
-    row = np.concatenate([rule[0] for rule in rules])
-    x = np.concatenate([rule[1] for rule in rules])
-    log_q = _log_q_ratio(m + 1.0, kappa, row, kappa[row] * x)
-    split = np.cumsum([rule[1].size for rule in rules])[:-1]
-    values = []
-    for (row, _, log_num, log_den), lq in zip(rules, np.split(log_q, split)):
-        num = np.bincount(row, np.exp(log_num + lq), minlength=zmax.size)
-        den = np.bincount(row, np.exp(log_den + lq), minlength=zmax.size)
-        values.append(zmax * num / den)
-    return values
+def _hb_core(F, kappa, qa, m):
+    """(u0, core, bounds): the estimated peak u0 of the denominator integrand
+    on u >= kappa, and the distances in log u from it, right and left, of
+    the first edges and of the ends.  With log P(qa, y) taken as
+    qa (1 + log(y/qa)) - y below y = qa and 0 above, the log integrand is
+    b t - w e^t: (b, w) = (m+1, 1+F) where the peak has y < qa, that is
+    F < qa/(beta+1), and (beta+1, 1) otherwise.  The core edges are where
+    that drops by the first of ``_HB_DROPS``, at most 1 away.  The bounds
+    hold for the integrands, whose log slopes are at most m + 1 - u, and
+    for the numerator at least beta - u."""
+    beta = m - qa
+    low_y = F < qa / (beta + 1.0)
+    b = np.where(low_y, m + 1.0, beta + 1.0)
+    w = np.where(low_y, 1.0 + F, 1.0)
+    peak = b / w
+    u0 = np.maximum(kappa, peak)
+    with np.errstate(over="ignore"):
+        k = np.minimum(w * u0, np.finfo(float).max)
+    first, last = _HB_DROPS
+    left = _reach(k, k, -1.0, first, 1.0 + first / k)
+    core = [np.minimum(x, 1.0) for x in (_reach_right(k, k - b, first), left)]
+    # Only a row whose u0 is its peak has a left side.
+    left = _reach(peak, beta, -1.0, last, (last + peak) / beta)
+    return u0, core, (_reach_right(u0, u0 - (m + 1.0), last), left)
+
+
+@lru_cache(maxsize=64)
+def _hb_counts(qa: float, m: float) -> tuple[int, int]:
+    """The panels of ``_hb_edges`` from each core edge to its end, right and
+    left, for the largest ratio of the two at rows at the extremes of
+    ``_hb_core``: F near and far from qa/(beta+1), kappa 0 to past the peak."""
+    edge = qa / (m - qa + 1.0)
+    F = np.repeat([1e-300, 0.5 * edge, edge * (1.0 - 1e-9), edge * (1.0 + 1e-9), 2.0 * edge, 1e300], 4)
+    kappa = np.tile([1e-300, m - qa + 1.0, m + 1.0, 1e12 * (m + 1.0)], 6)
+    u0, core, bounds = _hb_core(F, kappa, qa, m)
+    ratios = (np.max(bounds[0] / core[0]), np.max((bounds[1] / core[1])[kappa < u0]))
+    return tuple(max(1, math.ceil(math.log(r) / math.log(_HB_GROWTH) - 1e-9)) for r in ratios)
+
+
+def _hb_edges(F, kappa, qa, m):
+    """(u0, edges): the sorted panel edges of ``_phi_hb_lpos`` in t - log u0,
+    as many per row as (qa, m) fix: from the peak u0 of ``_hb_core`` to its
+    core edges, ``_hb_counts`` panels growing out to the ends, and on the
+    models of ``_HB_TRANSITION`` edges at and around the bend of P(qa, uF)."""
+    u0, core, bounds = _hb_core(F, kappa, qa, m)
+    with np.errstate(divide="ignore"):
+        ends = (bounds[0], np.minimum(bounds[1], np.log(u0) - np.log(kappa)))
+    cols = [np.zeros_like(u0)]
+    for sign, x, end, n in zip((1.0, -1.0), core, ends, _hb_counts(qa, m)):
+        ratio = np.maximum(end / x, 1.0) ** (1.0 / n)
+        cols += [sign * x * ratio**i for i in range(n + 1)]
+    if qa > m - qa + 1.0 or m - qa < _HB_SLOW:
+        q = max(qa, 1.0)
+        t_f = math.log(q) - np.log(F) - np.log(u0)
+        left, right = _HB_TRANSITION
+        cols += [t_f] + [t_f - _reach(q, q, -1.0, d, 1.0 + d / q) for d in left]
+        cols += [t_f + _reach_right(q, 0.0, d) for d in right]
+    edges = np.clip(np.stack(cols, axis=1), -ends[1][:, None], ends[0][:, None])
+    edges.sort(axis=1)
+    return u0, edges
 
 
 def _phi_hb_lpos(F: np.ndarray, S: np.ndarray, qa: float, m: float, L: float) -> np.ndarray:
-    """phi_hb for L > 0, batched over the rows of F and S.
-
-    With kappa = LS/2 the inner precision integral leaves the factor
-    Q(m+1, kappa (1+x)), so
-
-        phi = int_0^F x^qa (1+x)^-(m+1) Q dx / int_0^F x^(qa-1) (1+x)^-(m+1) Q dx.
-
-    Both integrals share their nodes.  In z = x/(1+x) the first panel
-    [0, zmax] is one Gauss-Jacobi rule whose weight carries z^(qa-1)
-    exactly; zmax = min(Z, 1/2, z_a) with Z = F/(1+F), where z_a keeps the
-    decay of Q (1+x)^-(m-qa), about exp(-(kappa + m - qa) x), across the
-    panel to about exp(-(qa+20)).  The rest of [0, F] is integrated in
-    log x on Gauss-Legendre panels: there the power laws at both ends
-    become exponentials, the near-singular (1-z)^(m-qa-1) at z -> 1 among
-    them, and the cutoff of Q at x ~ (m+1)/kappa is smooth.  log x stops
-    at F or where the integrand has fallen by about e^-45 (through Q or
-    through (1+x)^-(m-qa)).  Q is taken in log space relative to the row's
-    Q(m+1, kappa), evaluated once per row, so it may underflow.  Two rule
-    orders give each value an error estimate; rows that miss ``_HB_RTOL``
-    raise QuadratureError.  The estimate does not see the truncation of
-    log x, whose bounds are analytic.  The rows are evaluated in slices of
-    at most ``_HB_NODE_BUDGET`` nodes, so memory does not grow with them.
-    """
-    beta = m - qa
-    kappa = 0.5 * L * S
-    with np.errstate(divide="ignore", over="ignore"):
-        # The z panel ends where kappa x + (m-qa) x, the log-decay of
-        # Q (1-z)^(m-qa) across it, reaches qa + 20.
-        x_a = (qa + 20.0) / (kappa + beta)
-        zmax = np.minimum(np.minimum(F / (1.0 + F), 0.5), x_a / (1.0 + x_a))
-        # Where Q(m+1, kappa (1+x)) has fallen e^-45 below its value at the
-        # peak: kappa (1+x) = max(kappa, m+1) + 50 + 10 sqrt(m+1) + 2 qa,
-        # solved for x without forming kappa (1+x), which may round to kappa.
-        x_cut = (
-            np.maximum(m + 1.0 - kappa, 0.0) + 50.0 + 10.0 * math.sqrt(m + 1.0) + 2.0 * qa
-        ) / kappa
-        # Beyond the peak of the numerator, (1+x)^-(m-qa) has fallen e^-45.
-        log_x_decay = math.log((qa + 1.0) / beta) + 45.0 / beta + (m + 1.0) / (qa + 1.0)
-        # The log-x panels run from x_start = zmax/(1-zmax) to the first of
-        # F, x_cut and exp(log_x_decay).
-        x_start = zmax / (1.0 - zmax)
-        span = np.minimum(np.log(np.minimum(F, x_cut) / x_start), log_x_decay - np.log(x_start))
-        span = np.maximum(span, 0.0)
-    # Log-x panels short enough for the steepest exponential rate of the
-    # integrand in log x (qa + 20 where they start, m - qa + 1 at large x):
-    # at most e^20 across one panel.
-    width = min(2.0, 20.0 / max(qa + 20.0, beta + 1.0))
-    panels = np.minimum(np.ceil(span / width), _HB_MAX_PANELS).astype(int)
-
-    # Slices of whole rows, at least one, within the node budget.  Rows are
-    # independent, so the slicing moves no bit.
-    ends = np.cumsum(sum(nz + panels * nt for nz, nt in _HB_ORDERS))
-    low, high = np.empty_like(F), np.empty_like(F)
-    start = 0
-    while start < F.size:
-        limit = (ends[start - 1] if start else 0) + _HB_NODE_BUDGET
-        stop = max(int(np.searchsorted(ends, limit, side="right")), start + 1)
-        rows = slice(start, stop)
-        low[rows], high[rows] = _hb_lpos_values(
-            zmax[rows], span[rows], panels[rows], kappa[rows], qa, m
-        )
-        start = stop
+    """phi_hb for L > 0, batched over the rows of F and S, as the ratio of
+    ``phi_hb`` over u >= kappa = LS/2.  In t = log u both integrands are
+    log-concave.  They are integrated by Gauss-Legendre rules of both
+    ``_HB_ORDERS`` on the panels of ``_hb_edges``, in offsets t - log u0, so
+    that u keeps its precision where kappa is huge, with both P from one
+    ``_log_lower_gamma`` pass, and the logs shifted by the row's largest so
+    that nothing underflows.  The panels depend only on the row and (qa, m),
+    so no value depends on its batch.  Rows whose two orders differ by more
+    than ``_HB_RTOL`` raise QuadratureError."""
+    u0, edges = _hb_edges(F, 0.5 * L * S, qa, m)
+    h = np.diff(edges, axis=1)[:, :, None]
+    rules = [gauss_jacobi(n, 0.0) for n in _HB_ORDERS]
+    flat = lambda a: a.reshape(F.size, a.shape[1] * a.shape[2])
+    d = np.concatenate([flat(edges[:, :-1, None] + h * u) for u, _ in rules], axis=1)
+    log_p, log_p1 = _log_lower_gamma(qa, (np.log(u0) + np.log(F))[:, None] + d)
+    log_w = (m - qa) * d - u0[:, None] * np.expm1(d)
+    log_den, log_num = log_w + d + log_p, log_w + log_p1
+    shift = np.maximum(log_den.max(axis=1), log_num.max(axis=1))[:, None]
+    split = [rules[0][0].size * h.shape[1]]
+    num, den = (np.split(np.exp(x - shift), split, axis=1) for x in (log_num, log_den))
+    low, high = (
+        qa / u0 * ((n * flat(h * w)).sum(axis=1) / (e * flat(h * w)).sum(axis=1))
+        for n, e, (_, w) in zip(num, den, rules)
+    )
     with np.errstate(invalid="ignore"):
         bad = ~(np.abs(high - low) <= _HB_RTOL * np.abs(high))
     if np.any(bad):
@@ -303,10 +293,12 @@ def phi_hb(F, S, p: int, k: int, n: int, a: float, c: float, L: float = 0.0):
 
     with q = p(k-1)/2 and m = (n + p(k-1))/2 - c.  Nonnegative, bounded by
     (p(k-1) + 2a)/(n - 2(a+c)), nondecreasing in F and nonincreasing in S;
-    for L = 0 it does not depend on S at all.  For L > 0 the inner integral
-    is an upper incomplete gamma factor and the outer ones are computed by a
-    fixed-order rule batched over all values (see ``_phi_hb_lpos``); a value
-    whose error estimate misses 1e-12 relative raises QuadratureError.
+    for L = 0 it does not depend on S at all.  For L > 0 the x integrals are
+    done first, as lower incomplete gammas P: with u = v/2 and qa = q + a,
+    phi = qa int u^(m-qa-1) e^-u P(qa+1, uF) du / int u^(m-qa) e^-u
+    P(qa, uF) du over u >= LS/2, by a fixed-order rule batched over all
+    values (``_phi_hb_lpos``); a value whose error estimate misses 1e-12
+    relative raises QuadratureError.
 
     Broadcasts over array-valued F (and S).  Raises unless (a, c, L) lies
     in the domain of ``minimax.check_hb_domain``.
@@ -320,13 +312,14 @@ def phi_hb(F, S, p: int, k: int, n: int, a: float, c: float, L: float = 0.0):
         raise ValueError("F must be nonnegative and not NaN")
     scalar = farr.ndim == 0 and sarr.ndim == 0
     fv, sv = np.broadcast_arrays(np.atleast_1d(farr), np.atleast_1d(sarr))
-    # F = inf is taken at the largest float, past where the integrands of
-    # both rules are cut off or underflow: the F -> inf limit.
+    # F = inf is taken at the largest float, where both rules give their
+    # F -> inf limit.
     fv = np.minimum(fv, np.finfo(float).max)
 
     # Below this point the integrands are numerically pure power laws (for
-    # L > 0, while Q(m+1, LS(1+x)/2) is also constant across [0, F]) and the
-    # ratio equals its analytic small-F limit to machine precision.
+    # L > 0, while LS F/2 is also tiny, so that P(qa, uF) is its power law
+    # wherever the weight is not) and the ratio equals its analytic small-F
+    # limit to machine precision.
     tiny = fv < 1e-150
     if L > 0.0:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -403,7 +396,8 @@ def _check_hb(cfg, spec):
     except ValueError as exc:
         return [str(exc)]
     if cfg.L > 0.0:
-        _hb_rules(0.5 * spec.p * (spec.k - 1) + cfg.a)
+        for n in _HB_ORDERS:
+            gauss_jacobi(n, 0.0)
     return []
 
 
@@ -413,9 +407,17 @@ def _check_weights(cfg, spec):
     return []
 
 
+@lru_cache(maxsize=64)
+def _first_unit(k: int) -> np.ndarray:
+    """e_1 among k means, read-only."""
+    e1 = np.eye(1, k)[0]
+    e1.flags.writeable = False
+    return e1
+
+
 def _first_mean(cfg: EstimatorConfig, spec: ModelSpec) -> np.ndarray:
     """The weights e_1 of the estimand mu_1."""
-    return np.eye(spec.k)[0]
+    return _first_unit(spec.k)
 
 
 @dataclass(frozen=True)

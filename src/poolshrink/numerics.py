@@ -213,17 +213,23 @@ def _series_depth(s: float, d: float, maxit: int) -> int:
     raise ValueError("incomplete gamma series did not converge")
 
 
-def _gamma_series(s: float, x: np.ndarray) -> np.ndarray:
-    """The series sum_i x^i/(s (s+1) ... (s+i)) = (1 + x/(s+1) (1 + x/(s+2)
-    (1 + ...)))/s of P(s, x) for x < s + 1, summed backward from the depth
-    of ``_by_depth``; step i runs on the prefix of x whose depth is >= i."""
+def _series_tail(s: float, x: np.ndarray) -> np.ndarray:
+    """t_2 = 1 + x/(s+2) (1 + ...), the series of P(s, x) for x < s + 1 but
+    its last backward step, summed from the depth of ``_by_depth``; step i
+    runs on the prefix of x whose depth is >= i."""
     order, _, steps = _by_depth(s, x, _series_depth)
     xs, t = x[order], np.ones_like(x)
     for i, k in steps:
-        t[:k] = 1.0 + xs[:k] * t[:k] / (s + i)
+        if i > 1:
+            t[:k] = 1.0 + xs[:k] * t[:k] / (s + i)
     out = np.empty_like(x)
-    out[order] = t / s
+    out[order] = t
     return out
+
+
+def _gamma_series(s: float, x: np.ndarray) -> np.ndarray:
+    """The series (1 + x/(s+1) t_2)/s of P(s, x), x < s + 1; t_2 of ``_series_tail``."""
+    return (1.0 + x * _series_tail(s, x) / (s + 1.0)) / s
 
 
 @lru_cache(maxsize=4096)
@@ -259,29 +265,14 @@ def _gamma_cont_frac(s: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_upper_gamma(s: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log Q(s, x), log Q(s, x) - (s log x - x - lgamma(s))) for finite x > 0.
-
-    P = 1 - Q by ``_gamma_series`` for x < s + 1, Q by ``_gamma_cont_frac``
-    otherwise, each cut at one depth per octave of ``_by_depth``
-    (ValueError past ``_CF_MAXIT`` steps).  The second array is the
-    fraction's log, NaN on the series branch, where Q is not small.
-    """
-    log_q = -x + s * np.log(x) - math.lgamma(s)
-    rest = np.full_like(x, np.nan)
-    lower = x < s + 1.0
-    # P(s, x) <= 1 up to rounding.
-    log_q[lower] = np.log1p(-np.minimum(np.exp(log_q[lower]) * _gamma_series(s, x[lower]), 1.0))
-    upper = ~lower
-    rest[upper] = np.log(_gamma_cont_frac(s, x[upper]))
-    log_q[upper] += rest[upper]
-    return log_q, rest
-
-
 def reg_upper_gamma(s: float, x, log: bool = False):
     """Regularized upper incomplete gamma ratio Q(s, x) = Gamma(s, x) / Gamma(s),
     or its natural log when ``log`` is true.  The log stays finite where Q
     underflows, and Q(s, inf) = 0.
+
+    P = 1 - Q by ``_gamma_series`` for x < s + 1, Q by ``_gamma_cont_frac``
+    otherwise, each cut at one depth per octave of ``_by_depth``
+    (ValueError past ``_CF_MAXIT`` steps).
     """
     if not s > 0.0:
         raise ValueError(f"shape parameter must be positive, got s={s}")
@@ -291,7 +282,13 @@ def reg_upper_gamma(s: float, x, log: bool = False):
     xv = xarr.ravel()
     out = np.where(np.isinf(xv), -np.inf, np.where(np.isnan(xv), np.nan, 0.0))
     live = (xv > 0.0) & np.isfinite(xv)
-    out[live] = np.minimum(_log_upper_gamma(s, xv[live])[0], 0.0)
+    xl = xv[live]
+    log_q = -xl + s * np.log(xl) - math.lgamma(s)
+    lower = xl < s + 1.0
+    # P(s, x) <= 1 up to rounding.
+    log_q[lower] = np.log1p(-np.minimum(np.exp(log_q[lower]) * _gamma_series(s, xl[lower]), 1.0))
+    log_q[~lower] += np.log(_gamma_cont_frac(s, xl[~lower]))
+    out[live] = np.minimum(log_q, 0.0)
     if not log:
         out = np.exp(out)
     if xarr.ndim == 0:
@@ -299,27 +296,26 @@ def reg_upper_gamma(s: float, x, log: bool = False):
     return out.reshape(xarr.shape)
 
 
-def _log_q_ratio(s: float, base: np.ndarray, row: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """log Q(s, base[row] + x) - log Q(s, base[row]) for finite base >= 0
-    and finite x >= 0.  Each positive base is evaluated once, in the same
-    pass as the nodes (one pass costs less than two on a small batch).
-    Where base is on the continued-fraction branch (so is base + x), both
-    logs are of order -base: the difference is taken of the fractions' logs
-    and of the prefactors through x, so that no large terms cancel."""
-    out = np.zeros_like(x)
-    live = x > 0.0
-    r, xl = row[live], x[live]
-    pos = base > 0.0
-    log_q, rest = _log_upper_gamma(s, np.concatenate([base[r] + xl, base[pos]]))
-    n = xl.size
-    base_log_q, base_rest = np.zeros_like(base), np.full_like(base, np.nan)
-    base_log_q[pos], base_rest[pos] = log_q[n:], rest[n:]
-    vals = log_q[:n] - base_log_q[r]
-    far = ~np.isnan(base_rest[r])
-    r, xl = r[far], xl[far]
-    vals[far] = rest[:n][far] - base_rest[r] + s * np.log1p(xl / base[r]) - xl
-    out[live] = np.minimum(vals, 0.0)
-    return out
+def _log_lower_gamma(s: float, log_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log P(s, y), log P(s+1, y)) at y = exp(log_y), from one pass.  For
+    y < s + 1 from the series, P(s, y) = y^s e^-y/Gamma(s+1) (1 + y/(s+1) t_2)
+    and P(s+1, y) = y^(s+1) e^-y/Gamma(s+2) t_2, t_2 of ``_series_tail``,
+    which hold where P is tiny or y underflows; otherwise P = 1 - Q, with
+    Q(s, y) by ``_gamma_cont_frac`` and Q(s+1, y) = Q(s, y) + y^s e^-y/Gamma(s+1).
+    log_y is taken at 690 or less, where Q underflows for s below 1e297."""
+    log_y = np.minimum(log_y, 690.0)
+    y = np.exp(log_y)
+    front = s * log_y - y - math.lgamma(s + 1.0)  # log y^s e^-y/Gamma(s+1)
+    log_p, log_p1 = np.empty_like(y), np.empty_like(y)
+    lower = y < s + 1.0
+    yl = y[lower]
+    tail = _series_tail(s, yl)
+    log_p[lower] = front[lower] + np.log1p(yl * tail / (s + 1.0))
+    log_p1[lower] = front[lower] + log_y[lower] - math.log(s + 1.0) + np.log(tail)
+    term = np.exp(front[~lower])
+    q = s * term * _gamma_cont_frac(s, y[~lower])
+    log_p[~lower], log_p1[~lower] = np.log1p(-q), np.log1p(-(q + term))
+    return log_p, log_p1
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, preset_config
+from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, _first_unit, preset_config
 from .model import ModelSpec, Sample, scalar_spec, validate_spec
 from .numerics import trace_product
 from .statistics import pooled_noise_stats, shifted_pooled_stats
@@ -304,7 +304,7 @@ def _chunk_sums(plan: SimPlan, start: int, noise: np.ndarray, ss: np.ndarray, no
             memo[key] = (x, target, loss, _moments(loss))
         return memo[key]
 
-    blocks = [unshrunk(np.eye(spec.k)[0], spec.mu_stack)[3]]
+    blocks = [unshrunk(_first_unit(spec.k), spec.mu_stack)[3]]
     for cfg in plan.estimators:
         kind = ESTIMATORS[cfg.kind]
         means, nu = frames[kind.equivariant]

@@ -236,6 +236,20 @@ class TestSimulateConfig:
         [row] = csv.DictReader(io.StringIO(capsys.readouterr().out))
         assert row["estimator"] == "HB" and float(row["prial"]) == 0.0
 
+    def test_hb_at_large_n_runs(self, tmp_path, capsys):
+        # At n = 8000 kappa = LS/2 lies near m + 1 = 4010, where the series
+        # of Q(m+1, .) needs more than 500 terms: the run exited 3 with "HB
+        # failed at replication 40 (seed 0): incomplete gamma series did not
+        # converge".
+        model = dict(BENCH_MODEL, n=8000, sigma2=4.0)
+        cfg = tmp_path / "hb.json"
+        cfg.write_text(json.dumps({"model": model, "estimators": [{"kind": "HB", "L": 0.25}]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(cfg), "--reps", "64", "--seed", "0"]) == 0
+        [row] = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["estimator"] == "HB" and np.isfinite(float(row["prial"]))
+
 
 class TestEstimate:
     @staticmethod

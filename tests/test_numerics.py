@@ -40,13 +40,6 @@ def spec_with(V, Q):
     return ModelSpec(p=p, k=k, n=10, V=tuple(V), Q=Q, sigma2=1.0, mu=tuple(np.zeros(p) for _ in V))
 
 
-def log_q_ratio(s, base, x):
-    """numerics._log_q_ratio with every x on one row, whose base is ``base``."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    got = numerics._log_q_ratio(s, np.array([base]), np.zeros(xs.size, dtype=int), xs)
-    return got if np.ndim(x) else float(got[0])
-
-
 def simpson(f, lo, hi, panels):
     """Composite Simpson oracle (panels must be even)."""
     x = np.linspace(lo, hi, panels + 1)
@@ -427,24 +420,31 @@ class TestGammaDepth:
             exact = [float(mpmath.log(mpmath.gammainc(s, xi, mpmath.inf, regularized=True))) for xi in x]
         np.testing.assert_allclose(got, exact, rtol=1e-11, atol=1e-11)
 
+
+class TestLogLowerGamma:
+    """``_log_lower_gamma`` gives log P(s, y) and log P(s+1, y) in one pass."""
+
     @settings(max_examples=60)
-    @given(log_s=log_shapes, u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-           v=st.floats(0.0, 5.0), w=st.floats(0.0, 1.0, exclude_max=True))
-    def test_against_mpmath(self, log_s, u, v, w):
-        # log Q(s, base + x) - log Q(s, base) on each branch, with base = 0
-        # and with base = w (base + x).
+    @given(log_s=log_shapes, log_y=st.floats(-700.0, 12.0))
+    def test_against_mpmath(self, log_s, log_y):
         s = math.exp(log_s)
-        for y in (u * (s + 1.0), (s + 1.0) * math.exp(v)):
-            for base in (0.0, w * y):
-                x = y - base
-                with mpmath.workdps(40):
-                    exact = mpmath.log(mpmath.gammainc(s, mpmath.mpf(base) + x, mpmath.inf, regularized=True))
-                    if base:
-                        exact -= mpmath.log(mpmath.gammainc(s, base, mpmath.inf, regularized=True))
-                got = log_q_ratio(s, base, x)
-                assert abs(got - float(exact)) <= 5e-13 * max(1.0, abs(float(exact)))
-                if not base:
-                    assert got == reg_upper_gamma(s, x, log=True)
+        got = numerics._log_lower_gamma(s, np.array([log_y]))
+        with mpmath.workdps(40):
+            y = mpmath.exp(mpmath.mpf(log_y))
+            for shape, value in zip((s, s + 1.0), got):
+                exact = float(mpmath.log(mpmath.gammainc(shape, 0, y, regularized=True)))
+                # 1e-13, plus the rounding of the prefactor's log, whose terms
+                # are of size s log s (item 13 of the ROADMAP).
+                tol = 1e-13 + 4.0 * np.spacing(1.0) * (abs(shape * log_y) + math.exp(log_y) + math.lgamma(shape + 1.0))
+                assert abs(value[0] - exact) <= tol * max(1.0, abs(exact))
+
+    def test_tiny_and_huge_y(self):
+        # y = e^-800 underflows, but its log is the power law; above e^690
+        # P is 1.
+        low, low1 = numerics._log_lower_gamma(2.5, np.array([-800.0, 800.0]))
+        assert low[0] == pytest.approx(2.5 * -800.0 - math.lgamma(3.5), rel=1e-15)
+        assert low1[0] == pytest.approx(3.5 * -800.0 - math.lgamma(4.5), rel=1e-15)
+        assert low[1] == 0.0 and low1[1] == 0.0
 
 
 class TestRegUpperGamma:
@@ -491,44 +491,18 @@ class TestRegUpperGamma:
             expected = float(mpmath.log(mpmath.gammainc(s, x, mpmath.inf, regularized=True)))
             assert reg_upper_gamma(s, x, log=True) == pytest.approx(expected, rel=1e-14)
 
-    def test_ratio_to_a_base_against_mpmath(self):
-        # log Q(s, base + x) - log Q(s, base) to 1e-14 absolute, also where x
-        # is tiny against a huge base and both logs are of order -base.
-        mpmath.mp.dps = 50
-        cases = [(20.0, 2.5e6, 2.5e-10), (20.0, 2.5e6, 3.0), (20.0, 100.0, 1e-3), (20.0, 5.0, 2.0),
-                 (11.0, 1e-12, 50.0), (1.45, 0.3, 0.1)]
-        for s, base, x in cases:
-            exact = mpmath.log(
-                mpmath.gammainc(s, base + mpmath.mpf(x), mpmath.inf, regularized=True)
-                / mpmath.gammainc(s, base, mpmath.inf, regularized=True)
-            )
-            got = log_q_ratio(s, base, x)
-            assert abs(got - float(exact)) <= 1e-14 * max(1.0, abs(float(exact)))
-        assert log_q_ratio(20.0, 7.0, 0.0) == 0.0
-
     def test_batch_is_bit_identical_to_single_calls(self):
-        # Series points (x < s + 1) and continued-fraction points, with and
-        # without a base: each branch is cut at one depth per s.
+        # Series points (x < s + 1) and continued-fraction points: each
+        # branch is cut at one depth per s.
         rng = np.random.default_rng(13)
         for s in (0.7, 5.5, 21.0):
             x = np.concatenate([rng.uniform(0.0, 2.0 * s + 4.0, 30), [1e-12, s, s + 1.0, 300.0]])
             batch = reg_upper_gamma(s, x, log=True)
             assert np.array_equal(batch, [reg_upper_gamma(s, xi, log=True) for xi in x])
             assert np.array_equal(batch[::-1], reg_upper_gamma(s, x[::-1], log=True))
-            bases = np.array([0.0, 0.5 * s, 3.0 * s + 5.0])
-            for base in bases:
-                batch = log_q_ratio(s, base, x)
-                single = [log_q_ratio(s, base, xi) for xi in x]
-                assert np.array_equal(batch, single)
-                assert np.array_equal(batch[::-1], log_q_ratio(s, base, x[::-1]))
-            # All three bases in one call, one row each.
-            rows = np.repeat(np.arange(3), x.size)
-            mixed = numerics._log_q_ratio(s, bases, rows, np.tile(x, 3))
-            assert np.array_equal(mixed, np.concatenate([log_q_ratio(s, base, x) for base in bases]))
 
     def test_empty_batch(self):
         assert reg_upper_gamma(2.0, np.array([])).shape == (0,)
-        assert numerics._log_q_ratio(2.0, np.array([]), np.array([], dtype=int), np.array([])).shape == (0,)
 
     @pytest.mark.parametrize(
         "x, message",
