@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, preset_config
+from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, preset_config, rule_estimates
 from .minimax import (
     double_shrinkage_report,
     lincomb_shrinkage_report,
@@ -426,8 +426,8 @@ def cmd_estimate(args) -> int:
     values = [("nu_hat", nu[0]), ("F", f_stat), ("G", g_stat)]
     for name, cfg in zip(wanted, selected):
         try:
-            kind = ESTIMATORS[cfg.kind]
-            value = kind.rule(cfg, spec, kind.estimand(cfg, spec) @ xs, ss, nu, f_stat)[0]
+            x = ESTIMATORS[cfg.kind].estimand(cfg, spec) @ xs
+            value = rule_estimates(cfg, spec, x, ss, nu, f_stat)[0]
         except Exception as exc:
             raise RuntimeError(f"estimator {cfg.name} failed: {exc}") from exc
         values.append((name, value))

@@ -16,8 +16,10 @@ nu_hat), both normalized by the chi-square statistic S:
   (CLASS1, CLASS2, LINCOMB) driven by user-supplied shrink functions.
 
 Each kind is defined once, in the ``ESTIMATORS`` registry, as a rule
-batched over B samples; the Monte Carlo engine calls it on whole chunks
-and ``estimate`` calls it with B = 1.
+batched over B samples.  Every estimate is u X_1 + v nu_hat (x in place of
+X_1 for LINCOMB) with per-row scalars u and v, and the rule returns (u, v):
+the Monte Carlo engine scores them on whole chunks without forming the
+estimates, and ``rule_estimates`` forms them, for ``estimate`` with B = 1.
 
 Every rule but PT shrinks by factors phi(stat, S)/stat from ``_factor``,
 which takes a given value where the statistic is not positive: 1 (full
@@ -49,6 +51,7 @@ __all__ = [
     "phi_hb",
     "preset_config",
     "pt_threshold",
+    "rule_estimates",
 ]
 
 # A shrink function maps (F, S) -> phi >= 0 (or (G, S) -> psi); handles must
@@ -423,34 +426,33 @@ def _first_mean(cfg: EstimatorConfig, spec: ModelSpec) -> np.ndarray:
 @dataclass(frozen=True)
 class EstimatorKind:
     """One estimator kind: the config fields it uses, its batched rule, its
-    check, its bound-optimal constants, if it has any, its estimand and
-    whether it is shift-equivariant.
+    check, its bound-optimal constants, if it has any, its estimand, whether
+    it is shift-equivariant and whether its rule reads x.
 
     The rule maps (config, spec, x (B, p), S (B,), nu_hat (B, p), F (B,)) to
-    the B estimates, shape (B, p), where x = sum_i w_i X_i is the unshrunk
-    estimate of the kind's estimand: X_1, or sum_i d_i X_i for LINCOMB.  The
-    rules that read G compute it from nu_hat and S.  The check runs after the
-    field checks pass, against a valid model: it returns what the fields
-    violate beyond ``_FIELD_RANGES``, and for a config it accepts it
-    computes every constant the rule memoizes, so that processes forked
-    after validation inherit them.  ``optimal`` maps (config, spec) to the
-    bound-optimal values of the config's constants, which may depend on the
-    constants the config already holds.  ``estimand`` maps (config, spec) to
-    the weights w of the estimated sum_i w_i mu_i.  An ``equivariant`` kind
-    estimates mu_1 and its estimate moves by c when every X_i does, so the
-    engine may evaluate it on draws whose first mean is 0."""
+    the coefficients (u, v), each of shape (B,), of the B estimates
+    u x + v nu_hat (``rule_estimates``), where x = sum_i w_i X_i is the
+    unshrunk estimate of the kind's estimand: X_1, or sum_i d_i X_i for
+    LINCOMB.  Only a kind that ``reads_x`` reads x; the engine passes None
+    to the others.  The rules that read G compute it from nu_hat and S.  The
+    check runs after the field checks pass, against a valid model: it
+    returns what the fields violate beyond ``_FIELD_RANGES``, and for a
+    config it accepts it computes every constant the rule memoizes, so that
+    processes forked after validation inherit them.  ``optimal`` maps
+    (config, spec) to the bound-optimal values of the config's constants,
+    which may depend on the constants the config already holds.
+    ``estimand`` maps (config, spec) to the weights w of the estimated
+    sum_i w_i mu_i.  An ``equivariant`` kind estimates mu_1 and its estimate
+    moves by c when every X_i does, so the engine may evaluate it on draws
+    whose first mean is 0."""
 
     fields: tuple[str, ...]
-    rule: Callable[..., np.ndarray]
+    rule: Callable[..., tuple[np.ndarray, np.ndarray]]
     check: Callable[[EstimatorConfig, ModelSpec], list[str]] = _no_checks
     optimal: Callable[[EstimatorConfig, ModelSpec], dict] | None = None
     estimand: Callable[[EstimatorConfig, ModelSpec], np.ndarray] = _first_mean
     equivariant: bool = False
-
-
-def _shrink(x: np.ndarray, nu: np.ndarray | float, factor: np.ndarray) -> np.ndarray:
-    """x - factor (x - nu), row by row."""
-    return x - factor[:, None] * (x - nu)
+    reads_x: bool = False
 
 
 def _factor(phi: ShrinkFunction, stat: np.ndarray, S: np.ndarray, at_zero: float):
@@ -463,53 +465,57 @@ def _factor(phi: ShrinkFunction, stat: np.ndarray, S: np.ndarray, at_zero: float
 
 
 def _pt_rule(cfg, spec, x, S, nu, F):
-    """X_1 when the equal-means hypothesis is rejected at level alpha,
-    nu_hat otherwise."""
-    thr = pt_threshold(spec.p, spec.k, spec.n, cfg.alpha)
-    return np.where((F > thr)[:, None], x, nu)
+    """(1, 0), X_1, where the equal-means hypothesis is rejected at level
+    alpha, and (0, 1), nu_hat, elsewhere."""
+    u = (F > pt_threshold(spec.p, spec.k, spec.n, cfg.alpha)).astype(float)
+    return u, 1.0 - u
 
 
 def _js_rule(cfg, spec, x, S, nu, F):
-    """X_1 - ((p-2)/(n+2)) (S/||X_1||^2_{V_1^{-1}}) X_1; 0 when X_1 = 0."""
+    """(1 - ((p-2)/(n+2)) S/||X_1||^2_{V_1^{-1}}, 0); (1, 0) when X_1 = 0."""
     norm2 = np.einsum("bi,bi->b", x @ spec.v_inv[0], x)
     js = lambda t, s: (spec.p - 2.0) / (spec.n + 2.0) * s
-    return _shrink(x, 0.0, _factor(js, norm2, S, 0.0))
+    return 1.0 - _factor(js, norm2, S, 0.0), np.zeros_like(S)
 
 
 def _eb_rule(cfg, spec, x, S, nu, F):
-    """X_1 - min(a0/F, 1)(X_1 - nu_hat)."""
-    return _shrink(x, nu, _factor(lambda f, s: np.minimum(cfg.a0, f), F, S, 1.0))
+    """(1 - f, f) with f = min(a0/F, 1)."""
+    f = _factor(lambda f, s: np.minimum(cfg.a0, f), F, S, 1.0)
+    return 1.0 - f, f
 
 
 def _hb_rule(cfg, spec, x, S, nu, F):
-    """X_1 - (phi_hb(F, S)/F)(X_1 - nu_hat); (q+a)/(q+a+1) at F = 0."""
+    """(1 - f, f) with f = phi_hb(F, S)/F, and (q+a)/(q+a+1) at F = 0."""
     hb = lambda f, s: phi_hb(f, s, spec.p, spec.k, spec.n, cfg.a, cfg.c, cfg.L)
-    return _shrink(x, nu, _factor(hb, F, S, hb_small_f_factor(spec.p, spec.k, cfg.a)))
+    f = _factor(hb, F, S, hb_small_f_factor(spec.p, spec.k, cfg.a))
+    return 1.0 - f, f
 
 
 def _heb_rule(cfg, spec, x, S, nu, F):
-    """X_1 - min(a0/F, 1)(X_1 - nu_hat) - min(b0/G, 1) nu_hat."""
+    """(1 - f, f - g) with f = min(a0/F, 1) and g = min(b0/G, 1)."""
+    u, f = _eb_rule(cfg, spec, x, S, nu, F)
     G = g_statistic(spec, nu, S)
-    est = _eb_rule(cfg, spec, x, S, nu, F)
-    return est - _factor(lambda g, s: np.minimum(cfg.b0, g), G, S, 1.0)[:, None] * nu
+    return u, f - _factor(lambda g, s: np.minimum(cfg.b0, g), G, S, 1.0)
 
 
 def _class1_rule(cfg, spec, x, S, nu, F):
-    """X_1 - (phi(F, S)/F)(X_1 - nu_hat)."""
-    return _shrink(x, nu, _factor(cfg.phi, F, S, 0.0))
+    """(1 - f, f) with f = phi(F, S)/F."""
+    f = _factor(cfg.phi, F, S, 0.0)
+    return 1.0 - f, f
 
 
 def _class2_rule(cfg, spec, x, S, nu, F):
-    """X_1 - (phi(F, S)/F)(X_1 - nu_hat) - (psi(G, S)/G) nu_hat."""
-    est = _class1_rule(cfg, spec, x, S, nu, F)
-    return est - _factor(cfg.psi, g_statistic(spec, nu, S), S, 0.0)[:, None] * nu
+    """(1 - f, f - g) with f = phi(F, S)/F and g = psi(G, S)/G."""
+    u, f = _class1_rule(cfg, spec, x, S, nu, F)
+    return u, f - _factor(cfg.psi, g_statistic(spec, nu, S), S, 0.0)
 
 
 def _lincomb_rule(cfg, spec, x, S, nu, F):
-    """sum_i d_i [X_i - (phi(F, S)/F)(X_i - nu_hat)], an estimate of
-    sum_i d_i mu_i, as x - (phi(F, S)/F)(x - (sum_i d_i) nu_hat) with
+    """(1 - f, f sum_i d_i) with f = phi(F, S)/F: the estimate
+    sum_i d_i [X_i - f (X_i - nu_hat)] of sum_i d_i mu_i, with
     x = sum_i d_i X_i."""
-    return _shrink(x, sum(cfg.d) * nu, _factor(cfg.phi, F, S, 0.0))
+    u, f = _class1_rule(cfg, spec, x, S, nu, F)
+    return u, f * sum(cfg.d)
 
 
 # PT, EB, HB and CLASS1 shrink X_1 toward nu_hat by a factor of F and S,
@@ -517,7 +523,7 @@ def _lincomb_rule(cfg, spec, x, S, nu, F):
 # CLASS2 also shrink toward the origin.
 ESTIMATORS: dict[str, EstimatorKind] = {
     "PT": EstimatorKind(("alpha",), _pt_rule, _check_pt, equivariant=True),
-    "JS": EstimatorKind((), _js_rule),
+    "JS": EstimatorKind((), _js_rule, reads_x=True),
     "EB": EstimatorKind(
         ("a0",), _eb_rule, optimal=lambda cfg, spec: {"a0": optimal_eb_constant(spec)},
         equivariant=True,
@@ -567,6 +573,15 @@ def preset_config(
     return cfg
 
 
+def rule_estimates(config: EstimatorConfig, spec: ModelSpec, x: np.ndarray, S: np.ndarray,
+                   nu: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The B estimates u x + v nu_hat (B, p) of ``config``'s rule, which
+    returns (u, v), on the unshrunk estimates ``x`` of its estimand and S,
+    nu_hat and F."""
+    u, v = ESTIMATORS[config.kind].rule(config, spec, x, S, nu, F)
+    return u[:, None] * x + v[:, None] * nu
+
+
 def estimate(sample: Sample, spec: ModelSpec, config: EstimatorConfig) -> np.ndarray:
     """Evaluate the estimator described by ``config`` on one sample: its
     batched rule with B = 1.  The model is validated first, then the config
@@ -579,5 +594,5 @@ def estimate(sample: Sample, spec: ModelSpec, config: EstimatorConfig) -> np.nda
     X = sample.X[np.newaxis]
     S = np.array([sample.S])
     nu, F, _ = batch_pooled_stats(spec, X, S)
-    kind = ESTIMATORS[config.kind]
-    return kind.rule(config, spec, kind.estimand(config, spec) @ X, S, nu, F)[0]
+    x = ESTIMATORS[config.kind].estimand(config, spec) @ X
+    return rule_estimates(config, spec, x, S, nu, F)[0]

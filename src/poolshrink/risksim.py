@@ -16,12 +16,16 @@ and dispersion) is computed once, and each plan adds its means to it
 through linearity.  Each estimator is evaluated with the means shifted by
 its origin, mu_1 for the shift-equivariant kinds (PT, EB, HB, CLASS1) and
 0 for the others and X_1: its rule reads the unshrunk estimate
-x = w . (noise + mu - origin) of its estimand, scored against
-w . (mu - origin) with the loss of x as its baseline, and no plan copies or
-writes the draw.  One memo per group and chunk holds w . noise under w,
-each x under (w, target, Q) and each estimator's chunk sums under (config,
-shifted means, Q), each a function of its key and the group's draw alone,
-so each plan's chunk sums are bit-identical to those of the plan run alone.
+x = w . (noise + mu - origin) of its estimand and returns the coefficients
+(u, v) of its estimates u x + v nu_hat, scored against w . (mu - origin)
+with the loss of x as its baseline, and no plan copies or writes the draw.
+No estimate is formed: each loss is a quadratic in (u, v) whose
+coefficients are Q-forms of the draw that every estimator of a frame
+shares.  One memo per group and chunk holds these forms, as B-vectors and
+scalars, under (w, Q), Q and each frame, x under (w, target) for the kinds
+that read it, and each estimator's chunk sums under (config, shifted
+means, Q), each a function of its key and the group's draw alone, so each
+plan's chunk sums are bit-identical to those of the plan run alone.
 Chunk partial sums are reduced per plan in chunk order, so a plan produces
 bit-identical reports for any degree of parallelism.  A parallel run forks
 w = min(workers, tasks) children, child j running (group, chunk) tasks j,
@@ -42,6 +46,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import logging
+import math
 import os
 import pickle
 import signal
@@ -53,7 +58,7 @@ import numpy as np
 from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, _first_unit, preset_config
 from .model import ModelSpec, Sample, scalar_spec, validate_spec
 from .numerics import trace_product
-from .statistics import pooled_noise_stats, shifted_pooled_stats
+from .statistics import _pooled_mean, pooled_noise_stats, shifted_pooled_stats
 
 __all__ = [
     "EstimatorRisk",
@@ -202,43 +207,105 @@ def replication_sample(plan: SimPlan, rep: int) -> Sample:
 # ---------------------------------------------------------------------------
 
 
-def _loss(diff: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    """The scaled loss diff' Q diff / sigma^2 of each row of ``diff``.  One
-    that overflows is inf or NaN, without a warning, so that the caller's
-    finiteness check names the estimator and the replication."""
+def _frame_forms(q, aq, nq, base, m, t) -> tuple:
+    """The forms of one frame's losses r'qr of u x + v nu_hat, with
+    x = a + t, nu_hat = n + m and t and m constant p-vectors:
+    r = y + K with y = u a + v n and K = v m + (u - 1) t.  They are
+    ``base`` = (a'qa, 2 a'qn, n'qn) (B,) for y'qy, then the slots of the
+    nonzero constants d_j of (m, t) (0 for m, 1 for t) each with the power
+    of 2 tau_j that puts its largest |component| in [1, 2), their cross
+    forms 2 a'q d_j and 2 n'q d_j over the scaled d_j (one row of B per
+    d_j), and R, the rows of the upper triangular factor of their Gram
+    matrix under q from the diagonal on, the second from the part of d_2
+    q-orthogonal to d_1.  With c = (v tau_m,
+    (u - 1) tau_t), 2 y'qK = sum_j c_j (u 2 a'q d_j + v 2 n'q d_j) and
+    K'qK = ||R c||^2: no form of a large constant is subtracted from
+    another where K cancels, none overflows where the loss is finite, and a
+    coefficient of exactly 0 adds exactly 0.  ``aq`` and ``nq`` are a q and
+    n q (B, p)."""
+    slots, cols = [], []
+    for slot, vector in enumerate((m, t)):
+        if vector.any():
+            tau = math.ldexp(1.0, math.frexp(float(np.max(np.abs(vector))))[1] - 1)
+            slots.append((slot, tau))
+            cols.append(vector / tau)
+    D = np.array(cols).reshape(len(cols), len(t))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gram = D @ q @ D.T
+        R = [[np.sqrt(gram[0, 0])]] if cols else []
+        if len(cols) == 2:
+            perp = D[1] - (gram[0, 1] / gram[0, 0]) * D[0]
+            R = [[R[0][0], gram[0, 1] / R[0][0]], [np.sqrt(max(perp @ q @ perp, 0.0))]]
+        return (*base, tuple(slots), (2.0 * D) @ aq.T, (2.0 * D) @ nq.T, R)
+
+
+def _form_loss(coefs, forms) -> np.ndarray:
+    """The loss r'qr of the estimates u x + v nu_hat of ``coefs`` = (u, v)
+    from their frame's ``_frame_forms``: O(B) arithmetic.  The terms of K
+    are summed before they are added, so that where they cancel they add
+    nothing.  A loss that overflows is inf or NaN, without a warning, so
+    that the caller's finiteness check names the estimator and the
+    replication."""
+    u, v = coefs
+    A, C2, N, slots, a_forms, n_forms, R = forms
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.einsum("bi,bi->b", diff @ spec.Q, diff) / spec.sigma2
+        loss = u * A
+        loss += v * C2
+        loss *= u
+        loss += v * v * N
+        if slots:
+            c = [(u - 1.0 if slot else v) * tau for slot, tau in slots]
+            terms = []
+            for c_j, a_form, n_form in zip(c, a_forms, n_forms):
+                term = u * a_form
+                term += v * n_form
+                term *= c_j
+                terms.append(term)
+            for i, row in enumerate(R):
+                z = row[0] * c[i]
+                for r_ij, c_j in zip(row[1:], c[i + 1:]):
+                    z += r_ij * c_j
+                z *= z
+                terms.append(z)
+            for term in terms[1:]:
+                terms[0] += term
+            loss += terms[0]
+        return loss
 
 
-def _failing_row(cfg: EstimatorConfig, spec: ModelSpec, x, ss, stats, target) -> int:
+def _failing_row(cfg: EstimatorConfig, spec: ModelSpec, x, ss, stats, forms) -> int:
     """The first row of a chunk on which ``cfg``'s rule, run on that row
     alone with its pooled statistics ``stats`` = (nu_hat, F), raises or
-    gives a non-finite loss against ``target`` (the chunk's first row if
-    none does)."""
+    gives a non-finite loss from its frame's ``forms`` (the chunk's first
+    row if none does)."""
     rule = ESTIMATORS[cfg.kind].rule
+    A, C2, N, slots, a_forms, n_forms, R = forms
     for row in range(len(ss)):
         one = slice(row, row + 1)
         try:
-            est = rule(cfg, spec, x[one], ss[one], *(stat[one] for stat in stats))
-            if not np.isfinite(_loss(est - target, spec)[0]):
+            coefs = rule(cfg, spec, None if x is None else x[one], ss[one],
+                         *(stat[one] for stat in stats))
+            row_forms = (A[one], C2[one], N[one], slots, a_forms[:, one], n_forms[:, one], R)
+            if not np.isfinite(_form_loss(coefs, row_forms)[0] / spec.sigma2):
                 return row
         except Exception:
             return row
     return 0
 
 
-def _estimator_sums(plan: SimPlan, cfg: EstimatorConfig, start: int, x, ss, stats, target, base):
+def _estimator_sums(plan: SimPlan, cfg: EstimatorConfig, start: int, x, ss, stats, forms, base):
     """``_moments`` of the loss l of ``cfg``'s rule on the unshrunk
-    estimates ``x`` and the ``ss`` of replications ``start``, ``start + 1``,
-    ... with their statistics ``stats`` = (nu_hat, F), taken against
-    ``target``, and of the paired difference ``base`` - l.  If the rule
-    fails, raises the SimulationError that names the first failing
-    replication."""
+    estimates ``x`` (None for a kind that does not read them) and the ``ss``
+    of replications ``start``, ``start + 1``, ... with their statistics
+    ``stats`` = (nu_hat, F), from its frame's ``forms``, and of the paired
+    difference ``base`` - l.  If the rule fails, raises the SimulationError
+    that names the first failing replication."""
     spec = plan.spec
     try:
-        est_loss = _loss(ESTIMATORS[cfg.kind].rule(cfg, spec, x, ss, *stats) - target, spec)
+        coefs = ESTIMATORS[cfg.kind].rule(cfg, spec, x, ss, *stats)
+        est_loss = _form_loss(coefs, forms) / spec.sigma2
     except Exception as exc:
-        row, cause = _failing_row(cfg, spec, x, ss, stats, target), exc
+        row, cause = _failing_row(cfg, spec, x, ss, stats, forms), exc
     else:
         finite = np.isfinite(est_loss)
         if finite.all():
@@ -281,37 +348,62 @@ def _chunk_sums(plan: SimPlan, start: int, noise: np.ndarray, ss: np.ndarray, no
 
     X_1 and each estimator are evaluated with the means shifted by an
     origin, mu_1 for an equivariant kind and 0 otherwise: the rule reads
-    x = w . noise + w . (mu - origin) and nu_hat = nu_c + mu_1 - origin,
-    against the target w . (mu - origin), and b is the loss of x.  ``memo``
-    holds, for the plans of one noise group, w . noise under w, (x, target,
-    b, moments of b) under (w, target, Q) and each estimator's sums under
-    (config, shifted means, Q).  The estimators run in plan order, so the
-    first that fails raises; ``noise`` is only read."""
+    x = a + t and nu_hat = n + m, with a = w . noise, n the noise's nu_hat,
+    t = w . (mu - origin) its target and m = nu_hat(mu - origin).  Its loss
+    is a quadratic in the rule's (u, v) over the Q-forms of a, n, m and t
+    (``_frame_forms``), and b is the loss a'Qa / sigma^2 of x.  ``memo``
+    holds, for the plans of one noise group, (Q's symmetric part q, n q,
+    n'qn) under Q, (a, a q, a'qa, 2 a'qn, n'qn, b, moments of b) under
+    (w, Q), x under (w, t) for the kinds that read it, the frame's forms
+    under (w, t, m, Q) and each estimator's sums under (config, shifted
+    means, Q).  The estimators run in plan order, so the first that fails
+    raises; ``noise`` is only read."""
     spec = plan.spec
-    centred = spec.mu_stack - spec.mu_stack[0]
+    mu_1 = spec.mu_stack[0]
+    centred = spec.mu_stack - mu_1
     nu_c, f_stat = shifted_pooled_stats(spec, noise_stats, centred, ss)
-    frames = {True: (centred, nu_c), False: (spec.mu_stack, nu_c + spec.mu_stack[0])}
+    shift = _pooled_mean(spec, centred) if centred.any() else np.zeros(spec.p)
+    frames = {True: (centred, nu_c, shift), False: (spec.mu_stack, nu_c + mu_1, shift + mu_1)}
+    n = noise_stats[0]
     q_key = spec.Q.tobytes()
+    if ("Q", q_key) not in memo:
+        q = 0.5 * (spec.Q + spec.Q.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nq = n @ q
+            memo["Q", q_key] = (q, nq, np.einsum("bi,bi->b", nq, n))
+    q, nq, N = memo["Q", q_key]
 
-    def unshrunk(w, means):
-        target = w @ means
-        key = (w.tobytes(), target.tobytes(), q_key)
-        if key not in memo:
-            if key[0] not in memo:
-                memo[key[0]] = np.einsum("k,bki->bi", w, noise)
-            x = memo[key[0]] + target
-            loss = _loss(x - target, spec)
-            memo[key] = (x, target, loss, _moments(loss))
-        return memo[key]
+    def unshrunk(w, w_key):
+        if ("w", w_key, q_key) not in memo:
+            a = np.einsum("k,bki->bi", w, noise)
+            with np.errstate(over="ignore", invalid="ignore"):
+                aq = a @ q
+                A = np.einsum("bi,bi->b", aq, a)
+                base = A / spec.sigma2
+                forms = (A, 2.0 * np.einsum("bi,bi->b", aq, n), N)
+            memo["w", w_key, q_key] = (a, aq, forms, base, _moments(base))
+        return memo["w", w_key, q_key]
 
-    blocks = [unshrunk(_first_unit(spec.k), spec.mu_stack)[3]]
+    e_1 = _first_unit(spec.k)
+    blocks = [unshrunk(e_1, e_1.tobytes())[-1]]
     for cfg in plan.estimators:
         kind = ESTIMATORS[cfg.kind]
-        means, nu = frames[kind.equivariant]
-        x, target, loss, moments = unshrunk(kind.estimand(cfg, spec), means)
+        w = kind.estimand(cfg, spec)
+        w_key = w.tobytes()
+        a, aq, forms, base, moments = unshrunk(w, w_key)
+        means, nu, m = frames[kind.equivariant]
         key = (cfg, means.tobytes(), q_key)
         if key not in memo:
-            memo[key] = _estimator_sums(plan, cfg, start, x, ss, (nu, f_stat), target, loss)
+            t = w @ means
+            x = None
+            if kind.reads_x:
+                x = memo.get(("x", w_key, t.tobytes()))
+                if x is None:
+                    x = memo["x", w_key, t.tobytes()] = a + t
+            frame = ("frame", w_key, t.tobytes(), m.tobytes(), q_key)
+            if frame not in memo:
+                memo[frame] = _frame_forms(q, aq, nq, forms, m, t)
+            memo[key] = _estimator_sums(plan, cfg, start, x, ss, (nu, f_stat), memo[frame], base)
         blocks += [memo[key], moments]
     return np.concatenate(blocks)
 

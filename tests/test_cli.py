@@ -802,14 +802,8 @@ class TestExitCodes:
                 None,
                 "huge: estimator PT reported non-finite risk_se = nan, prial_se = nan",
             ),
-            # X_1 rounds to mu_1: risk 0, PRIAL 0/0, and the run exited 0.
-            (
-                {"V": [1, 1, 1], "mu": [1e200, 0, 0]},
-                [{"kind": kind} for kind in ("PT", "JS", "EB", "HEB")],
-                "huge: estimator JS reported non-finite prial = nan, prial_se = nan",
-            ),
         ],
-        ids=["v_1e300", "mu_1e200"],
+        ids=["v_1e300"],
     )
     def test_non_finite_report_exits_three_without_output(
         self, tmp_path, capsys, model_fields, estimators, message
@@ -824,11 +818,50 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == "" and message in out.err
 
+    def test_huge_first_mean_is_answered(self, tmp_path, capsys):
+        # mu_1 = 1e200 and the other means 0.  X_1 rounded to mu_1, so the
+        # risk was 0, each PRIAL 0/0, and the run exited 3 naming JS's nan
+        # PRIAL.  The losses are taken from the noise's forms, so every
+        # estimator is X_1 here (F and G overflow) and scores its risk.
+        model = {"p": 3, "k": 3, "n": 10, "Q": 1, "V": [1, 1, 1], "mu": [1e200, 0, 0]}
+        estimators = [{"kind": kind} for kind in ("PT", "JS", "EB", "HEB")]
+        cfg = self._config(tmp_path, model, name="huge", replications=100, seed=0,
+                           estimators=estimators)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", cfg]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["estimator"] for row in rows] == ["PT", "JS", "EB", "HEB"]
+        for row in rows:
+            values = [float(row[key]) for key in ("risk", "risk_se", "prial", "prial_se")]
+            assert np.all(np.isfinite(values)) and values[2] == 0.0, row
+
+    def test_huge_common_mean_is_answered(self, tmp_path, capsys):
+        # Every mean 1e17.  X_1 rounded to mu_1, so the baseline risk was 0,
+        # each PRIAL 0/0, and the run exited 3.  Now every value is finite,
+        # and PT, EB and HB, which are shift-equivariant, print the rows of
+        # the same model at means 0 byte for byte.
+        outputs = []
+        for mean in (0.0, 1e17):
+            cfg = self._config(tmp_path, dict(BENCH_MODEL, mu=[mean] * 5))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["simulate", "--config", cfg, "--reps", "4096", "--seed", "0"]) == 0
+            outputs.append(capsys.readouterr().out.splitlines())
+        zero, huge = ({line.split(",")[1]: line for line in lines[1:]} for lines in outputs)
+        assert list(huge) == ["PT", "JS", "EB", "HB", "HEB"]
+        for name, line in huge.items():
+            assert np.all(np.isfinite([float(v) for v in line.split(",")[2:]])), line
+        for name in ("PT", "EB", "HB"):
+            assert huge[name] == zero[name]
+
     def test_zero_baseline_risk_is_named(self, tmp_path, capsys):
-        # Every mean 1e17: X_1 rounds to mu_1, so the baseline risk is 0 and
-        # each PRIAL 0/0.  The run exited 3 naming only the nan, or under
-        # warnings as errors only "invalid value encountered in scalar divide".
-        cfg = self._config(tmp_path, dict(BENCH_MODEL, mu=[1e17] * 5))
+        # V and Q in units of 1e-200: the loss x'Qx of X_1 underflows to 0,
+        # so the baseline risk is 0 and each PRIAL 0/0.  A run named only the
+        # nan, or under warnings as errors only "invalid value encountered in
+        # scalar divide".
+        V = [0.1 * i * 1e-200 for i in range(1, 6)]
+        cfg = self._config(tmp_path, dict(BENCH_MODEL, V=V, Q=1e-200))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["simulate", "--config", cfg, "--reps", "4096", "--seed", "0"]) == 3

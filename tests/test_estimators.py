@@ -395,7 +395,10 @@ class TestPhiHbPositiveL:
         assert phi_hb(np.array([]), np.array([]), 5, 5, 20, BENCH_A, 1.0, L).shape == (0,)
 
     def test_missed_tolerance_raises(self, monkeypatch):
-        monkeypatch.setattr(estimators, "_HB_RTOL", 1e-300)
+        # A 2-point rule beside the 24-point one misses the module's own
+        # tolerance by orders of magnitude, whatever the last bits of exp
+        # and log.
+        monkeypatch.setattr(estimators, "_HB_ORDERS", (2, 24))
         with pytest.raises(QuadratureError, match="F=.*S="):
             phi_hb(np.array([0.5, 2.0]), 20.0, 5, 5, 20, BENCH_A, 1.0, 0.5)
 
@@ -646,20 +649,21 @@ class TestDegenerateStatistics:
         cfg = self.CONFIGS[kind]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return estimators.ESTIMATORS[kind].rule(
+            return estimators.rule_estimates(
                 cfg, self.spec, self.x[None], self.S, nu[None], np.array([F])
             )[0]
 
     def closed_form(self, kind, nu, f_factor, G):
-        """x - f_factor (x - target) - g_factor nu_hat, with the G factor
-        of the kind at G (min(b0/G, 1) or psi(G, S)/G, and 1 or 0 at G = 0)."""
-        target = sum(self.D) * nu if kind == "LINCOMB" else nu
-        est = self.x - f_factor * (self.x - target)
+        """(1 - f_factor) x + v nu_hat with v = f_factor sum_i d_i for
+        LINCOMB, f_factor less the G factor of the kind at G for HEB and
+        CLASS2 (min(b0/G, 1) or psi(G, S)/G, and 1 or 0 at G = 0), and
+        f_factor for the rest."""
+        v = sum(self.D) * f_factor if kind == "LINCOMB" else f_factor
         if kind == "HEB":
-            return est - (min(0.5 / G, 1.0) if G > 0 else 1.0) * nu
+            v = f_factor - (min(0.5 / G, 1.0) if G > 0 else 1.0)
         if kind == "CLASS2":
-            return est - (capped(G, 2.0) / G if G > 0 else 0.0) * nu
-        return est
+            v = f_factor - (capped(G, 2.0) / G if G > 0 else 0.0)
+        return (1.0 - f_factor) * self.x + v * nu
 
     # The factor of F at F = 0 and at F = 1: 1 and min(a0, 1) for EB and
     # HEB, the small-F limit and phi_hb(1, S) for HB, 0 and phi(1, S) for

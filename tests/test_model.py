@@ -7,7 +7,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from poolshrink.model import ModelSpec, scalar_spec, validate_spec
-from poolshrink.risksim import _CHUNK_SIZE, SimPlan, _draw_noise, _loss, replication_sample
+from poolshrink.risksim import _CHUNK_SIZE, SimPlan, _draw_noise, replication_sample
+
+
+def _loss(diff, spec):
+    """The scaled loss diff' Q diff / sigma^2 of each row of ``diff``."""
+    return np.einsum("bi,ij,bj->b", diff, spec.Q, diff) / spec.sigma2
 
 
 def benchmark_spec(mu=(0, 0, 0, 0, 0), sigma2=2.0):
@@ -227,7 +232,7 @@ class TestSampleDraw:
 
 
 class TestLoss:
-    # _loss is the engine's scaled loss diff' Q diff / sigma2, at diff = d - mu_1.
+    # The scaled loss diff' Q diff / sigma2 the engine scores, at diff = d - mu_1.
     def test_zero_at_target(self):
         spec = scalar_spec(4, 2, 10, [1.0, 1.0], 2.0, [1.0, 1.0], q_scalar=1.0)
         assert _loss(np.ones((1, 4)) - spec.mu[0], spec)[0] == 0.0

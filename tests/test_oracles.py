@@ -1,5 +1,6 @@
 """Exact risk oracles for the benchmark's equal-means rows, checked against
-the shared acceptance run and, for a CLASS1 rule, one run of their own.
+the shared acceptance run and, for a CLASS1 rule, one run of their own,
+and for PT, EB, HB and CLASS1 on three seeded dense equal-means models.
 
 Under equal means the whitened GLS residual is N(0, sigma^2 P), with P a
 projector of rank d = p(k-1); it is independent of nu_hat and S, and its
@@ -58,6 +59,7 @@ from scipy import integrate, special, stats
 
 from poolshrink.estimators import EstimatorConfig
 from poolshrink.minimax import single_shrinkage_report
+from poolshrink.model import ModelSpec
 from poolshrink.risksim import SimPlan, simulate_many, table1_preset
 
 
@@ -253,3 +255,53 @@ def test_js_risk_matches_the_exact_value(table1_reports, label, plan):
     exact = exact_js_risk(plan.spec)
     entry = _entry(table1_reports, label, "JS")
     assert abs(entry.risk - exact) <= 4.0 * entry.std_error
+
+
+def dense_equal_means_spec(seed, p=6, k=4, n=20):
+    """A seeded model with dense SPD V_i and Q and one common mean."""
+    rng = np.random.default_rng(seed)
+
+    def spd(scale):
+        # A random rotation of eigenvalues 0.2 to 5: far from diagonal.
+        rot = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        m = scale * (rot * np.geomspace(0.2, 5.0, p)) @ rot.T
+        return 0.5 * (m + m.T)
+
+    V = tuple(spd(rng.uniform(0.3, 2.0)) for _ in range(k))
+    mu = rng.normal(0.0, 3.0, p)
+    return ModelSpec(p=p, k=k, n=n, V=V, Q=spd(rng.uniform(0.3, 2.0)), sigma2=1.5, mu=(mu,) * k)
+
+
+def hb_l0_factor(spec, a, c):
+    """phi_hb(F)/F at L = 0 from scipy's incomplete beta."""
+    qa = 0.5 * spec.p * (spec.k - 1) + a
+    b = 0.5 * spec.n - c - a
+
+    def factor(f):
+        z = f / (1.0 + f)
+        return qa / b * special.betainc(qa + 1.0, b, z) / special.betainc(qa, b + 1.0, z) / f
+
+    return factor
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dense_models_match_the_exact_prials(seed):
+    # Q is not diagonal, so every loss mixes the coordinates of X_1 and
+    # nu_hat; the oracles hold for any SPD V_i and Q under equal means.
+    spec = dense_equal_means_spec(seed)
+    a0, a, c, shrink = 0.3, -2.0, 1.0, 0.4
+    configs = (
+        EstimatorConfig(kind="PT", alpha=0.05),
+        EstimatorConfig(kind="EB", a0=a0),
+        EstimatorConfig(kind="HB", a=a, c=c),
+        EstimatorConfig(kind="CLASS1", phi=lambda f, s: shrink * f / (1.0 + f)),
+    )
+    exact = [
+        exact_pt_prial(spec, 0.05),
+        exact_equal_means_prial(spec, lambda f: np.minimum(a0 / f, 1.0), kinks=[a0 / (1.0 + a0)]),
+        exact_equal_means_prial(spec, hb_l0_factor(spec, a, c)),
+        exact_equal_means_prial(spec, lambda f: shrink / (1.0 + f)),
+    ]
+    (report,) = simulate_many([SimPlan(spec, configs, 100_000, 5)])
+    for entry, value in zip(report.estimators, exact):
+        assert abs(entry.prial - value) <= 4.0 * entry.prial_std_error, entry.name

@@ -6,6 +6,7 @@ without changing a bit.  The derandomized profile in conftest fixes the
 examples."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,22 +21,23 @@ from poolshrink.estimators import (
     phi_hb,
     preset_config,
     pt_threshold,
+    rule_estimates,
 )
 from poolshrink.minimax import (
     double_shrinkage_report,
     lincomb_shrinkage_report,
     single_shrinkage_report,
 )
+from poolshrink import risksim
 from poolshrink.model import ModelSpec, Sample, scalar_spec
 from poolshrink.risksim import (
     _CHUNK_SIZE,
     SimPlan,
     _draw_noise,
-    _loss,
     simulate_many,
     simulate_risk,
 )
-from poolshrink.statistics import batch_pooled_stats
+from poolshrink.statistics import batch_pooled_stats, pooled_noise_stats
 
 B = 2  # samples per example, evaluated as one batch
 ALPHA = 0.05
@@ -131,8 +133,8 @@ def test_estimate_matches_formula(problem):
     pt_thr = pt_threshold(spec.p, spec.k, spec.n, ALPHA)
     assume(np.all(np.abs(F - pt_thr) > 1e-8 * pt_thr))
     for cfg in configs(spec):
-        kind = ESTIMATORS[cfg.kind]
-        rows = kind.rule(cfg, spec, kind.estimand(cfg, spec) @ X, S, nu, F)
+        x = ESTIMATORS[cfg.kind].estimand(cfg, spec) @ X
+        rows = rule_estimates(cfg, spec, x, S, nu, F)
         for b in range(B):
             scale = np.max(np.abs(X[b]))
             single = estimate(Sample(X=X[b], S=S[b]), spec, cfg)
@@ -184,7 +186,71 @@ def test_contractions_match_einsum_forms(problem):
     for est in (X[:, 0, :], nu):
         diff = est - spec.mu[0]
         loss_ref = np.einsum("bi,ij,bj->b", diff, spec.Q, diff) / spec.sigma2
-        np.testing.assert_allclose(_loss(est - spec.mu[0], spec), loss_ref, rtol=1e-13)
+        product = np.einsum("bi,bi->b", diff @ spec.Q, diff) / spec.sigma2
+        np.testing.assert_allclose(product, loss_ref, rtol=1e-13)
+
+
+def nu_of(spec, means):
+    """nu_hat of one (k, p) sample."""
+    return pooled_noise_stats(spec, means[np.newaxis])[0][0]
+
+
+@st.composite
+def loss_frames(draw):
+    """A dense model with p <= 8 and a dense Q, a frame of it (rows of
+    a = w . noise and the noise's nu_hat n, the target t = w . mu and
+    m = nu_hat(mu), for w = e_1 or random weights and means up to 1e15,
+    equal or not) and coefficients (u, v): the first four rows (1, 0),
+    (0, 1), (0, 0) and (1, 1), then four of the shrinking kinds' form
+    (1 - f, f sum_i w_i), whose K = v m + (u - 1) t cancels at equal
+    means, then four dyadic pairs."""
+    p = draw(st.integers(1, 8))
+    k = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = [dense_spd(rng, p, rng.uniform(0.2, 2.0)) for _ in range(k)]
+    mu = rng.normal(0.0, 1.0, (1 if draw(st.booleans()) else k, p)) + np.zeros((k, p))
+    mu *= draw(st.sampled_from([1.0, 1e3, 1e8, 1e15]))
+    spec = ModelSpec(p=p, k=k, n=10, V=tuple(V), Q=dense_spd(rng, p, rng.uniform(0.2, 2.0)),
+                     sigma2=rng.uniform(0.5, 3.0), mu=tuple(mu))
+    noise = rng.normal(0.0, 1.0, (12, k, p))
+    w = np.eye(1, k)[0] if draw(st.booleans()) else rng.uniform(-1.0, 1.0, k)
+    f = rng.integers(0, 1025, 4) / 1024.0
+    coefs = np.hstack([[[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0]], [1.0 - f, f * w.sum()],
+                       rng.integers(-2048, 2049, (2, 4)) / 1024.0])
+    return spec, w @ noise, pooled_noise_stats(spec, noise)[0], w @ mu, nu_of(spec, mu), coefs
+
+
+@settings(max_examples=40)
+@given(loss_frames())
+def test_form_loss_matches_direct_loss(frame):
+    # The engine's loss from the frame's forms against the direct loss of
+    # r = u x + v nu_hat - t = y + K with x = a + t, nu_hat = n + m,
+    # y = u a + v n and K = v m + (u - 1) t, in exact rational arithmetic.
+    # Rounding the forms of y costs eps Y^2, and rounding K's forms and
+    # coefficients eps S (R + Y) + (eps S)^2, for Y and S the q-norms of
+    # |u| |a| + |v| |n| and |v| |m| + |u - 1| |t| and R that of r: linear in
+    # the size S of the constants, not quadratic, so a K that cancels costs
+    # no more than rounding x = a + t did.  With u = 1 and v = 0 the loss is
+    # exactly that of x.
+    spec, a, n, t, m, (u, v) = frame
+    q = 0.5 * (spec.Q + spec.Q.T)
+    aq, nq = a @ q, n @ q
+    base = [np.einsum("bi,bi->b", x, y) for x, y in ((aq, a), (2.0 * aq, n), (nq, n))]
+    got = risksim._form_loss((u, v), risksim._frame_forms(q, aq, nq, base, m, t))
+    assert got[0] == base[0][0]
+    exact = lambda x: [Fraction(float(e)) for e in np.ravel(x)]
+    Q, t_, m_ = exact(spec.Q), exact(t), exact(m)
+    q_norm = lambda z: math.sqrt(float(z @ np.abs(spec.Q) @ z))
+    for b in range(len(u)):
+        U, W = Fraction(u[b]), Fraction(v[b])
+        r = [U * (ai + ti) + W * (ni + mi) - ti
+             for ai, ni, ti, mi in zip(exact(a[b]), exact(n[b]), t_, m_)]
+        p = len(r)
+        loss = sum(r[i] * Q[i * p + j] * r[j] for i in range(p) for j in range(p))
+        Y = q_norm(abs(u[b]) * np.abs(a[b]) + abs(v[b]) * np.abs(n[b]))
+        S = q_norm(abs(v[b]) * np.abs(m) + abs(u[b] - 1.0) * np.abs(t))
+        bound = 1e-13 * (Y * Y + S * (math.sqrt(float(loss)) + Y) + 1e-13 * S * S)
+        assert abs(got[b] - float(loss)) <= bound, b
 
 
 F_GRID = np.geomspace(1e-300, 1e300, 601)

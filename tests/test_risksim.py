@@ -1,12 +1,14 @@
 """Monte Carlo engine: determinism, paired PRIAL accounting, the benchmark
 preset, and the integration-by-parts identity validators."""
 
+import collections
 import dataclasses
 import logging
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +219,83 @@ class TestSimulateRisk:
             simulate_risk(bad)
 
 
+class TestFrameForms:
+    """The loss forms take the constants m (nu_hat's) and t (the target)
+    apart, scaled by powers of 2, and K = v m + (u - 1) t as a sum of
+    squares: a coefficient of exactly 0 adds exactly 0, a loss that is
+    finite is taken as such, and where K cancels no large form is
+    subtracted from another.  The property test in test_properties.py
+    covers random frames with means up to 1e15."""
+
+    q = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]])
+
+    @pytest.mark.parametrize(
+        "m, t, coefs, overflows",
+        [
+            # m ~ 1e200, t = 0: v = 2^-600 scales m to about 1e20.
+            ([1e200, -2e200, 5e199], [0.0] * 3,
+             [(1.0, 0.0), (1.0, 2.0**-600), (0.0, 2.0**-600), (0.0, 1.0)], [3]),
+            # t ~ 1e200: finite only where u - 1 is exactly 0.
+            ([0.3, -1.2, 2.0], [1e200, 1e200, -1e200],
+             [(1.0, 0.0), (1.0, 0.5), (0.5, 0.5), (0.0, 0.0)], [2, 3]),
+            # m = t / 2 ~ 1e200: K = (v / 2 + u - 1) t is exactly 0 at (0, 2).
+            ([5e199, 5e199, -5e199], [1e200, 1e200, -1e200],
+             [(1.0, 0.0), (0.0, 2.0), (0.5, 1.0), (0.0, 1.0)], [3]),
+        ],
+        ids=["huge_m", "huge_t", "huge_parallel"],
+    )
+    def test_huge_constants_stay_apart(self, m, t, coefs, overflows):
+        rng = np.random.default_rng(5)
+        a, n = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        aq, nq = a @ self.q, n @ self.q
+        base = [np.einsum("bi,bi->b", x, y) for x, y in ((aq, a), (2.0 * aq, n), (nq, n))]
+        m, t = np.array(m), np.array(t)
+        u, v = (np.array(c) for c in zip(*coefs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = risksim._form_loss((u, v), risksim._frame_forms(self.q, aq, nq, base, m, t))
+        assert loss[0] == base[0][0]
+        r = u[:, None] * a + v[:, None] * n + (v[:, None] * m + (u - 1.0)[:, None] * t)
+        for row in range(4):
+            if row in overflows:
+                assert not np.isfinite(loss[row])
+            else:
+                assert loss[row] == pytest.approx(r[row] @ self.q @ r[row], rel=1e-12)
+
+    def test_lincomb_error_does_not_move_with_a_common_mean(self):
+        # d = (1, 1, 0, 0, 0) on the table1 model at every mean c: t = 2c
+        # and m = c, and the error u a + v n does not depend on c.  Taking
+        # K'qK as products of the forms of m - t and t reads 9.59 at
+        # c = 1e8 against 11.23.  What is left is u = 1 - f rounding by up
+        # to 2^-54, which moves K by up to 2^-53 c per row: forming x - t
+        # directly is 1.05e-10 relative apart on this input, so the bound
+        # is 1e-9.
+        cfg = EstimatorConfig(
+            kind="LINCOMB", d=(1.0, 1.0, 0.0, 0.0, 0.0), phi=lambda f, s: np.minimum(0.4, f)
+        )
+        entries = []
+        for c in (0.0, 1e8):
+            spec = scalar_spec(5, 5, 20, [0.1 * i for i in range(1, 6)], 4.0, (c,) * 5)
+            entries.append(simulate_risk(SimPlan(spec, (cfg,), 4096, 0)).estimators[0])
+        assert entries[1].baseline_risk == entries[0].baseline_risk
+        assert entries[1].risk == pytest.approx(entries[0].risk, rel=1e-9)
+
+    def test_heb_matches_its_direct_loss_at_opposite_means(self):
+        # nu_hat(mu) = 0, so K = (f - g) m - f t with m = 0 and f tiny;
+        # taking K'qK as products of the forms of m - t = -t and t reads
+        # 3.67 against 3.93.  The per-sample estimates round at 1e8, so
+        # their direct loss is off by about 1e-8 per row.
+        spec = scalar_spec(5, 4, 20, [0.2] * 4, 4.0, (1e8, -1e8, 1e8, -1e8))
+        plan = SimPlan(spec, (preset_estimators(spec)[4],), 128, 3)
+        entry = simulate_risk(plan).estimators[0]
+        assert entry.name == "HEB"
+        losses = []
+        for rep in range(plan.replications):
+            diff = estimate(replication_sample(plan, rep), spec, plan.estimators[0]) - spec.mu[0]
+            losses.append(float(diff @ spec.Q @ diff) / spec.sigma2)
+        assert entry.risk == pytest.approx(np.mean(losses), rel=1e-8)
+
+
 class TestHotPathCounts:
     """The engine opens one stream per chunk, computes the PT quantile
     once per (p, k, n, alpha), and shares the noise statistics and the
@@ -288,15 +367,29 @@ class TestHotPathCounts:
         assert len(noise_stats) == 1
 
     def test_table1_losses_once_per_memo_key(self, monkeypatch):
-        # 9 distinct (e_1, target) pairs of the unshrunk X_1: the 9 distinct
-        # mu_1 of table1, of which 0 is also every equivariant kind's target.
+        # One chunk of the 11 table1 plans, which share one Q and estimate
+        # mu_1: one n'Qn under Q, one a'Qa and 2 a'Qn under (w = e_1, Q),
+        # and one x per distinct mu_1 for JS (9).  One set of m and t forms
+        # per distinct frame (t, m): PT, EB and HB run at t = 0 with
+        # m = nu_hat(mu - mu_1) over the 8 distinct centred means, of which
+        # (-0.4, ..., 0.4) and (1.2, ..., 2.0) differ only in their last
+        # bits, and their pooled means may round to the same m (here they
+        # do): 7 or 8 frames.  JS and HEB run at t = mu_1 and m = nu_hat(mu),
+        # 11 frames of which mu = 0's is the zero frame above: 17 or 18.
         # Then one rule loss per (config, shifted means): 8 each for PT, EB
         # and HB (centred means), 11 each for JS and HEB (absolute means).
-        calls = []
-        original = risksim._loss
-        monkeypatch.setattr(risksim, "_loss", lambda *args: calls.append(1) or original(*args))
+        memos = []
+        original = risksim._chunk_sums
+        monkeypatch.setattr(
+            risksim, "_chunk_sums", lambda *args: memos.append(args[-1]) or original(*args)
+        )
         simulate_many([plan for _, plan in table1_preset(replications=2048)])
-        assert len(calls) == 9 + 3 * 8 + 2 * 11
+        assert all(memo is memos[0] for memo in memos)
+        tags = collections.Counter(
+            key[0] if isinstance(key[0], str) else key[0].kind for key in memos[0]
+        )
+        assert 17 <= tags.pop("frame") <= 18
+        assert tags == {"Q": 1, "w": 1, "x": 9, "PT": 8, "EB": 8, "HB": 8, "JS": 11, "HEB": 11}
 
     def test_table1_factors_one_noise_model(self):
         # The 11 plans draw identical rows, so only the first one's draws
