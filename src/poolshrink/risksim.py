@@ -373,7 +373,7 @@ def _chunk_sums(plan: SimPlan, start: int, noise: np.ndarray, ss: np.ndarray, no
             memo["Q", q_key] = (q, nq, np.einsum("bi,bi->b", nq, n))
     q, nq, N = memo["Q", q_key]
 
-    def unshrunk(w, w_key):
+    def weight_forms(w, w_key):
         if ("w", w_key, q_key) not in memo:
             a = np.einsum("k,bki->bi", w, noise)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -385,12 +385,12 @@ def _chunk_sums(plan: SimPlan, start: int, noise: np.ndarray, ss: np.ndarray, no
         return memo["w", w_key, q_key]
 
     e_1 = _first_unit(spec.k)
-    blocks = [unshrunk(e_1, e_1.tobytes())[-1]]
+    blocks = [weight_forms(e_1, e_1.tobytes())[-1]]
     for cfg in plan.estimators:
         kind = ESTIMATORS[cfg.kind]
         w = kind.estimand(cfg, spec)
         w_key = w.tobytes()
-        a, aq, forms, base, moments = unshrunk(w, w_key)
+        a, aq, forms, base, moments = weight_forms(w, w_key)
         means, nu, m = frames[kind.equivariant]
         key = (cfg, means.tobytes(), q_key)
         if key not in memo:
