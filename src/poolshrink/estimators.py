@@ -3,11 +3,11 @@
 All shrinkage rules here pull the direct observation X_1 toward the pooled
 mean nu_hat (and, for double-shrinkage rules, additionally pull nu_hat
 toward the origin).  The amount of shrinkage is a scalar factor driven by
-the scale-free statistics F (dispersion around nu_hat) and G (size of
-nu_hat), both normalized by the chi-square statistic S:
+the scale-free statistics F (dispersion around nu_hat), G (size of nu_hat)
+and J (size of X_1), each normalized by the chi-square statistic S:
 
 * preliminary-test (PT): all-or-nothing, keyed to an F-test threshold;
-* James-Stein (JS): shrinks X_1 toward 0 using X_1 and S only;
+* James-Stein (JS): shrinks X_1 toward 0 by a factor of J only;
 * empirical Bayes (EB): clipped linear shrink min(a0/F, 1);
 * hierarchical Bayes (HB): smooth shrink phi_hb(F, S)/F obtained by
   integrating the shrinkage weight against a second-stage prior;
@@ -52,6 +52,7 @@ __all__ = [
     "preset_config",
     "pt_threshold",
     "rule_estimates",
+    "size_statistics",
 ]
 
 # A shrink function maps (F, S) -> phi >= 0 (or (G, S) -> psi); handles must
@@ -426,25 +427,23 @@ def _first_mean(cfg: EstimatorConfig, spec: ModelSpec) -> np.ndarray:
 @dataclass(frozen=True)
 class EstimatorKind:
     """One estimator kind: the config fields it uses, its batched rule, its
-    check, its bound-optimal constants, if it has any, its estimand, whether
-    it is shift-equivariant and whether its rule reads x.
+    check, its bound-optimal constants, if it has any, its estimand and
+    whether it is shift-equivariant.
 
-    The rule maps (config, spec, x (B, p), S (B,), nu_hat (B, p), F (B,)) to
-    the coefficients (u, v), each of shape (B,), of the B estimates
-    u x + v nu_hat (``rule_estimates``), where x = sum_i w_i X_i is the
-    unshrunk estimate of the kind's estimand: X_1, or sum_i d_i X_i for
-    LINCOMB.  Only a kind that ``reads_x`` reads x; the engine passes None
-    to the others.  The rules that read G compute it from nu_hat and S.  The
-    check runs after the field checks pass, against a valid model: it
-    returns what the fields violate beyond ``_FIELD_RANGES``, and for a
-    config it accepts it computes every constant the rule memoizes, so that
-    processes forked after validation inherit them.  ``optimal`` maps
-    (config, spec) to the bound-optimal values of the config's constants,
-    which may depend on the constants the config already holds.
-    ``estimand`` maps (config, spec) to the weights w of the estimated
-    sum_i w_i mu_i.  An ``equivariant`` kind estimates mu_1 and its estimate
-    moves by c when every X_i does, so the engine may evaluate it on draws
-    whose first mean is 0."""
+    The rule maps (config, spec, S, F, G, J) to the coefficients (u, v) of
+    the B estimates u x + v nu_hat (``rule_estimates``), all of shape (B,):
+    x = sum_i w_i X_i is the unshrunk estimate of the kind's estimand, X_1,
+    or sum_i d_i X_i for LINCOMB, and G and J are the sizes of nu_hat and x
+    (``size_statistics``).  The check runs after the field checks pass,
+    against a valid model: it returns what the fields violate beyond
+    ``_FIELD_RANGES``, and for a config it accepts it computes every
+    constant the rule memoizes, so that processes forked after validation
+    inherit them.  ``optimal`` maps (config, spec) to the bound-optimal
+    values of the config's constants, which may depend on the constants the
+    config already holds.  ``estimand`` maps (config, spec) to the weights w
+    of the estimated sum_i w_i mu_i.  An ``equivariant`` kind estimates mu_1
+    and its estimate moves by c when every X_i does, so the engine may
+    evaluate it on draws whose first mean is 0."""
 
     fields: tuple[str, ...]
     rule: Callable[..., tuple[np.ndarray, np.ndarray]]
@@ -452,7 +451,6 @@ class EstimatorKind:
     optimal: Callable[[EstimatorConfig, ModelSpec], dict] | None = None
     estimand: Callable[[EstimatorConfig, ModelSpec], np.ndarray] = _first_mean
     equivariant: bool = False
-    reads_x: bool = False
 
 
 def _factor(phi: ShrinkFunction, stat: np.ndarray, S: np.ndarray, at_zero: float):
@@ -464,57 +462,54 @@ def _factor(phi: ShrinkFunction, stat: np.ndarray, S: np.ndarray, at_zero: float
     return factor
 
 
-def _pt_rule(cfg, spec, x, S, nu, F):
+def _pt_rule(cfg, spec, S, F, G, J):
     """(1, 0), X_1, where the equal-means hypothesis is rejected at level
     alpha, and (0, 1), nu_hat, elsewhere."""
     u = (F > pt_threshold(spec.p, spec.k, spec.n, cfg.alpha)).astype(float)
     return u, 1.0 - u
 
 
-def _js_rule(cfg, spec, x, S, nu, F):
-    """(1 - ((p-2)/(n+2)) S/||X_1||^2_{V_1^{-1}}, 0); (1, 0) when X_1 = 0."""
-    norm2 = np.einsum("bi,bi->b", x @ spec.v_inv[0], x)
-    js = lambda t, s: (spec.p - 2.0) / (spec.n + 2.0) * s
-    return 1.0 - _factor(js, norm2, S, 0.0), np.zeros_like(S)
+def _js_rule(cfg, spec, S, F, G, J):
+    """(1 - ((p-2)/(n+2))/J, 0); (1, 0) when X_1 = 0."""
+    js = lambda j, s: (spec.p - 2.0) / (spec.n + 2.0)
+    return 1.0 - _factor(js, J, S, 0.0), np.zeros_like(S)
 
 
-def _eb_rule(cfg, spec, x, S, nu, F):
+def _eb_rule(cfg, spec, S, F, G, J):
     """(1 - f, f) with f = min(a0/F, 1)."""
     f = _factor(lambda f, s: np.minimum(cfg.a0, f), F, S, 1.0)
     return 1.0 - f, f
 
 
-def _hb_rule(cfg, spec, x, S, nu, F):
+def _hb_rule(cfg, spec, S, F, G, J):
     """(1 - f, f) with f = phi_hb(F, S)/F, and (q+a)/(q+a+1) at F = 0."""
     hb = lambda f, s: phi_hb(f, s, spec.p, spec.k, spec.n, cfg.a, cfg.c, cfg.L)
     f = _factor(hb, F, S, hb_small_f_factor(spec.p, spec.k, cfg.a))
     return 1.0 - f, f
 
 
-def _heb_rule(cfg, spec, x, S, nu, F):
+def _heb_rule(cfg, spec, S, F, G, J):
     """(1 - f, f - g) with f = min(a0/F, 1) and g = min(b0/G, 1)."""
-    u, f = _eb_rule(cfg, spec, x, S, nu, F)
-    G = g_statistic(spec, nu, S)
+    u, f = _eb_rule(cfg, spec, S, F, G, J)
     return u, f - _factor(lambda g, s: np.minimum(cfg.b0, g), G, S, 1.0)
 
 
-def _class1_rule(cfg, spec, x, S, nu, F):
+def _class1_rule(cfg, spec, S, F, G, J):
     """(1 - f, f) with f = phi(F, S)/F."""
     f = _factor(cfg.phi, F, S, 0.0)
     return 1.0 - f, f
 
 
-def _class2_rule(cfg, spec, x, S, nu, F):
+def _class2_rule(cfg, spec, S, F, G, J):
     """(1 - f, f - g) with f = phi(F, S)/F and g = psi(G, S)/G."""
-    u, f = _class1_rule(cfg, spec, x, S, nu, F)
-    return u, f - _factor(cfg.psi, g_statistic(spec, nu, S), S, 0.0)
+    u, f = _class1_rule(cfg, spec, S, F, G, J)
+    return u, f - _factor(cfg.psi, G, S, 0.0)
 
 
-def _lincomb_rule(cfg, spec, x, S, nu, F):
+def _lincomb_rule(cfg, spec, S, F, G, J):
     """(1 - f, f sum_i d_i) with f = phi(F, S)/F: the estimate
-    sum_i d_i [X_i - f (X_i - nu_hat)] of sum_i d_i mu_i, with
-    x = sum_i d_i X_i."""
-    u, f = _class1_rule(cfg, spec, x, S, nu, F)
+    sum_i d_i [X_i - f (X_i - nu_hat)] of sum_i d_i mu_i."""
+    u, f = _class1_rule(cfg, spec, S, F, G, J)
     return u, f * sum(cfg.d)
 
 
@@ -523,7 +518,7 @@ def _lincomb_rule(cfg, spec, x, S, nu, F):
 # CLASS2 also shrink toward the origin.
 ESTIMATORS: dict[str, EstimatorKind] = {
     "PT": EstimatorKind(("alpha",), _pt_rule, _check_pt, equivariant=True),
-    "JS": EstimatorKind((), _js_rule, reads_x=True),
+    "JS": EstimatorKind((), _js_rule),
     "EB": EstimatorKind(
         ("a0",), _eb_rule, optimal=lambda cfg, spec: {"a0": optimal_eb_constant(spec)},
         equivariant=True,
@@ -573,12 +568,18 @@ def preset_config(
     return cfg
 
 
+def size_statistics(spec: ModelSpec, x: np.ndarray, nu: np.ndarray, S: np.ndarray):
+    """(G, J) (B,): ||nu_hat||^2_{A^{-1}}/S of the pooled means ``nu`` and
+    ||x||^2_{V_1^{-1}}/S of the unshrunk estimates ``x``, both (B, p)."""
+    return g_statistic(spec, nu, S), np.einsum("bi,bi->b", x @ spec.v_inv[0], x) / S
+
+
 def rule_estimates(config: EstimatorConfig, spec: ModelSpec, x: np.ndarray, S: np.ndarray,
                    nu: np.ndarray, F: np.ndarray) -> np.ndarray:
     """The B estimates u x + v nu_hat (B, p) of ``config``'s rule, which
     returns (u, v), on the unshrunk estimates ``x`` of its estimand and S,
     nu_hat and F."""
-    u, v = ESTIMATORS[config.kind].rule(config, spec, x, S, nu, F)
+    u, v = ESTIMATORS[config.kind].rule(config, spec, S, F, *size_statistics(spec, x, nu, S))
     return u[:, None] * x + v[:, None] * nu
 
 

@@ -15,15 +15,15 @@ statistics that depends only on the noise (its nu_hat, weighted deviations
 and dispersion) is computed once, and each plan adds its means to it
 through linearity.  Each estimator is evaluated with the means shifted by
 its origin, mu_1 for the shift-equivariant kinds (PT, EB, HB, CLASS1) and
-0 for the others and X_1: its rule reads the unshrunk estimate
-x = w . (noise + mu - origin) of its estimand and returns the coefficients
-(u, v) of its estimates u x + v nu_hat, scored against w . (mu - origin)
-with the loss of x as its baseline, and no plan copies or writes the draw.
-No estimate is formed: each loss is a quadratic in (u, v) whose
-coefficients are Q-forms of the draw that every estimator of a frame
-shares.  One memo per group and chunk holds these forms, as B-vectors and
-scalars, under (w, Q), Q and each frame, x under (w, target) for the kinds
-that read it, and each estimator's chunk sums under (config, shifted
+0 for the others and X_1: its rule reads S, F and the sizes G and J of
+nu_hat and of the unshrunk estimate x = w . (noise + mu - origin) of its
+estimand, and returns the coefficients (u, v) of its estimates
+u x + v nu_hat, scored against w . (mu - origin) with the loss of x as its
+baseline.  No plan copies or writes the draw, and no estimate is formed:
+each loss is a quadratic in (u, v) whose coefficients are Q-forms of the
+draw that every estimator of a frame shares.  One memo per group and chunk
+holds these forms under (w, Q), Q and each frame, the frame's G and J
+beside its forms, and each estimator's chunk sums under (config, shifted
 means, Q), each a function of its key and the group's draw alone, so each
 plan's chunk sums are bit-identical to those of the plan run alone.
 Chunk partial sums are reduced per plan in chunk order, so a plan produces
@@ -55,7 +55,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, _first_unit, preset_config
+from .estimators import (CONFIG_KINDS, ESTIMATORS, EstimatorConfig, _first_unit, preset_config,
+                         size_statistics)
 from .model import ModelSpec, Sample, scalar_spec, validate_spec
 from .numerics import trace_product
 from .statistics import _pooled_mean, pooled_noise_stats, shifted_pooled_stats
@@ -273,18 +274,17 @@ def _form_loss(coefs, forms) -> np.ndarray:
         return loss
 
 
-def _failing_row(cfg: EstimatorConfig, spec: ModelSpec, x, ss, stats, forms) -> int:
+def _failing_row(cfg: EstimatorConfig, spec: ModelSpec, ss, stats, forms) -> int:
     """The first row of a chunk on which ``cfg``'s rule, run on that row
-    alone with its pooled statistics ``stats`` = (nu_hat, F), raises or
-    gives a non-finite loss from its frame's ``forms`` (the chunk's first
-    row if none does)."""
+    alone with its statistics ``stats`` = (F, G, J), raises or gives a
+    non-finite loss from its frame's ``forms`` (the chunk's first row if
+    none does)."""
     rule = ESTIMATORS[cfg.kind].rule
     A, C2, N, slots, a_forms, n_forms, R = forms
     for row in range(len(ss)):
         one = slice(row, row + 1)
         try:
-            coefs = rule(cfg, spec, None if x is None else x[one], ss[one],
-                         *(stat[one] for stat in stats))
+            coefs = rule(cfg, spec, ss[one], *(stat[one] for stat in stats))
             row_forms = (A[one], C2[one], N[one], slots, a_forms[:, one], n_forms[:, one], R)
             if not np.isfinite(_form_loss(coefs, row_forms)[0] / spec.sigma2):
                 return row
@@ -293,19 +293,18 @@ def _failing_row(cfg: EstimatorConfig, spec: ModelSpec, x, ss, stats, forms) -> 
     return 0
 
 
-def _estimator_sums(plan: SimPlan, cfg: EstimatorConfig, start: int, x, ss, stats, forms, base):
-    """``_moments`` of the loss l of ``cfg``'s rule on the unshrunk
-    estimates ``x`` (None for a kind that does not read them) and the ``ss``
-    of replications ``start``, ``start + 1``, ... with their statistics
-    ``stats`` = (nu_hat, F), from its frame's ``forms``, and of the paired
+def _estimator_sums(plan: SimPlan, cfg: EstimatorConfig, start: int, ss, stats, forms, base):
+    """``_moments`` of the loss l of ``cfg``'s rule on the ``ss`` of
+    replications ``start``, ``start + 1``, ... and their statistics
+    ``stats`` = (F, G, J), from its frame's ``forms``, and of the paired
     difference ``base`` - l.  If the rule fails, raises the SimulationError
     that names the first failing replication."""
     spec = plan.spec
     try:
-        coefs = ESTIMATORS[cfg.kind].rule(cfg, spec, x, ss, *stats)
+        coefs = ESTIMATORS[cfg.kind].rule(cfg, spec, ss, *stats)
         est_loss = _form_loss(coefs, forms) / spec.sigma2
     except Exception as exc:
-        row, cause = _failing_row(cfg, spec, x, ss, stats, forms), exc
+        row, cause = _failing_row(cfg, spec, ss, stats, forms), exc
     else:
         finite = np.isfinite(est_loss)
         if finite.all():
@@ -347,23 +346,23 @@ def _chunk_sums(plan: SimPlan, start: int, noise: np.ndarray, ss: np.ndarray, no
     b - l and its baseline loss b.
 
     X_1 and each estimator are evaluated with the means shifted by an
-    origin, mu_1 for an equivariant kind and 0 otherwise: the rule reads
-    x = a + t and nu_hat = n + m, with a = w . noise, n the noise's nu_hat,
-    t = w . (mu - origin) its target and m = nu_hat(mu - origin).  Its loss
-    is a quadratic in the rule's (u, v) over the Q-forms of a, n, m and t
-    (``_frame_forms``), and b is the loss a'Qa / sigma^2 of x.  ``memo``
-    holds, for the plans of one noise group, (Q's symmetric part q, n q,
-    n'qn) under Q, (a, a q, a'qa, 2 a'qn, n'qn, b, moments of b) under
-    (w, Q), x under (w, t) for the kinds that read it, the frame's forms
-    under (w, t, m, Q) and each estimator's sums under (config, shifted
-    means, Q).  The estimators run in plan order, so the first that fails
-    raises; ``noise`` is only read."""
+    origin, mu_1 for an equivariant kind and 0 otherwise: the rule reads S,
+    F and the ``size_statistics`` of x = a + t and nu_hat = n + m, with
+    a = w . noise, n the noise's nu_hat, t = w . (mu - origin) its target
+    and m = nu_hat(mu - origin).  Its loss is a quadratic in the rule's
+    (u, v) over the Q-forms of a, n, m and t (``_frame_forms``), and b is
+    the loss a'Qa / sigma^2 of x.  ``memo`` holds, for the plans of one
+    noise group, (Q's symmetric part q, n q, n'qn) under Q, (a, a q, a'qa,
+    2 a'qn, n'qn, b, moments of b) under (w, Q), the frame's forms and its
+    (G, J) under (w, t, m, Q) and each estimator's sums under (config,
+    shifted means, Q).  The estimators run in plan order, so the first that
+    fails raises; ``noise`` is only read."""
     spec = plan.spec
     mu_1 = spec.mu_stack[0]
     centred = spec.mu_stack - mu_1
-    nu_c, f_stat = shifted_pooled_stats(spec, noise_stats, centred, ss)
+    f_stat = shifted_pooled_stats(spec, noise_stats, centred, ss)
     shift = _pooled_mean(spec, centred) if centred.any() else np.zeros(spec.p)
-    frames = {True: (centred, nu_c, shift), False: (spec.mu_stack, nu_c + mu_1, shift + mu_1)}
+    frames = {True: (centred, shift), False: (spec.mu_stack, shift + mu_1)}
     n = noise_stats[0]
     q_key = spec.Q.tobytes()
     if ("Q", q_key) not in memo:
@@ -391,19 +390,17 @@ def _chunk_sums(plan: SimPlan, start: int, noise: np.ndarray, ss: np.ndarray, no
         w = kind.estimand(cfg, spec)
         w_key = w.tobytes()
         a, aq, forms, base, moments = weight_forms(w, w_key)
-        means, nu, m = frames[kind.equivariant]
+        means, m = frames[kind.equivariant]
         key = (cfg, means.tobytes(), q_key)
         if key not in memo:
             t = w @ means
-            x = None
-            if kind.reads_x:
-                x = memo.get(("x", w_key, t.tobytes()))
-                if x is None:
-                    x = memo["x", w_key, t.tobytes()] = a + t
             frame = ("frame", w_key, t.tobytes(), m.tobytes(), q_key)
             if frame not in memo:
-                memo[frame] = _frame_forms(q, aq, nq, forms, m, t)
-            memo[key] = _estimator_sums(plan, cfg, start, x, ss, (nu, f_stat), memo[frame], base)
+                x = a + t if t.any() else a
+                memo[frame] = (_frame_forms(q, aq, nq, forms, m, t),
+                               size_statistics(spec, x, n + m, ss))
+            frame_forms, sizes = memo[frame]
+            memo[key] = _estimator_sums(plan, cfg, start, ss, (f_stat, *sizes), frame_forms, base)
         blocks += [memo[key], moments]
     return np.concatenate(blocks)
 

@@ -74,25 +74,23 @@ def pooled_noise_stats(spec: ModelSpec, X: np.ndarray):
 
 
 def shifted_pooled_stats(spec: ModelSpec, noise_stats, means: np.ndarray, S: np.ndarray):
-    """nu_hat (B, p) and F (B,) of X + ``means`` (k, p), from
+    """F (B,) of X + ``means`` (k, p), from
     ``noise_stats = pooled_noise_stats(spec, X)``.
 
-    Both are linear or quadratic in X: nu_hat shifts by nu_hat(means), and
-    the dispersion gains twice the cross term sum_i wdev_i' dev_i plus the
-    means' own dispersion, where dev_i = mu_i - nu_hat(means).  Zero means
-    leave the noise's statistics as they are.
+    The dispersion is quadratic in X: it gains twice the cross term
+    sum_i wdev_i' dev_i plus the means' own dispersion, where
+    dev_i = mu_i - nu_hat(means).  Zero means leave the noise's dispersion
+    as it is.
     """
     if np.any(S <= 0.0):
         raise ValueError(f"S must be positive, got {np.min(S)}")
-    nu, wdev, dispersion = noise_stats
+    _, wdev, dispersion = noise_stats
     if means.any():
-        nu_means = _pooled_mean(spec, means)
-        dev = means - nu_means
+        dev = means - _pooled_mean(spec, means)
         own = np.einsum("ki,kij,kj->", dev, spec.v_inv, dev)
-        nu = nu + nu_means
         cross = (wdev @ dev[:, :, None]).sum(axis=0)[:, 0]
         dispersion = dispersion + 2.0 * cross + own
-    return nu, dispersion / S
+    return dispersion / S
 
 
 def g_statistic(spec: ModelSpec, nu: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -101,18 +99,19 @@ def g_statistic(spec: ModelSpec, nu: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 def batch_pooled_stats(spec: ModelSpec, X: np.ndarray, S: np.ndarray):
-    """Pooled mean and the F, G statistics for B samples at once: the
-    zero-means case of ``shifted_pooled_stats``.
+    """Pooled mean and the F, G statistics for B samples at once: nu_hat
+    from ``pooled_noise_stats`` and F from ``shifted_pooled_stats`` at zero
+    means.
 
     ``X`` has shape (B, k, p) and ``S`` shape (B,); returns nu_hat (B, p),
     F (B,) and G (B,).  The inverses, the summed precision and A come from
     the model's cache, so nothing is solved per sample.  A nu_hat or F that
-    overflows, which every rule reads, is a RuntimeError that names it; G is
-    returned unchecked.
+    overflows is a RuntimeError that names it; G is returned unchecked.
     """
-    zero = np.zeros(X.shape[1:])
     with np.errstate(over="ignore", divide="ignore"):
-        nu, f_stat = shifted_pooled_stats(spec, pooled_noise_stats(spec, X), zero, S)
+        noise_stats = pooled_noise_stats(spec, X)
+        f_stat = shifted_pooled_stats(spec, noise_stats, np.zeros(X.shape[1:]), S)
+        nu = noise_stats[0]
         g_stat = g_statistic(spec, nu, S)
     for name, value in (("nu_hat", nu), ("F", f_stat)):
         if not np.all(np.isfinite(value)):

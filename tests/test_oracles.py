@@ -1,6 +1,7 @@
 """Exact risk oracles for the benchmark's equal-means rows, checked against
 the shared acceptance run and, for a CLASS1 rule, one run of their own,
-and for PT, EB, HB and CLASS1 on three seeded dense equal-means models.
+and for PT, EB, HB and CLASS1 on three seeded dense equal-means models,
+with HB at L = 0 and at L > 0.
 
 Under equal means the whitened GLS residual is N(0, sigma^2 P), with P a
 projector of rank d = p(k-1); it is independent of nu_hat and S, and its
@@ -305,3 +306,17 @@ def test_dense_models_match_the_exact_prials(seed):
     (report,) = simulate_many([SimPlan(spec, configs, 100_000, 5)])
     for entry, value in zip(report.estimators, exact):
         assert abs(entry.prial - value) <= 4.0 * entry.prial_std_error, entry.name
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dense_models_match_the_exact_hb_lpos_prials(seed):
+    # HB at L > 0 on the same models: p(k-1) = 18, n = 20 and c = 1 give
+    # m = 18, so the oracle's Q(m + 1, y) is a finite sum.
+    spec = dense_equal_means_spec(seed)
+    configs = tuple(
+        EstimatorConfig(kind="HB", a=-2.0, c=1.0, L=L, label=f"HB{L:g}") for L in (0.5, 5.0)
+    )
+    (report,) = simulate_many([SimPlan(spec, configs, 16_384, 5)])
+    for cfg, entry in zip(configs, report.estimators):
+        exact = full_shrink_prial(spec) * (1.0 - hb_lpos_mean_square(spec, cfg.a, cfg.c, cfg.L))
+        assert abs(entry.prial - exact) <= 4.0 * entry.prial_std_error, entry.name

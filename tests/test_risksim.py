@@ -132,10 +132,20 @@ class TestSimulateRisk:
                 a, b = replication_sample(short, rep), replication_sample(full, rep)
                 assert np.array_equal(a.X, b.X) and a.S == b.S
 
-    def test_matches_per_sample_estimators(self):
+    CLASS2 = EstimatorConfig(
+        kind="CLASS2", phi=lambda f, s: np.minimum(0.4, f), psi=lambda g, s: np.minimum(0.6, g)
+    )
+
+    @pytest.mark.parametrize(
+        "mu, extra", [((0,) * 5, ()), (TABLE1_MEANS[5], (CLASS2,))], ids=["zero", "shifted"]
+    )
+    def test_matches_per_sample_estimators(self, mu, extra):
         # The engine's chunked evaluation must agree with estimate(), the
         # B = 1 call of the same rules, on the draws replication_sample names.
-        plan = small_plan(reps=64)
+        # At non-zero means the engine takes G and J once per frame, at the
+        # kind's origin; CLASS2 reads G there too.
+        plan = small_plan(reps=64, mu=mu)
+        plan = dataclasses.replace(plan, estimators=plan.estimators + extra)
         report = simulate_risk(plan)
         spec = plan.spec
         losses = {cfg.name: [] for cfg in plan.estimators}
@@ -368,9 +378,9 @@ class TestHotPathCounts:
 
     def test_table1_losses_once_per_memo_key(self, monkeypatch):
         # One chunk of the 11 table1 plans, which share one Q and estimate
-        # mu_1: one n'Qn under Q, one a'Qa and 2 a'Qn under (w = e_1, Q),
-        # and one x per distinct mu_1 for JS (9).  One set of m and t forms
-        # per distinct frame (t, m): PT, EB and HB run at t = 0 with
+        # mu_1: one n'Qn under Q and one a'Qa and 2 a'Qn under (w = e_1, Q).
+        # One set of m and t forms, and one G and J, per distinct frame
+        # (t, m), not per plan: PT, EB and HB run at t = 0 with
         # m = nu_hat(mu - mu_1) over the 8 distinct centred means, of which
         # (-0.4, ..., 0.4) and (1.2, ..., 2.0) differ only in their last
         # bits, and their pooled means may round to the same m (here they
@@ -378,18 +388,22 @@ class TestHotPathCounts:
         # 11 frames of which mu = 0's is the zero frame above: 17 or 18.
         # Then one rule loss per (config, shifted means): 8 each for PT, EB
         # and HB (centred means), 11 each for JS and HEB (absolute means).
-        memos = []
-        original = risksim._chunk_sums
+        memos, sizes = [], []
+        original, original_sizes = risksim._chunk_sums, risksim.size_statistics
         monkeypatch.setattr(
             risksim, "_chunk_sums", lambda *args: memos.append(args[-1]) or original(*args)
+        )
+        monkeypatch.setattr(
+            risksim, "size_statistics", lambda *args: sizes.append(1) or original_sizes(*args)
         )
         simulate_many([plan for _, plan in table1_preset(replications=2048)])
         assert all(memo is memos[0] for memo in memos)
         tags = collections.Counter(
             key[0] if isinstance(key[0], str) else key[0].kind for key in memos[0]
         )
-        assert 17 <= tags.pop("frame") <= 18
-        assert tags == {"Q": 1, "w": 1, "x": 9, "PT": 8, "EB": 8, "HB": 8, "JS": 11, "HEB": 11}
+        frames = tags.pop("frame")
+        assert 17 <= frames <= 18 and len(sizes) == frames
+        assert tags == {"Q": 1, "w": 1, "PT": 8, "EB": 8, "HB": 8, "JS": 11, "HEB": 11}
 
     def test_table1_factors_one_noise_model(self):
         # The 11 plans draw identical rows, so only the first one's draws
