@@ -37,7 +37,7 @@ import numpy as np
 
 from .minimax import check_hb_domain, optimal_eb_constant, optimal_heb_constants, solve_hb_a
 from .model import ModelSpec, Sample, validate_spec
-from .numerics import QuadratureError, _beta_cont_frac, _log_lower_gamma, f_quantile, gauss_jacobi
+from .numerics import QuadratureError, _beta_cont_frac, _log_lower_gamma, f_quantile, gauss_legendre
 from .statistics import batch_pooled_stats, g_statistic
 
 __all__ = [
@@ -250,7 +250,7 @@ def _hb_edges(F, kappa, qa, m):
 def _phi_hb_lpos(F: np.ndarray, S: np.ndarray, qa: float, m: float, L: float) -> np.ndarray:
     """phi_hb for L > 0, batched over the rows of F and S, as the ratio of
     ``phi_hb`` over u >= kappa = LS/2.  In t = log u both integrands are
-    log-concave.  They are integrated by Gauss-Legendre rules of both
+    log-concave.  They are integrated by the ``gauss_legendre`` rules of both
     ``_HB_ORDERS`` on the panels of ``_hb_edges``, in offsets t - log u0, so
     that u keeps its precision where kappa is huge, with both P from one
     ``_log_lower_gamma`` pass, and the logs shifted by the row's largest so
@@ -259,7 +259,7 @@ def _phi_hb_lpos(F: np.ndarray, S: np.ndarray, qa: float, m: float, L: float) ->
     than ``_HB_RTOL`` raise QuadratureError."""
     u0, edges = _hb_edges(F, 0.5 * L * S, qa, m)
     h = np.diff(edges, axis=1)[:, :, None]
-    rules = [gauss_jacobi(n, 0.0) for n in _HB_ORDERS]
+    rules = [gauss_legendre(n) for n in _HB_ORDERS]
     flat = lambda a: a.reshape(F.size, a.shape[1] * a.shape[2])
     d = np.concatenate([flat(edges[:, :-1, None] + h * u) for u, _ in rules], axis=1)
     log_p, log_p1 = _log_lower_gamma(qa, (np.log(u0) + np.log(F))[:, None] + d)
@@ -394,14 +394,15 @@ def _check_pt(cfg, spec):
 
 def _check_hb(cfg, spec):
     """The HB domain of ``check_hb_domain``, given the model; at L > 0 a
-    config inside it also computes the quadrature rules ``phi_hb`` reads."""
+    config inside it also computes the Gauss-Legendre rules of
+    ``_HB_ORDERS`` that ``phi_hb`` reads."""
     try:
         check_hb_domain(spec.p, spec.k, spec.n, cfg.a, cfg.c)
     except ValueError as exc:
         return [str(exc)]
     if cfg.L > 0.0:
         for n in _HB_ORDERS:
-            gauss_jacobi(n, 0.0)
+            gauss_legendre(n)
     return []
 
 

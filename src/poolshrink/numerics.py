@@ -1,6 +1,6 @@
 """Numerical kernel: SPD matrix utilities, extreme roots of SPD products,
-regularized incomplete beta/gamma functions, F-distribution quantiles, and
-Gauss-Jacobi quadrature rules.
+the regularized incomplete beta function, the log lower incomplete gamma
+ratio, F-distribution quantiles, and Gauss-Legendre quadrature rules.
 
 Everything here is pure and reentrant; no state is shared between calls.
 """
@@ -17,9 +17,8 @@ __all__ = [
     "QuadratureError",
     "chmax_product",
     "f_quantile",
-    "gauss_jacobi",
+    "gauss_legendre",
     "reg_inc_beta",
-    "reg_upper_gamma",
     "trace_product",
     "validate_spd",
 ]
@@ -227,11 +226,6 @@ def _series_tail(s: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gamma_series(s: float, x: np.ndarray) -> np.ndarray:
-    """The series (1 + x/(s+1) t_2)/s of P(s, x), x < s + 1; t_2 of ``_series_tail``."""
-    return (1.0 + x * _series_tail(s, x) / (s + 1.0)) / s
-
-
 @lru_cache(maxsize=4096)
 def _fraction_depth(s: float, d: float, maxit: int) -> int:
     """The step at which the modified Lentz test |delta - 1| < 1e-15 passes
@@ -263,37 +257,6 @@ def _gamma_cont_frac(s: float, x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     out[order] = 1.0 / t
     return out
-
-
-def reg_upper_gamma(s: float, x, log: bool = False):
-    """Regularized upper incomplete gamma ratio Q(s, x) = Gamma(s, x) / Gamma(s),
-    or its natural log when ``log`` is true.  The log stays finite where Q
-    underflows, and Q(s, inf) = 0.
-
-    P = 1 - Q by ``_gamma_series`` for x < s + 1, Q by ``_gamma_cont_frac``
-    otherwise, each cut at one depth per octave of ``_by_depth``
-    (ValueError past ``_CF_MAXIT`` steps).
-    """
-    if not s > 0.0:
-        raise ValueError(f"shape parameter must be positive, got s={s}")
-    xarr = np.asarray(x, dtype=float)
-    if np.any(xarr < 0.0):
-        raise ValueError("x must be nonnegative")
-    xv = xarr.ravel()
-    out = np.where(np.isinf(xv), -np.inf, np.where(np.isnan(xv), np.nan, 0.0))
-    live = (xv > 0.0) & np.isfinite(xv)
-    xl = xv[live]
-    log_q = -xl + s * np.log(xl) - math.lgamma(s)
-    lower = xl < s + 1.0
-    # P(s, x) <= 1 up to rounding.
-    log_q[lower] = np.log1p(-np.minimum(np.exp(log_q[lower]) * _gamma_series(s, xl[lower]), 1.0))
-    log_q[~lower] += np.log(_gamma_cont_frac(s, xl[~lower]))
-    out[live] = np.minimum(log_q, 0.0)
-    if not log:
-        out = np.exp(out)
-    if xarr.ndim == 0:
-        return float(out[0])
-    return out.reshape(xarr.shape)
 
 
 def _log_lower_gamma(s: float, log_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -376,7 +339,7 @@ def f_quantile(d1: int, d2: int, alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Jacobi quadrature
+# Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
 
 
@@ -385,38 +348,25 @@ class QuadratureError(RuntimeError):
 
 
 @lru_cache(maxsize=64)
-def gauss_jacobi(order: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi rule on [0, 1] for the weight s^a, a > -1 (Gauss-Legendre
-    at a = 0).
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [0, 1].
 
     Returns (nodes, weights), nodes ascending, with
-    sum(weights * f(nodes)) ~ int_0^1 s^a f(s) ds, exact for polynomials f
-    of degree < 2 order.  The nodes are the eigenvalues of the Jacobi matrix
+    sum(weights * f(nodes)) ~ int_0^1 f(s) ds, exact for polynomials f of
+    degree < 2 order.  The nodes are the eigenvalues of the Jacobi matrix
     of the three-term recurrence (Golub and Welsch, Math. Comp. 23, 1969),
     polished by Newton steps on the recurrence.  The weights are the
     Christoffel numbers 1 / sum_k p_k(node)^2 of the orthonormal
-    polynomials, which keep their relative accuracy where the eigenvector
-    components of Golub-Welsch lose it (small weights under a singular
-    s^a), scaled to the exact total mass 1/(a+1).  Memoized per (order, a);
+    polynomials, scaled to the exact total mass 1.  Memoized per order;
     the arrays are read-only.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if not a > -1.0:
-        raise ValueError(f"the exponent must exceed -1, got a={a}")
-    # Recurrence of the orthonormal polynomials on [-1, 1] for the weight
-    # (1+x)^a, x = 2s - 1: off[k] p_{k+1} = (x - diag[k]) p_k - off[k-1] p_{k-1}.
+    # Recurrence of the orthonormal Legendre polynomials on [-1, 1], x = 2s - 1:
+    # off[k] p_{k+1} = x p_k - off[k-1] p_{k-1}.
     k = np.arange(1.0, order + 1.0)
-    diag = np.empty(order)
-    diag[0] = a / (a + 2.0)
-    diag[1:] = a * a / ((2.0 * k[:-1] + a) * (2.0 * k[:-1] + a + 2.0))
-    off2 = np.empty(order)
-    # The k = 1 term with its (1 + a) factor cancelled, so a -> -1 is fine.
-    off2[0] = 4.0 * (1.0 + a) / ((2.0 + a) ** 2 * (3.0 + a))
-    kk = k[1:]
-    off2[1:] = 4.0 * (kk * (kk + a)) ** 2 / ((2.0 * kk + a) ** 2 * (2.0 * kk + a + 1.0) * (2.0 * kk + a - 1.0))
-    off = np.sqrt(off2)
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    off = np.sqrt(k * k / ((2.0 * k + 1.0) * (2.0 * k - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
 
     def recurrence(x):
         """p_order(x) and its derivative, and sum_{k < order} p_k(x)^2, with
@@ -426,8 +376,8 @@ def gauss_jacobi(order: int, a: float) -> tuple[np.ndarray, np.ndarray]:
         squares = np.ones_like(x)
         for j in range(order):
             back = off[j - 1] if j else 0.0
-            p_next = ((x - diag[j]) * p - back * p_prev) / off[j]
-            d_next = (p + (x - diag[j]) * d - back * d_prev) / off[j]
+            p_next = (x * p - back * p_prev) / off[j]
+            d_next = (p + x * d - back * d_prev) / off[j]
             if j < order - 1:
                 squares += p_next * p_next
             p_prev, p, d_prev, d = p, p_next, d, d_next
@@ -437,7 +387,7 @@ def gauss_jacobi(order: int, a: float) -> tuple[np.ndarray, np.ndarray]:
         p, d, _ = recurrence(x)
         x = x - p / d
     weights = 1.0 / recurrence(x)[2]
-    weights *= 1.0 / ((a + 1.0) * math.fsum(weights))
+    weights *= 1.0 / math.fsum(weights)
     nodes = 0.5 * (1.0 + x)
     nodes.flags.writeable = False
     weights.flags.writeable = False

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import platform
 import subprocess
@@ -1140,3 +1141,31 @@ class TestFuzz:
                 code, out, err = run_cli([*argv, "--config", str(cfg)])
                 assert_named_outcome(code, out, err)
                 assert code in (0, 3), err
+
+    @settings(max_examples=200)
+    @given(
+        L=st.sampled_from([0.0, 5e-324, 1e308]) | st.builds(lambda e: 10.0**e, st.floats(-300.0, 300.0)),
+        # BENCH_MODEL's HB domain is a > -10 and a + c < 10.
+        a=st.floats(-30.0, 30.0),
+        c=st.floats(-30.0, 30.0),
+        log_s=st.floats(-300.0, 300.0),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    # a + c 1e-7 below n/2: the two rule orders of phi_hb differ by 1.4e-12
+    # relative, and estimate names the missed tolerance (exit 3).
+    @example(L=0.5, a=0.0, c=9.9999999, log_s=0.0, alpha=0.05)
+    def test_hb_constants(self, L, a, c, log_s, alpha):
+        doc = {"model": BENCH_MODEL, "estimators": [{"kind": "HB", "a": a, "c": c, "L": L}]}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            data = Path(tmp) / "data.csv"
+            data.write_text(SMOKE_ROWS + repr(10.0**log_s) + "\n")
+            options = ["--config", str(cfg), "--alpha", repr(alpha)]
+            code, out, err = run_cli(["estimate", str(data), "--estimators", "HB", *options])
+            assert_named_outcome(code, out, err)
+            if code == 0:
+                for line in out.splitlines():
+                    assert all(math.isfinite(float(v)) for v in line.split(":")[1].split()), line
+            code, out, err = run_cli(["simulate", "--reps", "16", *options])
+            assert_named_outcome(code, out, err)

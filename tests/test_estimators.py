@@ -844,10 +844,10 @@ class TestEstimatorConfig:
 
     def test_accepted_hb_config_computes_its_quadrature_rules(self):
         spec = benchmark_spec()
-        numerics.gauss_jacobi.cache_clear()
+        numerics.gauss_legendre.cache_clear()
         assert EstimatorConfig(kind="HB", a=BENCH_A, c=1.0, L=0.5).validate(spec) == []
         # The Gauss-Legendre rules at both orders of _HB_ORDERS.
-        assert numerics.gauss_jacobi.cache_info().currsize == 2
+        assert numerics.gauss_legendre.cache_info().currsize == 2
 
     def test_kind_check_runs_only_after_the_field_checks_pass(self):
         # a + c = 10.5 is outside the HB domain (n/2 = 10), but the field

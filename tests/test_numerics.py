@@ -2,6 +2,7 @@
 brute-force oracle (dense eigensolvers, high-resolution Simpson/trapezoid
 quadrature, mpmath, scipy) rather than against itself."""
 
+import hashlib
 import math
 from unittest import mock
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from poolshrink import numerics
+from poolshrink.estimators import _HB_ORDERS
 from poolshrink.minimax import (
     lincomb_shrinkage_report,
     single_shrinkage_report,
@@ -22,9 +24,8 @@ from poolshrink.model import ModelSpec, scalar_spec
 from poolshrink.numerics import (
     chmax_product,
     f_quantile,
-    gauss_jacobi,
+    gauss_legendre,
     reg_inc_beta,
-    reg_upper_gamma,
     symmetrize,
     validate_spd,
 )
@@ -351,7 +352,7 @@ def gamma_fraction(s, x, depth):
 
 
 class TestGammaDepth:
-    """Each branch of ``reg_upper_gamma`` is cut at one depth per octave of
+    """Each branch of ``_log_lower_gamma`` is cut at one depth per octave of
     the distance x/(s+1) - 1 from the branch edge x = s + 1, that of the
     octave's point x_d nearest the edge, where it converges slowest.
 
@@ -373,14 +374,19 @@ class TestGammaDepth:
         """The depth at which ``cut`` evaluates x (one element)."""
         return step_limit(lambda: cut(s, np.array([x])))
 
+    @staticmethod
+    def series(s, x):
+        """The series (1 + x/(s+1) t_2)/s of P(s, x), t_2 of ``_series_tail``."""
+        return (1.0 + x * numerics._series_tail(s, x) / (s + 1.0)) / s
+
     @settings(max_examples=120)
     @given(log_s=log_shapes, u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4))
     def test_series_depth_of_the_octave_serves_its_x(self, log_s, u):
         s = math.exp(log_s)
         x = np.array(u) * (s + 1.0)
-        got = numerics._gamma_series(s, x)
+        got = self.series(s, x)
         for xi, gi in zip(x, got):
-            depth = self.depth(s, xi, numerics._gamma_series)
+            depth = self.depth(s, xi, numerics._series_tail)
             deep = gamma_series(s, xi, 2 * depth)
             # The tail bound above, plus 4 ulp of rounding.
             bound = numerics._CF_EPS * (s + 1.0) / depth + 4.0 * np.spacing(1.0)
@@ -401,11 +407,11 @@ class TestGammaDepth:
         # the series takes 48 at s = 20; all of x < (s+1)/2 takes the depth
         # at (s+1)/2.
         s = 20.0
-        edge = self.depth(s, s + 1.0, numerics._gamma_series)
+        edge = self.depth(s, s + 1.0, numerics._series_tail)
         assert edge == 48
-        assert self.depth(s, 0.9 * (s + 1.0), numerics._gamma_series) < edge
-        half = self.depth(s, 0.5 * (s + 1.0), numerics._gamma_series)
-        assert self.depth(s, 1e-3, numerics._gamma_series) == half < 30
+        assert self.depth(s, 0.9 * (s + 1.0), numerics._series_tail) < edge
+        half = self.depth(s, 0.5 * (s + 1.0), numerics._series_tail)
+        assert self.depth(s, 1e-3, numerics._series_tail) == half < 30
         frac_edge = self.depth(s, s + 1.0, numerics._gamma_cont_frac)
         assert self.depth(s, 1.1 * (s + 1.0), numerics._gamma_cont_frac) < frac_edge
 
@@ -414,11 +420,20 @@ class TestGammaDepth:
         # Past s = 3973 the series needs more than 500 terms at the edge;
         # x off the edge by a tenth or more takes the depth of its own
         # octave, and converges.
-        x = np.array([1.0, 0.4 * s, 0.9 * (s + 1.0), 1.1 * (s + 1.0), 3.0 * s])
-        got = reg_upper_gamma(s, x, log=True)
+        # mpmath's lower ratio does not converge at s = 1e5, x = 3e5, so
+        # above x = s the oracle is 1 - Q.
+        log_x = np.log([1.0, 0.4 * s, 0.9 * (s + 1.0), 1.1 * (s + 1.0), 3.0 * s])
+        got = numerics._log_lower_gamma(s, log_x)
         with mpmath.workdps(40):
-            exact = [float(mpmath.log(mpmath.gammainc(s, xi, mpmath.inf, regularized=True))) for xi in x]
-        np.testing.assert_allclose(got, exact, rtol=1e-11, atol=1e-11)
+            for shape, values in zip((s, s + 1.0), got):
+                exact = []
+                for log_xi in log_x:
+                    xi = mpmath.exp(mpmath.mpf(log_xi))
+                    if xi < shape:
+                        exact.append(float(mpmath.log(mpmath.gammainc(shape, 0, xi, regularized=True))))
+                    else:
+                        exact.append(float(mpmath.log1p(-mpmath.gammainc(shape, xi, mpmath.inf, regularized=True))))
+                np.testing.assert_allclose(values, exact, rtol=1e-11, atol=1e-11)
 
 
 class TestLogLowerGamma:
@@ -447,17 +462,25 @@ class TestLogLowerGamma:
         assert low[1] == 0.0 and low1[1] == 0.0
 
 
+def lower_gamma(s, x):
+    """P(s, x) from ``_log_lower_gamma``."""
+    return np.exp(numerics._log_lower_gamma(s, np.log(x))[0])
+
+
 class TestRegUpperGamma:
+    """The regularized gamma ratios P(s, x) and Q(s, x) = 1 - P(s, x), read
+    from ``_log_lower_gamma``."""
+
     def test_exponential_tail(self):
-        # Q(1, x) = exp(-x)
+        # P(1, x) = 1 - exp(-x)
         xs = np.array([0.1, 1.0, 5.0])
-        np.testing.assert_allclose(reg_upper_gamma(1.0, xs), np.exp(-xs), rtol=1e-13)
+        np.testing.assert_allclose(lower_gamma(1.0, xs), -np.expm1(-xs), rtol=1e-13)
 
     def test_integer_shape_closed_form(self):
-        # Q(3, x) = e^-x (1 + x + x^2/2)
+        # P(3, x) = 1 - e^-x (1 + x + x^2/2)
         x = 2.0
-        assert reg_upper_gamma(3.0, x) == pytest.approx(
-            math.exp(-x) * (1 + x + x * x / 2), rel=1e-13
+        assert lower_gamma(3.0, np.array([x]))[0] == pytest.approx(
+            1.0 - math.exp(-x) * (1 + x + x * x / 2), rel=1e-13
         )
 
     def test_against_mpmath(self):
@@ -467,42 +490,34 @@ class TestRegUpperGamma:
             s = float(rng.uniform(0.3, 40.0))
             x = float(rng.uniform(0.0, 80.0))
             expected = float(mpmath.gammainc(s, x, mpmath.inf, regularized=True))
-            assert reg_upper_gamma(s, x) == pytest.approx(expected, rel=1e-11, abs=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            reg_upper_gamma(0.0, 1.0)
-        with pytest.raises(ValueError):
-            reg_upper_gamma(2.0, -0.5)
+            log_p = numerics._log_lower_gamma(s, np.log([x]))[0][0]
+            assert -math.expm1(log_p) == pytest.approx(expected, rel=1e-11, abs=1e-14)
 
     def test_infinite_argument(self):
-        # Q(s, inf) = 0, and one infinite element leaves the rest of a batch
+        # P(s, inf) = 1, and one infinite element leaves the rest of a batch
         # as it is.
-        assert reg_upper_gamma(20.0, math.inf) == 0.0
-        assert reg_upper_gamma(20.0, math.inf, log=True) == -math.inf
-        xs = np.array([0.5, 21.0, math.inf, 60.0])
-        got = reg_upper_gamma(20.0, xs)
-        assert got[2] == 0.0
-        np.testing.assert_array_equal(got[[0, 1, 3]], reg_upper_gamma(20.0, xs[[0, 1, 3]]))
-
-    def test_log_where_q_underflows(self):
-        mpmath.mp.dps = 30
-        for s, x in [(20.0, 2000.0), (1.5, 900.0), (41.0, 1e5)]:
-            expected = float(mpmath.log(mpmath.gammainc(s, x, mpmath.inf, regularized=True)))
-            assert reg_upper_gamma(s, x, log=True) == pytest.approx(expected, rel=1e-14)
+        log_xs = np.log([0.5, 21.0, math.inf, 60.0])
+        got = numerics._log_lower_gamma(20.0, log_xs)
+        rest = numerics._log_lower_gamma(20.0, log_xs[[0, 1, 3]])
+        for values, others in zip(got, rest):
+            assert values[2] == 0.0
+            np.testing.assert_array_equal(values[[0, 1, 3]], others)
 
     def test_batch_is_bit_identical_to_single_calls(self):
         # Series points (x < s + 1) and continued-fraction points: each
         # branch is cut at one depth per s.
         rng = np.random.default_rng(13)
         for s in (0.7, 5.5, 21.0):
-            x = np.concatenate([rng.uniform(0.0, 2.0 * s + 4.0, 30), [1e-12, s, s + 1.0, 300.0]])
-            batch = reg_upper_gamma(s, x, log=True)
-            assert np.array_equal(batch, [reg_upper_gamma(s, xi, log=True) for xi in x])
-            assert np.array_equal(batch[::-1], reg_upper_gamma(s, x[::-1], log=True))
+            log_x = np.log(np.concatenate([rng.uniform(0.0, 2.0 * s + 4.0, 30), [1e-12, s, s + 1.0, 300.0]]))
+            batch = numerics._log_lower_gamma(s, log_x)
+            single = [numerics._log_lower_gamma(s, np.array([xi])) for xi in log_x]
+            reverse = numerics._log_lower_gamma(s, log_x[::-1])
+            for i, values in enumerate(batch):
+                assert np.array_equal(values, [pair[i][0] for pair in single])
+                assert np.array_equal(values[::-1], reverse[i])
 
     def test_empty_batch(self):
-        assert reg_upper_gamma(2.0, np.array([])).shape == (0,)
+        assert [v.shape for v in numerics._log_lower_gamma(2.0, np.array([]))] == [(0,), (0,)]
 
     @pytest.mark.parametrize(
         "x, message",
@@ -513,7 +528,7 @@ class TestRegUpperGamma:
     def test_nonconvergence_raises(self, monkeypatch, x, message):
         monkeypatch.setattr(numerics, "_CF_MAXIT", 2)
         with pytest.raises(ValueError, match=message):
-            reg_upper_gamma(10.0, np.array([x, 0.5 * x]))
+            numerics._log_lower_gamma(10.0, np.log([x, 0.5 * x]))
 
 
 class TestFQuantile:
@@ -606,47 +621,40 @@ class TestFQuantile:
             f_quantile(5, 5, 1.2)
 
 
-class TestGaussJacobi:
-    @pytest.mark.parametrize("a", [0.0, 1.28, -0.5, -0.99, 39.0])
-    def test_polynomial_exactness(self, a):
-        # int_0^1 s^a s^j ds = 1/(a+j+1) for every j < 2 order.
-        nodes, weights = gauss_jacobi(12, a)
-        for j in (0, 1, 7, 23):
-            assert float(np.sum(weights * nodes**j)) == pytest.approx(1.0 / (a + j + 1.0), rel=1e-13)
+class TestGaussLegendre:
+    @pytest.mark.parametrize("order", [1, 2, 8, 10, 12, 16, 18, 24, 48, 64])
+    def test_polynomial_exactness(self, order):
+        # int_0^1 s^j ds = 1/(j+1) for every j < 2 order.
+        nodes, weights = gauss_legendre(order)
+        for j in (0, 1, order, 2 * order - 1):
+            assert float(np.sum(weights * nodes**j)) == pytest.approx(1.0 / (j + 1.0), rel=1e-13)
 
-    def test_singular_weight_keeps_small_weights_accurate(self):
-        # Under s^-0.99 nearly all the mass sits on the first node; the
-        # moment against s e^(-20 s), carried by the other nodes, still
-        # comes out to rounding.
-        mpmath.mp.dps = 30
-        nodes, weights = gauss_jacobi(64, -0.99)
-        exact = mpmath.quad(lambda s: s**0.01 * mpmath.exp(-20 * s), [0, 0.05, 1])
-        got = float(np.sum(weights * nodes * np.exp(-20.0 * nodes)))
-        assert got == pytest.approx(float(exact), rel=1e-13)
+    def test_hb_orders_are_pinned(self):
+        # The digests of the rules HB reads, as the Gauss-Jacobi rule at
+        # exponent 0 gave them before it became this one: HB's values keep
+        # their bits.
+        pinned = {
+            16: "6ba7271fcae6dad3f50a301d11e0a43d0214a7728edc9bc746d62ce17c0a896e",
+            24: "f6aa215c48925b9906b7bae2e9e8165fc26839fb8f2f7e5fbab2638a7420508b",
+        }
+        assert set(_HB_ORDERS) == set(pinned)
+        for order in _HB_ORDERS:
+            nodes, weights = gauss_legendre(order)
+            digest = hashlib.sha256(nodes.tobytes() + weights.tobytes()).hexdigest()
+            assert digest == pinned[order], order
 
-    def test_power_weight_against_mpmath(self):
-        # The z^(qa-1) weight of the HB z panel times its smooth factor
-        # (1-z)^(m-qa) on [0, 1/2], at the benchmark model's qa and m.
-        mpmath.mp.dps = 30
-        nodes, weights = gauss_jacobi(48, 1.28)
-        value = 0.5**2.28 * float(np.sum(weights * (1.0 - 0.5 * nodes) ** 16.72))
-        exact = mpmath.quad(lambda z: z**1.28 * (1 - z) ** 16.72, [0, 0.5])
-        assert value == pytest.approx(float(exact), rel=1e-14)
-
-    def test_legendre_case_matches_numpy(self):
-        nodes, weights = gauss_jacobi(16, 0.0)
+    def test_matches_numpy(self):
+        nodes, weights = gauss_legendre(16)
         x, w = np.polynomial.legendre.leggauss(16)
         np.testing.assert_allclose(nodes, 0.5 * (1.0 + x), atol=1e-15)
         np.testing.assert_allclose(weights, 0.5 * w, rtol=1e-13)
 
     def test_memoized_and_read_only(self):
-        nodes, weights = gauss_jacobi(20, 2.5)
-        assert gauss_jacobi(20, 2.5)[0] is nodes
+        nodes, weights = gauss_legendre(20)
+        assert gauss_legendre(20)[0] is nodes
         assert not nodes.flags.writeable and not weights.flags.writeable
         assert np.all(np.diff(nodes) > 0.0) and np.all(weights > 0.0)
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError, match="order"):
-            gauss_jacobi(0, 0.0)
-        with pytest.raises(ValueError, match="exceed -1"):
-            gauss_jacobi(8, -1.0)
+            gauss_legendre(0)

@@ -768,7 +768,7 @@ class TestWarmWorkers:
         spec = small_plan().spec
         hb = preset_config("HB", spec, given={"L": 0.5})
         # Gauss-Legendre rules at both orders.
-        self._check(monkeypatch, small_plan(reps=2049, estimators=[hb]), numerics.gauss_jacobi, 2)
+        self._check(monkeypatch, small_plan(reps=2049, estimators=[hb]), numerics.gauss_legendre, 2)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork pool without os.fork")
     def test_numpy_random_before_the_pool(self):
