@@ -82,8 +82,9 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _number(section: dict, key: str, cast, where: str, default=None):
-    """``section[key]`` converted by ``cast`` (int or float); a missing value
+def _number(section: dict, key: str, cast, where: str, default=None, exact=False):
+    """``section[key]`` converted by ``cast`` (int or float), or with
+    ``exact`` (the seed) an integer of any size as it is; a missing value
     without a default, a boolean, one that does not convert, a non-finite
     one, and a non-integral one for an int field are config errors."""
     value = section.get(key, default)
@@ -91,10 +92,12 @@ def _number(section: dict, key: str, cast, where: str, default=None):
         raise ConfigError(f"{where}: missing required field '{key}'")
     if isinstance(value, bool):
         raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-    if cast is int and isinstance(value, int):
-        return value  # exact: a float round trip would alter seeds above 2^53
+    if exact and isinstance(value, int):
+        return value  # a float round trip would alter seeds above 2^53
     try:
         number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}.{key}: must be within the float range, got {value!r}") from None
     except (TypeError, ValueError):
         raise ConfigError(f"{where}.{key}: expected a number, got {value!r}") from None
     if not np.isfinite(number):
@@ -111,15 +114,14 @@ def _as_shaped(entry, unit: np.ndarray, name: str) -> np.ndarray:
     values = np.asarray(entry, dtype=object)
     if bool in set(map(type, values.flat)):
         raise ConfigError(f"{name}: expected numbers, got {entry!r}")
-    if isinstance(entry, (int, float)):
-        arr = float(entry) * unit
-    else:
-        try:
-            arr = values.astype(float)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name}: expected numbers, got {entry!r}") from None
-        if arr.shape != unit.shape:
-            raise ConfigError(f"{name}: expected a scalar or shape {unit.shape}, got {arr.shape}")
+    try:
+        arr = float(entry) * unit if isinstance(entry, (int, float)) else values.astype(float)
+    except OverflowError:
+        raise ConfigError(f"{name}: expected numbers in the float range, got {entry!r}") from None
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: expected numbers, got {entry!r}") from None
+    if arr.shape != unit.shape:
+        raise ConfigError(f"{name}: expected a scalar or shape {unit.shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name}: expected finite numbers, got {entry!r}")
     return arr
@@ -307,7 +309,8 @@ def cmd_simulate(args) -> int:
         spec = parse_model(doc.get("model", {}), require_mu=True)
         configs = parse_estimators(doc.get("estimators"), spec, default_alpha=args.alpha)
         reps = args.reps or _number(doc, "replications", int, "config", 100_000)
-        seed = args.seed if args.seed is not None else _number(doc, "seed", int, "config", 0)
+        seed = (args.seed if args.seed is not None
+                else _number(doc, "seed", int, "config", 0, exact=True))
         if reps < 1:
             raise ConfigError(f"replications: must be >= 1, got {reps}")
         if seed < 0:

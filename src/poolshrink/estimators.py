@@ -38,7 +38,7 @@ import numpy as np
 from .minimax import check_hb_domain, optimal_eb_constant, optimal_heb_constants, solve_hb_a
 from .model import ModelSpec, Sample, validate_spec
 from .numerics import QuadratureError, _beta_cont_frac, _log_lower_gamma, f_quantile, gauss_legendre
-from .statistics import batch_pooled_stats, g_statistic
+from .statistics import batch_pooled_stats, size_statistics
 
 __all__ = [
     "CONFIG_KINDS",
@@ -52,7 +52,6 @@ __all__ = [
     "preset_config",
     "pt_threshold",
     "rule_estimates",
-    "size_statistics",
 ]
 
 # A shrink function maps (F, S) -> phi >= 0 (or (G, S) -> psi); handles must
@@ -434,9 +433,11 @@ class EstimatorKind:
     The rule maps (config, spec, S, F, G, J) to the coefficients (u, v) of
     the B estimates u x + v nu_hat (``rule_estimates``), all of shape (B,):
     x = sum_i w_i X_i is the unshrunk estimate of the kind's estimand, X_1,
-    or sum_i d_i X_i for LINCOMB, and G and J are the sizes of nu_hat and x
-    (``size_statistics``).  The check runs after the field checks pass,
-    against a valid model: it returns what the fields violate beyond
+    or sum_i d_i X_i for LINCOMB, and G and J are the sizes of the
+    sample's nu_hat and X_1 (``size_statistics``), taken once per plan at
+    origin 0, so only a kind that estimates mu_1 and is not equivariant may
+    read them.  The check runs after the field checks pass, against a valid
+    model: it returns what the fields violate beyond
     ``_FIELD_RANGES``, and for a config it accepts it computes every
     constant the rule memoizes, so that processes forked after validation
     inherit them.  ``optimal`` maps (config, spec) to the bound-optimal
@@ -455,12 +456,10 @@ class EstimatorKind:
 
 
 def _factor(phi: ShrinkFunction, stat: np.ndarray, S: np.ndarray, at_zero: float):
-    """phi(stat, S)/stat row by row, and ``at_zero`` where stat is not positive."""
-    factor = np.full_like(stat, at_zero)
+    """phi(stat, S)/stat row by row, and ``at_zero`` where stat is not > 0, which phi never sees."""
     pos = stat > 0.0
-    live = stat[pos]
-    factor[pos] = phi(live, S[pos]) / live
-    return factor
+    live = np.where(pos, stat, 1.0)
+    return np.where(pos, phi(live, S) / live, at_zero)
 
 
 def _pt_rule(cfg, spec, S, F, G, J):
@@ -569,17 +568,11 @@ def preset_config(
     return cfg
 
 
-def size_statistics(spec: ModelSpec, x: np.ndarray, nu: np.ndarray, S: np.ndarray):
-    """(G, J) (B,): ||nu_hat||^2_{A^{-1}}/S of the pooled means ``nu`` and
-    ||x||^2_{V_1^{-1}}/S of the unshrunk estimates ``x``, both (B, p)."""
-    return g_statistic(spec, nu, S), np.einsum("bi,bi->b", x @ spec.v_inv[0], x) / S
-
-
 def rule_estimates(config: EstimatorConfig, spec: ModelSpec, x: np.ndarray, S: np.ndarray,
                    nu: np.ndarray, F: np.ndarray) -> np.ndarray:
     """The B estimates u x + v nu_hat (B, p) of ``config``'s rule, which
-    returns (u, v), on the unshrunk estimates ``x`` of its estimand and S,
-    nu_hat and F."""
+    returns (u, v), on S, nu_hat, F and the unshrunk estimates ``x`` of its
+    estimand, which are X_1 for every kind that reads J."""
     u, v = ESTIMATORS[config.kind].rule(config, spec, S, F, *size_statistics(spec, x, nu, S))
     return u[:, None] * x + v[:, None] * nu
 

@@ -171,7 +171,7 @@ def check_hb_domain(p: int, k: int, n: int, a: float, c: float, L: float = 0.0) 
         raise ValueError(f"a must exceed -p(k-1)/2 = {-q}, got {a}")
     if not a + c < 0.5 * n:
         raise ValueError(f"a + c must be below n/2 = {0.5 * n}, got {a + c}")
-    if L < 0.0:
+    if not L >= 0.0:
         raise ValueError(f"L must be nonnegative, got {L}")
 
 

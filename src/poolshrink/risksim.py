@@ -16,16 +16,16 @@ and dispersion) is computed once, and each plan adds its means to it
 through linearity.  Each estimator is evaluated with the means shifted by
 its origin, mu_1 for the shift-equivariant kinds (PT, EB, HB, CLASS1) and
 0 for the others and X_1: its rule reads S, F and the sizes G and J of
-nu_hat and of the unshrunk estimate x = w . (noise + mu - origin) of its
-estimand, and returns the coefficients (u, v) of its estimates
-u x + v nu_hat, scored against w . (mu - origin) with the loss of x as its
-baseline.  No plan copies or writes the draw, and no estimate is formed:
-each loss is a quadratic in (u, v) whose coefficients are Q-forms of the
-draw that every estimator of a frame shares.  One memo per group and chunk
-holds these forms under (w, Q), Q and each frame, the frame's G and J
-beside its forms, and each estimator's chunk sums under (config, shifted
-means, Q), each a function of its key and the group's draw alone, so each
-plan's chunk sums are bit-identical to those of the plan run alone.
+the sample's nu_hat and X_1, taken once per plan, and returns the
+coefficients (u, v) of its estimates u x + v nu_hat, x = w . (noise + mu
+- origin) the unshrunk estimate of its estimand, scored against
+w . (mu - origin) with the loss of x as its baseline.  No plan copies or
+writes the draw, and no estimate is formed: each loss is a quadratic in
+(u, v) whose coefficients are Q-forms of the draw that every estimator of
+a frame shares.  One memo per group and chunk holds these forms under
+(w, Q), Q and each frame, and each estimator's chunk sums under (config,
+shifted means, Q), each a function of its key and the group's draw alone,
+so each plan's chunk sums are bit-identical to those of the plan run alone.
 Chunk partial sums are reduced per plan in chunk order, so a plan produces
 bit-identical reports for any degree of parallelism.  A parallel run forks
 w = min(workers, tasks) children, child j running (group, chunk) tasks j,
@@ -55,11 +55,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import (CONFIG_KINDS, ESTIMATORS, EstimatorConfig, _first_unit, preset_config,
-                         size_statistics)
+from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, _first_unit, preset_config
 from .model import ModelSpec, Sample, scalar_spec, validate_spec
 from .numerics import trace_product
-from .statistics import _pooled_mean, pooled_noise_stats, shifted_pooled_stats
+from .statistics import _pooled_mean, pooled_noise_stats, shifted_pooled_stats, size_statistics
 
 __all__ = [
     "EstimatorRisk",
@@ -347,22 +346,25 @@ def _chunk_sums(plan: SimPlan, start: int, noise: np.ndarray, ss: np.ndarray, no
 
     X_1 and each estimator are evaluated with the means shifted by an
     origin, mu_1 for an equivariant kind and 0 otherwise: the rule reads S,
-    F and the ``size_statistics`` of x = a + t and nu_hat = n + m, with
-    a = w . noise, n the noise's nu_hat, t = w . (mu - origin) its target
-    and m = nu_hat(mu - origin).  Its loss is a quadratic in the rule's
-    (u, v) over the Q-forms of a, n, m and t (``_frame_forms``), and b is
-    the loss a'Qa / sigma^2 of x.  ``memo`` holds, for the plans of one
-    noise group, (Q's symmetric part q, n q, n'qn) under Q, (a, a q, a'qa,
-    2 a'qn, n'qn, b, moments of b) under (w, Q), the frame's forms and its
-    (G, J) under (w, t, m, Q) and each estimator's sums under (config,
-    shifted means, Q).  The estimators run in plan order, so the first that
-    fails raises; ``noise`` is only read."""
+    F and G and J, the ``size_statistics`` of the sample's X_1 and nu_hat,
+    taken once for every rule.  Its estimates are u x + v nu_hat with
+    x = a + t and nu_hat = n + m: a = w . noise, n the noise's nu_hat,
+    t = w . (mu - origin) its target and m = nu_hat(mu - origin).  Their
+    loss is a quadratic in the rule's (u, v) over the Q-forms of a, n, m
+    and t (``_frame_forms``), and b is the loss a'Qa / sigma^2 of x.
+    ``memo`` holds, for the plans of one noise group, (Q's symmetric part
+    q, n q, n'qn) under Q, (a, a q, a'qa, 2 a'qn, n'qn, b, moments of b)
+    under (w, Q), the frame's forms alone under (w, t, m, Q) and each
+    estimator's sums under (config, shifted means, Q).  The estimators run
+    in plan order, so the first that fails raises; ``noise`` is only
+    read."""
     spec = plan.spec
     mu_1 = spec.mu_stack[0]
     centred = spec.mu_stack - mu_1
     f_stat = shifted_pooled_stats(spec, noise_stats, centred, ss)
     shift = _pooled_mean(spec, centred) if centred.any() else np.zeros(spec.p)
-    frames = {True: (centred, shift), False: (spec.mu_stack, shift + mu_1)}
+    m_abs = shift + mu_1
+    frames = {True: (centred, shift), False: (spec.mu_stack, m_abs)}
     n = noise_stats[0]
     q_key = spec.Q.tobytes()
     if ("Q", q_key) not in memo:
@@ -384,7 +386,9 @@ def _chunk_sums(plan: SimPlan, start: int, noise: np.ndarray, ss: np.ndarray, no
         return memo["w", w_key, q_key]
 
     e_1 = _first_unit(spec.k)
-    blocks = [weight_forms(e_1, e_1.tobytes())[-1]]
+    a_1, *_, moments = weight_forms(e_1, e_1.tobytes())
+    blocks = [moments]
+    stats = (f_stat, *size_statistics(spec, a_1 + mu_1, n + m_abs, ss))
     for cfg in plan.estimators:
         kind = ESTIMATORS[cfg.kind]
         w = kind.estimand(cfg, spec)
@@ -396,11 +400,8 @@ def _chunk_sums(plan: SimPlan, start: int, noise: np.ndarray, ss: np.ndarray, no
             t = w @ means
             frame = ("frame", w_key, t.tobytes(), m.tobytes(), q_key)
             if frame not in memo:
-                x = a + t if t.any() else a
-                memo[frame] = (_frame_forms(q, aq, nq, forms, m, t),
-                               size_statistics(spec, x, n + m, ss))
-            frame_forms, sizes = memo[frame]
-            memo[key] = _estimator_sums(plan, cfg, start, ss, (f_stat, *sizes), frame_forms, base)
+                memo[frame] = _frame_forms(q, aq, nq, forms, m, t)
+            memo[key] = _estimator_sums(plan, cfg, start, ss, stats, memo[frame], base)
         blocks += [memo[key], moments]
     return np.concatenate(blocks)
 

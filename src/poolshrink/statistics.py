@@ -4,7 +4,7 @@ The pooled scale matrix A = (sum_i V_i^{-1})^{-1} and the precision-weighted
 pooled mean nu_hat = A sum_i V_i^{-1} X_i are the common-mean estimates under
 the hypothesis of equal means.  F and G are the scale-free quadratic forms
 driving every shrinkage rule: F measures dispersion of the X_i around nu_hat,
-G the size of nu_hat itself.  B, the loss-weighted share of the first
+G the size of nu_hat itself and J that of X_1 (``size_statistics``).  B, the loss-weighted share of the first
 population's deviation, is ``linear_bound_check`` at d = e_1.
 
 Two quadratic-form inequalities are exposed as checkable quantities:
@@ -25,12 +25,12 @@ from .numerics import chmax_product
 
 __all__ = [
     "batch_pooled_stats",
-    "g_statistic",
     "lincomb_deviation_matrix",
     "linear_bound_check",
     "pooled_deviance_gap",
     "pooled_noise_stats",
     "shifted_pooled_stats",
+    "size_statistics",
 ]
 
 
@@ -93,9 +93,11 @@ def shifted_pooled_stats(spec: ModelSpec, noise_stats, means: np.ndarray, S: np.
     return dispersion / S
 
 
-def g_statistic(spec: ModelSpec, nu: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """G = nu_hat' A^{-1} nu_hat / S, row by row."""
-    return np.einsum("bi,bi->b", nu @ spec.precision, nu) / S
+def size_statistics(spec: ModelSpec, x: np.ndarray, nu: np.ndarray, S: np.ndarray):
+    """(G, J) (B,) of the samples: G = ||nu_hat||^2_{A^{-1}}/S of their
+    pooled means ``nu`` and J = ||x||^2_{V_1^{-1}}/S of their X_1 ``x``."""
+    return (np.einsum("bi,bi->b", nu @ spec.precision, nu) / S,
+            np.einsum("bi,bi->b", x @ spec.v_inv[0], x) / S)
 
 
 def batch_pooled_stats(spec: ModelSpec, X: np.ndarray, S: np.ndarray):
@@ -112,7 +114,7 @@ def batch_pooled_stats(spec: ModelSpec, X: np.ndarray, S: np.ndarray):
         noise_stats = pooled_noise_stats(spec, X)
         f_stat = shifted_pooled_stats(spec, noise_stats, np.zeros(X.shape[1:]), S)
         nu = noise_stats[0]
-        g_stat = g_statistic(spec, nu, S)
+        g_stat = size_statistics(spec, X[:, 0], nu, S)[0]
     for name, value in (("nu_hat", nu), ("F", f_stat)):
         if not np.all(np.isfinite(value)):
             raise RuntimeError(f"{name} is not finite: {value}")

@@ -706,6 +706,33 @@ class TestExitCodes:
         assert out.out == "" and f"error: {field}:" in out.err
 
     @pytest.mark.parametrize(
+        "model_fields, extra, field",
+        [
+            ({"sigma2": 10**400}, {}, "model.sigma2"),
+            ({"V": [10**400, 0.2, 0.3, 0.4, 0.5]}, {}, "model.V[0]"),
+            ({"Q": 10**400}, {}, "model.Q"),
+            ({"mu": [10**400, 0, 0, 0, 0]}, {}, "model.mu[0]"),
+            ({"n": 10**400}, {}, "model.n"),
+            ({}, {"estimators": [{"kind": "HB", "L": 10**400}]}, "estimators[0].L"),
+        ],
+        ids=["sigma2", "v", "q", "mu", "n", "hb_l"],
+    )
+    def test_integer_past_the_float_range_names_the_field(
+        self, tmp_path, capsys, model_fields, extra, field
+    ):
+        # A JSON integer that no float holds used to exit 3 with "int too
+        # large to convert to float" and no field named.
+        cfg = self._config(tmp_path, dict(BENCH_MODEL, **model_fields), **extra)
+        assert main(["simulate", "--config", cfg, "--reps", "50"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"error: {field}:" in out.err
+
+    def test_seed_past_the_float_range_runs(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, BENCH_MODEL, seed=10**400)
+        assert main(["simulate", "--config", cfg, "--reps", "50"]) == 0
+        assert f",50,{10**400}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
         "entry, field",
         [
             ({"kind": "EB", "b0": 0.3}, "b0"),

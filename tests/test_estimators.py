@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from poolshrink.estimators import (
+    ESTIMATORS,
     EstimatorConfig,
     estimate,
     hb_small_f_factor,
@@ -20,7 +21,7 @@ from poolshrink import estimators, numerics
 from poolshrink.model import Sample, scalar_spec
 from poolshrink.numerics import QuadratureError
 from poolshrink.risksim import SimPlan, replication_sample
-from poolshrink.statistics import batch_pooled_stats, g_statistic
+from poolshrink.statistics import batch_pooled_stats, size_statistics
 
 BENCH_A = -7.72  # HB constant for the benchmark model (c=1, L=0)
 
@@ -177,6 +178,8 @@ class TestPhiHb:
             phi_hb(1.0, 1.0, 5, 5, 20, 9.5, 1.0, 0.0)
         with pytest.raises(ValueError, match="nonnegative"):
             phi_hb(1.0, 1.0, 5, 5, 20, BENCH_A, 1.0, -1.0)
+        with pytest.raises(ValueError, match="L must be nonnegative, got nan"):
+            phi_hb(1.0, 2.0, 5, 5, 20, -7.72, 1.0, float("nan"))
 
     def test_small_m_minus_qa_regression(self):
         # m - qa = 0.1: the ratio of two log incomplete betas this replaced
@@ -639,6 +642,7 @@ class TestDegenerateStatistics:
         "PT": EstimatorConfig(kind="PT", alpha=0.05),
         "EB": EstimatorConfig(kind="EB", a0=0.25),
         "HB": EstimatorConfig(kind="HB", a=BENCH_A, c=1.0),
+        "HB_L": EstimatorConfig(kind="HB", a=BENCH_A, c=1.0, L=0.5),
         "HEB": EstimatorConfig(kind="HEB", a0=0.25, b0=0.5),
         "CLASS1": EstimatorConfig(kind="CLASS1", phi=capped),
         "CLASS2": EstimatorConfig(kind="CLASS2", phi=capped, psi=capped),
@@ -669,14 +673,16 @@ class TestDegenerateStatistics:
     # HEB, the small-F limit and phi_hb(1, S) for HB, 0 and phi(1, S) for
     # the shrink functions.
     F_ZERO = {"EB": 1.0, "HEB": 1.0, "HB": hb_small_f_factor(5, 5, BENCH_A),
+              "HB_L": hb_small_f_factor(5, 5, BENCH_A),
               "CLASS1": 0.0, "CLASS2": 0.0, "LINCOMB": 0.0}
     F_ONE = {"EB": 0.25, "HEB": 0.25, "HB": phi_hb(1.0, 2.0, 5, 5, 20, BENCH_A, 1.0),
+             "HB_L": phi_hb(1.0, 2.0, 5, 5, 20, BENCH_A, 1.0, 0.5),
              "CLASS1": 0.2, "CLASS2": 0.2, "LINCOMB": 0.2}
 
     @pytest.mark.parametrize("kind", sorted(F_ZERO))
     def test_f_zero(self, kind):
         nu = np.array([0.5, 0.25, -0.75, 1.0, 0.125])
-        G = float(g_statistic(self.spec, nu[None], self.S)[0])
+        G = float(size_statistics(self.spec, self.x[None], nu[None], self.S)[0][0])
         want = self.closed_form(kind, nu, self.F_ZERO[kind], G)
         assert np.array_equal(self.rule(kind, nu, 0.0), want)
 
@@ -690,8 +696,73 @@ class TestDegenerateStatistics:
     def test_f_inf(self, kind):
         # Every factor of F is 0 at F = inf: phi(inf, S)/inf, min(a0, inf)/inf.
         nu = np.array([0.5, 0.25, -0.75, 1.0, 0.125])
-        G = float(g_statistic(self.spec, nu[None], self.S)[0])
+        G = float(size_statistics(self.spec, self.x[None], nu[None], self.S)[0][0])
         assert np.array_equal(self.rule(kind, nu, np.inf), self.closed_form(kind, nu, 0.0, G))
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_mixed_batch_matches_single_rows(self, kind):
+        # Zero, positive and NaN statistics in one batch: each row's (u, v)
+        # has the bits of the rule run on that row alone.
+        cfg = self.CONFIGS[kind]
+        S = np.array([2.0, 1.0, 3.0, 0.5])
+        stats = (np.array([0.0, 1.5, np.nan, 0.25]), np.array([2.0, 0.0, 0.5, np.nan]),
+                 np.array([np.nan, 3.0, 0.0, 1.0]))
+        rule = lambda *args: ESTIMATORS[cfg.kind].rule(cfg, self.spec, *args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = rule(S, *stats)
+            rows = [rule(S[i:i + 1], *(stat[i:i + 1] for stat in stats)) for i in range(len(S))]
+        for got, want in zip(batch, zip(*rows)):
+            assert got.tobytes() == np.concatenate(want).tobytes()
+
+
+class TestSharedSumsContract:
+    """The engine hands every rule of a plan the G and J of its sample at
+    origin 0, and shares an equivariant kind's sums over plans whose
+    centred means are equal: so no equivariant rule may read G or J, and a
+    rule that reads them must estimate mu_1 and run at origin 0."""
+
+    spec = benchmark_spec()
+    CONFIGS = {
+        "PT": EstimatorConfig(kind="PT", alpha=0.05),
+        "JS": EstimatorConfig(kind="JS"),
+        "EB": EstimatorConfig(kind="EB", a0=0.25),
+        "HB": EstimatorConfig(kind="HB", a=BENCH_A, c=1.0, L=0.5),
+        "HEB": EstimatorConfig(kind="HEB", a0=0.25, b0=0.5),
+        "CLASS1": EstimatorConfig(kind="CLASS1", phi=capped),
+        "CLASS2": EstimatorConfig(kind="CLASS2", phi=capped, psi=capped),
+        "LINCOMB": EstimatorConfig(kind="LINCOMB", d=(0.3, -0.1, 0.5, 0.2, 0.1), phi=capped),
+    }
+    S = np.array([2.0, 1.0, 3.0, 0.5, 4.0])
+    F = np.array([0.05, 0.4, 1.5, 3.0, 20.0])
+    SIZES = [(np.full(5, g), np.full(5, j)) for g, j in ((0.1, 0.1), (0.3, 5.0), (40.0, 0.2))]
+
+    def reads_sizes(self, kind):
+        cfg = self.CONFIGS[kind]
+        rule = lambda G, J: ESTIMATORS[kind].rule(cfg, self.spec, self.S, self.F, G, J)
+        first = rule(*self.SIZES[0])
+        return any(
+            not all(np.array_equal(a, b) for a, b in zip(first, rule(*sizes)))
+            for sizes in self.SIZES[1:]
+        )
+
+    def test_every_kind_is_covered(self):
+        assert set(self.CONFIGS) == set(ESTIMATORS)
+
+    @pytest.mark.parametrize("kind", sorted(k for k, e in ESTIMATORS.items() if e.equivariant))
+    def test_equivariant_rules_ignore_g_and_j(self, kind):
+        assert not self.reads_sizes(kind)
+
+    @pytest.mark.parametrize("kind", sorted(ESTIMATORS))
+    def test_rules_reading_g_or_j_estimate_mu_1(self, kind):
+        entry = ESTIMATORS[kind]
+        if self.reads_sizes(kind):
+            assert not entry.equivariant
+            e_1 = np.eye(1, self.spec.k)[0]
+            assert np.array_equal(entry.estimand(self.CONFIGS[kind], self.spec), e_1)
+
+    def test_readers_are_the_double_shrinkage_kinds_and_js(self):
+        assert {kind for kind in ESTIMATORS if self.reads_sizes(kind)} == {"JS", "HEB", "CLASS2"}
 
 
 class TestTranslationEquivariance:

@@ -253,6 +253,8 @@ class TestSolveHbA:
             check_hb_domain(5, 5, 20, 4.0, 6.0)
         with pytest.raises(ValueError, match="L must be nonnegative"):
             check_hb_domain(5, 5, 20, 0.0, 1.0, -0.1)
+        with pytest.raises(ValueError, match="L must be nonnegative, got nan"):
+            check_hb_domain(5, 5, 20, 0.0, 1.0, float("nan"))
 
 
 class TestInvariants:

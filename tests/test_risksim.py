@@ -379,8 +379,8 @@ class TestHotPathCounts:
     def test_table1_losses_once_per_memo_key(self, monkeypatch):
         # One chunk of the 11 table1 plans, which share one Q and estimate
         # mu_1: one n'Qn under Q and one a'Qa and 2 a'Qn under (w = e_1, Q).
-        # One set of m and t forms, and one G and J, per distinct frame
-        # (t, m), not per plan: PT, EB and HB run at t = 0 with
+        # One set of m and t forms per distinct frame (t, m), not per plan,
+        # and one G and J per plan: PT, EB and HB run at t = 0 with
         # m = nu_hat(mu - mu_1) over the 8 distinct centred means, of which
         # (-0.4, ..., 0.4) and (1.2, ..., 2.0) differ only in their last
         # bits, and their pooled means may round to the same m (here they
@@ -402,7 +402,7 @@ class TestHotPathCounts:
             key[0] if isinstance(key[0], str) else key[0].kind for key in memos[0]
         )
         frames = tags.pop("frame")
-        assert 17 <= frames <= 18 and len(sizes) == frames
+        assert 17 <= frames <= 18 and len(sizes) == 11
         assert tags == {"Q": 1, "w": 1, "PT": 8, "EB": 8, "HB": 8, "JS": 11, "HEB": 11}
 
     def test_table1_factors_one_noise_model(self):
