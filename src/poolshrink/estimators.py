@@ -37,7 +37,8 @@ import numpy as np
 
 from .minimax import check_hb_domain, optimal_eb_constant, optimal_heb_constants, solve_hb_a
 from .model import ModelSpec, Sample, validate_spec
-from .numerics import QuadratureError, _beta_cont_frac, _log_lower_gamma, f_quantile, gauss_legendre
+from .numerics import (F_QUANTILE_MAX_D2, QuadratureError, _beta_cont_frac, _log_lower_gamma,
+                       f_quantile, gauss_legendre)
 from .statistics import batch_pooled_stats, size_statistics
 
 __all__ = [
@@ -386,7 +387,10 @@ def _no_checks(cfg: EstimatorConfig, spec: ModelSpec) -> list[str]:
 
 
 def _check_pt(cfg, spec):
-    """Computes the F-test threshold the PT rule reads."""
+    """Computes the F-test threshold the PT rule reads, where its F
+    quantile, at d2 = n, holds."""
+    if spec.n > F_QUANTILE_MAX_D2:
+        return [f"n: PT's F quantile holds only for n <= {F_QUANTILE_MAX_D2}, got {spec.n}"]
     pt_threshold(spec.p, spec.k, spec.n, cfg.alpha)
     return []
 

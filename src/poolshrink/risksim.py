@@ -9,23 +9,16 @@ chunk's first r rows is the prefix of its full draw and replication r's
 draw depends only on (seed, r): not on the worker count, nor on the plan's
 replication count, nor on which other plans run beside it.
 ``simulate_many`` groups the plans that share the seed, the replication
-count, p, k, n, sigma^2 and V, which draw identical rows, and draws each
-chunk once per group.  Within a group and chunk, the part of the pooled
-statistics that depends only on the noise (its nu_hat, weighted deviations
-and dispersion) is computed once, and each plan adds its means to it
-through linearity.  Each estimator is evaluated with the means shifted by
-its origin, mu_1 for the shift-equivariant kinds (PT, EB, HB, CLASS1) and
-0 for the others and X_1: its rule reads S, F and the sizes G and J of
-the sample's nu_hat and X_1, taken once per plan, and returns the
-coefficients (u, v) of its estimates u x + v nu_hat, x = w . (noise + mu
-- origin) the unshrunk estimate of its estimand, scored against
-w . (mu - origin) with the loss of x as its baseline.  No plan copies or
-writes the draw, and no estimate is formed: each loss is a quadratic in
-(u, v) whose coefficients are Q-forms of the draw that every estimator of
-a frame shares.  One memo per group and chunk holds these forms under
-(w, Q), Q and each frame, and each estimator's chunk sums under (config,
-shifted means, Q), each a function of its key and the group's draw alone,
-so each plan's chunk sums are bit-identical to those of the plan run alone.
+count, p, k, n, sigma^2, V and Q, which draw identical rows and score them
+under one loss, and ``_group_chunk_sums`` scores a group's chunk in one
+call: it draws the chunk once and takes the part of the pooled statistics
+that depends only on the noise once, and each plan adds its means to it
+through linearity.  Each estimator's rule returns the coefficients (u, v)
+of its estimates u x + v nu_hat at its origin, and its loss is a quadratic
+in (u, v) over Q-forms of the draw that every estimator of a frame shares,
+kept in dicts that live for the chunk.  Each entry is a function of its
+key and the group's draw alone, so each plan's chunk sums are
+bit-identical to those of the plan run alone.  No plan writes the draw.
 Chunk partial sums are reduced per plan in chunk order, so a plan produces
 bit-identical reports for any degree of parallelism.  A parallel run forks
 w = min(workers, tasks) children, child j running (group, chunk) tasks j,
@@ -58,7 +51,7 @@ import numpy as np
 from .estimators import CONFIG_KINDS, ESTIMATORS, EstimatorConfig, _first_unit, preset_config
 from .model import ModelSpec, Sample, scalar_spec, validate_spec
 from .numerics import trace_product
-from .statistics import _pooled_mean, pooled_noise_stats, shifted_pooled_stats, size_statistics
+from .statistics import pooled_noise_stats, shifted_pooled_stats, size_statistics
 
 __all__ = [
     "EstimatorRisk",
@@ -162,11 +155,12 @@ def replication_rng(seed: int, chunk: int) -> np.random.Generator:
 
 
 def _noise_key(plan: SimPlan) -> tuple:
-    """The seed, replication count, p, k, n, sigma^2 and V: plans with equal
-    keys draw the same rows of the same chunks, bit for bit."""
+    """The seed, replication count, p, k, n, sigma^2, V and Q: plans with
+    equal keys draw the same rows of the same chunks, bit for bit, and score
+    them under one loss.  The draw does not read Q."""
     spec = plan.spec
-    v_bytes = b"".join(v.tobytes() for v in spec.V)
-    return (spec.p, spec.k, spec.n, spec.sigma2, plan.seed, plan.replications, v_bytes)
+    matrices = b"".join(m.tobytes() for m in (*spec.V, spec.Q))
+    return (spec.p, spec.k, spec.n, spec.sigma2, plan.seed, plan.replications, matrices)
 
 
 def _draw_noise(spec: ModelSpec, seed: int, chunk: int, rows: int):
@@ -273,44 +267,34 @@ def _form_loss(coefs, forms) -> np.ndarray:
         return loss
 
 
-def _failing_row(cfg: EstimatorConfig, spec: ModelSpec, ss, stats, forms) -> int:
-    """The first row of a chunk on which ``cfg``'s rule, run on that row
-    alone with its statistics ``stats`` = (F, G, J), raises or gives a
-    non-finite loss from its frame's ``forms`` (the chunk's first row if
-    none does)."""
-    rule = ESTIMATORS[cfg.kind].rule
-    A, C2, N, slots, a_forms, n_forms, R = forms
-    for row in range(len(ss)):
-        one = slice(row, row + 1)
-        try:
-            coefs = rule(cfg, spec, ss[one], *(stat[one] for stat in stats))
-            row_forms = (A[one], C2[one], N[one], slots, a_forms[:, one], n_forms[:, one], R)
-            if not np.isfinite(_form_loss(coefs, row_forms)[0] / spec.sigma2):
-                return row
-        except Exception:
-            return row
-    return 0
-
-
 def _estimator_sums(plan: SimPlan, cfg: EstimatorConfig, start: int, ss, stats, forms, base):
     """``_moments`` of the loss l of ``cfg``'s rule on the ``ss`` of
     replications ``start``, ``start + 1``, ... and their statistics
     ``stats`` = (F, G, J), from its frame's ``forms``, and of the paired
-    difference ``base`` - l.  If the rule fails, raises the SimulationError
-    that names the first failing replication."""
-    spec = plan.spec
+    difference ``base`` - l.  If the rule raises on the batch, it runs row
+    by row with NaN (u, v) on the rows that raise; the SimulationError
+    names the first replication whose loss is not finite, or the chunk's
+    first if none is."""
+    spec, rule = plan.spec, ESTIMATORS[cfg.kind].rule
+    cause = None
     try:
-        coefs = ESTIMATORS[cfg.kind].rule(cfg, spec, ss, *stats)
-        est_loss = _form_loss(coefs, forms) / spec.sigma2
+        est_loss = _form_loss(rule(cfg, spec, ss, *stats), forms) / spec.sigma2
     except Exception as exc:
-        row, cause = _failing_row(cfg, spec, ss, stats, forms), exc
-    else:
-        finite = np.isfinite(est_loss)
+        coefs, cause = np.full((2, len(ss)), np.nan), exc
+        for row in range(len(ss)):
+            one = slice(row, row + 1)
+            with contextlib.suppress(Exception):
+                row_stats = (stat[one] for stat in stats)
+                coefs[0, one], coefs[1, one] = rule(cfg, spec, ss[one], *row_stats)
+        est_loss = _form_loss(coefs, forms) / spec.sigma2
+    finite = np.isfinite(est_loss)
+    if cause is None:
         if finite.all():
             return _moments(est_loss, base - est_loss)
-        row, cause = int(np.argmin(finite)), FloatingPointError("non-finite loss")
+        cause = FloatingPointError("non-finite loss")
     raise SimulationError(
-        f"estimator {cfg.name} failed at replication {start + row} (seed {plan.seed}): {cause}"
+        f"estimator {cfg.name} failed at replication {start + int(np.argmin(finite))}"
+        f" (seed {plan.seed}): {cause}"
     ) from cause
 
 
@@ -336,88 +320,74 @@ def _reduce(blocks: Sequence[np.ndarray], count: int) -> list[tuple[float, float
     return list(zip(means, map(float, np.sqrt(var / n))))
 
 
-def _chunk_sums(plan: SimPlan, start: int, noise: np.ndarray, ss: np.ndarray, noise_stats,
-                memo: dict) -> np.ndarray:
-    """``_moments`` of the plan's losses on replications ``start``,
-    ``start + 1``, ..., whose draws are ``noise`` plus the plan's means and
-    ``ss``, with ``noise_stats = pooled_noise_stats(spec, noise)``: first
+def _group_chunk_sums(plans: Sequence[SimPlan], task: tuple[tuple[int, ...], int]) -> list:
+    """``_moments`` of the losses of the plans ``task = (indices, chunk)``
+    names, one array per plan, which draw identical rows under one Q: first
     the loss of X_1, then per estimator its loss l, the paired difference
     b - l and its baseline loss b.
 
-    X_1 and each estimator are evaluated with the means shifted by an
-    origin, mu_1 for an equivariant kind and 0 otherwise: the rule reads S,
-    F and G and J, the ``size_statistics`` of the sample's X_1 and nu_hat,
-    taken once for every rule.  Its estimates are u x + v nu_hat with
-    x = a + t and nu_hat = n + m: a = w . noise, n the noise's nu_hat,
-    t = w . (mu - origin) its target and m = nu_hat(mu - origin).  Their
-    loss is a quadratic in the rule's (u, v) over the Q-forms of a, n, m
-    and t (``_frame_forms``), and b is the loss a'Qa / sigma^2 of x.
-    ``memo`` holds, for the plans of one noise group, (Q's symmetric part
-    q, n q, n'qn) under Q, (a, a q, a'qa, 2 a'qn, n'qn, b, moments of b)
-    under (w, Q), the frame's forms alone under (w, t, m, Q) and each
-    estimator's sums under (config, shifted means, Q).  The estimators run
-    in plan order, so the first that fails raises; ``noise`` is only
-    read."""
-    spec = plan.spec
-    mu_1 = spec.mu_stack[0]
-    centred = spec.mu_stack - mu_1
-    f_stat = shifted_pooled_stats(spec, noise_stats, centred, ss)
-    shift = _pooled_mean(spec, centred) if centred.any() else np.zeros(spec.p)
-    m_abs = shift + mu_1
-    frames = {True: (centred, shift), False: (spec.mu_stack, m_abs)}
+    The draw, its noise statistics, Q's symmetric part q, n q and n'qn
+    (n the noise's nu_hat) are taken once.  X_1 and each estimator are
+    evaluated with the means shifted by an origin, mu_1 for an equivariant
+    kind and 0 otherwise; every rule reads S, F and the plan's G and J.
+    Its estimates are u x + v nu_hat with x = a + t and nu_hat = n + m:
+    a = w . noise, t = w . (mu - origin) and m = nu_hat(mu - origin).
+    Their loss is a quadratic in (u, v) over the q-forms of a, n, m and t
+    (``_frame_forms``), and b = a'qa / sigma^2.  Three dicts live for the
+    chunk: a's forms under w, the frame's under (w, t, m) and each
+    estimator's sums under (config, shifted means).  The estimators run in
+    plan order, so the first that fails raises."""
+    members, chunk = task
+    first = plans[members[0]]
+    spec = first.spec
+    start = chunk * _CHUNK_SIZE
+    rows = min(_CHUNK_SIZE, first.replications - start)
+    noise, ss = _draw_noise(spec, first.seed, chunk, rows)
+    noise_stats = pooled_noise_stats(spec, noise)
     n = noise_stats[0]
-    q_key = spec.Q.tobytes()
-    if ("Q", q_key) not in memo:
-        q = 0.5 * (spec.Q + spec.Q.T)
-        with np.errstate(over="ignore", invalid="ignore"):
-            nq = n @ q
-            memo["Q", q_key] = (q, nq, np.einsum("bi,bi->b", nq, n))
-    q, nq, N = memo["Q", q_key]
+    q = 0.5 * (spec.Q + spec.Q.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nq = n @ q
+        N = np.einsum("bi,bi->b", nq, n)
+    weights, frames, sums = {}, {}, {}
 
-    def weight_forms(w, w_key):
-        if ("w", w_key, q_key) not in memo:
+    def weight_forms(w):
+        key = w.tobytes()
+        if key not in weights:
             a = np.einsum("k,bki->bi", w, noise)
             with np.errstate(over="ignore", invalid="ignore"):
                 aq = a @ q
                 A = np.einsum("bi,bi->b", aq, a)
                 base = A / spec.sigma2
                 forms = (A, 2.0 * np.einsum("bi,bi->b", aq, n), N)
-            memo["w", w_key, q_key] = (a, aq, forms, base, _moments(base))
-        return memo["w", w_key, q_key]
+            weights[key] = (a, aq, forms, base, _moments(base))
+        return weights[key]
 
-    e_1 = _first_unit(spec.k)
-    a_1, *_, moments = weight_forms(e_1, e_1.tobytes())
-    blocks = [moments]
-    stats = (f_stat, *size_statistics(spec, a_1 + mu_1, n + m_abs, ss))
-    for cfg in plan.estimators:
-        kind = ESTIMATORS[cfg.kind]
-        w = kind.estimand(cfg, spec)
-        w_key = w.tobytes()
-        a, aq, forms, base, moments = weight_forms(w, w_key)
-        means, m = frames[kind.equivariant]
-        key = (cfg, means.tobytes(), q_key)
-        if key not in memo:
-            t = w @ means
-            frame = ("frame", w_key, t.tobytes(), m.tobytes(), q_key)
-            if frame not in memo:
-                memo[frame] = _frame_forms(q, aq, nq, forms, m, t)
-            memo[key] = _estimator_sums(plan, cfg, start, ss, stats, memo[frame], base)
-        blocks += [memo[key], moments]
-    return np.concatenate(blocks)
-
-
-def _group_chunk_sums(plans: Sequence[SimPlan], task: tuple[tuple[int, ...], int]) -> list:
-    """Chunk sums of the plans ``task = (indices, chunk)`` names, which
-    draw identical rows, on one draw of the chunk and one computation of
-    its noise statistics."""
-    members, chunk = task
-    first = plans[members[0]]
-    start = chunk * _CHUNK_SIZE
-    rows = min(_CHUNK_SIZE, first.replications - start)
-    noise, ss = _draw_noise(first.spec, first.seed, chunk, rows)
-    noise_stats = pooled_noise_stats(first.spec, noise)
-    memo: dict = {}
-    return [_chunk_sums(plans[i], start, noise, ss, noise_stats, memo) for i in members]
+    a_1, *_, x1_moments = weight_forms(_first_unit(spec.k))
+    results = []
+    for plan in (plans[i] for i in members):
+        mu = plan.spec.mu_stack
+        centred = mu - mu[0]
+        f_stat, shift = shifted_pooled_stats(plan.spec, noise_stats, centred, ss)
+        m_abs = shift + mu[0]
+        origins = {True: (centred, shift), False: (mu, m_abs)}
+        stats = (f_stat, *size_statistics(plan.spec, a_1 + mu[0], n + m_abs, ss))
+        blocks = [x1_moments]
+        for cfg in plan.estimators:
+            kind = ESTIMATORS[cfg.kind]
+            w = kind.estimand(cfg, plan.spec)
+            _, aq, forms, base, moments = weight_forms(w)
+            means, m = origins[kind.equivariant]
+            key = (cfg, means.tobytes())
+            if key not in sums:
+                t = w @ means
+                frame = (w.tobytes(), t.tobytes(), m.tobytes())
+                if frame not in frames:
+                    frames[frame] = _frame_forms(q, aq, nq, forms, m, t)
+                sums[key] = _estimator_sums(plan, cfg, start, ss, stats, frames[frame], base)
+            blocks += [sums[key], moments]
+        results.append(np.concatenate(blocks))
+    return results
 
 
 def _fork_worker(plans: Sequence[SimPlan], tasks: list, first: int, step: int):
@@ -567,10 +537,11 @@ def simulate_many(plans: Sequence[SimPlan], workers: int = 1) -> list[RiskReport
     PRIAL relative to the unshrunk estimate of its estimand (X_1, or
     sum_i d_i X_i for LINCOMB) with a standard error computed from the
     paired per-replication loss differences.  Plans that share the seed,
-    the replication count, p, k, n, sigma^2 and V (see ``_noise_key``) draw
-    identical rows: they share each chunk's draw and the work that does not
-    depend on their means, and each report is bit-identical to the plan's
-    report run alone, for any ``workers``.
+    the replication count, p, k, n, sigma^2, V and Q (see ``_noise_key``)
+    draw identical rows under one loss: they share each chunk's draw and
+    the work that does not depend on their means, and each report is
+    bit-identical to the plan's report run alone, for any ``workers``.
+    Plans that differ only in Q draw the same bits once per Q.
     ``workers`` children are forked once per call and striped over the
     (group, chunk) tasks; they inherit the plans (so shrink functions may be
     lambdas), run OpenBLAS on one thread and are reaped before it returns.

@@ -75,7 +75,8 @@ def pooled_noise_stats(spec: ModelSpec, X: np.ndarray):
 
 def shifted_pooled_stats(spec: ModelSpec, noise_stats, means: np.ndarray, S: np.ndarray):
     """F (B,) of X + ``means`` (k, p), from
-    ``noise_stats = pooled_noise_stats(spec, X)``.
+    ``noise_stats = pooled_noise_stats(spec, X)``, and the means' own
+    pooled mean nu_hat(means) (p,), zeros at zero means.
 
     The dispersion is quadratic in X: it gains twice the cross term
     sum_i wdev_i' dev_i plus the means' own dispersion, where
@@ -85,12 +86,14 @@ def shifted_pooled_stats(spec: ModelSpec, noise_stats, means: np.ndarray, S: np.
     if np.any(S <= 0.0):
         raise ValueError(f"S must be positive, got {np.min(S)}")
     _, wdev, dispersion = noise_stats
+    shift = np.zeros(spec.p)
     if means.any():
-        dev = means - _pooled_mean(spec, means)
+        shift = _pooled_mean(spec, means)
+        dev = means - shift
         own = np.einsum("ki,kij,kj->", dev, spec.v_inv, dev)
         cross = (wdev @ dev[:, :, None]).sum(axis=0)[:, 0]
         dispersion = dispersion + 2.0 * cross + own
-    return dispersion / S
+    return dispersion / S, shift
 
 
 def size_statistics(spec: ModelSpec, x: np.ndarray, nu: np.ndarray, S: np.ndarray):
@@ -112,7 +115,7 @@ def batch_pooled_stats(spec: ModelSpec, X: np.ndarray, S: np.ndarray):
     """
     with np.errstate(over="ignore", divide="ignore"):
         noise_stats = pooled_noise_stats(spec, X)
-        f_stat = shifted_pooled_stats(spec, noise_stats, np.zeros(X.shape[1:]), S)
+        f_stat = shifted_pooled_stats(spec, noise_stats, np.zeros(X.shape[1:]), S)[0]
         nu = noise_stats[0]
         g_stat = size_statistics(spec, X[:, 0], nu, S)[0]
     for name, value in (("nu_hat", nu), ("F", f_stat)):

@@ -883,6 +883,21 @@ class TestExitCodes:
         for name in ("PT", "EB", "HB"):
             assert huge[name] == zero[name]
 
+    @pytest.mark.parametrize("n", [1e15, 1e20])
+    def test_pt_past_the_f_quantile_names_n(self, tmp_path, capsys, n):
+        # At n = 1e15 PT ran on a threshold 4.6% off, and at n = 1e20 the
+        # F quantile divided by zero and the run exited 3 naming nothing.
+        cfg = self._config(tmp_path, dict(BENCH_MODEL, n=n), estimators=[{"kind": "PT"}])
+        data = self._data(tmp_path, 3.7)
+        message = "error: estimators[0] (PT): n: PT's F quantile holds only for n <= 10000000"
+        for argv in (["simulate", "--config", cfg, "--reps", "16"],
+                     ["estimate", data, "--config", cfg, "--estimators", "PT"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and message in out.err
+
     def test_zero_baseline_risk_is_named(self, tmp_path, capsys):
         # V and Q in units of 1e-200: the loss x'Qx of X_1 underflows to 0,
         # so the baseline risk is 0 and each PRIAL 0/0.  A run named only the

@@ -620,6 +620,21 @@ class TestFQuantile:
         with pytest.raises(ValueError):
             f_quantile(5, 5, 1.2)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    def test_holds_at_the_largest_d2(self, alpha):
+        d2 = numerics.F_QUANTILE_MAX_D2
+        assert d2 == 10**7
+        for d1 in (1, 4, 20, 100, 1000):
+            expected = stats.f.isf(alpha, d1, d2)
+            assert f_quantile(d1, d2, alpha) == pytest.approx(expected, rel=1e-7), d1
+
+    @pytest.mark.parametrize("d2", [10**7 + 1, 10**15, 10**20])
+    def test_past_the_largest_d2_raises(self, d2):
+        # At d2 = 1e15 the quantile was off by up to 144%, and from about
+        # 1e17 the continued fraction divided by zero.
+        with pytest.raises(ValueError, match=rf"\(20, {d2}\)"):
+            f_quantile(20, d2, 0.05)
+
 
 class TestGaussLegendre:
     @pytest.mark.parametrize("order", [1, 2, 8, 10, 12, 16, 18, 24, 48, 64])

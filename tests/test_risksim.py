@@ -378,9 +378,8 @@ class TestHotPathCounts:
 
     def test_table1_losses_once_per_memo_key(self, monkeypatch):
         # One chunk of the 11 table1 plans, which share one Q and estimate
-        # mu_1: one n'Qn under Q and one a'Qa and 2 a'Qn under (w = e_1, Q).
-        # One set of m and t forms per distinct frame (t, m), not per plan,
-        # and one G and J per plan: PT, EB and HB run at t = 0 with
+        # mu_1.  One set of m and t forms per distinct frame (t, m), not per
+        # plan, and one G and J per plan: PT, EB and HB run at t = 0 with
         # m = nu_hat(mu - mu_1) over the 8 distinct centred means, of which
         # (-0.4, ..., 0.4) and (1.2, ..., 2.0) differ only in their last
         # bits, and their pooled means may round to the same m (here they
@@ -388,22 +387,24 @@ class TestHotPathCounts:
         # 11 frames of which mu = 0's is the zero frame above: 17 or 18.
         # Then one rule loss per (config, shifted means): 8 each for PT, EB
         # and HB (centred means), 11 each for JS and HEB (absolute means).
-        memos, sizes = [], []
-        original, original_sizes = risksim._chunk_sums, risksim.size_statistics
-        monkeypatch.setattr(
-            risksim, "_chunk_sums", lambda *args: memos.append(args[-1]) or original(*args)
-        )
-        monkeypatch.setattr(
-            risksim, "size_statistics", lambda *args: sizes.append(1) or original_sizes(*args)
-        )
+        calls = collections.Counter()
+
+        def count(name, tag):
+            original = getattr(risksim, name)
+
+            def counted(*args):
+                calls[tag(args)] += 1
+                return original(*args)
+
+            monkeypatch.setattr(risksim, name, counted)
+
+        count("_frame_forms", lambda args: "frame")
+        count("size_statistics", lambda args: "sizes")
+        count("_estimator_sums", lambda args: args[1].kind)
         simulate_many([plan for _, plan in table1_preset(replications=2048)])
-        assert all(memo is memos[0] for memo in memos)
-        tags = collections.Counter(
-            key[0] if isinstance(key[0], str) else key[0].kind for key in memos[0]
-        )
-        frames = tags.pop("frame")
-        assert 17 <= frames <= 18 and len(sizes) == 11
-        assert tags == {"Q": 1, "w": 1, "PT": 8, "EB": 8, "HB": 8, "JS": 11, "HEB": 11}
+        frames = calls.pop("frame")
+        assert 17 <= frames <= 18
+        assert calls == {"sizes": 11, "PT": 8, "EB": 8, "HB": 8, "JS": 11, "HEB": 11}
 
     def test_table1_factors_one_noise_model(self):
         # The 11 plans draw identical rows, so only the first one's draws
@@ -605,6 +606,74 @@ class TestSimulateMany:
             with pytest.raises(SimulationError) as failed:
                 simulate_risk(SimPlan(spec, entries, 3 * 2048, 4), workers)
             assert str(failed.value) == f"estimator {expected}"
+
+    @staticmethod
+    def _chunk_f(reps):
+        """The F each replication's CLASS1 rule sees, in replication order."""
+        seen = []
+        recording = EstimatorConfig(
+            kind="CLASS1", phi=lambda f, s: seen.append(f.copy()) or np.zeros_like(f)
+        )
+        simulate_risk(small_plan(reps=reps, estimators=[recording]))
+        return np.concatenate(seen)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_earlier_non_finite_loss_is_named_before_a_raising_row(self, workers):
+        # In chunk 1, row 500 raises and row 100 overflows its loss (phi/F =
+        # 1e160): the batch raises, and the row-by-row losses name row 100,
+        # with the batch's error.
+        f_stat = self._chunk_f(2 * 2048)
+        overflow, raising = f_stat[2048 + 100], f_stat[2048 + 500]
+
+        def phi(f, s):
+            if np.isin(raising, f):
+                raise FloatingPointError("boom")
+            return np.where(f == overflow, 1e160 * f, 0.0)
+
+        bad = small_plan(
+            reps=2 * 2048, estimators=[EstimatorConfig(kind="CLASS1", phi=phi, label="BAD")]
+        )
+        with pytest.raises(SimulationError) as failed:
+            simulate_risk(bad, workers)
+        assert str(failed.value) == "estimator BAD failed at replication 2148 (seed 3): boom"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_failure_with_no_failing_row_names_the_chunk(self, workers):
+        # Chunk 1's batch raises, but each of its rows passes alone: the
+        # chunk's first replication is named, with the batch's error.
+        marker = self._chunk_f(2 * 2048)[2048 + 7]
+
+        def phi(f, s):
+            if f.size > 1 and np.isin(marker, f):
+                raise FloatingPointError("batch only")
+            return np.zeros_like(f)
+
+        bad = small_plan(
+            reps=2 * 2048, estimators=[EstimatorConfig(kind="CLASS1", phi=phi, label="BAD")]
+        )
+        with pytest.raises(SimulationError) as failed:
+            simulate_risk(bad, workers)
+        assert str(failed.value) == (
+            "estimator BAD failed at replication 2048 (seed 3): batch only"
+        )
+
+    def test_plans_differing_in_q_draw_once_per_q(self, monkeypatch):
+        # The draw does not read Q, but the loss forms do: each Q is its
+        # own group, whose reports equal the plans run alone.
+        mu = (1, 2, 0, -1, 3)
+        other_q = scalar_spec(5, 5, 20, [0.1 * i for i in range(1, 6)], 2.0, mu, q_scalar=3.0)
+        plans = [small_plan(reps=2049, mu=mu), self._plan(other_q, 2049)]
+        assert plans[0].spec.Q.tobytes() != other_q.Q.tobytes()
+        expected = [repr(simulate_risk(plan)) for plan in plans]
+        for workers in (1, 2):
+            assert [repr(report) for report in simulate_many(plans, workers)] == expected
+        drawn = collections.Counter()
+        draw = risksim._draw_noise
+        monkeypatch.setattr(
+            risksim, "_draw_noise", lambda *args: drawn.update([args[2]]) or draw(*args)
+        )
+        simulate_many(plans)
+        assert drawn == {0: 2, 1: 2}
 
     def test_plans_never_write_the_shared_draw(self, monkeypatch, dense_spec):
         runs = [
