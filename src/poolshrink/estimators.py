@@ -145,11 +145,10 @@ def _phi_hb_zero_l(F: np.ndarray, qa: float, m: float) -> np.ndarray:
     ratio = np.empty_like(F)
     ratio[direct] = (qa + 1.0) / (z[direct] * _beta_cont_frac(qa + 1.0, b, z[direct]))
     far = ~direct
-    if np.any(far):
-        # t = T / B(qa+1, b); then I_w(b, qa+1) = t z cf / b.
-        ln_beta = math.lgamma(qa + 1.0) + math.lgamma(b) - math.lgamma(m + 1.0)
-        t = np.exp(qa * np.log1p(-w[far]) - b * np.log1p(F[far]) - ln_beta)
-        ratio[far] = t / (1.0 - t * z[far] * _beta_cont_frac(b, qa + 1.0, w[far]) / b)
+    # t = T / B(qa+1, b); then I_w(b, qa+1) = t z cf / b.
+    ln_beta = math.lgamma(qa + 1.0) + math.lgamma(b) - math.lgamma(m + 1.0)
+    t = np.exp(qa * np.log1p(-w[far]) - b * np.log1p(F[far]) - ln_beta)
+    ratio[far] = t / (1.0 - t * z[far] * _beta_cont_frac(b, qa + 1.0, w[far]) / b)
     return qa / (b + ratio)
 
 
@@ -157,6 +156,11 @@ def _phi_hb_zero_l(F: np.ndarray, qa: float, m: float) -> np.ndarray:
 # estimate for L > 0.
 _HB_ORDERS = (16, 24)
 _HB_RTOL = 1e-12
+# The largest power of ten of n at which phi_hb at L = 0 holds 1e-10 against
+# mpmath (p = k = 5, c = 1, a = 0 and the solved a, F = t qa/m for t from
+# 0.01 to 100); past it the beta prefactor loses digits (1.5e-10 at 1e8,
+# 4e-3 at 1e15, a wrong value at 1e16), and from 1e17 divides by 0.
+HB_MAX_N = 10**7
 # Drops of the log integrand from its peak: the first panel on each side
 # ends where the estimate of ``_hb_core`` has dropped by the first, the rule
 # where its bounds have dropped by the second, and the panels between grow
@@ -305,9 +309,12 @@ def phi_hb(F, S, p: int, k: int, n: int, a: float, c: float, L: float = 0.0):
     relative raises QuadratureError.
 
     Broadcasts over array-valued F (and S).  Raises unless (a, c, L) lies
-    in the domain of ``minimax.check_hb_domain``.
+    in the domain of ``minimax.check_hb_domain`` and n is at most
+    ``HB_MAX_N`` (10^7), the largest n at which it holds 1e-10 relative.
     """
     check_hb_domain(p, k, n, a, c, L)
+    if n > HB_MAX_N:
+        raise ValueError(f"n = {n} is above {HB_MAX_N}, the largest n at which phi_hb holds 1e-10")
     qa = 0.5 * p * (k - 1) + a
     m = 0.5 * (n + p * (k - 1)) - c
     farr = np.asarray(F, dtype=float)
@@ -396,9 +403,11 @@ def _check_pt(cfg, spec):
 
 
 def _check_hb(cfg, spec):
-    """The HB domain of ``check_hb_domain``, given the model; at L > 0 a
-    config inside it also computes the Gauss-Legendre rules of
-    ``_HB_ORDERS`` that ``phi_hb`` reads."""
+    """n at most ``HB_MAX_N`` and the HB domain of ``check_hb_domain``,
+    given the model; at L > 0 a config inside them also computes the
+    Gauss-Legendre rules of ``_HB_ORDERS`` that ``phi_hb`` reads."""
+    if spec.n > HB_MAX_N:
+        return [f"n: HB's shrink function holds only for n <= {HB_MAX_N}, got {spec.n}"]
     try:
         check_hb_domain(spec.p, spec.k, spec.n, cfg.a, cfg.c)
     except ValueError as exc:

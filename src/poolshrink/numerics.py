@@ -286,35 +286,18 @@ def _log_lower_gamma(s: float, log_y: np.ndarray) -> tuple[np.ndarray, np.ndarra
 # ---------------------------------------------------------------------------
 
 
-# The midpoints of six bisection steps from every bracket they can reach:
-# the points of one batched call.
-_BISECT_NODES = 2**6 - 1
-
-
-def _bisect_monotone(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
-    """Bisection for an increasing fn with fn(lo) < 0 < fn(hi); runs to
-    floating-point fixpoint, or 200 steps.  fn is elementwise: it maps an
-    array of points to their values, each independent of the others.  So
-    one call takes the midpoints of the next steps from every bracket they
-    can reach, and the steps taken are those of one point per call."""
-    steps = 0
-    while True:
-        # Breadth first: the halves of bracket j are brackets 2j+1 and 2j+2.
-        tree = [(lo, hi)]
-        for j in range(_BISECT_NODES):
-            low, high = tree[j]
-            tree += [(low, 0.5 * (low + high)), (0.5 * (low + high), high)]
-        values = fn(np.array([0.5 * (low + high) for low, high in tree[:_BISECT_NODES]]))
-        j = 0
-        while j < _BISECT_NODES:
-            mid = 0.5 * (lo + hi)
-            if steps == 200 or mid <= lo or mid >= hi:
-                return mid
-            if values[j] < 0.0:
-                lo, j = mid, 2 * j + 2
-            else:
-                hi, j = mid, 2 * j + 1
-            steps += 1
+def _bisect_monotone(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    """Bisection for an increasing fn with fn(lo) < 0 < fn(hi), one midpoint
+    per call of fn; runs to floating-point fixpoint, or 200 steps."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if fn(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # The largest power of ten of d2 at which f_quantile holds 1e-7 against scipy
@@ -327,7 +310,8 @@ def f_quantile(d1: int, d2: int, alpha: float) -> float:
     """Upper-alpha point of the F distribution: the q with P(F > q) = alpha.
 
     Inverted from the regularized incomplete beta by bisection on the tail
-    variable, which keeps full relative precision for small alpha.  Held to
+    variable, which keeps full relative precision for small alpha, with one
+    scalar ``reg_inc_beta`` call per step.  Held to
     1e-7 relative for d2 up to ``F_QUANTILE_MAX_D2``; a larger d2 raises.
     """
     if d1 < 1 or d2 < 1:

@@ -557,8 +557,6 @@ def simulate_many(plans: Sequence[SimPlan], workers: int = 1) -> list[RiskReport
         if errors:
             raise ValueError(f"invalid simulation plan {idx}: " + "; ".join(errors))
         groups.setdefault(_noise_key(plan), []).append(idx)
-    if not plans:
-        return []
     # Each plan's chunk sums arrive in chunk order.
     tasks = [
         (tuple(members), chunk)

@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 
 from poolshrink import cli, minimax
 from poolshrink.cli import ConfigError, main, parse_estimators, parse_model
+from poolshrink.estimators import HB_MAX_N
 from poolshrink.minimax import lincomb_shrinkage_report, solve_hb_a
-from poolshrink.numerics import QuadratureError
+from poolshrink.numerics import F_QUANTILE_MAX_D2, QuadratureError
 
 DATA = Path(__file__).parent / "data"
 
@@ -898,6 +899,22 @@ class TestExitCodes:
             out = capsys.readouterr()
             assert out.out == "" and message in out.err
 
+    @pytest.mark.parametrize("n", [1e16, 1e20])
+    def test_hb_past_its_bound_names_n(self, tmp_path, capsys, n):
+        # At n = 1e16 HB ran on a shrink function off by a factor of 5 (a
+        # PRIAL of 50.30 against 15.01 at n = 1e15), and at n = 1e20 its
+        # beta fraction divided by zero and the run exited 3 naming nothing.
+        cfg = self._config(tmp_path, dict(BENCH_MODEL, n=n), estimators=[{"kind": "HB"}])
+        data = self._data(tmp_path, 3.7)
+        message = "error: estimators[0] (HB): n: HB's shrink function holds only for n <= 10000000"
+        for argv in (["simulate", "--config", cfg, "--reps", "16"],
+                     ["estimate", data, "--config", cfg, "--estimators", "HB"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and message in out.err
+
     def test_zero_baseline_risk_is_named(self, tmp_path, capsys):
         # V and Q in units of 1e-200: the loss x'Qx of X_1 underflows to 0,
         # so the baseline risk is 0 and each PRIAL 0/0.  A run named only the
@@ -1211,3 +1228,25 @@ class TestFuzz:
                     assert all(math.isfinite(float(v)) for v in line.split(":")[1].split()), line
             code, out, err = run_cli(["simulate", "--reps", "16", *options])
             assert_named_outcome(code, out, err)
+
+    @settings(max_examples=40)
+    @given(
+        n=st.builds(lambda e: round(10.0**e), st.floats(0.0, 20.0)),
+        entry=st.sampled_from([{"kind": "HB", "L": 0.0}, {"kind": "HB", "L": 0.5}, {"kind": "PT"}]),
+    )
+    # HB at n = 1e16 exited 0 with a PRIAL of 50.30, from a shrink function
+    # off by a factor of 5.
+    @example(n=10**16, entry={"kind": "HB", "L": 0.0})
+    def test_n(self, n, entry):
+        # n log-uniform in [1, 1e20]: past its kind's bound no run exits 0.
+        bound = {"HB": HB_MAX_N, "PT": F_QUANTILE_MAX_D2}[entry["kind"]]
+        doc = {"model": dict(BENCH_MODEL, n=n), "estimators": [entry]}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            data = Path(tmp) / "data.csv"
+            data.write_text(SMOKE_ROWS + "3.7\n")
+            for argv in (["estimate", str(data), "--estimators", entry["kind"]], ["simulate", "--reps", "16"]):
+                code, out, err = run_cli([*argv, "--config", str(cfg)])
+                assert_named_outcome(code, out, err)
+                assert n <= bound or code != 0, out

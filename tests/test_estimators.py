@@ -18,6 +18,7 @@ from poolshrink.estimators import (
     pt_threshold,
 )
 from poolshrink import estimators, numerics
+from poolshrink.minimax import solve_hb_a
 from poolshrink.model import Sample, scalar_spec
 from poolshrink.numerics import QuadratureError
 from poolshrink.risksim import SimPlan, replication_sample
@@ -200,13 +201,46 @@ class TestPhiHb:
             ]
         np.testing.assert_allclose(phi_hb(F, 1.0, p, k, n, a, c, 0.0), want, rtol=1e-12)
 
-    def test_zero_l_batch_is_bit_identical_to_single_calls(self):
+    @pytest.mark.parametrize("a", [0.0, "solved"])
+    def test_zero_l_holds_at_the_largest_n(self, a):
+        # At n = 1e8 this grid missed 1e-10 (1.5e-10 at a = 0), at 1e16 a
+        # value was off by a factor of 5, and from 1e17 the fraction divided
+        # by zero.
+        n = estimators.HB_MAX_N
+        assert n == 10**7
+        if a == "solved":
+            a = solve_hb_a(scalar_spec(5, 5, n, [0.1 * i for i in range(1, 6)], 2.0, [0] * 5))
+        qa, m = 10.0 + a, 0.5 * (n + 20) - 1.0
+        F = np.array([0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0]) * qa / m
+        with mpmath.workdps(40):
+            want = [
+                float(mpmath.betainc(qa + 1, m - qa, 0, z) / mpmath.betainc(qa, m - qa + 1, 0, z))
+                for z in (mpmath.mpf(f) / (1 + mpmath.mpf(f)) for f in F)
+            ]
+        np.testing.assert_allclose(phi_hb(F, 1.0, 5, 5, n, a, 1.0, 0.0), want, rtol=1e-10)
+
+    @pytest.mark.parametrize("L", [0.0, 0.5])
+    @pytest.mark.parametrize("n", [10**7 + 1, 10**16, 10**20])
+    def test_past_the_largest_n_raises(self, n, L):
+        with pytest.raises(ValueError, match=rf"n = {n} is above 10000000"):
+            phi_hb(0.5, 1.0, 5, 5, n, 0.0, 1.0, L)
+
+    @pytest.mark.parametrize("batch", ["mixed", "all_direct", "all_far"])
+    def test_zero_l_batch_is_bit_identical_to_single_calls(self, batch):
         rng = np.random.default_rng(13)
-        F = rng.chisquare(20, 64) / rng.chisquare(20, 64)
-        F = np.concatenate([F, [1e-100, 1e-3, 1e8, 1e20]])
-        for args in HB_MODELS.values():
-            batch = phi_hb(F, 1.0, *args, 0.0)
-            assert np.array_equal(batch, [phi_hb(f, 1.0, *args, 0.0) for f in F])
+        F = {
+            "mixed": np.concatenate([rng.chisquare(20, 64) / rng.chisquare(20, 64), [1e-100, 1e-3, 1e8, 1e20]]),
+            "all_direct": np.geomspace(1e-100, 0.2, 32),
+            "all_far": np.geomspace(20.0, 1e20, 32),
+        }[batch]
+        for p, k, n, a, c in HB_MODELS.values():
+            # The rows whose fraction is taken in z = F/(1+F), not in 1 - z.
+            qa, m = 0.5 * p * (k - 1) + a, 0.5 * (n + p * (k - 1)) - c
+            direct = F / (1.0 + F) <= (qa + 2.0) / (m + 3.0)
+            if batch != "mixed":
+                assert np.all(direct == (batch == "all_direct"))
+            values = phi_hb(F, 1.0, p, k, n, a, c, 0.0)
+            assert np.array_equal(values, [phi_hb(f, 1.0, p, k, n, a, c, 0.0) for f in F])
 
     @pytest.mark.parametrize("L", [0.0, 0.5])
     def test_nan_f_is_named(self, L):
@@ -297,6 +331,28 @@ class TestPhiHbPositiveL:
         # gamma series did not converge".  The values are
         # mpmath_phi_hb([F], S, 5, 5, 8000, -8.5, 1.0, L), pinned.
         assert phi_hb(F, S, 5, 5, 8000, -8.5, 1.0, L) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "a, want",
+        [
+            (0.0, [1.8034864790958917556e-7, 1.53822782403098309e-6, 1.9992843726637972644e-6,
+                   1.803335186700513606e-7, 1.5336356268654812907e-6, 1.9801550178719863244e-6]),
+            # The solved a of the table1 model at this n.
+            (-8.499998050000976, [1.7689336900162293243e-8, 1.4793055787220183558e-7,
+                                  2.9989286083670917669e-7, 1.7686317411079245533e-8,
+                                  1.4761817489216270581e-7, 2.9702363781062024322e-7]),
+        ],
+    )
+    def test_holds_at_the_largest_n(self, a, want):
+        # kappa = LS/2 at m and at 1.01 m, and F = t qa/m for t = 0.1, 1 and
+        # 20.  The values are mpmath's two integrals in u of the phi_hb
+        # docstring at 40 digits, with mpmath.gammainc, pinned because they
+        # take about a second each.
+        n = estimators.HB_MAX_N
+        qa, m = 10.0 + a, 0.5 * (n + 20) - 1.0
+        F = np.tile(np.array([0.1, 1.0, 20.0]) * qa / m, 2)
+        S = np.repeat([4.0 * m, 4.0 * 1.01 * m], 3)
+        np.testing.assert_allclose(phi_hb(F, S, 5, 5, n, a, 1.0, 0.5), want, rtol=1e-12)
 
     @pytest.mark.parametrize("L", [0.5, 5.0])
     def test_gamma_evaluations_per_value_do_not_grow_with_n(self, monkeypatch, L):
@@ -432,6 +488,14 @@ class TestPtEstimate:
     def test_threshold_value(self):
         # (p(k-1)/n) F_{20,20,0.05} = 1.0 * 2.1242 at the benchmark dims.
         assert pt_threshold(5, 5, 20, 0.05) == pytest.approx(2.1242, abs=2e-4)
+
+    @pytest.mark.parametrize(
+        "p, k, want", [(5, 5, "0x1.0fe451698f211p+1"), (20, 6, "0x1.310c781353612p+3")]
+    )
+    def test_threshold_bits_are_pinned(self, p, k, want):
+        # The table1 and dense models' thresholds; any change to the
+        # F quantile's bisection or incomplete beta that moves a bit shows here.
+        assert pt_threshold(p, k, 20, 0.05).hex() == want
 
     def test_all_equal_returns_pooled(self):
         spec = benchmark_spec()

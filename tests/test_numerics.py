@@ -606,6 +606,19 @@ class TestFQuantile:
         got = numerics._bisect_monotone(fn, 0.0, 1.0)
         assert got.hex() == self._one_point_bisection(fn, 0.0, 1.0).hex()
 
+    @pytest.mark.parametrize(
+        "d1, d2, alpha, want",
+        [
+            (20, 20, 0.05, "0x1.0fe451698f211p+1"),
+            (100, 20, 0.05, "0x1.e813f3521f01dp+0"),
+            (4, 5000, 0.01, "0x1.a9557d818bb33p+1"),
+            (400, 7, 0.6, "0x1.eab088838b723p-1"),
+            (1, 1, 1e-12, "0x1.574a1e314115dp+78"),
+        ],
+    )
+    def test_bits_are_pinned(self, d1, d2, alpha, want):
+        assert f_quantile(d1, d2, alpha).hex() == want
+
     def test_batched_bisection_stops_after_200_steps(self):
         # The root 1e-300 lies about 1,000 halvings below 1.
         def fn(t):

@@ -752,8 +752,9 @@ class TestSimulateMany:
         assert len(calls) == 1
         assert len({id(plan.estimators) for _, plan in jobs}) == 1
 
-    def test_no_plans_no_reports(self):
-        assert simulate_many([]) == []
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_plans_no_reports(self, workers):
+        assert simulate_many([], workers) == []
 
     def test_non_string_label_is_an_invalid_plan(self):
         plan = small_plan(reps=10, estimators=[EstimatorConfig(kind="EB", a0=0.1, label=5)])
